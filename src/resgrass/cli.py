@@ -19,7 +19,13 @@ from .arrangement import Arrangement, fixture, load_arrangement
 from .errors import BudgetError, InputError
 from .exterior import ExtElement
 from .field import DEFAULT_MODULUS, is_prime
-from .oracle import aomoto_profile, check_prop21, is_resonant_1, is_resonant_k
+from .oracle import (
+    AomotoComplex,
+    aomoto_profile,
+    check_prop21,
+    is_resonant_1,
+    is_resonant_k,
+)
 from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
@@ -72,9 +78,11 @@ def cmd_check_point(args) -> int:
     p = args.p
     pt = ExtElement(p, 1, {(i,): c % p for i, c in enumerate(coords) if c % p})
     k = args.k
-    prof = aomoto_profile(arr, pt, up_to=k)
-    res1 = is_resonant_1(arr, pt)
-    kres = is_resonant_k(arr, pt, k) if k >= 2 else None
+    # one complex serves the profile and both verdicts
+    cx = AomotoComplex(arr, p, up_to=k)
+    prof = aomoto_profile(arr, pt, up_to=k, cx=cx)
+    res1 = is_resonant_1(arr, pt, cx=cx)
+    kres = is_resonant_k(arr, pt, k, cx=cx, profile=prof) if k >= 2 else None
     if args.json:
         obj = {
             "arrangement": arr.name,

@@ -1,12 +1,18 @@
 """Arithmetic in the prime field F_p and small dense linear algebra over it.
 
 Matrices are plain lists of rows, each row a list of ints reduced mod p.
-Everything in this package is exact; no floating point enters the pipeline.
+The batch kernels at the end work on numpy integer arrays instead, for
+moduli up to MAX_KERNEL_MODULUS.  Everything in this package is exact; no floating
+point enters the pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import InputError
 
 DEFAULT_MODULUS = 31991
 
@@ -135,6 +141,128 @@ def kernel_basis(rows, ncols: int, p: int):
         vecs.append(v)
     out, _ = rref(vecs, ncols, p)
     return out
+
+
+# The largest modulus the numpy kernels below take: the largest p with
+# 2 (p - 1)^2 <= 2^63 - 1.  The widest value any of them forms is a
+# three-term Plucker relation of residues, which lies between -(p - 1)^2
+# and 2 (p - 1)^2; matmul_mod and batch_rank pace their sums so that they
+# never pass 2^63 - 1 either, and narrow to int32 only where values fit.
+MAX_KERNEL_MODULUS = 2**31
+_INT64_MAX = 2**63 - 1
+# float64 holds every integer below 2^53 exactly, whatever the summation order
+_FLOAT_EXACT = 2**53
+
+# Points per batch of the projective scans: enough to amortize numpy calls,
+# few enough that a batch's arrays stay a few megabytes.
+BATCH_ROWS = 1024
+
+
+def check_kernel_modulus(p: int, what: str = "modulus") -> None:
+    """InputError unless the numpy kernels compute exactly mod p."""
+    if p > MAX_KERNEL_MODULUS:
+        raise InputError(
+            f"{what} {p} is above {MAX_KERNEL_MODULUS}, the largest modulus the "
+            "numpy kernels compute exactly"
+        )
+
+
+def kernel_dtype(bound: int):
+    """int32 when every value up to bound fits in it, else int64."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def matmul_mod(a, b, p: int):
+    """a @ b mod p, as int64, for arrays with entries in [0, p).
+
+    Products whose sums stay below 2^53 go through float64 exactly;
+    otherwise the inner dimension is cut into blocks short enough that a
+    block's sum of products, added to the running residue, fits in int64.
+    """
+    inner = a.shape[-1]
+    if inner * (p - 1) ** 2 < _FLOAT_EXACT:
+        prod = a.astype(np.float64) @ b.astype(np.float64)
+        return prod.astype(np.int64) % p
+    step = (_INT64_MAX - (p - 1)) // (p - 1) ** 2
+    out = (a[..., :step] @ b[:step]) % p
+    for lo in range(step, inner, step):
+        out = (out + a[..., lo : lo + step] @ b[lo : lo + step]) % p
+    return out
+
+
+def inv_mod(x, p: int):
+    """Elementwise inverse of an array of nonzero residues, as x^(p-2)."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def batch_rank(mats, p: int):
+    """Ranks over F_p of a stack of matrices, shape (batch, rows, cols), entries in [0, p).
+
+    Column by column, each matrix takes its first row with a nonzero entry
+    as pivot and subtracts multiples of it from every row.  That clears the
+    column and makes the pivot row itself zero mod p, so the column can be
+    dropped and no matrix needs to remember which rows it has used.
+    Entries are reduced lazily: each step adds at most (p - 1)^2 to their
+    size, and the whole stack is reduced only before it could overflow.
+    """
+    batch, rows, cols = mats.shape
+    ranks = np.zeros(batch, dtype=np.int64)
+    if rows == 0:
+        return ranks
+    dtype = kernel_dtype(p * (p - 1))
+    limit = np.iinfo(dtype).max
+    # column-major stack: a[c] holds column c of every matrix
+    a = np.ascontiguousarray(mats.transpose(2, 0, 1), dtype=dtype)
+    at = np.arange(batch)
+    growth = (p - 1) ** 2
+    bound = p  # every entry lies in (-bound, bound)
+    for _ in range(cols):
+        if bound > limit - growth:
+            a = a % p
+            bound = p
+        col = a[0] % p
+        nonzero = col != 0
+        ranks += nonzero.any(axis=1)
+        pivot = a[:, at, nonzero.argmax(axis=1)] % p
+        # a matrix without a pivot has an all-zero column, so its update
+        # below is zero whatever its pivot row holds
+        scaled = pivot[1:] * inv_mod(pivot[0], p) % p
+        a = a[1:] - scaled[:, :, None] * col
+        bound += growth
+    return ranks
+
+
+def projective_points(q: int, m: int):
+    """The points of P^{m-1}(F_q) with first nonzero coordinate 1, in batches.
+
+    Each batch is an int64 array of at most BATCH_ROWS points.  The points come
+    ordered by the position of their leading 1, then by the coordinates
+    after it as itertools.product lists them, so the memory held at once
+    does not grow with the number of points.
+    """
+    for lead in range(m):
+        total = q ** (m - lead - 1)
+        for start in range(0, total, BATCH_ROWS):
+            size = min(BATCH_ROWS, total - start)
+            batch = np.zeros((size, m), dtype=np.int64)
+            batch[:, lead] = 1
+            # add 0..size-1 to the base-q digits of start, last digit first
+            carry = np.arange(size, dtype=np.int64)
+            rest = start
+            for c in range(m - 1, lead, -1):
+                rest, digit = divmod(rest, q)
+                val = carry + digit
+                batch[:, c] = val % q
+                carry = val // q
+            yield batch
 
 
 def matvec(rows, vec, p: int):

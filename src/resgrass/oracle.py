@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -21,7 +21,15 @@ import numpy as np
 from .arrangement import Arrangement
 from .errors import BudgetError, InputError, resolve_budget
 from .exterior import ExtElement, Subspace, os_ideal_part, wedge
-from .field import DEFAULT_MODULUS, is_prime, rank as row_rank
+from .field import (
+    DEFAULT_MODULUS,
+    batch_rank,
+    check_kernel_modulus,
+    is_prime,
+    matmul_mod,
+    projective_points,
+    rank as row_rank,
+)
 from .resonance import decomposables_in_I2_bruteforce
 
 
@@ -37,7 +45,7 @@ def _np_reduce_rows(mat, sub: Subspace):
     out = np.asarray(mat, dtype=np.int64) % sub.p
     if sub.pivots:
         rref = np.asarray(sub.rows, dtype=np.int64)
-        out = (out - out[:, sub.pivots] @ rref) % sub.p
+        out = (out - matmul_mod(out[:, sub.pivots], rref, sub.p)) % sub.p
     return out
 
 
@@ -60,6 +68,15 @@ class CohomologyProfile:
     dims: tuple[int, ...]
     ambient_dims: tuple[int, ...]
     last_rank: int
+
+    def __post_init__(self):
+        # both fail only when a rank came out wrong
+        if any(h < 0 for h in self.dims):
+            raise ValueError(f"negative cohomology dimension in {self.dims}")
+        m = len(self.dims) - 1
+        ambient = sum((-1) ** k * d for k, d in enumerate(self.ambient_dims))
+        if self.euler() != ambient - (-1) ** m * self.last_rank:
+            raise ValueError(f"profile {self.dims} breaks the truncated Euler identity")
 
     def euler(self) -> int:
         return sum((-1) ** k * h for k, h in enumerate(self.dims))
@@ -85,6 +102,7 @@ class AomotoComplex:
     def __init__(self, arr: Arrangement, p: int = DEFAULT_MODULUS, up_to: int = 1):
         if up_to < 0:
             raise InputError("up_to must be nonnegative")
+        check_kernel_modulus(p)
         if up_to >= 2:
             if arr.matrix is None:
                 raise InputError(
@@ -122,36 +140,58 @@ class AomotoComplex:
             return np.zeros((0, len(cols)), dtype=np.int64)
         return _np_reduce_rows(rows, target)[:, cols]
 
-    def differentials(self, pt: ExtElement):
+    def fits(self, arr: Arrangement, pt: ExtElement, up_to: int):
+        """InputError unless this complex serves pt on arr to grade up_to."""
+        if self.arr != arr or self.p != pt.p or self.up_to < up_to:
+            raise InputError(
+                f"the complex (F_{self.p}, grades up to {self.up_to}) does not serve "
+                f"{arr.name} at a point over F_{pt.p} to grade {up_to}"
+            )
+
+    def differentials(self, pt: ExtElement, up_to: int | None = None):
+        """d_0..d_up_to at pt; up_to defaults to the depth of the complex."""
         _check_point(pt)
         if pt.p != self.p:
             raise InputError("point modulus does not match the complex")
-        return [self.differential(pt, k) for k in range(self.up_to + 1)]
+        depth = self.up_to if up_to is None else up_to
+        if depth > self.up_to:
+            raise InputError(f"up_to={depth} exceeds the depth {self.up_to} of the complex")
+        return [self.differential(pt, k) for k in range(depth + 1)]
 
-    def profile(self, pt: ExtElement) -> CohomologyProfile:
-        mats = self.differentials(pt)
+    def profile(self, pt: ExtElement, up_to: int | None = None) -> CohomologyProfile:
+        mats = self.differentials(pt, up_to)
         ranks = [_matrix_rank(m, self.p) for m in mats]
         dims = []
-        for k in range(self.up_to + 1):
+        for k in range(len(mats)):
             below = ranks[k - 1] if k else 0
             dims.append(self.ambient_dims[k] - ranks[k] - below)
-        return CohomologyProfile(tuple(dims), self.ambient_dims, ranks[-1])
+        return CohomologyProfile(tuple(dims), self.ambient_dims[: len(mats)], ranks[-1])
 
 
-def aomoto_profile(arr: Arrangement, pt: ExtElement, up_to: int = 1) -> CohomologyProfile:
-    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt."""
+def aomoto_profile(
+    arr: Arrangement, pt: ExtElement, up_to: int = 1, cx: AomotoComplex | None = None
+) -> CohomologyProfile:
+    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt, on cx when given."""
     _check_point(pt)
-    return AomotoComplex(arr, pt.p, up_to).profile(pt)
+    if cx is None:
+        cx = AomotoComplex(arr, pt.p, up_to)
+    cx.fits(arr, pt, up_to)
+    return cx.profile(pt, up_to)
 
 
-def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
+def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = None) -> bool:
     """Whether some b outside span(pt) has pt ^ b in I_2.
 
     Single rank computation: the map b -> (pt ^ b mod I_2) always kills pt,
-    so resonance is exactly a kernel of dimension 2 or more.
+    so resonance is exactly a kernel of dimension 2 or more.  A given
+    complex cx supplies I_2.
     """
     _check_point(pt)
-    sub = os_ideal_part(arr, 2, pt.p)
+    if cx is None:
+        sub = os_ideal_part(arr, 2, pt.p)
+    else:
+        cx.fits(arr, pt, 1)
+        sub = cx.parts[2]
     n = arr.n
     rows = [
         sub.reduce_vec(sub.vector(wedge(pt, ExtElement(pt.p, 1, {(i,): 1}))))
@@ -174,51 +214,35 @@ def _wedge_tensor(n: int, q: int, sub: Subspace):
     if sub.pivots:
         rref = np.asarray(sub.rows, dtype=np.int64)
         for i in range(n):
-            t[i] = (t[i] - rref.T @ t[i][sub.pivots, :]) % q
+            t[i] = (t[i] - matmul_mod(rref.T, t[i][sub.pivots, :], q)) % q
     cols = [c for c in range(m) if c not in set(sub.pivots)]
     return t[:, cols, :]
-
-
-def _tail_chunks(q: int, length: int, size: int = 4096):
-    buf = []
-    for tail in product(range(q), repeat=length):
-        buf.append(tail)
-        if len(buf) == size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
 
 
 def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
     """All resonant points of P^{n-1}(F_q), as sorted normalized tuples.
 
-    Candidates are scanned in blocks by leading coordinate; each point costs
-    one early-exit rank test on its reduced wedge matrix.
+    Candidates are scanned in batches.  One product gives the reduced wedge
+    matrices of a whole batch, one batched elimination their ranks, and a
+    point is resonant when its rank is below n - 1.
     """
     if not is_prime(q):
         raise InputError(f"enumeration field size must be prime, got {q}")
+    check_kernel_modulus(q, "enumeration field size")
     budget = resolve_budget(budget)
     n = arr.n
     candidates = (q**n - 1) // (q - 1)
     if candidates > budget:
         raise BudgetError(candidates, budget, "resonant point enumeration")
-    sub = os_ideal_part(arr, 2, q)
-    tensor = _wedge_tensor(n, q, sub)
+    tensor = _wedge_tensor(n, q, os_ideal_part(arr, 2, q))
     mcols = tensor.shape[1]
+    # wedge_map[j, r * n + i] = tensor[i, r, j], so a batch of points times it
+    # holds, per point, the (mcols x n) matrix with columns a ^ e_i
+    wedge_map = tensor.transpose(2, 1, 0).reshape(n, mcols * n)
     found = []
-    for lead in range(n):
-        prefix = (0,) * lead + (1,)
-        for chunk in _tail_chunks(q, n - 1 - lead):
-            pts = np.empty((len(chunk), n), dtype=np.int64)
-            pts[:, :lead] = 0
-            pts[:, lead] = 1
-            pts[:, lead + 1 :] = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), -1)
-            batch = np.einsum("imj,cj->cim", tensor, pts) % q
-            for c in range(len(chunk)):
-                r = row_rank(batch[c].tolist(), mcols, q, stop_at=n - 1)
-                if r < n - 1:
-                    found.append(prefix + chunk[c])
+    for pts in projective_points(q, n):
+        mats = matmul_mod(pts, wedge_map, q).reshape(len(pts), mcols, n)
+        found.extend(map(tuple, pts[batch_rank(mats, q) < n - 1].tolist()))
     return sorted(found)
 
 
@@ -303,16 +327,30 @@ class KResonance:
         return self.resonant
 
 
-def is_resonant_k(arr: Arrangement, pt: ExtElement, k: int) -> KResonance:
-    """Grade-k resonance of pt by cohomology, with the witness condition."""
+def is_resonant_k(
+    arr: Arrangement,
+    pt: ExtElement,
+    k: int,
+    cx: AomotoComplex | None = None,
+    profile: CohomologyProfile | None = None,
+) -> KResonance:
+    """Grade-k resonance of pt by cohomology, with the witness condition.
+
+    A given complex cx supplies I_k and I_{k+1}; a given profile, which must
+    be that of pt on cx to grade k or deeper, supplies h^k.
+    """
     if k < 1:
         raise InputError("resonance grade must be at least 1")
     _check_point(pt)
-    prof = aomoto_profile(arr, pt, up_to=k)
-    h = prof.dims[k]
+    if cx is None:
+        cx = AomotoComplex(arr, pt.p, up_to=k)
+    cx.fits(arr, pt, k)
+    if profile is None:
+        profile = aomoto_profile(arr, pt, up_to=k, cx=cx)
+    h = profile.dims[k]
     p = pt.p
-    low = os_ideal_part(arr, k, p)
-    high = os_ideal_part(arr, k + 1, p)
+    low = cx.parts[k]
+    high = cx.parts[k + 1]
     rows = [
         high.vector(wedge(pt, ExtElement(p, k, {s: 1})))
         for s in combinations(range(arr.n), k)

@@ -13,12 +13,23 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
 from .errors import BudgetError, InputError, resolve_budget
 from .exterior import ExtElement, os_ideal_part, wedge
-from .field import DEFAULT_MODULUS, is_prime, kernel_basis, rref
+from .field import (
+    DEFAULT_MODULUS,
+    check_kernel_modulus,
+    is_prime,
+    kernel_basis,
+    kernel_dtype,
+    matmul_mod,
+    projective_points,
+    rref,
+)
 from .grobner import PluckerRing, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 
@@ -159,6 +170,24 @@ def is_decomposable(u: ExtElement) -> bool:
     return True
 
 
+def decomposable_mask(u, n: int, q: int):
+    """Which rows of u, grade-2 elements in pair coordinates mod q, are decomposable.
+
+    The batched is_decomposable: every three-term Plucker relation over
+    a < b < c < d of range(n).  A relation that leaves a row's support
+    vanishes there, so this is the same test, in characteristic 2 as well.
+    """
+    pair = {pr: i for i, pr in enumerate(combinations(range(n), 2))}
+    quads = list(combinations(range(n), 4))
+    ab, cd, ac, bd, ad, bc = (
+        [pair[(t[i], t[j])] for t in quads]
+        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+    )
+    u = u.astype(kernel_dtype(2 * (q - 1) ** 2))
+    rel = u[:, ab] * u[:, cd] - u[:, ac] * u[:, bd] + u[:, ad] * u[:, bc]
+    return ~(rel % q).any(axis=1)
+
+
 def factor_decomposable(u: ExtElement):
     """Vectors (x, y) with x ^ y = u; ValueError when u is not decomposable.
 
@@ -235,25 +264,26 @@ def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None 
     """All 2-planes whose Plucker point lies in P(I_2), by full F_q enumeration.
 
     Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
-    BudgetError before any work happens.
+    BudgetError before any work happens.  Candidates are scanned in batches
+    of coefficient vectors over the echelon basis of I_2, and only those
+    that pass decomposable_mask are factored.
     """
     if not is_prime(q):
         raise InputError(f"enumeration field size must be prime, got {q}")
+    check_kernel_modulus(q, "enumeration field size")
     budget = resolve_budget(budget)
     sub = os_ideal_part(arr, 2, q)
     m = sub.dim()
     candidates = (q**m - 1) // (q - 1) if m else 0
     if candidates > budget:
         raise BudgetError(candidates, budget, "decomposable search in P(I_2)")
-    basis = [sub.element_from_vec(row) for row in sub.rows]
+    basis = np.array(sub.rows, dtype=np.int64).reshape(m, sub.ambient_dim())
     planes = []
-    for lead in range(m):
-        for tail in product(range(q), repeat=m - lead - 1):
-            u = basis[lead]
-            for c, b in zip(tail, basis[lead + 1:]):
-                if c:
-                    u = u + b.scale(c)
-            if is_decomposable(u):
-                x, y = factor_decomposable(u)
+    for coeffs in projective_points(q, m):
+        u = matmul_mod(coeffs, basis, q)
+        for row in u[decomposable_mask(u, arr.n, q)].tolist():
+            elem = sub.element_from_vec(row)
+            if is_decomposable(elem):
+                x, y = factor_decomposable(elem)
                 planes.append(Plane.from_pair(x, y, arr.n))
     return sorted(planes, key=lambda pl: pl.basis)

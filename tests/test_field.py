@@ -1,16 +1,29 @@
 import random
+from itertools import product
 
+import numpy as np
 import pytest
 
+from resgrass.errors import InputError
 from resgrass.field import (
+    BATCH_ROWS,
     DEFAULT_MODULUS,
+    MAX_KERNEL_MODULUS,
     PrimeField,
+    batch_rank,
+    check_kernel_modulus,
     is_prime,
     kernel_basis,
+    matmul_mod,
     matvec,
+    projective_points,
     rank,
     rref,
 )
+
+# the largest prime the int64 kernels take, and the first prime they refuse
+BOUNDARY_PRIME = 2**31 - 1
+FIRST_REFUSED = 2**31 + 11
 
 
 def test_default_modulus_is_prime():
@@ -97,3 +110,63 @@ def test_rank_early_stop():
     mat = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     assert rank(mat, 3, 2, stop_at=2) == 2
     assert rank(mat, 3, 2) == 3
+
+
+def test_kernel_modulus_boundary():
+    assert is_prime(BOUNDARY_PRIME) and is_prime(FIRST_REFUSED)
+    assert BOUNDARY_PRIME <= MAX_KERNEL_MODULUS < FIRST_REFUSED
+    assert not any(is_prime(p) for p in range(BOUNDARY_PRIME + 1, FIRST_REFUSED))
+    # the widest kernel value, a three-term Plucker relation, fits in int64
+    assert 2 * (MAX_KERNEL_MODULUS - 1) ** 2 <= 2**63 - 1 < 2 * MAX_KERNEL_MODULUS**2
+    check_kernel_modulus(BOUNDARY_PRIME)
+    with pytest.raises(InputError):
+        check_kernel_modulus(FIRST_REFUSED)
+
+
+# 10^9 + 7 and the boundary prime take the int64 path in blocks
+@pytest.mark.parametrize("p", [2, 7, DEFAULT_MODULUS, 10**9 + 7, BOUNDARY_PRIME])
+def test_matmul_mod_is_exact(p):
+    rng = random.Random(p)
+    for rows, inner, cols in ((3, 1, 4), (5, 40, 6), (2, 0, 3)):
+        a = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(inner)] for _ in range(rows)]
+        b = [[rng.choice((p - 1, rng.randrange(p))) for _ in range(cols)] for _ in range(inner)]
+        want = [[sum(row[t] * b[t][j] for t in range(inner)) % p for j in range(cols)] for row in a]
+        got = matmul_mod(
+            np.array(a, dtype=np.int64).reshape(rows, inner),
+            np.array(b, dtype=np.int64).reshape(inner, cols),
+            p,
+        )
+        assert got.tolist() == want
+
+
+# 46337, the largest prime eliminated in int32, reduces at every step
+@pytest.mark.parametrize("p", [2, 3, 46337, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_batch_rank_matches_rank(p):
+    rng = random.Random(p)
+    for rows, cols in ((6, 4), (4, 7), (9, 9), (0, 3), (3, 0)):
+        mats = []
+        for _ in range(40):
+            # low-rank products as well as full random matrices
+            r = rng.randrange(1, 4)
+            left = [[rng.randrange(p) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.randrange(p) for _ in range(cols)] for _ in range(r)]
+            low = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+            full = [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(cols)] for _ in range(rows)]
+            mats += [low, full]
+        stack = np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
+        assert batch_rank(stack, p).tolist() == [rank(m, cols, p) for m in mats]
+
+
+# 2^12 - 1 and (3^8 - 1)/2 points take several batches, with carries across them
+@pytest.mark.parametrize("q, m", [(2, 12), (3, 8), (5, 3), (7, 1), (3, 0)])
+def test_projective_points_follow_the_product_order(q, m):
+    want = [
+        (0,) * lead + (1,) + tail
+        for lead in range(m)
+        for tail in product(range(q), repeat=m - lead - 1)
+    ]
+    batches = list(projective_points(q, m))
+    assert all(len(b) <= BATCH_ROWS for b in batches)
+    got = [tuple(row) for b in batches for row in b.tolist()]
+    assert got == want
+    assert len(got) == (q**m - 1) // (q - 1)

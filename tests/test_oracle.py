@@ -1,13 +1,17 @@
 import json
 import random
+import time
+from itertools import combinations, product
 
 import pytest
 
+from resgrass import cli, oracle
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement
 from resgrass.oracle import (
     AomotoComplex,
+    CohomologyProfile,
     aomoto_profile,
     check_prop21,
     enumerate_r1,
@@ -194,3 +198,125 @@ def test_profile_json():
     prof = aomoto_profile(fixture("A3"), pt([1] * 6), up_to=1)
     obj = json.loads(prof.to_json())
     assert obj == {"dims": [0, 0], "ambient_dims": [1, 6], "last_rank": 5}
+
+
+def braid_rows(ell):
+    """Realization of the braid arrangement A_ell: columns e_i - e_j."""
+    pairs = list(combinations(range(ell + 1), 2))
+    return [[1 if r == i else -1 if r == j else 0 for i, j in pairs] for r in range(ell + 1)]
+
+
+A4 = from_matrix(braid_rows(4), name="A4")
+PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
+BOOLEAN = from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="boolean", p=3)
+
+
+@pytest.mark.parametrize(
+    "arr, q",
+    [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (A4, 2),
+     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)],
+    ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "pencil/F_2", "pencil/F_3",
+         "boolean/F_2", "boolean/F_3"],
+)
+def test_enumerate_r1_equals_pointwise_scan(arr, q):
+    cx = AomotoComplex(arr, q, up_to=1)
+    want = [
+        coords
+        for lead in range(arr.n)
+        for tail in product(range(q), repeat=arr.n - lead - 1)
+        for coords in [(0,) * lead + (1,) + tail]
+        if is_resonant_1(arr, pt(coords, q), cx=cx)
+    ]
+    assert enumerate_r1(arr, q) == sorted(want)
+
+
+def test_check_prop21_a4_f3_within_cap():
+    t0 = time.perf_counter()
+    rep = check_prop21(A4, 3)
+    elapsed = time.perf_counter() - t0
+    assert rep.agree and rep.planes_pairwise_disjoint
+    # C(5,3) local plus C(5,4) non-local components, q + 1 points each
+    assert rep.n_planes == 15
+    assert rep.n_resonant == rep.n_plane_points == 60
+    assert elapsed < 5.0, f"A4 over F_3 took {elapsed:.2f} s"
+
+
+def test_check_point_builds_each_ideal_slice_once(capsys, monkeypatch, tmp_path):
+    built = []
+    real = oracle.os_ideal_part
+
+    def counting(arr, k, p):
+        built.append(k)
+        return real(arr, k, p)
+
+    monkeypatch.setattr(oracle, "os_ideal_part", counting)
+    path = tmp_path / "A4.txt"
+    path.write_text("matrix\n" + "".join(" ".join(map(str, r)) + "\n" for r in braid_rows(4)))
+    code = cli.main(["check-point", "--input", str(path), "--k", "3", "--json",
+                     "0,0,0,0,0,1,2,0,0,-3"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and obj["k_check"]["k"] == 3
+    assert sorted(built) == [1, 2, 3, 4]
+
+
+def test_shared_complex_gives_the_same_verdicts():
+    a3 = fixture("A3")
+    cx = AomotoComplex(a3, P, up_to=2)
+    for coeffs in ([1] * 6, [0, 1, 0, 0, -1, 0], [1, -1, 0, -1, 0, 1]):
+        x = pt(coeffs)
+        assert aomoto_profile(a3, x, up_to=2, cx=cx) == aomoto_profile(a3, x, up_to=2)
+        assert aomoto_profile(a3, x, up_to=1, cx=cx) == aomoto_profile(a3, x, up_to=1)
+        assert is_resonant_1(a3, x, cx=cx) == is_resonant_1(a3, x)
+        shared = is_resonant_k(a3, x, 2, cx=cx, profile=aomoto_profile(a3, x, up_to=2, cx=cx))
+        assert shared == is_resonant_k(a3, x, 2)
+    with pytest.raises(InputError):
+        aomoto_profile(a3, pt([1] * 6), up_to=3, cx=cx)  # deeper than the complex
+    with pytest.raises(InputError):
+        is_resonant_1(a3, pt([1] * 6, 5), cx=cx)  # another field
+    with pytest.raises(InputError):
+        is_resonant_k(fixture("Hessian"), pt([1] * 12), 1, cx=cx)  # another arrangement
+
+
+def test_profile_refuses_broken_invariants():
+    # the genuine A3 profile at a local point
+    assert CohomologyProfile((0, 1), (1, 6), 4) == aomoto_profile(
+        fixture("A3"), pt([0, 1, 0, 0, -1, 0]), up_to=1
+    )
+    # Euler holds but h^1 < 0: what an overflowing rank used to report
+    with pytest.raises(ValueError, match="negative"):
+        CohomologyProfile((0, -1), (1, 6), 6)
+    with pytest.raises(ValueError, match="Euler"):
+        CohomologyProfile((0, 1), (1, 6), 5)
+
+
+BOUNDARY_PRIME = 2**31 - 1
+FIRST_REFUSED = 2**31 + 11
+
+
+def test_check_point_at_the_boundary_prime(capsys):
+    # over F_31991 the point is generic: h^0 = h^1 = h^2 = 0
+    for p in (P, BOUNDARY_PRIME):
+        code = cli.main(["check-point", "--fixture", "A3", "--k", "2", "--json",
+                         "--p", str(p), "1,2,3,5,7,11"])
+        obj = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert obj["profile"] == {"dims": [0, 0, 0], "ambient_dims": [1, 6, 11], "last_rank": 6}
+        assert obj["resonant_1"] is False and obj["k_check"]["h"] == 0
+
+
+def test_moduli_above_the_kernel_bound_are_refused(capsys):
+    for argv in (
+        ["check-point", "--fixture", "A3", "--k", "2", "--p", str(FIRST_REFUSED), "1,2,3,5,7,11"],
+        ["check-point", "--fixture", "A3", "--p", str(2**61 - 1), "1,2,3,5,7,11"],
+        ["oracle", "--fixture", "A3", "--q", str(FIRST_REFUSED)],
+    ):
+        assert cli.main(argv) == 2
+        assert "largest modulus" in capsys.readouterr().err
+    a3 = fixture("A3")
+    for call in (
+        lambda: AomotoComplex(a3, FIRST_REFUSED),
+        lambda: enumerate_r1(a3, FIRST_REFUSED, budget=10**40),
+        lambda: check_prop21(a3, FIRST_REFUSED, budget=10**40),
+    ):
+        with pytest.raises(InputError):
+            call()

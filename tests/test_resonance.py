@@ -1,7 +1,8 @@
 import json
 import random
-from itertools import combinations
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from resgrass.arrangement import Arrangement, fixture, from_matrix
@@ -10,6 +11,7 @@ from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
     Plane,
+    decomposable_mask,
     decomposables_in_I2_bruteforce,
     factor_decomposable,
     is_decomposable,
@@ -183,3 +185,52 @@ def test_plane_from_pair_rejects_dependent():
     x = ExtElement(5, 1, {(0,): 1})
     with pytest.raises(ValueError):
         Plane.from_pair(x, x.scale(2), 4)
+
+
+def braid(ell):
+    """Braid arrangement A_ell: columns e_i - e_j of F^(ell+1)."""
+    pairs = list(combinations(range(ell + 1), 2))
+    rows = [[1 if r == i else -1 if r == j else 0 for i, j in pairs] for r in range(ell + 1)]
+    return from_matrix(rows, name=f"A{ell}")
+
+
+PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
+BOOLEAN = from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="boolean", p=3)
+
+
+@pytest.mark.parametrize(
+    "arr, q",
+    [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (braid(4), 2),
+     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 3)],
+    ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "pencil/F_2", "pencil/F_3", "boolean/F_3"],
+)
+def test_decomposable_mask_equals_is_decomposable(arr, q):
+    sub = os_ideal_part(arr, 2, q)
+    m, ncols = sub.dim(), sub.ambient_dim()
+    basis = np.array(sub.rows, dtype=np.int64).reshape(m, ncols)
+    coeffs = [
+        (0,) * lead + (1,) + tail
+        for lead in range(m)
+        for tail in product(range(q), repeat=m - lead - 1)
+    ]
+    u = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), m) @ basis % q
+    want = [is_decomposable(sub.element_from_vec(row)) for row in u.tolist()]
+    assert decomposable_mask(u, arr.n, q).tolist() == want
+
+
+def test_decomposable_mask_at_the_boundary_prime():
+    p, n = 2**31 - 1, 6
+    rng = random.Random(31)
+    pairs = list(combinations(range(n), 2))
+    rows = []
+    for _ in range(30):
+        x = ExtElement(p, 1, {(i,): rng.choice((1, p - 1, rng.randrange(p))) for i in range(n)})
+        y = ExtElement(p, 1, {(i,): rng.choice((1, p - 1, rng.randrange(p))) for i in range(n)})
+        w = wedge(x, y)
+        rows.append([w.terms.get(pr, 0) for pr in pairs])
+        rows.append([rng.choice((0, p - 1, rng.randrange(p))) for _ in pairs])
+    u = np.array(rows, dtype=np.int64)
+    elems = [ExtElement(p, 2, dict(zip(pairs, row))) for row in rows]
+    want = [is_decomposable(e) for e in elems]
+    assert decomposable_mask(u, n, p).tolist() == want
+    assert want[::2] == [True] * 30 and not any(want[1::2])
