@@ -80,9 +80,9 @@ def cmd_check_point(args) -> int:
     k = args.k
     # one complex serves the profile and both verdicts
     cx = AomotoComplex(arr, p, up_to=k)
-    prof = aomoto_profile(arr, pt, up_to=k, cx=cx)
+    kres = is_resonant_k(arr, pt, k, cx=cx) if k >= 2 else None
+    prof = kres.profile if kres is not None else aomoto_profile(arr, pt, up_to=k, cx=cx)
     res1 = is_resonant_1(arr, pt, cx=cx)
-    kres = is_resonant_k(arr, pt, k, cx=cx, profile=prof) if k >= 2 else None
     if args.json:
         obj = {
             "arrangement": arr.name,

@@ -2,8 +2,8 @@
 
 Matrices are plain lists of rows, each row a list of ints reduced mod p.
 The batch kernels at the end work on numpy integer arrays instead, for
-moduli up to MAX_KERNEL_MODULUS.  Everything in this package is exact; no floating
-point enters the pipeline.
+moduli up to MAX_KERNEL_MODULUS.  Everything in this package is exact:
+matmul_mod computes in float64 only where every sum stays below 2^53.
 """
 
 from __future__ import annotations

@@ -148,35 +148,36 @@ class AomotoComplex:
                 f"{arr.name} at a point over F_{pt.p} to grade {up_to}"
             )
 
-    def differentials(self, pt: ExtElement, up_to: int | None = None):
-        """d_0..d_up_to at pt; up_to defaults to the depth of the complex."""
+    def differentials(self, pt: ExtElement):
         _check_point(pt)
         if pt.p != self.p:
             raise InputError("point modulus does not match the complex")
-        depth = self.up_to if up_to is None else up_to
-        if depth > self.up_to:
-            raise InputError(f"up_to={depth} exceeds the depth {self.up_to} of the complex")
-        return [self.differential(pt, k) for k in range(depth + 1)]
+        return [self.differential(pt, k) for k in range(self.up_to + 1)]
 
-    def profile(self, pt: ExtElement, up_to: int | None = None) -> CohomologyProfile:
-        mats = self.differentials(pt, up_to)
+    def profile(self, pt: ExtElement) -> CohomologyProfile:
+        mats = self.differentials(pt)
         ranks = [_matrix_rank(m, self.p) for m in mats]
         dims = []
-        for k in range(len(mats)):
+        for k in range(self.up_to + 1):
             below = ranks[k - 1] if k else 0
             dims.append(self.ambient_dims[k] - ranks[k] - below)
-        return CohomologyProfile(tuple(dims), self.ambient_dims[: len(mats)], ranks[-1])
+        return CohomologyProfile(tuple(dims), self.ambient_dims, ranks[-1])
 
 
 def aomoto_profile(
     arr: Arrangement, pt: ExtElement, up_to: int = 1, cx: AomotoComplex | None = None
 ) -> CohomologyProfile:
-    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt, on cx when given."""
+    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt, on cx when given.
+
+    A given complex must be built to grade up_to exactly.
+    """
     _check_point(pt)
     if cx is None:
         cx = AomotoComplex(arr, pt.p, up_to)
     cx.fits(arr, pt, up_to)
-    return cx.profile(pt, up_to)
+    if cx.up_to != up_to:
+        raise InputError(f"the complex is built to grade {cx.up_to}, not {up_to}")
+    return cx.profile(pt)
 
 
 def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = None) -> bool:
@@ -322,6 +323,7 @@ class KResonance:
     resonant: bool
     witness: bool
     divergence: bool
+    profile: CohomologyProfile  # h^0..h^k at the point, h = profile.dims[k]
 
     def __bool__(self) -> bool:
         return self.resonant
@@ -332,21 +334,18 @@ def is_resonant_k(
     pt: ExtElement,
     k: int,
     cx: AomotoComplex | None = None,
-    profile: CohomologyProfile | None = None,
 ) -> KResonance:
     """Grade-k resonance of pt by cohomology, with the witness condition.
 
-    A given complex cx supplies I_k and I_{k+1}; a given profile, which must
-    be that of pt on cx to grade k or deeper, supplies h^k.
+    A given complex cx, built to grade k, supplies the profile, I_k and
+    I_{k+1}.
     """
     if k < 1:
         raise InputError("resonance grade must be at least 1")
     _check_point(pt)
     if cx is None:
         cx = AomotoComplex(arr, pt.p, up_to=k)
-    cx.fits(arr, pt, k)
-    if profile is None:
-        profile = aomoto_profile(arr, pt, up_to=k, cx=cx)
+    profile = aomoto_profile(arr, pt, up_to=k, cx=cx)
     h = profile.dims[k]
     p = pt.p
     low = cx.parts[k]
@@ -363,4 +362,4 @@ def is_resonant_k(
     # a witness exists iff the preimage of I_{k+1} exceeds both I_k and
     # ker(pt ^ .), since two proper subspaces never cover a vector space
     witness = ker_mod > low.dim() and ker_mod > ker_full
-    return KResonance(k, h, h != 0, witness, (h != 0) != witness)
+    return KResonance(k, h, h != 0, witness, (h != 0) != witness, profile)

@@ -21,9 +21,7 @@ from resgrass.field import (
     rref,
 )
 
-# the largest prime the int64 kernels take, and the first prime they refuse
-BOUNDARY_PRIME = 2**31 - 1
-FIRST_REFUSED = 2**31 + 11
+from cases import BOUNDARY_PRIME, FIRST_REFUSED
 
 
 def test_default_modulus_is_prime():

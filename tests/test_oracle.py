@@ -1,7 +1,7 @@
 import json
 import random
 import time
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 
@@ -18,6 +18,8 @@ from resgrass.oracle import (
     is_resonant_1,
     is_resonant_k,
 )
+
+from cases import BOOLEAN, BOUNDARY_PRIME, FIRST_REFUSED, PENCIL, braid, braid_rows
 
 P = 31991
 
@@ -200,15 +202,7 @@ def test_profile_json():
     assert obj == {"dims": [0, 0], "ambient_dims": [1, 6], "last_rank": 5}
 
 
-def braid_rows(ell):
-    """Realization of the braid arrangement A_ell: columns e_i - e_j."""
-    pairs = list(combinations(range(ell + 1), 2))
-    return [[1 if r == i else -1 if r == j else 0 for i, j in pairs] for r in range(ell + 1)]
-
-
-A4 = from_matrix(braid_rows(4), name="A4")
-PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
-BOOLEAN = from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="boolean", p=3)
+A4 = braid(4)
 
 
 @pytest.mark.parametrize(
@@ -265,12 +259,14 @@ def test_shared_complex_gives_the_same_verdicts():
     for coeffs in ([1] * 6, [0, 1, 0, 0, -1, 0], [1, -1, 0, -1, 0, 1]):
         x = pt(coeffs)
         assert aomoto_profile(a3, x, up_to=2, cx=cx) == aomoto_profile(a3, x, up_to=2)
-        assert aomoto_profile(a3, x, up_to=1, cx=cx) == aomoto_profile(a3, x, up_to=1)
         assert is_resonant_1(a3, x, cx=cx) == is_resonant_1(a3, x)
-        shared = is_resonant_k(a3, x, 2, cx=cx, profile=aomoto_profile(a3, x, up_to=2, cx=cx))
+        shared = is_resonant_k(a3, x, 2, cx=cx)
         assert shared == is_resonant_k(a3, x, 2)
+        assert shared.profile == aomoto_profile(a3, x, up_to=2)
     with pytest.raises(InputError):
         aomoto_profile(a3, pt([1] * 6), up_to=3, cx=cx)  # deeper than the complex
+    with pytest.raises(InputError):
+        aomoto_profile(a3, pt([1] * 6), up_to=1, cx=cx)  # shallower than the complex
     with pytest.raises(InputError):
         is_resonant_1(a3, pt([1] * 6, 5), cx=cx)  # another field
     with pytest.raises(InputError):
@@ -287,10 +283,6 @@ def test_profile_refuses_broken_invariants():
         CohomologyProfile((0, -1), (1, 6), 6)
     with pytest.raises(ValueError, match="Euler"):
         CohomologyProfile((0, 1), (1, 6), 5)
-
-
-BOUNDARY_PRIME = 2**31 - 1
-FIRST_REFUSED = 2**31 + 11
 
 
 def test_check_point_at_the_boundary_prime(capsys):

@@ -20,6 +20,8 @@ from resgrass.resonance import (
     span_forms,
 )
 
+from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid
+
 P = 31991
 
 
@@ -187,17 +189,6 @@ def test_plane_from_pair_rejects_dependent():
         Plane.from_pair(x, x.scale(2), 4)
 
 
-def braid(ell):
-    """Braid arrangement A_ell: columns e_i - e_j of F^(ell+1)."""
-    pairs = list(combinations(range(ell + 1), 2))
-    rows = [[1 if r == i else -1 if r == j else 0 for i, j in pairs] for r in range(ell + 1)]
-    return from_matrix(rows, name=f"A{ell}")
-
-
-PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
-BOOLEAN = from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="boolean", p=3)
-
-
 @pytest.mark.parametrize(
     "arr, q",
     [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (braid(4), 2),
@@ -219,7 +210,7 @@ def test_decomposable_mask_equals_is_decomposable(arr, q):
 
 
 def test_decomposable_mask_at_the_boundary_prime():
-    p, n = 2**31 - 1, 6
+    p, n = BOUNDARY_PRIME, 6
     rng = random.Random(31)
     pairs = list(combinations(range(n), 2))
     rows = []
