@@ -59,6 +59,26 @@ def _validate_flats(n: int, flats) -> tuple[Flat, ...]:
     return tuple(sorted(out))
 
 
+def check_simple(cols, p: int) -> None:
+    """InputError unless the columns are nonzero and pairwise non-proportional over F_p.
+
+    The first zero column is named, else the lexicographically first
+    proportional pair.
+    """
+    classes = {}  # column scaled to a leading 1 -> indices of the columns
+    for j, c in enumerate(cols):
+        lead = next((x for x in c if x % p), None)
+        if lead is None:
+            raise InputError(f"column {j} is zero over F_{p}")
+        inv = pow(lead, p - 2, p)
+        classes.setdefault(tuple(x * inv % p for x in c), []).append(j)
+    pair = min((js[:2] for js in classes.values() if len(js) > 1), default=None)
+    if pair is not None:
+        raise DuplicateHyperplaneError(
+            f"columns {pair[0]} and {pair[1]} are proportional over F_{p}"
+        )
+
+
 def rank2_flats_from_realization(matrix, p: int = DEFAULT_MODULUS) -> tuple[Flat, ...]:
     """Collinearity flats of the columns of an integer matrix, over F_p."""
     rows = [tuple(r) for r in matrix]
@@ -69,14 +89,7 @@ def rank2_flats_from_realization(matrix, p: int = DEFAULT_MODULUS) -> tuple[Flat
         raise InputError("ragged realization matrix")
     ell = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(width)]
-    for j, c in enumerate(cols):
-        if all(x % p == 0 for x in c):
-            raise InputError(f"column {j} is zero over F_{p}")
-    for i, j in combinations(range(width), 2):
-        if rank([cols[i], cols[j]], ell, p) < 2:
-            raise DuplicateHyperplaneError(
-                f"columns {i} and {j} are proportional over F_{p}"
-            )
+    check_simple(cols, p)
     flats = set()
     for i, j in combinations(range(width), 2):
         members = tuple(

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .arrangement import Arrangement, dependent_sets
-from .field import DEFAULT_MODULUS
+import numpy as np
+
+from .arrangement import Arrangement, check_simple, dependent_sets
+from .field import DEFAULT_MODULUS, check_kernel_modulus, rref_mod
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -206,29 +208,52 @@ class Subspace:
     def contains(self, x: ExtElement) -> bool:
         return all(c % self.p == 0 for c in self.reduce_vec(self.vector(x)))
 
+    def coset_columns(self):
+        """Indices of the non-pivot coordinates, which span a complement."""
+        pivot_set = set(self.pivots)
+        return [i for i in range(len(self.subsets)) if i not in pivot_set]
+
     def coset_subsets(self):
         """Basis subsets of a complement: the non-pivot coordinates."""
-        pivot_set = set(self.pivots)
-        return [s for i, s in enumerate(self.subsets) if i not in pivot_set]
+        return [self.subsets[i] for i in self.coset_columns()]
 
 
 def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspace:
     """The grade-k slice I_k of the ideal generated by boundaries of dependent sets.
 
-    Spanning set: e_J ^ boundary(S) over dependent S with |S| <= k+1 and all
-    J of the complementary size.  Flats-only arrangements know their size-3
-    dependencies, hence support k <= 2 only (the slice for k < 2 is zero).
+    I_k is spanned by e_J ^ boundary(C) over the circuits C (minimal dependent
+    sets) with |C| <= k+1.  Its leading coordinate in the lex order is
+    e_{J u B}, where B is C minus its largest element (a broken circuit) and
+    J is disjoint from B.  One such row for each k-set that contains a broken
+    circuit gives C(n, k) - b_k rows with distinct leading coordinates: a
+    basis of I_k by the no-broken-circuit theorem (Bjorner 1982; Orlik-Terao,
+    Arrangements of Hyperplanes, 3.5, with the order reversed).  One numpy
+    elimination then brings it to reduced echelon form.  The theorem needs
+    the matroid over F_p, so a realization whose columns are zero or
+    proportional mod p is refused.  Flats-only arrangements know their
+    size-3 dependencies, hence support k <= 2 only (the slice for k < 2 is
+    zero).
     """
-    elems = []
-    if k >= 2:
-        for S in dependent_sets(arr, min(k + 1, arr.n), p):
-            d = boundary(S, p)
-            jsize = k - len(S) + 1
-            if jsize == 0:
-                elems.append(d)
-            else:
-                for J in combinations(range(arr.n), jsize):
-                    w = wedge(ExtElement(p, jsize, {J: 1}), d)
-                    if not w.is_zero():
-                        elems.append(w)
-    return Subspace.from_elements(arr.n, k, p, elems)
+    check_kernel_modulus(p)
+    if arr.matrix is not None:
+        check_simple(arr.columns(), p)
+    n = arr.n
+    circuits = []
+    for S in dependent_sets(arr, min(k + 1, n), p):
+        if not any(set(S).issuperset(c) for c in circuits):
+            circuits.append(S)
+    rows = {}  # leading k-set -> (J, C) of its row
+    for C in circuits:
+        rest = [i for i in range(n) if i not in C[:-1]]
+        for J in combinations(rest, k - len(C) + 1):
+            rows.setdefault(tuple(sorted(J + C[:-1])), (J, C))
+    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    mat = np.zeros((len(rows), len(index)), dtype=np.int64)
+    for r, (J, C) in enumerate(rows.values()):
+        for i in range(len(C)):
+            merged = _merge_signed(J, C[:i] + C[i + 1 :])
+            if merged is not None:
+                sign, key = merged
+                mat[r, index[key]] = (-1) ** i * sign
+    red, pivots = rref_mod(mat, p)
+    return Subspace(n, k, p, red.tolist(), pivots)

@@ -167,6 +167,13 @@ def check_kernel_modulus(p: int, what: str = "modulus") -> None:
         )
 
 
+def check_enumeration_field(q: int) -> None:
+    """InputError unless q is a prime the numpy kernels take as an F_q to enumerate."""
+    if not is_prime(q):
+        raise InputError(f"enumeration field size must be prime, got {q}")
+    check_kernel_modulus(q, "enumeration field size")
+
+
 def kernel_dtype(bound: int):
     """int32 when every value up to bound fits in it, else int64."""
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
@@ -188,6 +195,38 @@ def matmul_mod(a, b, p: int):
     for lo in range(step, inner, step):
         out = (out + a[..., lo : lo + step] @ b[lo : lo + step]) % p
     return out
+
+
+def rref_mod(mat, p: int):
+    """Reduced row echelon form over F_p of a 2-D integer array; the numpy twin of rref.
+
+    Returns (reduced_rows, pivot_columns) as rref does, the rows as an int64
+    array.  Column by column, the first remaining row with a nonzero entry
+    becomes the pivot row and one vectorized step clears the column in every
+    other row that has it.  Entries are reduced after each step, so no value
+    passes (p - 1)^2 + p - 1 in size.
+    """
+    a = np.asarray(mat, dtype=np.int64) % p
+    rows, cols = a.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        pr = r + below[0]
+        if pr != r:
+            a[[r, pr]] = a[[pr, r]]
+        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit] = (a[hit] - a[hit, c, None] * a[r]) % p
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
 
 
 def inv_mod(x, p: int):

@@ -24,13 +24,13 @@ from .exterior import ExtElement, Subspace, os_ideal_part, wedge
 from .field import (
     DEFAULT_MODULUS,
     batch_rank,
+    check_enumeration_field,
     check_kernel_modulus,
-    is_prime,
     matmul_mod,
     projective_points,
     rank as row_rank,
 )
-from .resonance import decomposables_in_I2_bruteforce
+from .resonance import decomposables_in_I2_bruteforce, i2_slice
 
 
 def _check_point(pt: ExtElement):
@@ -116,10 +116,7 @@ class AomotoComplex:
         self.p = p
         self.up_to = up_to
         self.parts = {k: os_ideal_part(arr, k, p) for k in range(1, up_to + 2)}
-        self._coset_cols = {
-            k: [i for i in range(comb(arr.n, k)) if i not in set(sub.pivots)]
-            for k, sub in self.parts.items()
-        }
+        self._coset_cols = {k: sub.coset_columns() for k, sub in self.parts.items()}
         dims = [1]
         for k in range(1, up_to + 1):
             dims.append(comb(arr.n, k) - self.parts[k].dim())
@@ -216,26 +213,25 @@ def _wedge_tensor(n: int, q: int, sub: Subspace):
         rref = np.asarray(sub.rows, dtype=np.int64)
         for i in range(n):
             t[i] = (t[i] - matmul_mod(rref.T, t[i][sub.pivots, :], q)) % q
-    cols = [c for c in range(m) if c not in set(sub.pivots)]
-    return t[:, cols, :]
+    return t[:, sub.coset_columns(), :]
 
 
-def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
+def enumerate_r1(
+    arr: Arrangement, q: int, budget: int | None = None, i2: Subspace | None = None
+):
     """All resonant points of P^{n-1}(F_q), as sorted normalized tuples.
 
     Candidates are scanned in batches.  One product gives the reduced wedge
     matrices of a whole batch, one batched elimination their ranks, and a
-    point is resonant when its rank is below n - 1.
+    point is resonant when its rank is below n - 1.  A given i2 supplies I_2.
     """
-    if not is_prime(q):
-        raise InputError(f"enumeration field size must be prime, got {q}")
-    check_kernel_modulus(q, "enumeration field size")
+    check_enumeration_field(q)
     budget = resolve_budget(budget)
     n = arr.n
     candidates = (q**n - 1) // (q - 1)
     if candidates > budget:
         raise BudgetError(candidates, budget, "resonant point enumeration")
-    tensor = _wedge_tensor(n, q, os_ideal_part(arr, 2, q))
+    tensor = _wedge_tensor(n, q, i2_slice(arr, q, i2))
     mcols = tensor.shape[1]
     # wedge_map[j, r * n + i] = tensor[i, r, j], so a batch of points times it
     # holds, per point, the (mcols x n) matrix with columns a ^ e_i
@@ -282,10 +278,13 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
 
     Route one enumerates resonant points by rank tests; route two takes the
     union of F_q-points of the planes found by the decomposable search.
-    Agreement plus the symmetric difference goes into the report.
+    Agreement plus the symmetric difference goes into the report.  Both
+    routes share one I_2.
     """
-    planes = decomposables_in_I2_bruteforce(arr, q, budget)
-    resonant = set(enumerate_r1(arr, q, budget))
+    check_enumeration_field(q)
+    i2 = os_ideal_part(arr, 2, q)
+    planes = decomposables_in_I2_bruteforce(arr, q, budget, i2)
+    resonant = set(enumerate_r1(arr, q, budget, i2))
     union = set()
     disjoint = True
     for pl in planes:

@@ -19,11 +19,10 @@ import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
 from .errors import BudgetError, InputError, resolve_budget
-from .exterior import ExtElement, os_ideal_part, wedge
+from .exterior import ExtElement, Subspace, os_ideal_part, wedge
 from .field import (
     DEFAULT_MODULUS,
-    check_kernel_modulus,
-    is_prime,
+    check_enumeration_field,
     kernel_basis,
     kernel_dtype,
     matmul_mod,
@@ -260,19 +259,31 @@ class Plane:
         return PluckerPoint(self.n, self.p, coords).normalized()
 
 
-def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None = None):
+def i2_slice(arr: Arrangement, q: int, i2: Subspace | None = None) -> Subspace:
+    """I_2 of arr over F_q: i2 when given, once checked to have its shape, else built."""
+    if i2 is None:
+        return os_ideal_part(arr, 2, q)
+    if (i2.n, i2.k, i2.p) != (arr.n, 2, q):
+        raise InputError(
+            f"the given slice (n={i2.n}, grade {i2.k}, F_{i2.p}) is not I_2 of "
+            f"{arr.name} (n={arr.n}) over F_{q}"
+        )
+    return i2
+
+
+def decomposables_in_I2_bruteforce(
+    arr: Arrangement, q: int, budget: int | None = None, i2: Subspace | None = None
+):
     """All 2-planes whose Plucker point lies in P(I_2), by full F_q enumeration.
 
     Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
     BudgetError before any work happens.  Candidates are scanned in batches
     of coefficient vectors over the echelon basis of I_2, and only those
-    that pass decomposable_mask are factored.
+    that pass decomposable_mask are factored.  A given i2 supplies I_2.
     """
-    if not is_prime(q):
-        raise InputError(f"enumeration field size must be prime, got {q}")
-    check_kernel_modulus(q, "enumeration field size")
+    check_enumeration_field(q)
     budget = resolve_budget(budget)
-    sub = os_ideal_part(arr, 2, q)
+    sub = i2_slice(arr, q, i2)
     m = sub.dim()
     candidates = (q**m - 1) // (q - 1) if m else 0
     if candidates > budget:

@@ -2,7 +2,8 @@
 
 from itertools import combinations
 
-from resgrass.arrangement import Arrangement, from_matrix
+from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
+from resgrass.exterior import ExtElement, Subspace, boundary, wedge
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -20,3 +21,20 @@ def braid_rows(ell):
 
 def braid(ell):
     return from_matrix(braid_rows(ell), name=f"A{ell}")
+
+
+def reference_os_ideal_part(arr, k, p):
+    """I_k from its full spanning set: e_J ^ boundary(S) over every dependent S, then rref."""
+    elems = []
+    if k >= 2:
+        for S in dependent_sets(arr, min(k + 1, arr.n), p):
+            d = boundary(S, p)
+            jsize = k - len(S) + 1
+            if jsize == 0:
+                elems.append(d)
+            else:
+                for J in combinations(range(arr.n), jsize):
+                    w = wedge(ExtElement(p, jsize, {J: 1}), d)
+                    if not w.is_zero():
+                        elems.append(w)
+    return Subspace.from_elements(arr.n, k, p, elems)

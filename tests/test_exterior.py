@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from resgrass.arrangement import fixture
-from resgrass.errors import InputError
+from resgrass.arrangement import fixture, from_matrix
+from resgrass.errors import DuplicateHyperplaneError, InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
+
+from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, braid_rows, reference_os_ideal_part
 
 P = 31991
 
@@ -152,6 +155,43 @@ def test_a3_os_betti_numbers():
 def test_combinatorial_higher_grade_errors():
     with pytest.raises(InputError):
         os_ideal_part(fixture("Hessian"), 3)
+
+
+def _relabelled_a4():
+    order = list(range(10))
+    random.Random(5).shuffle(order)
+    return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, P, BOUNDARY_PRIME])
+def test_broken_circuit_slices_equal_the_spanning_set_construction(p):
+    cases = [(braid(3), 4), (_relabelled_a4(), 4), (braid(5), 3)]
+    cases += [(arr, 2) for arr in (PENCIL, BOOLEAN, fixture("Hessian"))]
+    for arr, top in cases:
+        for k in range(top + 1):
+            got, want = os_ideal_part(arr, k, p), reference_os_ideal_part(arr, k, p)
+            assert (got.rows, got.pivots) == (want.rows, want.pivots), (arr.name, k)
+
+
+def test_braid_slice_dims_from_the_poincare_polynomial():
+    # A_ell has Poincare polynomial (1 + t)(1 + 2t)...(1 + ell t)
+    for ell in range(2, 6):
+        betti = [1]
+        for i in range(1, ell + 1):
+            betti = [a + i * b for a, b in zip(betti + [0], [0] + betti)]
+        arr = braid(ell)
+        for k in range(min(ell + 1, 4) + 1):
+            b_k = betti[k] if k < len(betti) else 0
+            assert os_ideal_part(arr, k).dim() == comb(arr.n, k) - b_k, (ell, k)
+
+
+def test_slices_refuse_moduli_the_realization_degenerates_over():
+    # simple over F_31991, but columns 0 and 1 agree mod 3 and column 2 vanishes mod 5
+    arr = from_matrix([[1, 1, 5, 0], [0, 3, 5, 1], [0, 0, 0, 1]])
+    with pytest.raises(DuplicateHyperplaneError, match="columns 0 and 1 .* F_3"):
+        os_ideal_part(arr, 2, 3)
+    with pytest.raises(InputError, match="column 2 is zero over F_5"):
+        os_ideal_part(arr, 2, 5)
 
 
 def test_subspace_reduce_and_coset():

@@ -19,6 +19,7 @@ from resgrass.field import (
     projective_points,
     rank,
     rref,
+    rref_mod,
 )
 
 from cases import BOUNDARY_PRIME, FIRST_REFUSED
@@ -153,6 +154,20 @@ def test_batch_rank_matches_rank(p):
             mats += [low, full]
         stack = np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
         assert batch_rank(stack, p).tolist() == [rank(m, cols, p) for m in mats]
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_rref_mod_matches_rref(p):
+    rng = random.Random(p)
+    for rows, cols in ((6, 4), (4, 7), (9, 9), (0, 3), (3, 0)):
+        for _ in range(20):
+            # low-rank products with zero rows, so that some columns hold no pivot
+            r = rng.randrange(1, 4)
+            left = [[rng.choice((0, rng.randrange(p))) for _ in range(r)] for _ in range(rows)]
+            right = [[rng.choice((0, p - 1, rng.randrange(p))) for _ in range(cols)] for _ in range(r)]
+            mat = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
+            red, pivots = rref_mod(np.array(mat, dtype=np.int64).reshape(rows, cols), p)
+            assert (red.tolist(), pivots) == rref(mat, cols, p)
 
 
 # 2^12 - 1 and (3^8 - 1)/2 points take several batches, with carries across them

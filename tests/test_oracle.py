@@ -5,10 +5,10 @@ from itertools import product
 
 import pytest
 
-from resgrass import cli, oracle
+from resgrass import cli, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
-from resgrass.exterior import ExtElement
+from resgrass.exterior import ExtElement, os_ideal_part
 from resgrass.oracle import (
     AomotoComplex,
     CohomologyProfile,
@@ -175,6 +175,40 @@ def test_check_prop21_pencil_and_report_json():
     assert obj["missing"] == [] and obj["extra"] == []
 
 
+def test_check_prop21_builds_i2_once(monkeypatch):
+    built = []
+    real = os_ideal_part
+
+    def counting(arr, k, p):
+        built.append(k)
+        return real(arr, k, p)
+
+    monkeypatch.setattr(oracle, "os_ideal_part", counting)
+    monkeypatch.setattr(resonance, "os_ideal_part", counting)
+    assert check_prop21(fixture("A3"), 5).agree
+    assert built == [2]
+
+
+def test_a_given_i2_must_fit():
+    a3 = fixture("A3")
+    assert enumerate_r1(a3, 5, i2=os_ideal_part(a3, 2, 5)) == enumerate_r1(a3, 5)
+    for wrong in (os_ideal_part(a3, 2, 7), os_ideal_part(a3, 3, 5), os_ideal_part(BOOLEAN, 2, 5)):
+        with pytest.raises(InputError, match="not I_2"):
+            enumerate_r1(a3, 5, i2=wrong)
+        with pytest.raises(InputError, match="not I_2"):
+            resonance.decomposables_in_I2_bruteforce(a3, 5, i2=wrong)
+
+
+def test_oracle_refuses_a_field_the_realization_degenerates_over(capsys, tmp_path):
+    # simple over F_31991, where the file is read, but columns 0 and 1 agree mod 3
+    path = tmp_path / "degenerate.txt"
+    path.write_text("matrix\n1 1 0 1\n0 3 1 1\n0 0 1 2\n")
+    assert cli.main(["oracle", "--input", str(path), "--q", "5", "--json"]) == 0
+    capsys.readouterr()
+    assert cli.main(["oracle", "--input", str(path), "--q", "3", "--json"]) == 2
+    assert "columns 0 and 1 are proportional over F_3" in capsys.readouterr().err
+
+
 def test_check_prop21_hessian_char2_budget():
     with pytest.raises(BudgetError):
         check_prop21(fixture("Hessian"), 2)
@@ -306,6 +340,7 @@ def test_moduli_above_the_kernel_bound_are_refused(capsys):
         assert "largest modulus" in capsys.readouterr().err
     a3 = fixture("A3")
     for call in (
+        lambda: os_ideal_part(a3, 2, FIRST_REFUSED),
         lambda: AomotoComplex(a3, FIRST_REFUSED),
         lambda: enumerate_r1(a3, FIRST_REFUSED, budget=10**40),
         lambda: check_prop21(a3, FIRST_REFUSED, budget=10**40),
