@@ -204,7 +204,7 @@ def rref_mod(mat, p: int):
     array.  Column by column, the first remaining row with a nonzero entry
     becomes the pivot row and one vectorized step clears the column in every
     other row that has it.  Entries are reduced after each step, so no value
-    passes (p - 1)^2 + p - 1 in size.
+    passes (p - 1)^2 in size.
     """
     a = np.asarray(mat, dtype=np.int64) % p
     rows, cols = a.shape
