@@ -96,8 +96,6 @@ def cmd_check_point(args) -> int:
                 "k": kres.k,
                 "h": kres.h,
                 "resonant": kres.resonant,
-                "witness": kres.witness,
-                "divergence": kres.divergence,
             }
         print(json.dumps(obj))
         return 0
@@ -106,11 +104,7 @@ def cmd_check_point(args) -> int:
     print(f"profile h^0..h^{k}: {' '.join(str(h) for h in prof.dims)}")
     print(f"resonant (grade 1): {'yes' if res1 else 'no'}")
     if kres is not None:
-        print(
-            f"grade {kres.k}: h={kres.h} resonant={'yes' if kres.resonant else 'no'} "
-            f"witness={'yes' if kres.witness else 'no'} "
-            f"divergence={'yes' if kres.divergence else 'no'}"
-        )
+        print(f"grade {kres.k}: h={kres.h} resonant={'yes' if kres.resonant else 'no'}")
     return 0
 
 

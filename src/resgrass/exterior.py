@@ -57,11 +57,6 @@ class ExtElement:
     def generator(cls, p: int, i: int) -> "ExtElement":
         return cls(p, 1, {(i,): 1})
 
-    @classmethod
-    def from_coeffs(cls, p: int, coeffs) -> "ExtElement":
-        """Grade-1 element sum_i coeffs[i] * e_i."""
-        return cls(p, 1, {(i,): c for i, c in enumerate(coeffs)})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -195,10 +190,6 @@ class Subspace:
             if f:
                 out = [(a - f * b) % p for a, b in zip(out, r)]
         return out
-
-    def reduce(self, x: ExtElement) -> ExtElement:
-        vec = self.reduce_vec(self.vector(x))
-        return self.element_from_vec(vec)
 
     def element_from_vec(self, vec) -> ExtElement:
         return ExtElement(

@@ -1,4 +1,4 @@
-"""Arithmetic in the prime field F_p and small dense linear algebra over it.
+"""Prime moduli and small dense linear algebra over F_p.
 
 Matrices are plain lists of rows, each row a list of ints reduced mod p.
 The batch kernels at the end work on numpy integer arrays instead, for
@@ -45,31 +45,13 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/p for a fixed prime p."""
+    """The field Z/p for a fixed prime p; constructing one checks that p is prime."""
 
     p: int
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"modulus {self.p} is not prime")
-
-    def element(self, x: int) -> int:
-        return x % self.p
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
-    def inv(self, x: int) -> int:
-        x %= self.p
-        if x == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return pow(x, self.p - 2, self.p)
 
 
 def rref(rows, ncols: int, p: int):
@@ -302,7 +284,3 @@ def projective_points(q: int, m: int):
                 batch[:, c] = val % q
                 carry = val // q
             yield batch
-
-
-def matvec(rows, vec, p: int):
-    return [sum(a * b for a, b in zip(row, vec)) % p for row in rows]

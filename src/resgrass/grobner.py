@@ -8,14 +8,10 @@ winning.  Exponents and total degrees are capped at 127 per monomial, far
 above anything the resonance pipeline produces.
 
 The Buchberger loop prunes S-pairs with the Gebauer-Moeller criteria and
-picks pairs by smallest lcm.  Before the loop, linear generators are
-eliminated by row reduction and substituted into the rest: every S-poly of a
-linear form with leading variable absent elsewhere reduces to zero, so a
-reduced basis of the substituted ideal together with the linear forms is the
-reduced basis of the whole ideal.  Homogeneous inputs take a vectorized path
-that reduces whole coefficient vectors per degree with numpy; a dict-based
-reference reducer handles everything else (and cross-checks the fast path in
-the tests).
+picks pairs by smallest lcm.  Homogeneous inputs take a vectorized path that
+reduces whole coefficient vectors per degree with numpy, for moduli up to
+field.MAX_KERNEL_MODULUS; a dict-based reference reducer handles everything
+else (and cross-checks the fast path in the tests).
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .field import DEFAULT_MODULUS, PrimeField, rref
+from .field import DEFAULT_MODULUS, PrimeField, check_kernel_modulus
 
 _W = 8
 _CAP = 127
@@ -188,9 +184,6 @@ class PolyRing:
     def var(self, i: int) -> "Poly":
         return Poly(self, {self.ord.pack_combo((i,)): 1})
 
-    def monomial(self, exps, c: int = 1) -> "Poly":
-        return Poly(self, {self.ord.pack(exps): c})
-
     def from_exp_terms(self, terms: dict) -> "Poly":
         return Poly(self, {self.ord.pack(e): c for e, c in terms.items()})
 
@@ -341,25 +334,26 @@ class Poly:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def plucker_ideal(ring: PluckerRing):
-    """The three-term quadrics cutting out G(2, n), one per 4-subset of indices."""
-    mul = ring.ord.mul
+def plucker_ideal(ring: PolyRing, coords=None):
+    """The three-term quadrics cutting out G(2, n), one per 4-subset of indices.
 
-    def vk(i, j):
-        return ring.ord.pack_combo((ring.pair_index[(i, j)],))
-
+    coords maps each pair (i, j), i < j < n, to the polynomial standing for
+    the Plucker coordinate w_ij; by default these are the variables of a
+    PluckerRing.  Given linear forms pull the quadrics back along them, and
+    quadrics that vanish there are left out.
+    """
+    if coords is None:
+        coords = {pr: ring.var(k) for k, pr in enumerate(ring.pairs)}
+    n = 1 + max(j for _, j in coords)
     out = []
-    for a, b, c, d in combinations(range(ring.n), 4):
-        out.append(
-            Poly(
-                ring,
-                {
-                    mul(vk(a, b), vk(c, d)): 1,
-                    mul(vk(a, c), vk(b, d)): -1,
-                    mul(vk(a, d), vk(b, c)): 1,
-                },
-            )
+    for a, b, c, d in combinations(range(n), 4):
+        q = (
+            coords[a, b] * coords[c, d]
+            - coords[a, c] * coords[b, d]
+            + coords[a, d] * coords[b, c]
         )
+        if not q.is_zero():
+            out.append(q)
     return out
 
 
@@ -541,11 +535,17 @@ def _first_nonzero(v, i: int) -> int:
 
 
 class _VecEngine:
-    """Buchberger for homogeneous input: per-degree dense int64 reduction."""
+    """Buchberger for homogeneous input: per-degree dense int64 reduction.
+
+    Vectors are reduced mod p lazily: an update moves an entry by less than
+    (p - 1)^2, so room updates keep every entry inside int64.
+    """
 
     def __init__(self, ring, polys):
+        check_kernel_modulus(ring.p)
         self.ring = ring
         self.p = ring.p
+        self.room = (np.iinfo(np.int64).max - ring.p) // (ring.p - 1) ** 2
         self.ord = ring.ord
         active = set()
         for g in polys:
@@ -594,6 +594,7 @@ class _VecEngine:
         keys = self._table(deg)[0]
         p = self.p
         find = self.index.find
+        room = self.room
         i = start
         while True:
             i = _first_nonzero(v, i)
@@ -613,6 +614,10 @@ class _VecEngine:
             v[idxs] -= c * coefs
             v[i] = 0
             i += 1
+            room -= 1
+            if not room:
+                v %= p
+                room = self.room
         nz = np.nonzero(v)[0]
         return [(keys[j], int(v[j])) for j in nz]
 
@@ -651,20 +656,6 @@ class _VecEngine:
             if r:
                 self._append(r)
         return [Poly(self.ring, dict(t)) for t in self.terms]
-
-
-def _linear_data(g: Poly):
-    """(coeff_by_var, const) of a polynomial of degree <= 1."""
-    coeffs = {}
-    const = 0
-    for key, c in g.terms.items():
-        exps = g.ring.ord.unpack(key)
-        deg = sum(exps)
-        if deg == 0:
-            const = c
-        else:
-            coeffs[exps.index(1)] = c
-    return coeffs, const
 
 
 def _interreduce(polys):
@@ -742,41 +733,14 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         ring = polys[0].ring
     if any(g.ring is not ring for g in polys):
         raise ValueError("generators live in different rings")
-    p, ord_ = ring.p, ring.ord
-
-    rows: list = []
-    pending = polys
-    lin_polys: list = []
-    while True:
-        lin_new = [g for g in pending if g.degree() <= 1]
-        others = [g for g in pending if g.degree() > 1]
-        if not lin_new:
-            pending = others
-            break
-        for g in lin_new:
-            coeffs, const = _linear_data(g)
-            rows.append([coeffs.get(i, 0) for i in range(ring.nvars)] + [const])
-        # leftmost column = largest variable under both supported orders
-        rows, pivots = rref(rows, ring.nvars + 1, p)
-        if pivots and pivots[-1] == ring.nvars:
-            return GroebnerBasis(ring, [ring.one()])
-        lin_polys = [ring.linear_form(r[:-1], r[-1]) for r in rows]
-        pending = []
-        for g in others:
-            r = normal_form(g, lin_polys)
-            if not r.is_zero():
-                pending.append(r)
-
-    if pending:
-        if all(g.is_homogeneous() for g in pending):
-            eng = _VecEngine(ring, pending)
-            for g in sorted(pending, key=lambda g: (g.degree(), g.lead_key())):
-                eng.add_input(g)
-            core = eng.run()
-        else:
-            core = _buchberger_dict(pending)
+    if not polys:
+        return GroebnerBasis(ring, [])
+    if all(g.is_homogeneous() for g in polys):
+        eng = _VecEngine(ring, polys)
+        for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
+            eng.add_input(g)
+        core = eng.run()
     else:
-        core = []
-
-    reduced = _interreduce(lin_polys + core)
+        core = _buchberger_dict(polys)
+    reduced = _interreduce(core)
     return GroebnerBasis(ring, sorted(reduced, key=lambda g: g.lead_key()))

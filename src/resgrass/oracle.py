@@ -309,19 +309,11 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
 
 @dataclass(frozen=True)
 class KResonance:
-    """Grade-k resonance verdict with the open-locus witness cross-check.
-
-    resonant follows the cohomological definition h^k != 0.  witness asks for
-    rho in Lambda^k with pt ^ rho in I_{k+1}, pt ^ rho != 0 and rho not in
-    I_k; the two can disagree in principle, so divergence is reported rather
-    than asserted away.
-    """
+    """Grade-k resonance verdict: resonant follows the definition h^k != 0."""
 
     k: int
     h: int
     resonant: bool
-    witness: bool
-    divergence: bool
     profile: CohomologyProfile  # h^0..h^k at the point, h = profile.dims[k]
 
     def __bool__(self) -> bool:
@@ -334,31 +326,12 @@ def is_resonant_k(
     k: int,
     cx: AomotoComplex | None = None,
 ) -> KResonance:
-    """Grade-k resonance of pt by cohomology, with the witness condition.
+    """Grade-k resonance of pt by cohomology.
 
-    A given complex cx, built to grade k, supplies the profile, I_k and
-    I_{k+1}.
+    A given complex cx, built to grade k, supplies the profile.
     """
     if k < 1:
         raise InputError("resonance grade must be at least 1")
-    _check_point(pt)
-    if cx is None:
-        cx = AomotoComplex(arr, pt.p, up_to=k)
     profile = aomoto_profile(arr, pt, up_to=k, cx=cx)
     h = profile.dims[k]
-    p = pt.p
-    low = cx.parts[k]
-    high = cx.parts[k + 1]
-    rows = [
-        high.vector(wedge(pt, ExtElement(p, k, {s: 1})))
-        for s in combinations(range(arr.n), k)
-    ]
-    nk = comb(arr.n, k)
-    ncols = high.ambient_dim()
-    ker_full = nk - row_rank([list(r) for r in rows], ncols, p)
-    reduced = _np_reduce_rows(rows, high)
-    ker_mod = nk - _matrix_rank(reduced, p)
-    # a witness exists iff the preimage of I_{k+1} exceeds both I_k and
-    # ker(pt ^ .), since two proper subspaces never cover a vector space
-    witness = ker_mod > low.dim() and ker_mod > ker_full
-    return KResonance(k, h, h != 0, witness, (h != 0) != witness, profile)
+    return KResonance(k, h, h != 0, profile)

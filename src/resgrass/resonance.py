@@ -1,11 +1,12 @@
 """First resonance varieties via the Grassmannian of 2-planes.
 
 Each dependent triple of hyperplanes contributes a distinguished point of
-P(Lambda^2), the boundary of the triple.  The first resonance variety is cut
-out of G(2, n) by the linear span of those points: the defining ideal is the
-Plucker quadrics plus the linear forms vanishing on the span.  Its Hilbert
-polynomial is the headline output; a brute-force decomposable search over a
-small field gives the same locus point by point for cross-checking.
+P(Lambda^2), the boundary of the triple, and these points span I_2, the
+degree-2 part of the Orlik-Solomon ideal.  The first resonance variety is
+G(2, n) intersected with P(I_2): in coordinates on I_2 its ideal is the
+Plucker quadrics pulled back to I_2.  Its Hilbert polynomial is the headline
+output; a brute-force decomposable search over a small field gives the same
+locus point by point for cross-checking.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .field import (
     projective_points,
     rref,
 )
-from .grobner import PluckerRing, buchberger, plucker_ideal
+from .grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 
 
@@ -112,21 +113,32 @@ class ResonanceReport:
 
 
 def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS, order: str = "grevlex") -> ResonanceReport:
-    """Hilbert polynomial of G(2, n) intersected with the span of the OS points."""
+    """Hilbert polynomial of G(2, n) intersected with P(I_2), in coordinates on I_2.
+
+    Row r of the reduced basis of I_2 gives the variable y_r, named after the
+    pair coordinate of its pivot, which it equals on I_2.  Every pair
+    coordinate w_ab is the linear form sum_r y_r * rows[r][ab], and the
+    Plucker quadrics pulled back along those forms generate the ideal in
+    dim I_2 variables.
+    """
     t0 = time.perf_counter()
-    pts = os_points(arr, p)
-    ring = PluckerRing(arr.n, p, order)
-    forms = span_forms(pts, ring)
+    n_triples = len(dependent_sets(arr, 3, p))
+    i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
-    if pts:
-        gens = plucker_ideal(ring) + forms
-        gb = buchberger(gens, ring=ring)
+    if i2.dim():
+        pivot_pairs = (i2.subsets[c] for c in i2.pivots)
+        ring = PolyRing(i2.dim(), p, order, [f"w_{a}_{b}" for a, b in pivot_pairs])
+        coords = {
+            pr: ring.linear_form([row[c] for row in i2.rows])
+            for c, pr in enumerate(i2.subsets)
+        }
+        gb = buchberger(plucker_ideal(ring, coords), ring=ring)
         t2 = time.perf_counter()
         hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
         t3 = time.perf_counter()
         hilbert = format_hp(hp)
     else:
-        # empty span: no resonance, and no reason to run Buchberger
+        # no dependent triple: no resonance, and no reason to run Buchberger
         t2 = t3 = t1
         hilbert = "0"
     ms = lambda a, b: round((b - a) * 1000.0, 3)
@@ -136,8 +148,8 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS, order: str = "grevlex
         p=p,
         order=order,
         hilbert=hilbert,
-        n_os_points=len(pts),
-        n_span_forms=len(forms),
+        n_os_points=n_triples,
+        n_span_forms=i2.ambient_dim() - i2.dim(),
         timings_ms={
             "span": ms(t0, t1),
             "groebner": ms(t1, t2),

@@ -1,9 +1,13 @@
 """Small arrangements and moduli shared by the test modules."""
 
+import random
 from itertools import combinations
 
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
 from resgrass.exterior import ExtElement, Subspace, boundary, wedge
+from resgrass.grobner import PluckerRing, buchberger, plucker_ideal
+from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
+from resgrass.resonance import os_points, span_forms
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -23,6 +27,12 @@ def braid(ell):
     return from_matrix(braid_rows(ell), name=f"A{ell}")
 
 
+def relabelled_a4():
+    order = list(range(10))
+    random.Random(5).shuffle(order)
+    return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
+
+
 def reference_os_ideal_part(arr, k, p):
     """I_k from its full spanning set: e_J ^ boundary(S) over every dependent S, then rref."""
     elems = []
@@ -38,3 +48,19 @@ def reference_os_ideal_part(arr, k, p):
                     if not w.is_zero():
                         elems.append(w)
     return Subspace.from_elements(arr.n, k, p, elems)
+
+
+def reference_r1_hilbert(arr, p):
+    """(hilbert, n_os_points, n_span_forms) in the C(n, 2) pair variables.
+
+    The ideal is the Plucker quadrics plus the linear forms vanishing on the
+    span of the OS points, one point per dependent triple.
+    """
+    pts = os_points(arr, p)
+    ring = PluckerRing(arr.n, p)
+    forms = span_forms(pts, ring)
+    if not pts:
+        return "0", 0, len(forms)
+    gb = buchberger(plucker_ideal(ring) + forms, ring=ring)
+    hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
+    return format_hp(hp), len(pts), len(forms)

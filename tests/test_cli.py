@@ -37,6 +37,16 @@ def test_r1_lex_order_same_output(capsys):
     assert json.loads(out)["hilbert"] == "5*P_0"
 
 
+def test_r1_moduli_up_to_the_kernel_bound(capsys):
+    # 2^31 - 1 is the largest prime the int64 kernels take exactly
+    code, out, _ = run(capsys, "r1", "--fixture", "A3", "--p", str(2**31 - 1), "--json")
+    assert code == 0
+    assert json.loads(out)["hilbert"] == "5*P_0"
+    code, _, err = run(capsys, "r1", "--fixture", "A3", "--p", str(2**61 - 1))
+    assert code == 2
+    assert "above 2147483648" in err
+
+
 def test_r1_from_input_file(capsys, tmp_path):
     path = tmp_path / "boolean3.txt"
     path.write_text(BOOLEAN)
@@ -60,8 +70,7 @@ def test_check_point_generic_json(capsys):
     obj = json.loads(out)
     assert obj["resonant_1"] is False
     assert obj["profile"]["dims"] == [0, 0, 0]
-    assert obj["k_check"]["resonant"] is False
-    assert obj["k_check"]["divergence"] is True
+    assert obj["k_check"] == {"k": 2, "h": 0, "resonant": False}
 
 
 def test_check_point_essential(capsys):

@@ -9,7 +9,7 @@ from resgrass.arrangement import fixture, from_matrix
 from resgrass.errors import DuplicateHyperplaneError, InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 
-from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, braid_rows, reference_os_ideal_part
+from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, reference_os_ideal_part, relabelled_a4
 
 P = 31991
 
@@ -157,15 +157,9 @@ def test_combinatorial_higher_grade_errors():
         os_ideal_part(fixture("Hessian"), 3)
 
 
-def _relabelled_a4():
-    order = list(range(10))
-    random.Random(5).shuffle(order)
-    return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
-
-
 @pytest.mark.parametrize("p", [2, 3, 7, P, BOUNDARY_PRIME])
 def test_broken_circuit_slices_equal_the_spanning_set_construction(p):
-    cases = [(braid(3), 4), (_relabelled_a4(), 4), (braid(5), 3)]
+    cases = [(braid(3), 4), (relabelled_a4(), 4), (braid(5), 3)]
     cases += [(arr, 2) for arr in (PENCIL, BOOLEAN, fixture("Hessian"))]
     for arr, top in cases:
         for k in range(top + 1):
@@ -204,8 +198,8 @@ def test_subspace_reduce_and_coset():
     rng = random.Random(4)
     for _ in range(20):
         x = rand_elem(rng, P, 6, 2)
-        red = sub.reduce(x)
-        assert sub.reduce(red) == red
+        red = sub.element_from_vec(sub.reduce_vec(sub.vector(x)))
+        assert sub.reduce_vec(sub.vector(red)) == sub.vector(red)
         assert sub.contains(x - red)
         for i, s in enumerate(sub.subsets):
             if i in set(sub.pivots):

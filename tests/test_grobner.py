@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from resgrass.errors import InputError
 from resgrass.field import rank
 from resgrass.grobner import (
     GroebnerBasis,
@@ -14,6 +15,8 @@ from resgrass.grobner import (
     normal_form,
     plucker_ideal,
 )
+
+from cases import BOUNDARY_PRIME, FIRST_REFUSED
 
 P = 31991
 
@@ -231,7 +234,7 @@ def test_buchberger_inhomogeneous_textbook():
 def test_buchberger_linear_elimination_path():
     ring = PolyRing(3, 101)
     x, y, z = (ring.var(i) for i in range(3))
-    # x + y appears only linearly; substitution leaves a pure power
+    # a linear generator goes through the engine like any other input
     gb = buchberger([x + y, y * y])
     assert len(gb) == 2
     assert gb.contains(x * x)
@@ -305,18 +308,31 @@ def test_gb_membership_matches_macaulay_oracle():
 def test_homogeneous_and_dict_paths_agree():
     from resgrass.grobner import _buchberger_dict, _interreduce
 
-    rng = random.Random(9)
-    for trial in range(8):
-        ring = PolyRing(4, 101)
-        gens = [rand_poly(ring, rng, 2, homogeneous=True) for _ in range(3)]
-        gens = [g for g in gens if not g.is_zero()]
-        if not gens:
-            continue
-        fast = buchberger(gens, ring=ring)  # vectorized path (homogeneous)
-        slow = sorted(
-            _interreduce(_buchberger_dict(gens)), key=lambda g: g.lead_key()
-        )
-        assert [g.terms for g in fast] == [g.terms for g in slow]
+    # at the boundary prime one vector update nearly fills int64, so the
+    # vectorized path must reduce mod p between updates
+    for p in (101, BOUNDARY_PRIME):
+        rng = random.Random(9)
+        for trial in range(8):
+            ring = PolyRing(4, p)
+            gens = [rand_poly(ring, rng, 2, homogeneous=True) for _ in range(3)]
+            gens = [g for g in gens if not g.is_zero()]
+            if not gens:
+                continue
+            fast = buchberger(gens, ring=ring)  # vectorized path (homogeneous)
+            slow = sorted(
+                _interreduce(_buchberger_dict(gens)), key=lambda g: g.lead_key()
+            )
+            assert [g.terms for g in fast] == [g.terms for g in slow]
+
+
+def test_vectorized_engine_refuses_moduli_above_the_kernel_bound():
+    assert len(buchberger(plucker_ideal(PluckerRing(4, BOUNDARY_PRIME)))) == 1
+    with pytest.raises(InputError, match="above"):
+        buchberger(plucker_ideal(PluckerRing(4, FIRST_REFUSED)))
+    # the dict engine takes inhomogeneous input at any prime
+    ring = PolyRing(2, FIRST_REFUSED)
+    x, y = ring.var(0), ring.var(1)
+    assert buchberger([x * x - y, y * y - x]).contains(x * x - y)
 
 
 def test_random_gb_certificates():

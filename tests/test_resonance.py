@@ -1,12 +1,13 @@
 import json
 import random
+import time
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from resgrass.arrangement import Arrangement, fixture, from_matrix
-from resgrass.errors import BudgetError, resolve_budget
+from resgrass.errors import BudgetError, InputError, resolve_budget
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
@@ -20,7 +21,7 @@ from resgrass.resonance import (
     span_forms,
 )
 
-from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid
+from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, reference_r1_hilbert, relabelled_a4
 
 P = 31991
 
@@ -106,6 +107,58 @@ def test_r1_hilbert_disjoint_triples():
     flats6 = ((0, 1, 2), (3, 4, 5))
     rep = r1_hilbert(Arrangement(6, flats6, None, "two-triples"))
     assert rep.hilbert == "2*P_0"
+
+
+GENERIC4 = from_matrix([[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 3]], name="generic4")
+THREE_TRIPLES = Arrangement(9, ((0, 1, 2), (3, 4, 5), (6, 7, 8)), None, "three-triples")
+TWO_TRIPLES = Arrangement(6, ((0, 1, 2), (3, 4, 5)), None, "two-triples")
+
+
+def _report_counts(arr, p):
+    rep = r1_hilbert(arr, p)
+    return rep.hilbert, rep.n_os_points, rep.n_span_forms
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [fixture("A3"), relabelled_a4(), PENCIL, BOOLEAN, GENERIC4, THREE_TRIPLES, TWO_TRIPLES],
+    ids=lambda arr: arr.name,
+)
+def test_r1_in_i2_coordinates_equals_the_pair_coordinate_route(arr):
+    assert _report_counts(arr, P) == reference_r1_hilbert(arr, P)
+
+
+def _random_simple_realization(rng, p):
+    """A random 3x5 .. 4x7 matrix with small entries whose columns are simple mod p."""
+    while True:
+        rows, cols = rng.choice(((3, 5), (3, 6), (4, 6), (4, 7)))
+        mat = [[rng.randrange(-1, 3) for _ in range(cols)] for _ in range(rows)]
+        try:
+            return from_matrix(mat, name="random", p=p)
+        except InputError:
+            continue
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, P])
+def test_r1_in_i2_coordinates_equals_the_pair_coordinate_route_on_random_realizations(p):
+    rng = random.Random(40 + p)
+    hilberts = set()
+    for _ in range(10):
+        arr = _random_simple_realization(rng, p)
+        got = _report_counts(arr, p)
+        assert got == reference_r1_hilbert(arr, p), arr.matrix
+        hilberts.add(got[0])
+    assert len(hilberts) > 1  # the sample is not all of one kind
+
+
+@pytest.mark.parametrize("ell, hilbert, cap_s", [(4, "15*P_0", 5.0), (5, "35*P_0", 20.0)])
+def test_r1_braid_ladder(ell, hilbert, cap_s):
+    # C(ell+1, 3) local plus C(ell+1, 4) non-local components (Cohen-Suciu 1999)
+    t0 = time.perf_counter()
+    rep = r1_hilbert(braid(ell))
+    wall = time.perf_counter() - t0
+    assert rep.hilbert == hilbert
+    assert wall < cap_s
 
 
 def test_report_json_keys():
