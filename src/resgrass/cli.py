@@ -1,10 +1,10 @@
 """Command-line front end for the resonance pipeline and its oracles.
 
-Subcommands: r1 (Hilbert polynomial of the first resonance variety),
-check-point (Aomoto profile and resonance verdict for one point), oracle
-(exhaustive small-field cross-check), fixtures (list built-ins), bench
-(per-stage timings; no external baseline is run).  Exit codes: 0 success,
-2 input error, 3 budget error.
+Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
+a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
+for one point), oracle (exhaustive small-field cross-check, capped by
+--budget), fixtures (list built-ins), bench (per-stage timings; no external
+baseline is run).  Exit codes: 0 success, 2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _parse_coords(text: str, n: int) -> list[int]:
 
 def cmd_r1(args) -> int:
     arr = _load(args)
-    rep = r1_hilbert(arr, p=args.p, order=args.order)
+    rep = r1_hilbert(arr, p=args.p)
     if args.json:
         print(rep.to_json())
         return 0
@@ -194,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--json", action="store_true", help="machine-readable output")
 
     r1 = sub.add_parser("r1", parents=[src], help="Hilbert polynomial of R^1")
-    r1.add_argument("--order", choices=("grevlex", "lex"), default="grevlex",
-                    help="monomial order for the Groebner step")
     r1.set_defaults(func=cmd_r1)
 
     cp = sub.add_parser("check-point", parents=[src], help="resonance verdict for a point")
@@ -206,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle", parents=[src], help="exhaustive F_q cross-check")
     orc.add_argument("--q", type=int, default=5, help="enumeration field size (prime)")
     orc.add_argument("--budget", type=int, default=None,
-                     help="candidate cap (default 10^7 or RESGRASS_BUDGET)")
+                     help="candidate cap (default 10^7)")
     orc.set_defaults(func=cmd_oracle)
 
     fx = sub.add_parser("fixtures", help="list built-in arrangements")

@@ -17,18 +17,8 @@ class BudgetError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"{what} needs {candidates} candidates, over the budget of {budget}"
-            " (raise RESGRASS_BUDGET or pass a larger budget to override)"
+            " (pass a larger budget to override)"
         )
 
 
 DEFAULT_BUDGET = 10_000_000
-
-
-def resolve_budget(budget=None) -> int:
-    """Explicit argument, else RESGRASS_BUDGET from the environment, else 1e7."""
-    import os
-
-    if budget is not None:
-        return int(budget)
-    env = os.environ.get("RESGRASS_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET

@@ -2,8 +2,8 @@
 
 A grade-r element is a dict mapping strictly increasing r-tuples of indices to
 nonzero coefficients.  The boundary of e_S is the alternating sum of its
-facets; its span over all dependent sets S generates the relation ideal whose
-graded slices live in Subspace objects.
+facets; its span over all dependent sets S generates the relation ideal,
+whose slice I_k in each grade k lives in a Subspace object.
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ ties break at the last variable where the exponents differ, smaller exponent
 winning.  Exponents and total degrees are capped at 127 per monomial, far
 above anything the resonance pipeline produces.
 
-The Buchberger loop prunes S-pairs with the Gebauer-Moeller criteria and
-picks pairs by smallest lcm.  Homogeneous inputs take a vectorized path that
-reduces whole coefficient vectors per degree with numpy, for moduli up to
-field.MAX_KERNEL_MODULUS; a dict-based reference reducer handles everything
-else (and cross-checks the fast path in the tests).
+Grevlex is the only order: the ideals of the resonance pipeline are
+homogeneous, and their Hilbert polynomial does not depend on the order.
+The Buchberger loop takes homogeneous generators only.  It prunes S-pairs
+with the Gebauer-Moeller criteria, picks pairs by smallest lcm, and reduces
+whole coefficient vectors per degree with numpy, for moduli up to
+field.MAX_KERNEL_MODULUS.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ _CAP = 127
 
 class GrevlexOrder:
     """Degree-prefixed complement digits: bigger packed int = bigger monomial."""
-
-    name = "grevlex"
-    graded = True
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -99,78 +97,14 @@ class GrevlexOrder:
         return key | (deg << self._degshift)
 
 
-class LexOrder:
-    """Plain exponent digits, first variable most significant."""
-
-    name = "lex"
-    graded = False
-
-    def __init__(self, nvars: int):
-        self.nvars = nvars
-        self.one = 0
-        self._guards = sum(0x80 << (_W * i) for i in range(nvars))
-        self._chk = self._guards
-
-    def _shift(self, i: int) -> int:
-        return _W * (self.nvars - 1 - i)
-
-    def pack(self, exps) -> int:
-        if len(exps) != self.nvars:
-            raise ValueError(f"expected {self.nvars} exponents, got {len(exps)}")
-        key = 0
-        for i, e in enumerate(exps):
-            if not 0 <= e <= _CAP:
-                raise OverflowError(f"exponent {e} outside 0..{_CAP}")
-            key |= e << self._shift(i)
-        return key
-
-    def pack_combo(self, combo) -> int:
-        key = 0
-        for v in combo:
-            key += 1 << self._shift(v)
-        return key
-
-    def unpack(self, key: int):
-        return tuple((key >> self._shift(i)) & 0xFF for i in range(self.nvars))
-
-    def degree(self, key: int) -> int:
-        return sum((key >> (_W * i)) & 0xFF for i in range(self.nvars))
-
-    def mul(self, a: int, b: int) -> int:
-        return a + b
-
-    def quo(self, a: int, b: int) -> int:
-        return a - b
-
-    def divides(self, b: int, a: int) -> bool:
-        return (a + self._guards - b) & self._chk == self._chk
-
-    def lcm(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = 0
-        for i in range(self.nvars):
-            da = (a >> (_W * i)) & 0xFF
-            db = (b >> (_W * i)) & 0xFF
-            key |= (da if da > db else db) << (_W * i)
-        return key
-
-
-_ORDERS = {"grevlex": GrevlexOrder, "lex": LexOrder}
-
-
 class PolyRing:
-    """F_p[x_0 .. x_{nvars-1}] with a fixed monomial order."""
+    """F_p[x_0 .. x_{nvars-1}] under grevlex."""
 
-    def __init__(self, nvars: int, p: int = DEFAULT_MODULUS, order: str = "grevlex",
-                 names=None):
-        if order not in _ORDERS:
-            raise ValueError(f"unknown order {order!r} (grevlex or lex)")
+    def __init__(self, nvars: int, p: int = DEFAULT_MODULUS, *, names=None):
         PrimeField(p)  # validates primality
         self.nvars = nvars
         self.p = p
-        self.order = order
-        self.ord = _ORDERS[order](nvars)
+        self.ord = GrevlexOrder(nvars)
         self.names = tuple(names) if names else tuple(f"x{i}" for i in range(nvars))
         if len(self.names) != nvars:
             raise ValueError("wrong number of variable names")
@@ -187,25 +121,22 @@ class PolyRing:
     def from_exp_terms(self, terms: dict) -> "Poly":
         return Poly(self, {self.ord.pack(e): c for e, c in terms.items()})
 
-    def linear_form(self, coeffs, const: int = 0) -> "Poly":
-        terms = {self.ord.pack_combo((i,)): c for i, c in enumerate(coeffs) if c % self.p}
-        if const % self.p:
-            terms[self.ord.one] = const
-        return Poly(self, terms)
+    def linear_form(self, coeffs) -> "Poly":
+        return Poly(self, {self.ord.pack_combo((i,)): c for i, c in enumerate(coeffs)})
 
     def __repr__(self):
-        return f"PolyRing(nvars={self.nvars}, p={self.p}, order={self.order!r})"
+        return f"PolyRing(nvars={self.nvars}, p={self.p})"
 
 
 class PluckerRing(PolyRing):
     """Coordinate ring of P(Lambda^2 F^n): one variable w_{i}_{j} per pair i<j."""
 
-    def __init__(self, n: int, p: int = DEFAULT_MODULUS, order: str = "grevlex"):
+    def __init__(self, n: int, p: int = DEFAULT_MODULUS):
         if n < 2:
             raise ValueError("need at least two hyperplanes")
         pairs = tuple(combinations(range(n), 2))
         names = tuple(f"w_{i}_{j}" for i, j in pairs)
-        super().__init__(len(pairs), p, order, names)
+        super().__init__(len(pairs), p, names=names)
         self.n = n
         self.pairs = pairs
         self.pair_index = {pr: k for k, pr in enumerate(pairs)}
@@ -247,10 +178,7 @@ class Poly:
     def degree(self) -> int:
         if not self.terms:
             return -1
-        o = self.ring.ord
-        if o.graded:
-            return o.degree(max(self.terms))
-        return max(o.degree(k) for k in self.terms)
+        return self.ring.ord.degree(max(self.terms))
 
     def is_homogeneous(self) -> bool:
         o = self.ring.ord
@@ -388,7 +316,7 @@ class _DivisorIndex:
 
 
 def _nf_terms(terms, basis_terms, index: _DivisorIndex, lcinvs, ord_, p: int):
-    """Full normal form of a term dict against an indexed basis (dict engine)."""
+    """Full normal form of a term dict against an indexed basis."""
     work = {k: c % p for k, c in terms.items() if c % p}
     out: dict = {}
     heap = [-k for k in work]
@@ -482,44 +410,6 @@ class _PairSet:
                 del self.alive[(i, j)]
                 return i, j
         return None
-
-
-def _buchberger_dict(polys):
-    """Reference Buchberger loop on term dicts; handles inhomogeneous input."""
-    ring = polys[0].ring
-    ord_, p = ring.ord, ring.p
-    basis_terms: list = []
-    index = _DivisorIndex(ord_)
-    lcinvs: list = []
-    pairs = _PairSet(ord_)
-
-    def absorb(terms):
-        r = _nf_terms(terms, basis_terms, index, lcinvs, ord_, p)
-        if not r:
-            return
-        lead = max(r)
-        inv = pow(r[lead], p - 2, p)
-        basis_terms.append([(k, c * inv % p) for k, c in r.items()])
-        index.append(lead)
-        lcinvs.append(1)
-        pairs.add_element(lead)
-
-    for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
-        absorb(g.terms)
-    while (pr := pairs.pop()) is not None:
-        i, j = pr
-        li, lj = pairs.leads[i], pairs.leads[j]
-        l = ord_.lcm(li, lj)
-        qi, qj = ord_.quo(l, li), ord_.quo(l, lj)
-        s: dict = {}
-        for k, c in basis_terms[i]:
-            kk = ord_.mul(qi, k)
-            s[kk] = s.get(kk, 0) + c
-        for k, c in basis_terms[j]:
-            kk = ord_.mul(qj, k)
-            s[kk] = s.get(kk, 0) - c
-        absorb(s)
-    return [Poly(ring, dict(t)) for t in basis_terms]
 
 
 def _first_nonzero(v, i: int) -> int:
@@ -706,9 +596,6 @@ class GroebnerBasis:
     def __getitem__(self, i):
         return self.gens[i]
 
-    def normal_form(self, f: Poly) -> Poly:
-        return normal_form(f, self.gens)
-
     def contains(self, f: Poly) -> bool:
         return normal_form(f, self.gens).is_zero()
 
@@ -722,9 +609,9 @@ class GroebnerBasis:
 def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Deterministic: equal input ideals (over the same ring and order) produce
-    identical output, and reduced bases are unique, so any correct engine
-    must agree.
+    Deterministic: equal input ideals over the same ring produce identical
+    output, and reduced bases are unique, so any correct engine must agree.
+    Inhomogeneous generators raise ValueError.
     """
     polys = [g for g in gens if g is not None and not g.is_zero()]
     if ring is None:
@@ -735,12 +622,10 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         raise ValueError("generators live in different rings")
     if not polys:
         return GroebnerBasis(ring, [])
-    if all(g.is_homogeneous() for g in polys):
-        eng = _VecEngine(ring, polys)
-        for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
-            eng.add_input(g)
-        core = eng.run()
-    else:
-        core = _buchberger_dict(polys)
-    reduced = _interreduce(core)
+    if not all(g.is_homogeneous() for g in polys):
+        raise ValueError("buchberger takes homogeneous generators only")
+    eng = _VecEngine(ring, polys)
+    for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
+        eng.add_input(g)
+    reduced = _interreduce(eng.run())
     return GroebnerBasis(ring, sorted(reduced, key=lambda g: g.lead_key()))

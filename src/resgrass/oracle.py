@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .arrangement import Arrangement
-from .errors import BudgetError, InputError, resolve_budget
+from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exterior import ExtElement, Subspace, os_ideal_part, wedge
 from .field import (
     DEFAULT_MODULUS,
@@ -226,7 +226,7 @@ def enumerate_r1(
     point is resonant when its rank is below n - 1.  A given i2 supplies I_2.
     """
     check_enumeration_field(q)
-    budget = resolve_budget(budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
     n = arr.n
     candidates = (q**n - 1) // (q - 1)
     if candidates > budget:

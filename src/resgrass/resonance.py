@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
-from .errors import BudgetError, InputError, resolve_budget
+from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exterior import ExtElement, Subspace, os_ideal_part, wedge
 from .field import (
     DEFAULT_MODULUS,
@@ -91,7 +91,6 @@ class ResonanceReport:
     arrangement: str
     n: int
     p: int
-    order: str
     hilbert: str
     n_os_points: int
     n_span_forms: int
@@ -103,7 +102,6 @@ class ResonanceReport:
                 "arrangement": self.arrangement,
                 "n": self.n,
                 "p": self.p,
-                "order": self.order,
                 "hilbert": self.hilbert,
                 "n_os_points": self.n_os_points,
                 "n_span_forms": self.n_span_forms,
@@ -112,7 +110,7 @@ class ResonanceReport:
         )
 
 
-def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS, order: str = "grevlex") -> ResonanceReport:
+def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     """Hilbert polynomial of G(2, n) intersected with P(I_2), in coordinates on I_2.
 
     Row r of the reduced basis of I_2 gives the variable y_r, named after the
@@ -127,7 +125,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS, order: str = "grevlex
     t1 = time.perf_counter()
     if i2.dim():
         pivot_pairs = (i2.subsets[c] for c in i2.pivots)
-        ring = PolyRing(i2.dim(), p, order, [f"w_{a}_{b}" for a, b in pivot_pairs])
+        ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
         coords = {
             pr: ring.linear_form([row[c] for row in i2.rows])
             for c, pr in enumerate(i2.subsets)
@@ -146,7 +144,6 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS, order: str = "grevlex
         arrangement=arr.name,
         n=arr.n,
         p=p,
-        order=order,
         hilbert=hilbert,
         n_os_points=n_triples,
         n_span_forms=i2.ambient_dim() - i2.dim(),
@@ -294,7 +291,7 @@ def decomposables_in_I2_bruteforce(
     that pass decomposable_mask are factored.  A given i2 supplies I_2.
     """
     check_enumeration_field(q)
-    budget = resolve_budget(budget)
+    budget = DEFAULT_BUDGET if budget is None else budget
     sub = i2_slice(arr, q, i2)
     m = sub.dim()
     candidates = (q**m - 1) // (q - 1) if m else 0

@@ -5,7 +5,15 @@ from itertools import combinations
 
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
 from resgrass.exterior import ExtElement, Subspace, boundary, wedge
-from resgrass.grobner import PluckerRing, buchberger, plucker_ideal
+from resgrass.grobner import (
+    PluckerRing,
+    Poly,
+    _DivisorIndex,
+    _nf_terms,
+    _PairSet,
+    buchberger,
+    plucker_ideal,
+)
 from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 from resgrass.resonance import os_points, span_forms
 
@@ -64,3 +72,72 @@ def reference_r1_hilbert(arr, p):
     gb = buchberger(plucker_ideal(ring) + forms, ring=ring)
     hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
     return format_hp(hp), len(pts), len(forms)
+
+
+def rand_poly(ring, rng, deg, nterms=3, homogeneous=False):
+    """nterms random terms of degree deg, or of degree 0..deg each."""
+    terms = {}
+    for _ in range(nterms):
+        d = deg if homogeneous else rng.randrange(deg + 1)
+        key = ring.ord.pack_combo([rng.randrange(ring.nvars) for _ in range(d)])
+        terms[key] = rng.randrange(1, ring.p)
+    return Poly(ring, terms)
+
+
+def spoly(f, g):
+    ord_ = f.ring.ord
+    lf, lg = f.lead_key(), g.lead_key()
+    l = ord_.lcm(lf, lg)
+    mf = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lf)): g.lead_coeff()})
+    mg = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lg)): f.lead_coeff()})
+    return mf * f - mg * g
+
+
+def permute_vars(f, perm):
+    """f with variable perm[i] put in place of variable i, in the same ring."""
+    unpack = f.ring.ord.unpack
+    return f.ring.from_exp_terms(
+        {tuple(unpack(k)[i] for i in perm): c for k, c in f.terms.items()}
+    )
+
+
+def reference_buchberger(polys):
+    """Groebner basis (not reduced) by a Buchberger loop on term dicts.
+
+    It shares the pair criteria of the vector engine but reduces term by
+    term in Python ints, so it takes any input and any prime.
+    """
+    ring = polys[0].ring
+    ord_, p = ring.ord, ring.p
+    basis_terms: list = []
+    index = _DivisorIndex(ord_)
+    lcinvs: list = []
+    pairs = _PairSet(ord_)
+
+    def absorb(terms):
+        r = _nf_terms(terms, basis_terms, index, lcinvs, ord_, p)
+        if not r:
+            return
+        lead = max(r)
+        inv = pow(r[lead], p - 2, p)
+        basis_terms.append([(k, c * inv % p) for k, c in r.items()])
+        index.append(lead)
+        lcinvs.append(1)
+        pairs.add_element(lead)
+
+    for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
+        absorb(g.terms)
+    while (pr := pairs.pop()) is not None:
+        i, j = pr
+        li, lj = pairs.leads[i], pairs.leads[j]
+        l = ord_.lcm(li, lj)
+        qi, qj = ord_.quo(l, li), ord_.quo(l, lj)
+        s: dict = {}
+        for k, c in basis_terms[i]:
+            kk = ord_.mul(qi, k)
+            s[kk] = s.get(kk, 0) + c
+        for k, c in basis_terms[j]:
+            kk = ord_.mul(qj, k)
+            s[kk] = s.get(kk, 0) - c
+        absorb(s)
+    return [Poly(ring, dict(t)) for t in basis_terms]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from resgrass.cli import main
 
 PENCIL = "flats n=3\n0,1,2\n"
@@ -31,10 +33,21 @@ def test_r1_braid_json(capsys):
     assert set(obj["timings_ms"]) == {"span", "groebner", "hilbert", "total"}
 
 
-def test_r1_lex_order_same_output(capsys):
-    code, out, _ = run(capsys, "r1", "--fixture", "A3", "--order", "lex", "--json")
+def test_r1_json_keys(capsys, tmp_path):
+    path = tmp_path / "pencil.txt"
+    path.write_text(PENCIL)
+    code, out, _ = run(capsys, "r1", "--input", str(path), "--json")
     assert code == 0
-    assert json.loads(out)["hilbert"] == "5*P_0"
+    assert set(json.loads(out)) == {
+        "arrangement", "n", "p", "hilbert", "n_os_points", "n_span_forms", "timings_ms"
+    }
+
+
+def test_r1_has_no_order_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["r1", "--fixture", "A3", "--order", "lex"])
+    assert exc.value.code == 2
+    assert "--order" in capsys.readouterr().err
 
 
 def test_r1_moduli_up_to_the_kernel_bound(capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from resgrass.arrangement import Arrangement, fixture, from_matrix
-from resgrass.errors import BudgetError, InputError, resolve_budget
+from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
@@ -228,12 +228,14 @@ def test_decomposables_budget():
     assert exc.value.candidates == 2**27 - 1
 
 
-def test_budget_resolution(monkeypatch):
-    assert resolve_budget(123) == 123
-    monkeypatch.setenv("RESGRASS_BUDGET", "41")
-    assert resolve_budget() == 41
-    monkeypatch.delenv("RESGRASS_BUDGET")
-    assert resolve_budget() == 10_000_000
+def test_budget_resolution():
+    # an explicit budget is used as given, and None means 10^7
+    with pytest.raises(BudgetError) as exc:
+        decomposables_in_I2_bruteforce(fixture("A3"), 5, budget=123)
+    assert exc.value.budget == 123
+    with pytest.raises(BudgetError) as exc:
+        decomposables_in_I2_bruteforce(fixture("Hessian"), 2, budget=None)
+    assert exc.value.budget == 10_000_000
 
 
 def test_plane_from_pair_rejects_dependent():
