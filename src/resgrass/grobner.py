@@ -10,9 +10,9 @@ above anything the resonance pipeline produces.
 Grevlex is the only order: the ideals of the resonance pipeline are
 homogeneous, and their Hilbert polynomial does not depend on the order.
 The Buchberger loop takes homogeneous generators only.  It prunes S-pairs
-with the Gebauer-Moeller criteria, picks pairs by smallest lcm, and reduces
-whole coefficient vectors per degree with numpy, for moduli up to
-field.MAX_KERNEL_MODULUS.
+with the Gebauer-Moeller criteria, applied as numpy masks over exponent
+rows, picks pairs by smallest lcm, and reduces whole coefficient vectors
+per degree with numpy, for moduli up to field.MAX_KERNEL_MODULUS.
 """
 
 from __future__ import annotations
@@ -82,19 +82,6 @@ class GrevlexOrder:
         # per-slot digit_b >= digit_a, checked in parallel via guard bits;
         # complement digits stay below 0x80, so no borrow crosses a slot
         return (b + self._guards - a) & self._chk == self._chk
-
-    def lcm(self, a: int, b: int) -> int:
-        if a == b:
-            return a
-        key = 0
-        deg = 0
-        for i in range(self.nvars):
-            da = (a >> (_W * i)) & 0xFF
-            db = (b >> (_W * i)) & 0xFF
-            d = da if da < db else db
-            key |= d << (_W * i)
-            deg += _CAP - d
-        return key | (deg << self._degshift)
 
 
 class PolyRing:
@@ -365,50 +352,110 @@ def normal_form(f: Poly, gens) -> Poly:
     return Poly(ring, _nf_terms(f.terms, basis_terms, index, lcinvs, ring.ord, ring.p))
 
 
+_BLOCK = 1 << 15  # bytes per temporary of a blocked divisibility test
+
+
+def _has_divisor(rows, divisors):
+    """Which rows have a divisor among divisors, both as complement digits.
+
+    A monomial divides another when none of its complement digits is
+    smaller.  Rows are tested in blocks, so temporaries stay under _BLOCK.
+    """
+    out = np.zeros(len(rows), bool)
+    if len(divisors):
+        step = max(1, _BLOCK // divisors.size)
+        for s in range(0, len(rows), step):
+            ge = divisors >= rows[s : s + step, None, :]
+            out[s : s + step] = ge.all(axis=2).any(axis=1)
+    return out
+
+
 class _PairSet:
-    """Gebauer-Moeller managed S-pair queue, popping smallest lcm first."""
+    """Gebauer-Moeller managed S-pair queue, popping smallest (lcm, i, j) first.
+
+    Monomials are rows of the complement digits of their grevlex keys, so an
+    lcm is an elementwise minimum, and each criterion is one array mask over
+    all candidates.  Only the lcms that survive are packed into keys for the
+    heap.  The counters say how many candidate pairs were created and how
+    many each criterion pruned.
+    """
 
     def __init__(self, ord_):
         self.ord = ord_
-        self.leads: list[int] = []
-        self.alive: dict = {}
-        self.heap: list = []
+        # one row per lead, then spare rows; arrays sized by capacity rather
+        # than by count keep numpy's per-size cache of small blocks small
+        self.digits = np.full((16, ord_.nvars), _CAP)
+        self.degs: list[int] = []
+        self.heap: list = []  # (lcm key, i, j, pair id)
+        self.pairs = np.zeros((64, 3), np.int64)  # i, j, lcm degree by pair id
+        self.live = np.zeros(64, bool)
+        self.npairs = 0
+        self.created = self.pruned_chain = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_element(self, lead: int):
-        ord_ = self.ord
-        t = len(self.leads)
-        # chain criterion: a strictly smaller new lcm retires old pairs
-        for (i, j), l in list(self.alive.items()):
-            if (
-                ord_.divides(lead, l)
-                and ord_.lcm(self.leads[i], lead) != l
-                and ord_.lcm(self.leads[j], lead) != l
-            ):
-                del self.alive[(i, j)]
-        cand = [(ord_.lcm(self.leads[i], lead), i) for i in range(t)]
-        keep = []
-        for li, i in cand:
-            if any(lj != li and ord_.divides(lj, li) for lj, _ in cand):
+        n = self.ord.nvars
+        t = len(self.degs)
+        c = np.array(list(lead.to_bytes(n + 1, "little")[:n]))
+        cdeg = self.ord.degree(lead)
+        lcms = np.minimum(self.digits, c)
+        ldeg = _CAP * n - lcms.sum(axis=1)
+        ldeg[t:] = -1
+
+        # chain criterion: the new lead retires a queued pair (i, j) when it
+        # divides the lcm and neither lcm(i, t) nor lcm(j, t) equals it; both
+        # divide it then, so "equal" is "of equal degree"
+        qi, qj, qdeg = self.pairs.T
+        hit = np.flatnonzero(self.live & (ldeg[qi] < qdeg) & (ldeg[qj] < qdeg))
+        qlcm = np.minimum(self.digits[qi[hit]], self.digits[qj[hit]])
+        hit = hit[_has_divisor(qlcm, c[None])]
+        self.live[hit] = False
+        self.pruned_chain += len(hit)
+
+        # lcm-divisor criterion: drop (i, t) when some lcm(j, t) strictly
+        # divides lcm(i, t), that is lead j divides it and has a smaller lcm
+        # degree.  If such a j exists, one that survives does too, so
+        # candidates are tested by ascending degree against the survivors.
+        keep = np.zeros(len(ldeg), bool)
+        for d in sorted(set(ldeg[:t].tolist())):
+            level = np.flatnonzero(ldeg == d)
+            keep[level[~_has_divisor(lcms[level], self.digits[keep])]] = True
+        idx = np.flatnonzero(keep)
+        self.created += t
+        self.pruned_lcm += t - len(idx)
+
+        # one pair per distinct lcm, with the smallest i; none when some pair
+        # with that lcm has coprime leads, since its S-poly reduces to zero
+        groups: dict = {}
+        for i, row, d in zip(idx.tolist(), lcms[idx].tolist(), ldeg[idx].tolist()):
+            key = int.from_bytes(bytes(row + [d]), "little")
+            g = groups.setdefault(key, [i, False, 0])
+            g[1] |= d == self.degs[i] + cdeg
+            g[2] += 1
+        for key, (i, cop, size) in groups.items():
+            if cop:
+                self.pruned_coprime += size
                 continue
-            keep.append((li, i))
-        by_lcm: dict = {}
-        for li, i in keep:
-            by_lcm.setdefault(li, []).append(i)
-        for li in sorted(by_lcm):
-            group = by_lcm[li]
-            if any(li == ord_.mul(self.leads[i], lead) for i in group):
-                continue  # coprime leads: that S-poly reduces to zero
-            pair = (min(group), t)
-            self.alive[pair] = li
-            heappush(self.heap, (li, *pair))
-        self.leads.append(lead)
+            self.pruned_lcm += size - 1
+            k = self.npairs
+            if k == len(self.live):
+                self.pairs = np.concatenate([self.pairs, np.zeros_like(self.pairs)])
+                self.live = np.concatenate([self.live, np.zeros_like(self.live)])
+            self.pairs[k] = i, t, self.ord.degree(key)
+            self.live[k] = True
+            self.npairs += 1
+            heappush(self.heap, (key, i, t, k))
+        if t == len(self.digits):
+            self.digits = np.concatenate([self.digits, np.full_like(self.digits, _CAP)])
+        self.digits[t] = c
+        self.degs.append(cdeg)
 
     def pop(self):
+        """(i, j, lcm key) of the live pair with the smallest (lcm, i, j), or None."""
         while self.heap:
-            li, i, j = heappop(self.heap)
-            if self.alive.get((i, j)) == li:
-                del self.alive[(i, j)]
-                return i, j
+            key, i, j, k = heappop(self.heap)
+            if self.live[k]:
+                self.live[k] = False
+                return i, j, key
         return None
 
 
@@ -449,6 +496,7 @@ class _VecEngine:
         self.index = _DivisorIndex(self.ord)
         self.pairs = _PairSet(self.ord)
         self._rcache: dict = {}
+        self.reductions = self.zero_reductions = 0
 
     def _table(self, deg: int):
         tab = self.tables.get(deg)
@@ -530,12 +578,9 @@ class _VecEngine:
             self._append(r)
 
     def run(self):
-        ord_ = self.ord
         while (pr := self.pairs.pop()) is not None:
-            i, j = pr
-            li, lj = self.index.leads[i], self.index.leads[j]
-            l = ord_.lcm(li, lj)
-            deg = ord_.degree(l)
+            i, j, l = pr
+            deg = self.ord.degree(l)
             keys, pos = self._table(deg)
             ia, ca = self._reducer(i, l, deg)
             ib, cb = self._reducer(j, l, deg)
@@ -543,8 +588,11 @@ class _VecEngine:
             v[ia] += ca
             v[ib] -= cb
             r = self._reduce_vec(v, deg, pos[l])
+            self.reductions += 1
             if r:
                 self._append(r)
+            else:
+                self.zero_reductions += 1
         return [Poly(self.ring, dict(t)) for t in self.terms]
 
 

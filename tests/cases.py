@@ -1,16 +1,19 @@
 """Small arrangements and moduli shared by the test modules."""
 
 import random
+from heapq import heappop, heappush
 from itertools import combinations
 
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
-from resgrass.exterior import ExtElement, Subspace, boundary, wedge
+from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 from resgrass.grobner import (
+    _CAP,
+    _W,
     PluckerRing,
     Poly,
+    PolyRing,
     _DivisorIndex,
     _nf_terms,
-    _PairSet,
     buchberger,
     plucker_ideal,
 )
@@ -74,6 +77,31 @@ def reference_r1_hilbert(arr, p):
     return format_hp(hp), len(pts), len(forms)
 
 
+def r1_ideal(arr, p):
+    """The ring and the pulled-back Plucker quadrics that r1_hilbert hands to buchberger."""
+    i2 = os_ideal_part(arr, 2, p)
+    ring = PolyRing(i2.dim(), p)
+    coords = {
+        pr: ring.linear_form([row[c] for row in i2.rows]) for c, pr in enumerate(i2.subsets)
+    }
+    return ring, plucker_ideal(ring, coords)
+
+
+def lcm(ord_, a, b):
+    """lcm of two packed grevlex monomials, one variable at a time."""
+    if a == b:
+        return a
+    key = 0
+    deg = 0
+    for i in range(ord_.nvars):
+        da = (a >> (_W * i)) & 0xFF
+        db = (b >> (_W * i)) & 0xFF
+        d = da if da < db else db
+        key |= d << (_W * i)
+        deg += _CAP - d
+    return key | (deg << (_W * ord_.nvars))
+
+
 def rand_poly(ring, rng, deg, nterms=3, homogeneous=False):
     """nterms random terms of degree deg, or of degree 0..deg each."""
     terms = {}
@@ -87,7 +115,7 @@ def rand_poly(ring, rng, deg, nterms=3, homogeneous=False):
 def spoly(f, g):
     ord_ = f.ring.ord
     lf, lg = f.lead_key(), g.lead_key()
-    l = ord_.lcm(lf, lg)
+    l = lcm(ord_, lf, lg)
     mf = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lf)): g.lead_coeff()})
     mg = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lg)): f.lead_coeff()})
     return mf * f - mg * g
@@ -101,18 +129,76 @@ def permute_vars(f, perm):
     )
 
 
+class ReferencePairSet:
+    """Gebauer-Moeller managed S-pair queue on packed ints, popping smallest lcm first.
+
+    A pure-Python reference for the numpy pair set of the vector engine,
+    which must pop the same (i, j, lcm) sequence and keep the same counters.
+    """
+
+    def __init__(self, ord_):
+        self.ord = ord_
+        self.leads: list[int] = []
+        self.alive: dict = {}
+        self.heap: list = []
+        self.created = self.pruned_chain = self.pruned_lcm = self.pruned_coprime = 0
+
+    def add_element(self, lead: int):
+        ord_ = self.ord
+        t = len(self.leads)
+        # chain criterion: a strictly smaller new lcm retires old pairs
+        for (i, j), l in list(self.alive.items()):
+            if (
+                ord_.divides(lead, l)
+                and lcm(ord_, self.leads[i], lead) != l
+                and lcm(ord_, self.leads[j], lead) != l
+            ):
+                del self.alive[(i, j)]
+                self.pruned_chain += 1
+        cand = [(lcm(ord_, self.leads[i], lead), i) for i in range(t)]
+        self.created += t
+        keep = []
+        for li, i in cand:
+            if any(lj != li and ord_.divides(lj, li) for lj, _ in cand):
+                self.pruned_lcm += 1
+                continue
+            keep.append((li, i))
+        by_lcm: dict = {}
+        for li, i in keep:
+            by_lcm.setdefault(li, []).append(i)
+        for li in sorted(by_lcm):
+            group = by_lcm[li]
+            if any(li == ord_.mul(self.leads[i], lead) for i in group):
+                self.pruned_coprime += len(group)
+                continue  # coprime leads: that S-poly reduces to zero
+            self.pruned_lcm += len(group) - 1
+            pair = (min(group), t)
+            self.alive[pair] = li
+            heappush(self.heap, (li, *pair))
+        self.leads.append(lead)
+
+    def pop(self):
+        while self.heap:
+            li, i, j = heappop(self.heap)
+            if self.alive.get((i, j)) == li:
+                del self.alive[(i, j)]
+                return i, j, li
+        return None
+
+
 def reference_buchberger(polys):
     """Groebner basis (not reduced) by a Buchberger loop on term dicts.
 
-    It shares the pair criteria of the vector engine but reduces term by
-    term in Python ints, so it takes any input and any prime.
+    It applies the pair criteria of the vector engine through
+    ReferencePairSet but reduces term by term in Python ints, so it takes
+    any input and any prime.
     """
     ring = polys[0].ring
     ord_, p = ring.ord, ring.p
     basis_terms: list = []
     index = _DivisorIndex(ord_)
     lcinvs: list = []
-    pairs = _PairSet(ord_)
+    pairs = ReferencePairSet(ord_)
 
     def absorb(terms):
         r = _nf_terms(terms, basis_terms, index, lcinvs, ord_, p)
@@ -128,9 +214,8 @@ def reference_buchberger(polys):
     for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
         absorb(g.terms)
     while (pr := pairs.pop()) is not None:
-        i, j = pr
+        i, j, l = pr
         li, lj = pairs.leads[i], pairs.leads[j]
-        l = ord_.lcm(li, lj)
         qi, qj = ord_.quo(l, li), ord_.quo(l, lj)
         s: dict = {}
         for k, c in basis_terms[i]:

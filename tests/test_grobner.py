@@ -10,6 +10,8 @@ from resgrass.grobner import (
     GrevlexOrder,
     PluckerRing,
     PolyRing,
+    _PairSet,
+    _VecEngine,
     buchberger,
     normal_form,
     plucker_ideal,
@@ -18,6 +20,10 @@ from resgrass.grobner import (
 from cases import (
     BOUNDARY_PRIME,
     FIRST_REFUSED,
+    ReferencePairSet,
+    braid,
+    lcm,
+    r1_ideal,
     rand_poly,
     reference_buchberger,
     spoly,
@@ -78,7 +84,7 @@ def test_order_properties_random():
         if ord_.divides(a, b):
             assert ord_.mul(ord_.quo(b, a), a) == b
         # lcm is the exponentwise max
-        assert ord_.unpack(ord_.lcm(a, b)) == tuple(
+        assert ord_.unpack(lcm(ord_, a, b)) == tuple(
             max(x, y) for x, y in zip(ea, eb)
         )
 
@@ -329,3 +335,107 @@ def test_random_gb_certificates():
         assert_reduced_gb(gb)
         for g in gens:
             assert gb.contains(g)
+
+
+# ---------------------------------------------------------------- pair management
+
+COUNTERS = ("created", "pruned_chain", "pruned_lcm", "pruned_coprime")
+
+
+def counters(pairs):
+    return {k: getattr(pairs, k) for k in COUNTERS}
+
+
+def replay(pairs, events):
+    """What a pair set pops when fed events: a lead key to add, None to pop."""
+    out = []
+    for ev in events:
+        if ev is None:
+            out.append(pairs.pop())
+        else:
+            pairs.add_element(ev)
+    return out
+
+
+class RecordingPairs:
+    """Passes calls on to a pair set and records them as replay events."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.events = []
+        self.pops = []
+
+    def add_element(self, lead):
+        self.events.append(lead)
+        self.inner.add_element(lead)
+
+    def pop(self):
+        self.events.append(None)
+        out = self.inner.pop()
+        self.pops.append(out)
+        return out
+
+
+def lead_stream(rng, ord_, length):
+    """Replay events: random leads, with repeats, leads coprime to an earlier
+    one and divisors of an earlier one, pops in between, and enough pops at
+    the end to empty the queue."""
+    combos, events = [], []
+    n = ord_.nvars
+    for _ in range(length):
+        kind = rng.randrange(5)
+        prev = rng.choice(combos) if combos else None
+        if kind == 0 and prev:
+            combo = prev
+        elif kind == 1 and prev and len(prev) > 1:
+            combo = rng.sample(prev, rng.randrange(1, len(prev)))
+        elif kind == 2 and prev and len(set(prev)) < n:
+            free = [v for v in range(n) if v not in prev]
+            combo = rng.choices(free, k=rng.randint(1, 3))
+        else:
+            combo = rng.choices(range(n), k=rng.randint(1, 4))
+        combos.append(combo)
+        events.append(ord_.pack_combo(combo))
+        events.extend([None] * rng.choice((0, 0, 1, 2)))
+    return events + [None] * (length * length)
+
+
+def test_pair_set_matches_reference_on_random_lead_streams():
+    rng = random.Random(12)
+    total = dict.fromkeys(COUNTERS, 0)
+    for nvars in (4, 7, 8, 9, 16, 17, 35):
+        for _ in range(6):
+            ord_ = GrevlexOrder(nvars)
+            events = lead_stream(rng, ord_, rng.randint(5, 40))
+            fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
+            assert replay(fast, events) == replay(ref, events)
+            assert counters(fast) == counters(ref)
+            for k in COUNTERS:
+                total[k] += counters(ref)[k]
+    # every criterion fired somewhere
+    assert all(total.values()), total
+
+
+@pytest.mark.parametrize(
+    "ell, expected",
+    [
+        (4, dict(reductions=248, zero_reductions=242, created=1035, pruned_chain=0,
+                 pruned_lcm=787, pruned_coprime=0)),
+        (5, dict(reductions=2387, zero_reductions=2366, created=19110, pruned_chain=0,
+                 pruned_lcm=16723, pruned_coprime=0)),
+    ],
+)
+def test_pair_set_matches_reference_on_braid_leads(ell, expected):
+    ring, gens = r1_ideal(braid(ell), P)
+    eng = _VecEngine(ring, gens)
+    rec = eng.pairs = RecordingPairs(eng.pairs)
+    for g in sorted(gens, key=lambda g: (g.degree(), g.lead_key())):
+        eng.add_input(g)
+    eng.run()
+    ref = ReferencePairSet(ring.ord)
+    assert replay(ref, rec.events) == rec.pops
+    assert counters(rec.inner) == counters(ref)
+    got = dict(counters(ref), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
+    assert got == expected
+    # every candidate pair is pruned once or reduced once
+    assert ref.created == sum(expected[k] for k in COUNTERS[1:]) + eng.reductions
