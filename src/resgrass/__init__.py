@@ -10,7 +10,7 @@ by exhaustive enumeration over small fields.
 from .arrangement import Arrangement, dependent_sets, fixture, from_matrix, load_arrangement
 from .errors import BudgetError, DuplicateHyperplaneError, InputError
 from .exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
-from .field import DEFAULT_MODULUS, PrimeField, is_prime
+from .field import DEFAULT_MODULUS, is_prime
 from .grobner import (
     GroebnerBasis,
     PluckerRing,
@@ -71,7 +71,6 @@ __all__ = [
     "PluckerRing",
     "Poly",
     "PolyRing",
-    "PrimeField",
     "Prop21Report",
     "ResonanceReport",
     "Subspace",

@@ -12,8 +12,10 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import DuplicateHyperplaneError, InputError
-from .field import DEFAULT_MODULUS, rank
+from .field import DEFAULT_MODULUS, batch_rank, residues
 
 Flat = tuple[int, ...]
 
@@ -41,7 +43,7 @@ def _validate_flats(n: int, flats) -> tuple[Flat, ...]:
     seen = set()
     out = []
     for flat in flats:
-        t = tuple(sorted(int(i) for i in flat))
+        t = tuple(sorted(flat))
         if len(t) < 3:
             raise InputError(f"flat {t} has fewer than 3 hyperplanes")
         if len(set(t)) != len(t):
@@ -79,27 +81,36 @@ def check_simple(cols, p: int) -> None:
         )
 
 
+def _dependent_subsets(cols, size: int, p: int):
+    """The size-subsets of the columns that are dependent over F_p, by one batch_rank call."""
+    subs = list(combinations(range(len(cols)), size))
+    if not subs:
+        return []
+    vecs = residues(cols, len(cols[0]), p)
+    ranks = batch_rank(vecs[np.array(subs)], p)
+    return [sub for sub, r in zip(subs, ranks.tolist()) if r < size]
+
+
 def rank2_flats_from_realization(matrix, p: int = DEFAULT_MODULUS) -> tuple[Flat, ...]:
-    """Collinearity flats of the columns of an integer matrix, over F_p."""
+    """Collinearity flats of the columns of an integer matrix, over F_p.
+
+    Once the columns are simple, the flat through hyperplanes i and j is
+    {i, j} together with every k making {i, j, k} dependent, so each flat
+    is the union of the dependent triples on one of its pairs.
+    """
     rows = [tuple(r) for r in matrix]
     if not rows:
         raise InputError("empty realization matrix")
     width = len(rows[0])
     if any(len(r) != width for r in rows):
         raise InputError("ragged realization matrix")
-    ell = len(rows)
     cols = [tuple(r[j] for r in rows) for j in range(width)]
     check_simple(cols, p)
-    flats = set()
-    for i, j in combinations(range(width), 2):
-        members = tuple(
-            k
-            for k in range(width)
-            if rank([cols[i], cols[j], cols[k]], ell, p) == 2
-        )
-        if len(members) >= 3:
-            flats.add(members)
-    return tuple(sorted(flats))
+    through = {}  # pair -> the hyperplanes of its flat
+    for triple in _dependent_subsets(cols, 3, p):
+        for pair in combinations(triple, 2):
+            through.setdefault(pair, set()).update(triple)
+    return tuple(sorted({tuple(sorted(flat)) for flat in through.values()}))
 
 
 def load_arrangement(text: str, name: str | None = None, p: int = DEFAULT_MODULUS) -> Arrangement:
@@ -153,6 +164,22 @@ def load_arrangement(text: str, name: str | None = None, p: int = DEFAULT_MODULU
     raise InputError(f"unrecognized header {header!r}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_rows(obj: dict, key: str):
+    """obj[key] when it is a list of lists of ints (bools and floats refused), else None."""
+    rows = obj.get(key)
+    if rows is None:
+        return None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in rows
+    ):
+        raise InputError(f"'{key}' must be a list of lists of integers")
+    return rows
+
+
 def _from_json(text: str, name: str | None, p: int) -> Arrangement:
     try:
         obj = json.loads(text)
@@ -163,18 +190,17 @@ def _from_json(text: str, name: str | None, p: int) -> Arrangement:
     if "n" not in obj:
         raise InputError("JSON arrangement needs key 'n'")
     n = obj["n"]
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise InputError("'n' must be a positive integer")
     resolved = name or obj.get("name") or "arrangement"
-    matrix = obj.get("matrix")
-    flats = obj.get("flats")
+    matrix = _int_rows(obj, "matrix")
+    flats = _int_rows(obj, "flats")
     if matrix is None and flats is None:
         raise InputError("JSON arrangement needs 'matrix' or 'flats'")
     if matrix is not None:
-        mat = tuple(tuple(int(x) for x in row) for row in matrix)
-        if any(len(row) != n for row in mat):
+        if any(len(row) != n for row in matrix):
             raise InputError(f"matrix rows must have n={n} entries")
-        arr = from_matrix(mat, name=resolved, p=p)
+        arr = from_matrix(matrix, name=resolved, p=p)
         if flats is not None and _validate_flats(n, flats) != arr.flats:
             raise InputError("explicit flats disagree with the realization")
         return arr
@@ -207,12 +233,9 @@ def dependent_sets(arr: Arrangement, max_size: int = 3, p: int = DEFAULT_MODULUS
             triples.update(combinations(flat, 3))
         return sorted(triples)
     cols = arr.columns()
-    ell = len(arr.matrix)
     out = []
     for size in range(3, min(max_size, arr.n) + 1):
-        for sub in combinations(range(arr.n), size):
-            if rank([cols[i] for i in sub], ell, p) < size:
-                out.append(sub)
+        out.extend(_dependent_subsets(cols, size, p))
     return out
 
 

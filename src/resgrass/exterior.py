@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, check_simple, dependent_sets
-from .field import DEFAULT_MODULUS, check_kernel_modulus, rref_mod
+from .field import DEFAULT_MODULUS, check_kernel_modulus, matmul_mod, rref_mod
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -150,23 +150,6 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
 
-    @classmethod
-    def from_elements(cls, n: int, k: int, p: int, elems) -> "Subspace":
-        from .field import rref
-
-        ncols = len(list(combinations(range(n), k)))
-        index = {s: i for i, s in enumerate(combinations(range(n), k))}
-        mat = []
-        for x in elems:
-            if x.grade != k or x.p != p:
-                raise ValueError("element grade or modulus mismatch")
-            row = [0] * ncols
-            for key, c in x.terms.items():
-                row[index[key]] = c
-            mat.append(row)
-        rows, pivots = rref(mat, ncols, p)
-        return cls(n, k, p, rows, pivots)
-
     def dim(self) -> int:
         return len(self.rows)
 
@@ -181,14 +164,16 @@ class Subspace:
             row[self.index[key]] = c
         return row
 
-    def reduce_vec(self, vec):
-        """Canonical representative of vec modulo the subspace (pivot coords zeroed)."""
-        p = self.p
-        out = [c % p for c in vec]
-        for r, pc in zip(self.rows, self.pivots):
-            f = out[pc]
-            if f:
-                out = [(a - f * b) % p for a, b in zip(out, r)]
+    def reduce_rows(self, mat):
+        """Each row of mat reduced modulo the subspace (pivot coordinates zeroed), as int64.
+
+        The rows lose their pivot coordinates times the echelon basis, in one
+        matmul_mod.
+        """
+        out = np.asarray(mat, dtype=np.int64) % self.p
+        if self.pivots:
+            basis = np.asarray(self.rows, dtype=np.int64)
+            out = (out - matmul_mod(out[:, self.pivots], basis, self.p)) % self.p
         return out
 
     def element_from_vec(self, vec) -> ExtElement:
@@ -197,7 +182,7 @@ class Subspace:
         )
 
     def contains(self, x: ExtElement) -> bool:
-        return all(c % self.p == 0 for c in self.reduce_vec(self.vector(x)))
+        return not self.reduce_rows([self.vector(x)]).any()
 
     def coset_columns(self):
         """Indices of the non-pivot coordinates, which span a complement."""

@@ -1,14 +1,14 @@
 """Prime moduli and small dense linear algebra over F_p.
 
-Matrices are plain lists of rows, each row a list of ints reduced mod p.
-The batch kernels at the end work on numpy integer arrays instead, for
-moduli up to MAX_KERNEL_MODULUS.  Everything in this package is exact:
-matmul_mod computes in float64 only where every sum stays below 2^53.
+There is one elimination path: every rank and row reduction in the package
+goes through the numpy kernels rref_mod and batch_rank, which work on int64
+arrays for moduli up to MAX_KERNEL_MODULUS.  rref, rank and kernel_basis
+take plain lists of rows of any integers and reduce them mod p before they
+reach a kernel.  Everything in this package is exact: matmul_mod computes
+in float64 only where every sum stays below 2^53.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,88 +41,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeField:
-    """The field Z/p for a fixed prime p; constructing one checks that p is prime."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
-
-
-def rref(rows, ncols: int, p: int):
-    """Reduced row echelon form over F_p.
-
-    Returns (reduced_rows, pivot_columns); zero rows are dropped.  Pivoting is
-    deterministic (first nonzero entry scanning top to bottom), so equal row
-    spaces always produce identical output.
-    """
-    mat = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [v * inv % p for v in mat[r]]
-        lead = mat[r]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if f and i != r:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], lead)]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
-
-
-def rank(rows, ncols: int, p: int, stop_at: int | None = None) -> int:
-    """Rank by forward elimination; returns early once stop_at is reached."""
-    mat = [[x % p for x in row] for row in rows]
-    rk = 0
-    for c in range(ncols):
-        pr = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
-        if pr is None:
-            continue
-        mat[rk], mat[pr] = mat[pr], mat[rk]
-        inv = pow(mat[rk][c], p - 2, p)
-        lead = [v * inv % p for v in mat[rk]]
-        mat[rk] = lead
-        for i in range(rk + 1, len(mat)):
-            f = mat[i][c]
-            if f:
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], lead)]
-        rk += 1
-        if rk == len(mat) or (stop_at is not None and rk >= stop_at):
-            break
-    return rk
-
-
-def kernel_basis(rows, ncols: int, p: int):
-    """Basis of the right kernel {v : M v = 0}, itself in reduced echelon form.
-
-    An empty matrix (no rows) has the full space as kernel, so the identity
-    basis comes back.
-    """
-    red, pivots = rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f] % p
-        vecs.append(v)
-    out, _ = rref(vecs, ncols, p)
-    return out
 
 
 # The largest modulus the numpy kernels below take: the largest p with
@@ -180,13 +98,13 @@ def matmul_mod(a, b, p: int):
 
 
 def rref_mod(mat, p: int):
-    """Reduced row echelon form over F_p of a 2-D integer array; the numpy twin of rref.
+    """Reduced row echelon form over F_p of a 2-D integer array.
 
-    Returns (reduced_rows, pivot_columns) as rref does, the rows as an int64
-    array.  Column by column, the first remaining row with a nonzero entry
-    becomes the pivot row and one vectorized step clears the column in every
-    other row that has it.  Entries are reduced after each step, so no value
-    passes (p - 1)^2 in size.
+    Returns (reduced_rows, pivot_columns), the rows as an int64 array with
+    zero rows dropped.  Column by column, the first remaining row with a
+    nonzero entry becomes the pivot row and one vectorized step clears the
+    column in every other row that has it.  Entries are reduced after each
+    step, so no value passes (p - 1)^2 in size.
     """
     a = np.asarray(mat, dtype=np.int64) % p
     rows, cols = a.shape
@@ -259,6 +177,49 @@ def batch_rank(mats, p: int):
         a = a[1:] - scaled[:, :, None] * col
         bound += growth
     return ranks
+
+
+def residues(rows, ncols: int, p: int):
+    """Rows of any integers as an int64 array of residues mod p, shape (len(rows), ncols).
+
+    The reduction happens on Python ints, so entries too wide for int64 are
+    taken as well.
+    """
+    check_kernel_modulus(p)
+    return np.array([[x % p for x in row] for row in rows], dtype=np.int64).reshape(
+        len(rows), ncols
+    )
+
+
+def rref(rows, ncols: int, p: int):
+    """rref_mod on a list of rows: (reduced rows, pivot columns), both as lists."""
+    red, pivots = rref_mod(residues(rows, ncols, p), p)
+    return red.tolist(), pivots
+
+
+def rank(rows, ncols: int, p: int) -> int:
+    """batch_rank on one matrix given as a list of rows."""
+    return int(batch_rank(residues(rows, ncols, p)[None], p)[0])
+
+
+def kernel_basis(rows, ncols: int, p: int):
+    """Basis of the right kernel {v : M v = 0}, itself in reduced echelon form.
+
+    An empty matrix (no rows) has the full space as kernel, so the identity
+    basis comes back.
+    """
+    red, pivots = rref(rows, ncols, p)
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    vecs = []
+    for f in free:
+        v = [0] * ncols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][f] % p
+        vecs.append(v)
+    out, _ = rref(vecs, ncols, p)
+    return out
 
 
 def projective_points(q: int, m: int):

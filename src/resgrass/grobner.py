@@ -22,7 +22,7 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .field import DEFAULT_MODULUS, PrimeField, check_kernel_modulus
+from .field import DEFAULT_MODULUS, check_kernel_modulus, is_prime
 
 _W = 8
 _CAP = 127
@@ -88,7 +88,8 @@ class PolyRing:
     """F_p[x_0 .. x_{nvars-1}] under grevlex."""
 
     def __init__(self, nvars: int, p: int = DEFAULT_MODULUS, *, names=None):
-        PrimeField(p)  # validates primality
+        if not is_prime(p):
+            raise ValueError(f"modulus {p} is not prime")
         self.nvars = nvars
         self.p = p
         self.ord = GrevlexOrder(nvars)

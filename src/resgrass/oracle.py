@@ -28,7 +28,8 @@ from .field import (
     check_kernel_modulus,
     matmul_mod,
     projective_points,
-    rank as row_rank,
+    rank,
+    rref_mod,
 )
 from .resonance import decomposables_in_I2_bruteforce, i2_slice
 
@@ -38,22 +39,6 @@ def _check_point(pt: ExtElement):
         raise InputError(f"expected a grade-1 element, got grade {pt.grade}")
     if pt.is_zero():
         raise InputError("the zero vector is not a projective point")
-
-
-def _np_reduce_rows(mat, sub: Subspace):
-    """Reduce each row of mat modulo the subspace, vectorized."""
-    out = np.asarray(mat, dtype=np.int64) % sub.p
-    if sub.pivots:
-        rref = np.asarray(sub.rows, dtype=np.int64)
-        out = (out - matmul_mod(out[:, sub.pivots], rref, sub.p)) % sub.p
-    return out
-
-
-def _matrix_rank(mat, p: int) -> int:
-    rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return 0
-    return row_rank(mat.tolist(), cols, p)
 
 
 @dataclass(frozen=True)
@@ -109,7 +94,7 @@ class AomotoComplex:
                     "cohomology above grade 1 needs I_3 and deeper, which require "
                     "a realization matrix; this arrangement is flats-only"
                 )
-            ell = row_rank([list(row) for row in arr.matrix], arr.n, p)
+            ell = rank(arr.matrix, arr.n, p)
             if up_to > ell:
                 raise InputError(f"up_to={up_to} exceeds the arrangement rank {ell}")
         self.arr = arr
@@ -135,7 +120,7 @@ class AomotoComplex:
             rows.append(target.vector(img))
         if not rows:
             return np.zeros((0, len(cols)), dtype=np.int64)
-        return _np_reduce_rows(rows, target)[:, cols]
+        return target.reduce_rows(rows)[:, cols]
 
     def fits(self, arr: Arrangement, pt: ExtElement, up_to: int):
         """InputError unless this complex serves pt on arr to grade up_to."""
@@ -153,7 +138,7 @@ class AomotoComplex:
 
     def profile(self, pt: ExtElement) -> CohomologyProfile:
         mats = self.differentials(pt)
-        ranks = [_matrix_rank(m, self.p) for m in mats]
+        ranks = [len(rref_mod(m, self.p)[1]) for m in mats]
         dims = []
         for k in range(self.up_to + 1):
             below = ranks[k - 1] if k else 0
@@ -180,9 +165,9 @@ def aomoto_profile(
 def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = None) -> bool:
     """Whether some b outside span(pt) has pt ^ b in I_2.
 
-    Single rank computation: the map b -> (pt ^ b mod I_2) always kills pt,
-    so resonance is exactly a kernel of dimension 2 or more.  A given
-    complex cx supplies I_2.
+    The rank test of enumerate_r1 on a batch of one point: the map
+    b -> (pt ^ b mod I_2) always kills pt, so resonance is exactly a kernel
+    of dimension 2 or more.  A given complex cx supplies I_2.
     """
     _check_point(pt)
     if cx is None:
@@ -190,30 +175,37 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = N
     else:
         cx.fits(arr, pt, 1)
         sub = cx.parts[2]
-    n = arr.n
-    rows = [
-        sub.reduce_vec(sub.vector(wedge(pt, ExtElement(pt.p, 1, {(i,): 1}))))
-        for i in range(n)
-    ]
-    return row_rank(rows, sub.ambient_dim(), pt.p, stop_at=n - 1) < n - 1
+    point = np.zeros((1, arr.n), dtype=np.int64)
+    for (i,), c in pt.terms.items():
+        point[0, i] = c
+    (hits,) = _resonant_rows([point], _wedge_map(arr.n, sub), pt.p)
+    return len(hits) == 1
 
 
-def _wedge_tensor(n: int, q: int, sub: Subspace):
-    """T with T[i] @ a = coset coordinates of (a ^ e_i) reduced mod I_2."""
+def _wedge_map(n: int, sub: Subspace):
+    """M with (a @ M)[r * n + i] = coset coordinate r of (a ^ e_i) reduced mod I_2.
+
+    A batch of points times M holds, per point, the matrix whose column i
+    is a ^ e_i.
+    """
     m = comb(n, 2)
-    pair_index = {pr: c for c, pr in enumerate(combinations(range(n), 2))}
-    t = np.zeros((n, m, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if j < i:
-                t[i, pair_index[(j, i)], j] = 1
-            elif j > i:
-                t[i, pair_index[(i, j)], j] = q - 1
-    if sub.pivots:
-        rref = np.asarray(sub.rows, dtype=np.int64)
-        for i in range(n):
-            t[i] = (t[i] - matmul_mod(rref.T, t[i][sub.pivots, :], q)) % q
-    return t[:, sub.coset_columns(), :]
+    # w[j, i] = e_j ^ e_i in pair coordinates
+    w = np.zeros((n, n, m), dtype=np.int64)
+    for c, (i, j) in enumerate(combinations(range(n), 2)):
+        w[i, j, c] = 1
+        w[j, i, c] = sub.p - 1
+    red = sub.reduce_rows(w.reshape(n * n, m))[:, sub.coset_columns()]
+    return red.reshape(n, n, -1).transpose(0, 2, 1).reshape(n, -1)
+
+
+def _resonant_rows(batches, wedge_map, q: int):
+    """The resonant points of each batch: those whose wedge matrix has rank below n - 1."""
+    # a generator keeps one batch's arrays alive while the next is built; freeing
+    # them after every batch made the scan about a quarter slower (page faults)
+    for pts in batches:
+        n = pts.shape[1]
+        mats = matmul_mod(pts, wedge_map, q).reshape(len(pts), -1, n)
+        yield pts[batch_rank(mats, q) < n - 1]
 
 
 def enumerate_r1(
@@ -231,15 +223,10 @@ def enumerate_r1(
     candidates = (q**n - 1) // (q - 1)
     if candidates > budget:
         raise BudgetError(candidates, budget, "resonant point enumeration")
-    tensor = _wedge_tensor(n, q, i2_slice(arr, q, i2))
-    mcols = tensor.shape[1]
-    # wedge_map[j, r * n + i] = tensor[i, r, j], so a batch of points times it
-    # holds, per point, the (mcols x n) matrix with columns a ^ e_i
-    wedge_map = tensor.transpose(2, 1, 0).reshape(n, mcols * n)
+    wedge_map = _wedge_map(n, i2_slice(arr, q, i2))
     found = []
-    for pts in projective_points(q, n):
-        mats = matmul_mod(pts, wedge_map, q).reshape(len(pts), mcols, n)
-        found.extend(map(tuple, pts[batch_rank(mats, q) < n - 1].tolist()))
+    for hits in _resonant_rows(projective_points(q, n), wedge_map, q):
+        found.extend(map(tuple, hits.tolist()))
     return sorted(found)
 
 

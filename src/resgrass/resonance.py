@@ -47,17 +47,6 @@ class PluckerPoint:
         if len(self.coords) != want:
             raise ValueError(f"expected {want} coordinates, got {len(self.coords)}")
 
-    def normalized(self) -> "PluckerPoint":
-        lead = next((c for c in self.coords if c % self.p), None)
-        if lead is None:
-            raise ValueError("zero vector is not a projective point")
-        inv = pow(lead, self.p - 2, self.p)
-        return PluckerPoint(self.n, self.p, tuple(c * inv % self.p for c in self.coords))
-
-    def element(self) -> ExtElement:
-        pairs = combinations(range(self.n), 2)
-        return ExtElement(self.p, 2, {pr: c for pr, c in zip(pairs, self.coords)})
-
 
 def os_points(arr: Arrangement, p: int = DEFAULT_MODULUS) -> list[PluckerPoint]:
     """One point per dependent triple: the (+1, -1, +1) boundary pattern."""
@@ -258,14 +247,6 @@ class Plane:
             v = tuple((a + t * b) % p for a, b in zip(r0, r1))
             pts.append(v)  # leading 1 of r0 survives: already normalized
         return pts
-
-    def plucker_point(self) -> PluckerPoint:
-        r0, r1 = self.basis
-        coords = tuple(
-            (r0[i] * r1[j] - r0[j] * r1[i]) % self.p
-            for i, j in combinations(range(self.n), 2)
-        )
-        return PluckerPoint(self.n, self.p, coords).normalized()
 
 
 def i2_slice(arr: Arrangement, q: int, i2: Subspace | None = None) -> Subspace:

@@ -24,6 +24,22 @@ from resgrass.resonance import os_points, span_forms
 BOUNDARY_PRIME = 2**31 - 1
 FIRST_REFUSED = 2**31 + 11
 
+# JSON arrangements that must be refused: the loader used to truncate floats
+# to ints, read n = true as 1, or end in a traceback on most of them
+MALFORMED_JSON = (
+    '{"n": 3, "matrix": [[1, 0, 1.5], [0, 1, 1]]}',
+    '{"n": 3, "flats": [[0, 1, 2.9]]}',
+    '{"n": true, "matrix": [[1], [0]]}',
+    '{"n": 3.0, "flats": [[0, 1, 2]]}',
+    '{"n": 3, "flats": [1, 2, 3]}',
+    '{"n": 3, "flats": [[0, 1, true]]}',
+    '{"n": 3, "matrix": 5}',
+    '{"n": 3, "matrix": [1, 0, 1]}',
+    '{"n": 3, "matrix": [["a", 0, 1], [0, 1, 1]]}',
+    '{"n": 3, "matrix": [[1e400, 0, 1], [0, 1, 1]]}',
+    '{"n": 3, "matrix": [[1, 0, 1], [0, 1, 1]], "flats": "012"}',
+)
+
 PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
 BOOLEAN = from_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="boolean", p=3)
 
@@ -44,6 +60,71 @@ def relabelled_a4():
     return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
 
 
+def reference_rref(rows, ncols: int, p: int):
+    """Pure-Python reduced row echelon form over F_p: (reduced rows, pivot columns).
+
+    Pivoting takes the first nonzero entry scanning top to bottom; zero rows
+    are dropped.  The twin of field.rref_mod, for the tests to compare with.
+    """
+    mat = [[x % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][c], p - 2, p)
+        mat[r] = [v * inv % p for v in mat[r]]
+        lead = mat[r]
+        for i in range(len(mat)):
+            f = mat[i][c]
+            if f and i != r:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def reference_rank(rows, ncols: int, p: int) -> int:
+    """Pure-Python rank over F_p by forward elimination; the twin of field.batch_rank."""
+    mat = [[x % p for x in row] for row in rows]
+    rk = 0
+    for c in range(ncols):
+        pr = next((i for i in range(rk, len(mat)) if mat[i][c]), None)
+        if pr is None:
+            continue
+        mat[rk], mat[pr] = mat[pr], mat[rk]
+        inv = pow(mat[rk][c], p - 2, p)
+        lead = [v * inv % p for v in mat[rk]]
+        mat[rk] = lead
+        for i in range(rk + 1, len(mat)):
+            f = mat[i][c]
+            if f:
+                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], lead)]
+        rk += 1
+        if rk == len(mat):
+            break
+    return rk
+
+
+def subspace_from_elements(n, k, p, elems):
+    """The Subspace spanned by grade-k elements, reduced by reference_rref."""
+    index = {s: i for i, s in enumerate(combinations(range(n), k))}
+    mat = []
+    for x in elems:
+        if x.grade != k or x.p != p:
+            raise ValueError("element grade or modulus mismatch")
+        row = [0] * len(index)
+        for key, c in x.terms.items():
+            row[index[key]] = c
+        mat.append(row)
+    rows, pivots = reference_rref(mat, len(index), p)
+    return Subspace(n, k, p, rows, pivots)
+
+
 def reference_os_ideal_part(arr, k, p):
     """I_k from its full spanning set: e_J ^ boundary(S) over every dependent S, then rref."""
     elems = []
@@ -58,7 +139,7 @@ def reference_os_ideal_part(arr, k, p):
                     w = wedge(ExtElement(p, jsize, {J: 1}), d)
                     if not w.is_zero():
                         elems.append(w)
-    return Subspace.from_elements(arr.n, k, p, elems)
+    return subspace_from_elements(arr.n, k, p, elems)
 
 
 def reference_r1_hilbert(arr, p):

@@ -12,7 +12,7 @@ from itertools import combinations, combinations_with_replacement
 
 from resgrass.arrangement import fixture
 from resgrass.cli import main
-from resgrass.exterior import ExtElement, Subspace, boundary, wedge
+from resgrass.exterior import ExtElement, boundary, wedge
 from resgrass.field import rref
 from resgrass.grobner import PluckerRing, PolyRing, buchberger, normal_form, plucker_ideal
 from resgrass.hilbert import (
@@ -31,7 +31,7 @@ from resgrass.resonance import (
     os_points,
 )
 
-from cases import permute_vars, rand_poly, spoly
+from cases import permute_vars, rand_poly, spoly, subspace_from_elements
 
 P = 31991
 
@@ -86,10 +86,10 @@ def test_criterion_4_essential_component(acceptance_log):
     u = rho[1] + rho[2] + rho[3] + rho[4].scale(P - 1)
     assert is_decomposable(u)
     x, y = factor_decomposable(u)
-    got = Subspace.from_elements(6, 1, P, [x, y])
+    got = subspace_from_elements(6, 1, P, [x, y])
     vecs = [ExtElement(P, 1, {(i,): c % P for i, c in enumerate(v) if c % P})
             for v in ESSENTIAL_FACTORS]
-    want = Subspace.from_elements(6, 1, P, vecs)
+    want = subspace_from_elements(6, 1, P, vecs)
     assert got.rows == want.rows
     acceptance_log("rho1+rho2+rho3-rho4 factors onto span{e0-e1-e3+e5, e1-e2+e3-e4}")
 

@@ -1,9 +1,12 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
 from resgrass.arrangement import (
     Arrangement,
+    check_simple,
     dependent_sets,
     fixture,
     from_matrix,
@@ -11,6 +14,8 @@ from resgrass.arrangement import (
     rank2_flats_from_realization,
 )
 from resgrass.errors import DuplicateHyperplaneError, InputError
+
+from cases import BOUNDARY_PRIME, MALFORMED_JSON, reference_rank
 
 A3_FLATS = ((0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5))
 
@@ -94,6 +99,20 @@ def test_json_matrix_and_flats_must_agree():
         load_arrangement(json.dumps(bad))
 
 
+@pytest.mark.parametrize("text", MALFORMED_JSON)
+def test_malformed_json_is_refused(text):
+    with pytest.raises(InputError):
+        load_arrangement(text)
+
+
+def test_json_takes_integers_of_any_size():
+    big = 2**70 + 1
+    obj = {"n": 3, "matrix": [[big, 0, 1], [0, 1, 1]]}
+    arr = load_arrangement(json.dumps(obj))
+    assert arr.matrix == ((big, 0, 1), (0, 1, 1))
+    assert arr.flats == from_matrix([[big % 31991, 0, 1], [0, 1, 1]]).flats
+
+
 def test_duplicate_column_rejected():
     with pytest.raises(DuplicateHyperplaneError):
         from_matrix([[1, 2], [2, 4]])
@@ -141,3 +160,36 @@ def test_pencil_single_flat():
 def test_describe():
     assert "combinatorial" in fixture("Hessian").describe()
     assert "realized" in fixture("A3").describe()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31991, BOUNDARY_PRIME])
+def test_batched_dependencies_match_a_rank_per_subset(p):
+    """dependent_sets and the flats, one batch_rank call per size, against reference_rank."""
+    rng = random.Random(p)
+    simple = 0
+    for _ in range(50):
+        ell, n = rng.randrange(3, 5), rng.randrange(5, 8)
+        mat = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(ell)]
+        cols = [[row[j] for row in mat] for j in range(n)]
+        want = [
+            sub
+            for size in range(3, n + 1)
+            for sub in combinations(range(n), size)
+            if reference_rank([cols[i] for i in sub], ell, p) < size
+        ]
+        arr = Arrangement(n, (), tuple(map(tuple, mat)), "random")
+        assert dependent_sets(arr, n, p) == want
+        try:
+            check_simple(cols, p)
+        except InputError:
+            with pytest.raises(InputError):
+                rank2_flats_from_realization(mat, p)
+            continue
+        simple += 1
+        flats = set()
+        for i, j in combinations(range(n), 2):
+            on_line = [k for k in range(n) if reference_rank([cols[i], cols[j], cols[k]], ell, p) == 2]
+            if len(on_line) >= 3:
+                flats.add(tuple(on_line))
+        assert rank2_flats_from_realization(mat, p) == tuple(sorted(flats))
+    assert simple >= 5

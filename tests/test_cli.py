@@ -4,6 +4,8 @@ import pytest
 
 from resgrass.cli import main
 
+from cases import MALFORMED_JSON
+
 PENCIL = "flats n=3\n0,1,2\n"
 BOOLEAN = "matrix\n1 0 0\n0 1 0\n0 0 1\n"
 
@@ -156,6 +158,37 @@ def test_input_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense header\n")
     assert run(capsys, "r1", "--input", str(bad))[0] == 2
+
+
+def test_malformed_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for text in MALFORMED_JSON:
+        path.write_text(text)
+        code, out, err = run(capsys, "r1", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("p", [31991, 2**31 - 1])
+def test_wide_entries_act_as_their_residues(capsys, tmp_path, p):
+    """An A3 realization with the entry 2^70 + 1 answers as the matrix of its residues mod p."""
+    outs = []
+    for top in (2**70 + 1, (2**70 + 1) % p):
+        folder = tmp_path / str(top)
+        folder.mkdir()
+        path = folder / "a3.txt"
+        path.write_text(f"matrix\n{top} 0 -1 1 0 0\n-1 1 0 0 1 0\n0 -1 1 0 0 1\n")
+        src = ("--input", str(path), "--p", str(p))
+        code, out, err = run(capsys, "r1", *src, "--json")
+        obj = json.loads(out)
+        del obj["timings_ms"]
+        calls = [(code, obj, err)]
+        for k in ("1", "2", "3"):
+            for coords in ("1,2,3,4,5,6", "1,-1,0,0,0,0", "1,1,1,0,0,0"):
+                calls.append(run(capsys, "check-point", *src, "--k", k, coords, "--json"))
+        assert all(c[0] == 0 for c in calls)
+        outs.append(calls)
+    assert outs[0] == outs[1]
 
 
 def test_budget_errors_exit_3(capsys):

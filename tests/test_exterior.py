@@ -198,8 +198,8 @@ def test_subspace_reduce_and_coset():
     rng = random.Random(4)
     for _ in range(20):
         x = rand_elem(rng, P, 6, 2)
-        red = sub.element_from_vec(sub.reduce_vec(sub.vector(x)))
-        assert sub.reduce_vec(sub.vector(red)) == sub.vector(red)
+        red = sub.element_from_vec(sub.reduce_rows([sub.vector(x)])[0].tolist())
+        assert sub.reduce_rows([sub.vector(red)]).tolist() == [sub.vector(red)]
         assert sub.contains(x - red)
         for i, s in enumerate(sub.subsets):
             if i in set(sub.pivots):
@@ -207,6 +207,6 @@ def test_subspace_reduce_and_coset():
 
 
 def test_subspace_from_empty():
-    sub = Subspace.from_elements(4, 2, 7, [])
+    sub = Subspace(4, 2, 7, [], [])
     assert sub.dim() == 0
     assert len(sub.coset_subsets()) == 6

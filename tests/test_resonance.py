@@ -213,10 +213,11 @@ def test_decomposables_in_I2_braid_over_f5():
     for i in range(5):
         for j in range(i + 1, 5):
             assert not point_sets[i] & point_sets[j]
-    # each plane's Plucker point really lies in P(I_2)
+    # the wedge of each plane's basis really lies in I_2
     sub = os_ideal_part(fixture("A3"), 2, 5)
     for pl in planes:
-        assert sub.contains(pl.plucker_point().element())
+        x, y = (ExtElement(5, 1, {(i,): c for i, c in enumerate(v)}) for v in pl.basis)
+        assert sub.contains(wedge(x, y))
 
 
 def test_decomposables_budget():
