@@ -1,4 +1,4 @@
-"""Sparse polynomials over F_p, packed monomials, and a Buchberger engine.
+"""Sparse polynomials over F_p, packed monomials, and an F4-style Buchberger engine.
 
 Monomials are packed into Python ints so that integer comparison realizes the
 monomial order directly.  Graded reverse lexicographic follows the Macaulay2
@@ -9,20 +9,20 @@ above anything the resonance pipeline produces.
 
 Grevlex is the only order: the ideals of the resonance pipeline are
 homogeneous, and their Hilbert polynomial does not depend on the order.
-The Buchberger loop takes homogeneous generators only.  It prunes S-pairs
-with the Gebauer-Moeller criteria, applied as numpy masks over exponent
-rows, picks pairs by smallest lcm, and reduces whole coefficient vectors
-per degree with numpy, for moduli up to field.MAX_KERNEL_MODULUS.
+The engine takes homogeneous generators only.  As in Faugere's F4, it
+reduces each degree's inputs and S-pairs, pruned by the Gebauer-Moeller
+criteria as numpy masks over exponent rows, as one matrix, and the basis
+comes out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
-from .field import DEFAULT_MODULUS, check_kernel_modulus, is_prime
+from .field import DEFAULT_MODULUS, check_kernel_modulus, is_prime, rref_mod
 
 _W = 8
 _CAP = 127
@@ -353,21 +353,23 @@ def normal_form(f: Poly, gens) -> Poly:
     return Poly(ring, _nf_terms(f.terms, basis_terms, index, lcinvs, ring.ord, ring.p))
 
 
-_BLOCK = 1 << 15  # bytes per temporary of a blocked divisibility test
+_BLOCK = 1 << 15  # bytes per temporary of a blocked array operation
 
 
-def _has_divisor(rows, divisors):
-    """Which rows have a divisor among divisors, both as complement digits.
+def _first_divisor(rows, divisors):
+    """Index of the first divisor of each row among divisors, or -1.
 
-    A monomial divides another when none of its complement digits is
-    smaller.  Rows are tested in blocks, so temporaries stay under _BLOCK.
+    Both are complement digits, and a monomial divides another when none of
+    its complement digits is smaller.  Rows are tested in blocks, so
+    temporaries stay under _BLOCK.
     """
-    out = np.zeros(len(rows), bool)
+    out = np.full(len(rows), -1)
     if len(divisors):
         step = max(1, _BLOCK // divisors.size)
         for s in range(0, len(rows), step):
-            ge = divisors >= rows[s : s + step, None, :]
-            out[s : s + step] = ge.all(axis=2).any(axis=1)
+            hit = (divisors >= rows[s : s + step, None, :]).all(axis=2)
+            first = hit.argmax(axis=1)
+            out[s : s + step] = np.where(hit[np.arange(len(first)), first], first, -1)
     return out
 
 
@@ -408,7 +410,7 @@ class _PairSet:
         qi, qj, qdeg = self.pairs.T
         hit = np.flatnonzero(self.live & (ldeg[qi] < qdeg) & (ldeg[qj] < qdeg))
         qlcm = np.minimum(self.digits[qi[hit]], self.digits[qj[hit]])
-        hit = hit[_has_divisor(qlcm, c[None])]
+        hit = hit[_first_divisor(qlcm, c[None]) >= 0]
         self.live[hit] = False
         self.pruned_chain += len(hit)
 
@@ -419,7 +421,7 @@ class _PairSet:
         keep = np.zeros(len(ldeg), bool)
         for d in sorted(set(ldeg[:t].tolist())):
             level = np.flatnonzero(ldeg == d)
-            keep[level[~_has_divisor(lcms[level], self.digits[keep])]] = True
+            keep[level[_first_divisor(lcms[level], self.digits[keep]) < 0]] = True
         idx = np.flatnonzero(keep)
         self.created += t
         self.pruned_lcm += t - len(idx)
@@ -450,6 +452,12 @@ class _PairSet:
         self.digits[t] = c
         self.degs.append(cdeg)
 
+    def min_degree(self) -> int:
+        """The lcm degree of the pair pop returns next, or _CAP + 1 when none is left."""
+        while self.heap and not self.live[self.heap[0][3]]:
+            heappop(self.heap)
+        return self.ord.degree(self.heap[0][0]) if self.heap else _CAP + 1
+
     def pop(self):
         """(i, j, lcm key) of the live pair with the smallest (lcm, i, j), or None."""
         while self.heap:
@@ -460,171 +468,165 @@ class _PairSet:
         return None
 
 
-def _first_nonzero(v, i: int) -> int:
-    n = v.shape[0]
-    step = 1024
-    while i < n:
-        j = min(i + step, n)
-        chunk = v[i:j]
-        if chunk.any():
-            return i + int((chunk != 0).argmax())
-        i = j
-    return -1
+_SLICE = 1 << 18  # bytes per slice of the row matrix of one degree
 
 
-class _VecEngine:
-    """Buchberger for homogeneous input: per-degree dense int64 reduction.
+def _add_rows(out, grp, idx, coef, src, p: int):
+    """out[grp[e]] += coef[e] * src[idx[e]] mod p for every entry e, grp ascending.
 
-    Vectors are reduced mod p lazily: an update moves an entry by less than
-    (p - 1)^2, so room updates keep every entry inside int64.
+    Products are reduced mod p before they are summed, so nothing leaves
+    int64 for p < 2^31; entries go in blocks that keep temporaries under _BLOCK.
+    """
+    step = max(1, _BLOCK // (8 * max(1, src.shape[1])))
+    for s in range(0, len(grp), step):
+        g = grp[s : s + step]
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        part = src[idx[s : s + step]] * coef[s : s + step, None] % p
+        at = g[starts]
+        out[at] = (out[at] + np.add.reduceat(part, starts)) % p
+
+
+def _clear(mat, cols, rows, p: int):
+    """mat -= mat[:, cols] @ rows mod p in place: zero cols, for echelon rows pivoting there."""
+    r, k = np.nonzero(mat[:, cols])
+    coef = p - mat[r, np.array(cols, np.int64)[k]]
+    _add_rows(mat, r, k, coef, rows, p)
+
+
+class _F4Engine:
+    """Buchberger for homogeneous input, one Macaulay matrix per degree (F4).
+
+    The rows of degree d, lowest first, are its input generators and every
+    S-pair whose lcm has degree d.  Symbolic preprocessing gives each
+    monomial they reach that a lead divides one reducer, and the reducers
+    make a table of normal forms over the other columns (the pivot and
+    non-pivot split of Faugere-Lachartre).  Rows mapped through the table
+    go through rref_mod; the nonzero ones are the new elements, and since
+    they are in reduced echelon form over non-pivot columns, the basis is
+    reduced as it grows.
     """
 
     def __init__(self, ring, polys):
         check_kernel_modulus(ring.p)
         self.ring = ring
-        self.p = ring.p
-        self.room = (np.iinfo(np.int64).max - ring.p) // (ring.p - 1) ** 2
-        self.ord = ring.ord
-        active = set()
+        self.ord, self.p = ring.ord, ring.p
+        self.inputs: dict = {}
         for g in polys:
-            for key in g.terms:
-                for i, e in enumerate(ring.ord.unpack(key)):
-                    if e:
-                        active.add(i)
-        self.active = sorted(active)
-        self.tables: dict = {}
-        self.terms: list = []  # list of [(key, coeff)] per basis element, monic
-        self.index = _DivisorIndex(self.ord)
+            self.inputs.setdefault(g.degree(), []).append(g)
         self.pairs = _PairSet(self.ord)
-        self._rcache: dict = {}
-        self.reductions = self.zero_reductions = 0
-
-    def _table(self, deg: int):
-        tab = self.tables.get(deg)
-        if tab is None:
-            pack = self.ord.pack_combo
-            keys = sorted(
-                (pack(c) for c in combinations_with_replacement(self.active, deg)),
-                reverse=True,
-            )
-            tab = (keys, {k: i for i, k in enumerate(keys)})
-            self.tables[deg] = tab
-        return tab
-
-    def _reducer(self, gi: int, m: int, deg: int):
-        q = self.ord.quo(m, self.index.leads[gi])
-        ck = (gi, q)
-        rc = self._rcache.get(ck)
-        if rc is None:
-            mul = self.ord.mul
-            pos = self._table(deg)[1]
-            terms = self.terms[gi]
-            idxs = np.empty(len(terms), np.intp)
-            coefs = np.empty(len(terms), np.int64)
-            for t, (k, c) in enumerate(terms):
-                idxs[t] = pos[mul(q, k)]
-                coefs[t] = c
-            rc = (idxs, coefs)
-            self._rcache[ck] = rc
-        return rc
-
-    def _reduce_vec(self, v, deg: int, start: int = 0):
-        """In-place reduction; returns remainder terms in descending order."""
-        keys = self._table(deg)[0]
-        p = self.p
-        find = self.index.find
-        room = self.room
-        i = start
-        while True:
-            i = _first_nonzero(v, i)
-            if i < 0:
-                break
-            c = int(v[i]) % p
-            if c == 0:
-                v[i] = 0
-                i += 1
-                continue
-            gi = find(keys[i])
-            if gi is None:
-                v[i] = c
-                i += 1
-                continue
-            idxs, coefs = self._reducer(gi, keys[i], deg)
-            v[idxs] -= c * coefs
-            v[i] = 0
-            i += 1
-            room -= 1
-            if not room:
-                v %= p
-                room = self.room
-        nz = np.nonzero(v)[0]
-        return [(keys[j], int(v[j])) for j in nz]
-
-    def _append(self, items):
-        lead, lc = items[0]
-        p = self.p
-        inv = pow(lc, p - 2, p)
-        self.terms.append([(k, c * inv % p) for k, c in items])
-        self.index.append(lead)
-        self.pairs.add_element(lead)
-
-    def add_input(self, g: Poly):
-        deg = g.degree()
-        keys, pos = self._table(deg)
-        v = np.zeros(len(keys), np.int64)
-        for k, c in g.terms.items():
-            v[pos[k]] += c
-        r = self._reduce_vec(v, deg)
-        if r:
-            self._append(r)
+        self.leads: list[int] = []
+        self.tails: list = []  # (keys, coefficients) past the lead of each monic element
+        # rows, zero rows, monomials reached, non-pivot columns, new elements
+        self.degrees: dict = {}
+        self.reductions = self.zero_reductions = 0  # S-pairs
 
     def run(self):
-        while (pr := self.pairs.pop()) is not None:
-            i, j, l = pr
-            deg = self.ord.degree(l)
-            keys, pos = self._table(deg)
-            ia, ca = self._reducer(i, l, deg)
-            ib, cb = self._reducer(j, l, deg)
-            v = np.zeros(len(keys), np.int64)
-            v[ia] += ca
-            v[ib] -= cb
-            r = self._reduce_vec(v, deg, pos[l])
-            self.reductions += 1
-            if r:
-                self._append(r)
-            else:
-                self.zero_reductions += 1
-        return [Poly(self.ring, dict(t)) for t in self.terms]
+        while (d := min([*self.inputs, self.pairs.min_degree()])) <= _CAP:
+            rows = [(list(g.terms), list(g.terms.values())) for g in self.inputs.pop(d, ())]
+            nin = len(rows)
+            while self.pairs.min_degree() == d:
+                i, j, l = self.pairs.pop()
+                (ki, ci), (kj, cj) = self.tails[i], self.tails[j]
+                qi, qj = l - self.leads[i], l - self.leads[j]
+                # the leads cancel, so the S-polynomial is the two tails
+                rows.append(([qi + t for t in ki] + [qj + t for t in kj], ci + [-c for c in cj]))
+            self._reduce(d, rows, nin)
+        basis = [Poly(self.ring, {m: 1, **dict(zip(*t))}) for m, t in zip(self.leads, self.tails)]
+        return sorted(basis, key=Poly.lead_key)
 
+    def _reducers(self, rows):
+        """(reached monomials, the basis element reducing each one a lead divides)."""
+        n = self.ord.nvars
+        reached = {k for keys, _ in rows for k in keys}
+        todo = list(reached)
+        reducer: dict = {}
+        divisors = self.pairs.digits[: len(self.leads)]
+        while todo:
+            digits = np.frombuffer(
+                b"".join(k.to_bytes(n + 1, "little") for k in todo), np.uint8
+            ).reshape(-1, n + 1)[:, :n]
+            found = []
+            for m, e in zip(todo, _first_divisor(digits, divisors).tolist()):
+                if e < 0:
+                    continue
+                reducer[m] = e
+                q = m - self.leads[e]
+                for t in self.tails[e][0]:
+                    if (mt := q + t) not in reached:
+                        reached.add(mt)
+                        found.append(mt)
+            todo = found
+        return reached, reducer
 
-def _interreduce(polys):
-    """Reduced basis from a Groebner basis: minimal leads, reduced tails."""
-    polys = sorted((g for g in polys if g.terms), key=lambda g: g.lead_key())
-    if not polys:
-        return []
-    ring = polys[0].ring
-    ord_, p = ring.ord, ring.p
-    kept = []
-    for g in polys:
-        lk = g.lead_key()
-        if any(ord_.divides(h.lead_key(), lk) for h in kept):
-            continue
-        kept.append(g.monic())
-    index = _DivisorIndex(ord_, [g.lead_key() for g in kept])
-    lcinvs = [1] * len(kept)
-    while True:
-        changed = False
-        terms_list = [list(g.terms.items()) for g in kept]
-        for i, g in enumerate(kept):
-            lk = g.lead_key()
-            tail = {k: c for k, c in g.terms.items() if k != lk}
-            red = _nf_terms(tail, terms_list, index, lcinvs, ord_, p)
-            red[lk] = 1
-            if red != g.terms:
-                kept[i] = Poly(ring, red)
-                changed = True
-        if not changed:
-            return kept
+    def _reduce(self, d: int, rows, nin: int):
+        p = self.p
+        reached, reducer = self._reducers(rows)
+        # pivot monomials ascending, then the other columns descending
+        piv = sorted(reducer)
+        cols = sorted(reached.difference(reducer), reverse=True)
+        npiv, ncol = len(piv), len(cols)
+        index = {m: i for i, m in enumerate(piv + cols)}
+
+        def entries(sparse):
+            # a matrix of the non-pivot entries, and the others as arrays
+            grp, keys, coefs = [], [], []
+            for r, (ks, cs) in enumerate(sparse):
+                grp += [r] * len(ks)
+                keys += ks
+                coefs += cs
+            grp = np.array(grp, np.int64)
+            idx = np.array([index[k] for k in keys], np.int64)
+            coef = np.array(coefs, np.int64) % p
+            out = np.zeros((len(sparse), ncol), np.int64)
+            at = idx >= npiv
+            np.add.at(out.reshape(-1), grp[at] * ncol + idx[at] - npiv, coef[at])
+            out %= p
+            return out, grp[~at], idx[~at], coef[~at]
+
+        # the normal form of a pivot monomial m is minus that of its
+        # reducer's tail, which holds only smaller monomials: a row's level,
+        # one more than the highest level it reads, orders the table
+        table, grp, idx, coef = entries(
+            [
+                ([m - self.leads[e] + t for t in self.tails[e][0]], [-c for c in self.tails[e][1]])
+                for m, e in zip(piv, map(reducer.__getitem__, piv))
+            ]
+        )
+        depth = [0] * npiv
+        for r, j in zip(grp.tolist(), idx.tolist()):  # j < r, rows ascending
+            depth[r] = max(depth[r], depth[j] + 1)
+        level = np.array(depth, np.int64)
+        for lv in range(1, max(depth, default=0) + 1):
+            sel = level[grp] == lv
+            _add_rows(table, grp[sel], idx[sel], coef[sel], table, p)
+
+        # the rows go in slices of at most _SLICE bytes, inputs first: each is
+        # cleared on the pivots found so far, and its own are cleared above
+        red, pivots = np.zeros((0, ncol), np.int64), []
+        kept = 0  # the rank of the inputs alone
+        step = max(1, _SLICE // (8 * max(1, ncol)))
+        bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            mat, grp, idx, coef = entries(rows[lo:hi])
+            _add_rows(mat, grp, idx, coef, table, p)
+            _clear(mat, pivots, red, p)
+            new, found = rref_mod(mat, p)
+            _clear(red, found, new, p)
+            red = np.concatenate([red, new])[np.argsort(pivots + found)]
+            pivots = sorted(pivots + found)
+            if hi == nin:
+                kept = len(red)
+        # an S-pair reduces to zero unless it adds to the rank of the inputs
+        npairs = len(rows) - nin
+        self.reductions += npairs
+        self.zero_reductions += npairs - (len(red) - kept)
+        self.degrees[d] = dict(rows=len(rows), zero_rows=len(rows) - len(red),
+                               monomials=len(reached), nonpivot=ncol, new=len(red))
+        for row, c in zip(red, pivots):
+            nz = np.flatnonzero(row)[1:]
+            self.leads.append(cols[c])
+            self.tails.append(([cols[k] for k in nz.tolist()], row[nz].tolist()))
+            self.pairs.add_element(cols[c])
 
 
 class GroebnerBasis:
@@ -673,8 +675,4 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         return GroebnerBasis(ring, [])
     if not all(g.is_homogeneous() for g in polys):
         raise ValueError("buchberger takes homogeneous generators only")
-    eng = _VecEngine(ring, polys)
-    for g in sorted(polys, key=lambda g: (g.degree(), g.lead_key())):
-        eng.add_input(g)
-    reduced = _interreduce(eng.run())
-    return GroebnerBasis(ring, sorted(reduced, key=lambda g: g.lead_key()))
+    return GroebnerBasis(ring, _F4Engine(ring, polys).run())

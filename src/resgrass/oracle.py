@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -107,6 +108,11 @@ class AomotoComplex:
             dims.append(comb(arr.n, k) - self.parts[k].dim())
         self.ambient_dims = tuple(dims)
 
+    @cached_property
+    def wedge_map(self):
+        """The _wedge_map of I_2, built on first use and shared by every point."""
+        return _wedge_map(self.arr.n, self.parts[2])
+
     def _domain_subsets(self, k: int):
         return [()] if k == 0 else self.parts[k].coset_subsets()
 
@@ -165,21 +171,21 @@ def aomoto_profile(
 def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = None) -> bool:
     """Whether some b outside span(pt) has pt ^ b in I_2.
 
-    The rank test of enumerate_r1 on a batch of one point: the map
-    b -> (pt ^ b mod I_2) always kills pt, so resonance is exactly a kernel
-    of dimension 2 or more.  A given complex cx supplies I_2.
+    The rank test of enumerate_r1 on one point: the map b -> (pt ^ b mod
+    I_2) always kills pt, so resonance is exactly a kernel of dimension 2
+    or more.  A given complex cx supplies I_2 and keeps its wedge map.
     """
     _check_point(pt)
     if cx is None:
-        sub = os_ideal_part(arr, 2, pt.p)
+        wedge_map = _wedge_map(arr.n, os_ideal_part(arr, 2, pt.p))
     else:
         cx.fits(arr, pt, 1)
-        sub = cx.parts[2]
+        wedge_map = cx.wedge_map
     point = np.zeros((1, arr.n), dtype=np.int64)
     for (i,), c in pt.terms.items():
         point[0, i] = c
-    (hits,) = _resonant_rows([point], _wedge_map(arr.n, sub), pt.p)
-    return len(hits) == 1
+    mat = matmul_mod(point, wedge_map, pt.p).reshape(-1, arr.n)
+    return len(rref_mod(mat, pt.p)[1]) < arr.n - 1
 
 
 def _wedge_map(n: int, sub: Subspace):

@@ -188,33 +188,24 @@ def decomposable_mask(u, n: int, q: int):
 def factor_decomposable(u: ExtElement):
     """Vectors (x, y) with x ^ y = u; ValueError when u is not decomposable.
 
-    The factor plane is the kernel of v -> v ^ u, one linear condition per
-    triple inside the support.
+    For u = x ^ y, row a of the antisymmetric matrix of u is x_a y - y_a x,
+    so two rows a, b with u_ab != 0 span the factor plane, and their wedge
+    is u_ab * u.
     """
     if u.grade != 2 or u.is_zero():
         raise ValueError("need a nonzero grade-2 element")
     p = u.p
-    idx = sorted({i for key in u.terms for i in key})
-    m = len(idx)
-    get = u.terms.get
-    rows = []
-    for i, j, l in combinations(range(m), 3):
-        row = [0] * m
-        row[i] = get((idx[j], idx[l]), 0)
-        row[j] = -get((idx[i], idx[l]), 0) % p
-        row[l] = get((idx[i], idx[j]), 0)
-        rows.append(row)
-    ker = kernel_basis(rows, m, p)
-    if len(ker) != 2:
-        raise ValueError("element is not decomposable")
-    x = ExtElement(p, 1, {(idx[i],): c for i, c in enumerate(ker[0])})
-    y = ExtElement(p, 1, {(idx[i],): c for i, c in enumerate(ker[1])})
-    w = wedge(x, y)
-    key = next(iter(sorted(u.terms)))
-    scale = u.terms[key] * pow(w.terms[key], p - 2, p)
-    x = x.scale(scale)
-    out = wedge(x, y)
-    if out != u:
+
+    def row(i, scale):
+        return ExtElement(p, 1, {
+            (l if k == i else k,): (v if k == i else -v) * scale
+            for (k, l), v in u.terms.items()
+            if i in (k, l)
+        })
+
+    (a, b), c = min(u.terms.items())
+    x, y = row(a, pow(c, p - 2, p)), row(b, 1)
+    if wedge(x, y) != u:
         raise ValueError("element is not decomposable")
     return x, y
 

@@ -213,7 +213,7 @@ def permute_vars(f, perm):
 class ReferencePairSet:
     """Gebauer-Moeller managed S-pair queue on packed ints, popping smallest lcm first.
 
-    A pure-Python reference for the numpy pair set of the vector engine,
+    A pure-Python reference for the numpy pair set of the F4 engine,
     which must pop the same (i, j, lcm) sequence and keep the same counters.
     """
 
@@ -267,10 +267,40 @@ class ReferencePairSet:
         return None
 
 
+def reference_interreduce(polys):
+    """Reduced basis from a Groebner basis: minimal leads, reduced tails."""
+    polys = sorted((g for g in polys if g.terms), key=lambda g: g.lead_key())
+    if not polys:
+        return []
+    ring = polys[0].ring
+    ord_, p = ring.ord, ring.p
+    kept = []
+    for g in polys:
+        lk = g.lead_key()
+        if any(ord_.divides(h.lead_key(), lk) for h in kept):
+            continue
+        kept.append(g.monic())
+    index = _DivisorIndex(ord_, [g.lead_key() for g in kept])
+    lcinvs = [1] * len(kept)
+    while True:
+        changed = False
+        terms_list = [list(g.terms.items()) for g in kept]
+        for i, g in enumerate(kept):
+            lk = g.lead_key()
+            tail = {k: c for k, c in g.terms.items() if k != lk}
+            red = _nf_terms(tail, terms_list, index, lcinvs, ord_, p)
+            red[lk] = 1
+            if red != g.terms:
+                kept[i] = Poly(ring, red)
+                changed = True
+        if not changed:
+            return kept
+
+
 def reference_buchberger(polys):
     """Groebner basis (not reduced) by a Buchberger loop on term dicts.
 
-    It applies the pair criteria of the vector engine through
+    It applies the pair criteria of the F4 engine through
     ReferencePairSet but reduces term by term in Python ints, so it takes
     any input and any prime.
     """

@@ -62,6 +62,14 @@ def test_r1_moduli_up_to_the_kernel_bound(capsys):
     assert "above 2147483648" in err
 
 
+@pytest.mark.parametrize("p", [2**31 - 1, 10**9 + 7])
+def test_r1_hessian_at_large_moduli(capsys, p):
+    # both moduli once gave a wrong Hilbert polynomial with exit 0
+    code, out, _ = run(capsys, "r1", "--fixture", "Hessian", "--p", str(p), "--json")
+    assert code == 0
+    assert json.loads(out)["hilbert"] == "54*P_0 + 10*P_2"
+
+
 def test_r1_from_input_file(capsys, tmp_path):
     path = tmp_path / "boolean3.txt"
     path.write_text(BOOLEAN)

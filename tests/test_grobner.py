@@ -10,8 +10,8 @@ from resgrass.grobner import (
     GrevlexOrder,
     PluckerRing,
     PolyRing,
+    _F4Engine,
     _PairSet,
-    _VecEngine,
     buchberger,
     normal_form,
     plucker_ideal,
@@ -26,6 +26,7 @@ from cases import (
     r1_ideal,
     rand_poly,
     reference_buchberger,
+    reference_interreduce,
     spoly,
 )
 
@@ -298,10 +299,8 @@ def test_gb_membership_matches_macaulay_oracle():
 
 
 def test_homogeneous_and_dict_paths_agree():
-    from resgrass.grobner import _interreduce
-
-    # at the boundary prime one vector update nearly fills int64, so the
-    # vector engine must reduce mod p between updates
+    # at the boundary prime one product of residues nearly fills int64, so
+    # the engine must reduce every product mod p before it sums them
     for p in (101, BOUNDARY_PRIME):
         rng = random.Random(9)
         for trial in range(8):
@@ -312,9 +311,35 @@ def test_homogeneous_and_dict_paths_agree():
                 continue
             fast = buchberger(gens, ring=ring)
             slow = sorted(
-                _interreduce(reference_buchberger(gens)), key=lambda g: g.lead_key()
+                reference_interreduce(reference_buchberger(gens)), key=lambda g: g.lead_key()
             )
             assert [g.terms for g in fast] == [g.terms for g in slow]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 31991, BOUNDARY_PRIME])
+def test_engine_matches_reference_on_mixed_degree_input(p):
+    # generators of degrees 0 to 3 in one ideal: the engine takes each
+    # degree's inputs together with that degree's S-pairs
+    rng = random.Random(60 + p % 1000)
+    seen = set()
+    for trial in range(12):
+        ring = PolyRing(rng.choice((3, 4)), p)
+        degs = [rng.choice((1, 2, 2, 3, 3)) for _ in range(rng.randint(2, 4))]
+        if trial == 5:
+            degs.append(0)  # a constant: the unit ideal
+        gens = [
+            rand_poly(ring, rng, d, nterms=rng.randint(1, 4), homogeneous=True) for d in degs
+        ]
+        gens = [g for g in gens if not g.is_zero()]
+        seen.update(g.degree() for g in gens)
+        fast = buchberger(gens, ring=ring)
+        slow = sorted(
+            reference_interreduce(reference_buchberger(gens)), key=lambda g: g.lead_key()
+        )
+        assert [g.terms for g in fast] == [g.terms for g in slow]
+        if 0 in degs:
+            assert [g.terms for g in fast] == [ring.one().terms]
+    assert seen == {0, 1, 2, 3}
 
 
 def test_vectorized_engine_refuses_moduli_above_the_kernel_bound():
@@ -369,6 +394,10 @@ class RecordingPairs:
         self.events.append(lead)
         self.inner.add_element(lead)
 
+    def __getattr__(self, name):
+        # reads such as min_degree and the lead digits change nothing
+        return getattr(self.inner, name)
+
     def pop(self):
         self.events.append(None)
         out = self.inner.pop()
@@ -416,6 +445,14 @@ def test_pair_set_matches_reference_on_random_lead_streams():
     assert all(total.values()), total
 
 
+# per degree: rows, zero rows, monomials reached, non-pivot columns, new elements
+DEGREE_COUNTERS = ("rows", "zero_rows", "monomials", "nonpivot", "new")
+BRAID_DEGREES = {
+    4: {2: (200, 160, 45, 45, 40), 3: (201, 195, 48, 11, 6), 4: (47, 47, 54, 5, 0)},
+    5: {2: (1065, 890, 190, 190, 175), 3: (2016, 1995, 288, 36, 21), 4: (371, 371, 327, 15, 0)},
+}
+
+
 @pytest.mark.parametrize(
     "ell, expected",
     [
@@ -427,10 +464,8 @@ def test_pair_set_matches_reference_on_random_lead_streams():
 )
 def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     ring, gens = r1_ideal(braid(ell), P)
-    eng = _VecEngine(ring, gens)
+    eng = _F4Engine(ring, gens)
     rec = eng.pairs = RecordingPairs(eng.pairs)
-    for g in sorted(gens, key=lambda g: (g.degree(), g.lead_key())):
-        eng.add_input(g)
     eng.run()
     ref = ReferencePairSet(ring.ord)
     assert replay(ref, rec.events) == rec.pops
@@ -439,3 +474,8 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     assert got == expected
     # every candidate pair is pruned once or reduced once
     assert ref.created == sum(expected[k] for k in COUNTERS[1:]) + eng.reductions
+    got = {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in eng.degrees.items()}
+    assert got == BRAID_DEGREES[ell]
+    # the rows are the input generators and the S-pairs, each reduced once
+    assert sum(c["rows"] for c in eng.degrees.values()) == len(gens) + eng.reductions
+    assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
