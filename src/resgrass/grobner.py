@@ -5,14 +5,16 @@ monomial order directly.  Graded reverse lexicographic follows the Macaulay2
 convention: the first ring variable is largest, degrees compare first, and
 ties break at the last variable where the exponents differ, smaller exponent
 winning.  Exponents and total degrees are capped at 127 per monomial, far
-above anything the resonance pipeline produces.
+above anything the resonance pipeline produces; a product or an S-pair past
+the cap raises OverflowError.
 
 Grevlex is the only order: the ideals of the resonance pipeline are
 homogeneous, and their Hilbert polynomial does not depend on the order.
 The engine takes homogeneous generators only.  As in Faugere's F4, it
-reduces each degree's inputs and S-pairs, pruned by the Gebauer-Moeller
-criteria as numpy masks over exponent rows, as one matrix, and the basis
-comes out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.
+reduces each degree's inputs and S-pairs as one matrix, and the basis comes
+out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  The
+S-pairs of each new lead are pruned by the Gebauer-Moeller lcm-divisor and
+coprime criteria, as numpy masks over exponent rows.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ class GrevlexOrder:
         self.offset = sum(_CAP << (_W * i) for i in range(nvars))
         self.one = self.offset
         self._guards = sum(0x80 << (_W * i) for i in range(nvars))
-        self._chk = self._guards
 
     def pack(self, exps) -> int:
         if len(exps) != self.nvars:
@@ -81,7 +82,7 @@ class GrevlexOrder:
     def divides(self, b: int, a: int) -> bool:
         # per-slot digit_b >= digit_a, checked in parallel via guard bits;
         # complement digits stay below 0x80, so no borrow crosses a slot
-        return (b + self._guards - a) & self._chk == self._chk
+        return (b + self._guards - a) & self._guards == self._guards
 
 
 class PolyRing:
@@ -353,7 +354,7 @@ def normal_form(f: Poly, gens) -> Poly:
     return Poly(ring, _nf_terms(f.terms, basis_terms, index, lcinvs, ring.ord, ring.p))
 
 
-_BLOCK = 1 << 15  # bytes per temporary of a blocked array operation
+_BLOCK = 1 << 18  # bytes per temporary of a blocked array operation
 
 
 def _first_divisor(rows, divisors):
@@ -374,13 +375,15 @@ def _first_divisor(rows, divisors):
 
 
 class _PairSet:
-    """Gebauer-Moeller managed S-pair queue, popping smallest (lcm, i, j) first.
+    """S-pair queue popping smallest (lcm, i, j) first, pruned as each lead arrives.
 
     Monomials are rows of the complement digits of their grevlex keys, so an
-    lcm is an elementwise minimum, and each criterion is one array mask over
-    all candidates.  Only the lcms that survive are packed into keys for the
-    heap.  The counters say how many candidate pairs were created and how
-    many each criterion pruned.
+    lcm is an elementwise minimum, and the Gebauer-Moeller criteria on the
+    new pairs of a lead are array masks over its candidates.  Only the lcms
+    that survive are packed into keys for the heap, and a queued pair is
+    never retired: the engine reduces a whole degree at once, where a pair
+    that would reduce to zero costs one more zero row.  The counters say how
+    many candidate pairs were created and how many each criterion pruned.
     """
 
     def __init__(self, ord_):
@@ -389,11 +392,8 @@ class _PairSet:
         # than by count keep numpy's per-size cache of small blocks small
         self.digits = np.full((16, ord_.nvars), _CAP)
         self.degs: list[int] = []
-        self.heap: list = []  # (lcm key, i, j, pair id)
-        self.pairs = np.zeros((64, 3), np.int64)  # i, j, lcm degree by pair id
-        self.live = np.zeros(64, bool)
-        self.npairs = 0
-        self.created = self.pruned_chain = self.pruned_lcm = self.pruned_coprime = 0
+        self.heap: list = []  # (lcm key, i, j)
+        self.created = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_element(self, lead: int):
         n = self.ord.nvars
@@ -403,16 +403,6 @@ class _PairSet:
         lcms = np.minimum(self.digits, c)
         ldeg = _CAP * n - lcms.sum(axis=1)
         ldeg[t:] = -1
-
-        # chain criterion: the new lead retires a queued pair (i, j) when it
-        # divides the lcm and neither lcm(i, t) nor lcm(j, t) equals it; both
-        # divide it then, so "equal" is "of equal degree"
-        qi, qj, qdeg = self.pairs.T
-        hit = np.flatnonzero(self.live & (ldeg[qi] < qdeg) & (ldeg[qj] < qdeg))
-        qlcm = np.minimum(self.digits[qi[hit]], self.digits[qj[hit]])
-        hit = hit[_first_divisor(qlcm, c[None]) >= 0]
-        self.live[hit] = False
-        self.pruned_chain += len(hit)
 
         # lcm-divisor criterion: drop (i, t) when some lcm(j, t) strictly
         # divides lcm(i, t), that is lead j divides it and has a smaller lcm
@@ -439,14 +429,7 @@ class _PairSet:
                 self.pruned_coprime += size
                 continue
             self.pruned_lcm += size - 1
-            k = self.npairs
-            if k == len(self.live):
-                self.pairs = np.concatenate([self.pairs, np.zeros_like(self.pairs)])
-                self.live = np.concatenate([self.live, np.zeros_like(self.live)])
-            self.pairs[k] = i, t, self.ord.degree(key)
-            self.live[k] = True
-            self.npairs += 1
-            heappush(self.heap, (key, i, t, k))
+            heappush(self.heap, (key, i, t))
         if t == len(self.digits):
             self.digits = np.concatenate([self.digits, np.full_like(self.digits, _CAP)])
         self.digits[t] = c
@@ -454,21 +437,14 @@ class _PairSet:
 
     def min_degree(self) -> int:
         """The lcm degree of the pair pop returns next, or _CAP + 1 when none is left."""
-        while self.heap and not self.live[self.heap[0][3]]:
-            heappop(self.heap)
         return self.ord.degree(self.heap[0][0]) if self.heap else _CAP + 1
 
     def pop(self):
-        """(i, j, lcm key) of the live pair with the smallest (lcm, i, j), or None."""
-        while self.heap:
-            key, i, j, k = heappop(self.heap)
-            if self.live[k]:
-                self.live[k] = False
-                return i, j, key
-        return None
-
-
-_SLICE = 1 << 18  # bytes per slice of the row matrix of one degree
+        """(i, j, lcm key) of the pair with the smallest (lcm, i, j), or None."""
+        if not self.heap:
+            return None
+        key, i, j = heappop(self.heap)
+        return i, j, key
 
 
 def _add_rows(out, grp, idx, coef, src, p: int):
@@ -531,6 +507,9 @@ class _F4Engine:
                 # the leads cancel, so the S-polynomial is the two tails
                 rows.append(([qi + t for t in ki] + [qj + t for t in kj], ci + [-c for c in cj]))
             self._reduce(d, rows, nin)
+        if self.pairs.pop() is not None:
+            # its S-polynomial has monomials the packing cannot hold
+            raise OverflowError(f"S-pair degree over the cap {_CAP}")
         basis = [Poly(self.ring, {m: 1, **dict(zip(*t))}) for m, t in zip(self.leads, self.tails)]
         return sorted(basis, key=Poly.lead_key)
 
@@ -600,11 +579,11 @@ class _F4Engine:
             sel = level[grp] == lv
             _add_rows(table, grp[sel], idx[sel], coef[sel], table, p)
 
-        # the rows go in slices of at most _SLICE bytes, inputs first: each is
+        # the rows go in slices of at most _BLOCK bytes, inputs first: each is
         # cleared on the pivots found so far, and its own are cleared above
         red, pivots = np.zeros((0, ncol), np.int64), []
         kept = 0  # the rank of the inputs alone
-        step = max(1, _SLICE // (8 * max(1, ncol)))
+        step = max(1, _BLOCK // (8 * max(1, ncol)))
         bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
         for lo, hi in zip(bounds, bounds[1:]):
             mat, grp, idx, coef = entries(rows[lo:hi])

@@ -61,15 +61,10 @@ def _minimalize(gens, guards: int):
 class MonomialIdeal:
     """A monomial ideal, held as its minimal generating exponent tuples."""
 
-    def __init__(self, nvars: int, gens, minimalize: bool = True):
+    def __init__(self, nvars: int, gens):
         self.nvars = nvars
-        packed = [_pack(e) for e in gens]
-        if minimalize:
-            packed = _minimalize(packed, _guards(nvars))
-        else:
-            packed = sorted(set(packed), key=lambda g: (g[2], g[0]))
-        self._packed = packed
-        self.gens = tuple(sorted(self._unpack(g[0]) for g in packed))
+        self._packed = _minimalize([_pack(e) for e in gens], _guards(nvars))
+        self.gens = tuple(sorted(self._unpack(g[0]) for g in self._packed))
 
     def _unpack(self, key: int):
         return tuple((key >> (_W * i)) & 0xFF for i in range(self.nvars))

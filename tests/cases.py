@@ -220,22 +220,12 @@ class ReferencePairSet:
     def __init__(self, ord_):
         self.ord = ord_
         self.leads: list[int] = []
-        self.alive: dict = {}
         self.heap: list = []
-        self.created = self.pruned_chain = self.pruned_lcm = self.pruned_coprime = 0
+        self.created = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_element(self, lead: int):
         ord_ = self.ord
         t = len(self.leads)
-        # chain criterion: a strictly smaller new lcm retires old pairs
-        for (i, j), l in list(self.alive.items()):
-            if (
-                ord_.divides(lead, l)
-                and lcm(ord_, self.leads[i], lead) != l
-                and lcm(ord_, self.leads[j], lead) != l
-            ):
-                del self.alive[(i, j)]
-                self.pruned_chain += 1
         cand = [(lcm(ord_, self.leads[i], lead), i) for i in range(t)]
         self.created += t
         keep = []
@@ -253,18 +243,14 @@ class ReferencePairSet:
                 self.pruned_coprime += len(group)
                 continue  # coprime leads: that S-poly reduces to zero
             self.pruned_lcm += len(group) - 1
-            pair = (min(group), t)
-            self.alive[pair] = li
-            heappush(self.heap, (li, *pair))
+            heappush(self.heap, (li, min(group), t))
         self.leads.append(lead)
 
     def pop(self):
-        while self.heap:
-            li, i, j = heappop(self.heap)
-            if self.alive.get((i, j)) == li:
-                del self.alive[(i, j)]
-                return i, j, li
-        return None
+        if not self.heap:
+            return None
+        li, i, j = heappop(self.heap)
+        return i, j, li
 
 
 def reference_interreduce(polys):

@@ -3,6 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from resgrass.arrangement import fixture
 from resgrass.errors import InputError
 from resgrass.field import rank
 from resgrass.grobner import (
@@ -364,7 +365,7 @@ def test_random_gb_certificates():
 
 # ---------------------------------------------------------------- pair management
 
-COUNTERS = ("created", "pruned_chain", "pruned_lcm", "pruned_coprime")
+COUNTERS = ("created", "pruned_lcm", "pruned_coprime")
 
 
 def counters(pairs):
@@ -451,15 +452,21 @@ BRAID_DEGREES = {
     4: {2: (200, 160, 45, 45, 40), 3: (201, 195, 48, 11, 6), 4: (47, 47, 54, 5, 0)},
     5: {2: (1065, 890, 190, 190, 175), 3: (2016, 1995, 288, 36, 21), 4: (371, 371, 327, 15, 0)},
 }
+HESSIAN_DEGREES = {
+    2: (450, 184, 324, 324, 266),
+    3: (3834, 3683, 1261, 216, 151),
+    4: (3604, 3603, 3751, 70, 1),
+    5: (31, 31, 67, 9, 0),
+}
 
 
 @pytest.mark.parametrize(
     "ell, expected",
     [
-        (4, dict(reductions=248, zero_reductions=242, created=1035, pruned_chain=0,
-                 pruned_lcm=787, pruned_coprime=0)),
-        (5, dict(reductions=2387, zero_reductions=2366, created=19110, pruned_chain=0,
-                 pruned_lcm=16723, pruned_coprime=0)),
+        (4, dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=787,
+                 pruned_coprime=0)),
+        (5, dict(reductions=2387, zero_reductions=2366, created=19110, pruned_lcm=16723,
+                 pruned_coprime=0)),
     ],
 )
 def test_pair_set_matches_reference_on_braid_leads(ell, expected):
@@ -479,3 +486,27 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     # the rows are the input generators and the S-pairs, each reduced once
     assert sum(c["rows"] for c in eng.degrees.values()) == len(gens) + eng.reductions
     assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
+
+
+def test_hessian_engine_counters():
+    # the pair stream is too long to replay through ReferencePairSet here
+    ring, gens = r1_ideal(fixture("Hessian"), P)
+    eng = _F4Engine(ring, gens)
+    eng.run()
+    got = dict(counters(eng.pairs), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
+    assert got == dict(created=87153, pruned_lcm=79488, pruned_coprime=196, reductions=7469,
+                       zero_reductions=7317)
+    assert got["created"] == sum(got[k] for k in COUNTERS[1:]) + eng.reductions
+    got = {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in eng.degrees.items()}
+    assert got == HESSIAN_DEGREES
+    assert len(eng.leads) == 418
+
+
+def test_s_pairs_past_the_degree_cap_are_refused():
+    # leads x^70 and x^10*y^60 have an lcm of degree 130, and the S-polynomial
+    # of the two does not reduce to zero, so stopping at the cap is wrong
+    ring = PolyRing(3, P)
+    f = ring.from_exp_terms({(70, 0, 0): 1, (0, 0, 70): -1})
+    g = ring.from_exp_terms({(10, 60, 0): 1, (0, 0, 70): 1})
+    with pytest.raises(OverflowError, match="cap 127"):
+        buchberger([f, g])
