@@ -3,8 +3,9 @@
 Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
---budget), fixtures (list built-ins), bench (per-stage timings; no external
-baseline is run).  Exit codes: 0 success, 2 input error, 3 budget error.
+--budget), fixtures (list built-ins), bench (per-stage timings, and the A3
+oracle over F_5 and F_7; no external baseline is run).  Exit codes: 0
+success, 2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import json
 import statistics
 import sys
+import time
 from pathlib import Path
 
 from .arrangement import Arrangement, fixture, load_arrangement
@@ -29,6 +31,7 @@ from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
 STAGES = ("span", "groebner", "hilbert", "total")
+ORACLE_FIELDS = (5, 7)  # bench times check_prop21 on A3 over these
 
 
 def _load(args) -> Arrangement:
@@ -169,14 +172,37 @@ def cmd_bench(args) -> int:
                 "stages": stages,
             }
         )
+    oracle = []
+    a3 = fixture("A3")
+    for q in ORACLE_FIELDS:
+        times, agree = [], True
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            agree &= check_prop21(a3, q).agree
+            times.append(round((time.perf_counter() - t0) * 1000.0, 3))
+        oracle.append(
+            {
+                "fixture": a3.name,
+                "q": q,
+                "agree": agree,
+                "runs": args.repeat,
+                "ms": {"min": min(times), "median": statistics.median(times)},
+            }
+        )
     if args.json:
-        print(json.dumps({"results": results}))
+        print(json.dumps({"results": results, "oracle": oracle}))
         return 0
     for res in results:
         print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']})")
         for s in STAGES:
             st = res["stages"][s]
             print(f"  {s:<9} min={st['min']:.3f} ms  median={st['median']:.3f} ms")
+    for orc in oracle:
+        agree = "yes" if orc["agree"] else "no"
+        print(
+            f"oracle {orc['fixture']}/F_{orc['q']}: agree={agree} (runs={orc['runs']})  "
+            f"min={orc['ms']['min']:.3f} ms  median={orc['ms']['median']:.3f} ms"
+        )
     return 0
 
 
@@ -211,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     fx.add_argument("--json", action="store_true", help="machine-readable output")
     fx.set_defaults(func=cmd_fixtures)
 
-    bench = sub.add_parser("bench", help="per-stage pipeline timings")
+    bench = sub.add_parser("bench", help="per-stage pipeline timings and the A3 oracle")
     bench.add_argument("--fixture", help="bench one fixture instead of all")
     bench.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="field modulus (prime)")
     bench.add_argument("--repeat", type=int, default=3, help="runs per fixture")

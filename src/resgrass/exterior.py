@@ -138,17 +138,19 @@ class Subspace:
     """Subspace of the grade-k slice, held in reduced echelon form.
 
     Coordinates run over the k-subsets of range(n) in lexicographic order, so
-    equal subspaces always carry identical rows.
+    equal subspaces always carry identical rows.  A slice of the relation
+    ideal also keeps the circuits it was built from.
     """
 
-    __slots__ = ("n", "k", "p", "subsets", "index", "rows", "pivots")
+    __slots__ = ("n", "k", "p", "subsets", "index", "rows", "pivots", "circuits")
 
-    def __init__(self, n: int, k: int, p: int, rows, pivots):
+    def __init__(self, n: int, k: int, p: int, rows, pivots, circuits=()):
         self.n, self.k, self.p = n, k, p
         self.subsets = list(combinations(range(n), k))
         self.index = {s: i for i, s in enumerate(self.subsets)}
         self.rows = rows
         self.pivots = pivots
+        self.circuits = circuits
 
     def dim(self) -> int:
         return len(self.rows)
@@ -208,7 +210,8 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
     the matroid over F_p, so a realization whose columns are zero or
     proportional mod p is refused.  Flats-only arrangements know their
     size-3 dependencies, hence support k <= 2 only (the slice for k < 2 is
-    zero).
+    zero).  The circuits of size <= k+1 come back with the slice: for k = 2,
+    every dependent triple.
     """
     check_kernel_modulus(p)
     if arr.matrix is not None:
@@ -232,4 +235,4 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
                 sign, key = merged
                 mat[r, index[key]] = (-1) ** i * sign
     red, pivots = rref_mod(mat, p)
-    return Subspace(n, k, p, red.tolist(), pivots)
+    return Subspace(n, k, p, red.tolist(), pivots, circuits)

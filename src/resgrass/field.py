@@ -1,11 +1,14 @@
 """Prime moduli and small dense linear algebra over F_p.
 
 There is one elimination path: every rank and row reduction in the package
-goes through the numpy kernels rref_mod and batch_rank, which work on int64
-arrays for moduli up to MAX_KERNEL_MODULUS.  rref, rank and kernel_basis
-take plain lists of rows of any integers and reduce them mod p before they
-reach a kernel.  Everything in this package is exact: matmul_mod computes
-in float64 only where every sum stays below 2^53.
+goes through the numpy kernels rref_mod and batch_rank, for moduli up to
+MAX_KERNEL_MODULUS.  rref_mod works in int64; batch_rank and matmul_mod
+work in the narrowest integer type that holds every value they form, int8
+for the F_3 scans and int32 at p = 31991, and take remainders through
+mod, which is many times faster than numpy's %.  rref, rank and
+kernel_basis take plain lists of rows of any integers and reduce them mod
+p before they reach a kernel.  Everything in this package is exact:
+matmul_mod computes in float64 only where every sum stays below 2^53.
 """
 
 from __future__ import annotations
@@ -47,9 +50,11 @@ def is_prime(n: int) -> bool:
 # 2 (p - 1)^2 <= 2^63 - 1.  The widest value any of them forms is a
 # three-term Plucker relation of residues, which lies between -(p - 1)^2
 # and 2 (p - 1)^2; matmul_mod and batch_rank pace their sums so that they
-# never pass 2^63 - 1 either, and narrow to int32 only where values fit.
+# never pass 2^63 - 1 either, and narrow to int8, int16 or int32 only
+# where values fit.
 MAX_KERNEL_MODULUS = 2**31
 _INT64_MAX = 2**63 - 1
+_INT32_MAX = 2**31 - 1
 # float64 holds every integer below 2^53 exactly, whatever the summation order
 _FLOAT_EXACT = 2**53
 
@@ -75,13 +80,26 @@ def check_enumeration_field(q: int) -> None:
 
 
 def kernel_dtype(bound: int):
-    """int32 when every value up to bound fits in it, else int64."""
-    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+    """The narrowest of int8, int16, int32 and int64 that holds every value up to bound."""
+    return next((t for t in (np.int8, np.int16, np.int32) if bound <= np.iinfo(t).max), np.int64)
+
+
+def mod(x, p: int):
+    """x mod p, in [0, p), of an integer array.
+
+    Formed as x - (x // p) p: numpy divides an integer array by a scalar
+    many times faster than it takes the remainder.  Where the product wraps
+    around its type, the difference wraps back, since it lies in [0, p).
+    """
+    return x - x // p * p
 
 
 def matmul_mod(a, b, p: int):
-    """a @ b mod p, as int64, for arrays with entries in [0, p).
+    """a @ b mod p for arrays with entries in [0, p).
 
+    b may carry leading stack dimensions, which the product broadcasts over.
+    The residues come in the narrowest type that holds p and every sum of
+    products, since reducing there is cheapest.
     Products whose sums stay below 2^53 go through float64 exactly;
     otherwise the inner dimension is cut into blocks short enough that a
     block's sum of products, added to the running residue, fits in int64.
@@ -89,11 +107,11 @@ def matmul_mod(a, b, p: int):
     inner = a.shape[-1]
     if inner * (p - 1) ** 2 < _FLOAT_EXACT:
         prod = a.astype(np.float64) @ b.astype(np.float64)
-        return prod.astype(np.int64) % p
+        return mod(prod.astype(kernel_dtype(max(p, inner * (p - 1) ** 2))), p)
     step = (_INT64_MAX - (p - 1)) // (p - 1) ** 2
-    out = (a[..., :step] @ b[:step]) % p
+    out = mod(a[..., :step] @ b[..., :step, :], p)
     for lo in range(step, inner, step):
-        out = (out + a[..., lo : lo + step] @ b[lo : lo + step]) % p
+        out = mod(out + a[..., lo : lo + step] @ b[..., lo : lo + step, :], p)
     return out
 
 
@@ -106,7 +124,7 @@ def rref_mod(mat, p: int):
     column in every other row that has it.  Entries are reduced after each
     step, so no value passes (p - 1)^2 in size.
     """
-    a = np.asarray(mat, dtype=np.int64) % p
+    a = mod(np.asarray(mat, dtype=np.int64), p)
     rows, cols = a.shape
     pivots = []
     r = 0
@@ -119,11 +137,11 @@ def rref_mod(mat, p: int):
         pr = r + below[0]
         if pr != r:
             a[[r, pr]] = a[[pr, r]]
-        a[r] = a[r] * pow(int(a[r, c]), p - 2, p) % p
+        a[r] = mod(a[r] * pow(int(a[r, c]), p - 2, p), p)
         hit = np.flatnonzero(a[:, c])
         hit = hit[hit != r]
         if hit.size:
-            a[hit] = (a[hit] - a[hit, c, None] * a[r]) % p
+            a[hit] = mod(a[hit] - a[hit, c, None] * a[r], p)
         pivots.append(c)
         r += 1
     return a[:r], pivots
@@ -132,12 +150,12 @@ def rref_mod(mat, p: int):
 def inv_mod(x, p: int):
     """Elementwise inverse of an array of nonzero residues, as x^(p-2)."""
     out = np.ones_like(x)
-    base = x % p
+    base = mod(x, p)
     e = p - 2
     while e:
         if e & 1:
-            out = out * base % p
-        base = base * base % p
+            out = mod(out * base, p)
+        base = mod(base * base, p)
         e >>= 1
     return out
 
@@ -148,32 +166,39 @@ def batch_rank(mats, p: int):
     Column by column, each matrix takes its first row with a nonzero entry
     as pivot and subtracts multiples of it from every row.  That clears the
     column and makes the pivot row itself zero mod p, so the column can be
-    dropped and no matrix needs to remember which rows it has used.
-    Entries are reduced lazily: each step adds at most (p - 1)^2 to their
-    size, and the whole stack is reduced only before it could overflow.
+    dropped and no matrix needs to remember which rows it has used.  Each
+    step adds at most (p - 1)^2 to the size of an entry, and products of
+    residues stay below p (p - 1).  When int32 or narrower holds p (p - 1)
+    plus that growth over every column, the elimination runs unreduced in
+    the narrowest such type: int8 for F_3 on 9 columns.  Otherwise it runs
+    in kernel_dtype(p (p - 1)), int32 for p = 31991, and the whole stack is
+    reduced only before it could overflow.  The stack is eliminated
+    column-major, so a transposed view of a (cols, batch, rows) array in
+    that type is taken without a copy.
     """
-    batch, rows, cols = mats.shape
+    batch, rows, ncols = mats.shape
     ranks = np.zeros(batch, dtype=np.int64)
     if rows == 0:
         return ranks
-    dtype = kernel_dtype(p * (p - 1))
+    growth = (p - 1) ** 2
+    whole = p * (p - 1) + ncols * growth
+    dtype = kernel_dtype(whole if whole <= _INT32_MAX else p * (p - 1))
     limit = np.iinfo(dtype).max
     # column-major stack: a[c] holds column c of every matrix
     a = np.ascontiguousarray(mats.transpose(2, 0, 1), dtype=dtype)
     at = np.arange(batch)
-    growth = (p - 1) ** 2
     bound = p  # every entry lies in (-bound, bound)
-    for _ in range(cols):
+    for _ in range(ncols):
         if bound > limit - growth:
-            a = a % p
+            a = mod(a, p)
             bound = p
-        col = a[0] % p
+        col = mod(a[0], p)
         nonzero = col != 0
         ranks += nonzero.any(axis=1)
-        pivot = a[:, at, nonzero.argmax(axis=1)] % p
+        pivot = mod(a[:, at, nonzero.argmax(axis=1)], p)
         # a matrix without a pivot has an all-zero column, so its update
         # below is zero whatever its pivot row holds
-        scaled = pivot[1:] * inv_mod(pivot[0], p) % p
+        scaled = mod(pivot[1:] * inv_mod(pivot[0], p), p)
         a = a[1:] - scaled[:, :, None] * col
         bound += growth
     return ranks

@@ -390,7 +390,7 @@ class _PairSet:
         self.ord = ord_
         # one row per lead, then spare rows; arrays sized by capacity rather
         # than by count keep numpy's per-size cache of small blocks small
-        self.digits = np.full((16, ord_.nvars), _CAP)
+        self.digits = np.full((16, ord_.nvars), _CAP, dtype=np.uint8)
         self.degs: list[int] = []
         self.heap: list = []  # (lcm key, i, j)
         self.created = self.pruned_lcm = self.pruned_coprime = 0
@@ -398,10 +398,11 @@ class _PairSet:
     def add_element(self, lead: int):
         n = self.ord.nvars
         t = len(self.degs)
-        c = np.array(list(lead.to_bytes(n + 1, "little")[:n]))
+        c = np.frombuffer(lead.to_bytes(n + 1, "little")[:n], np.uint8)
         cdeg = self.ord.degree(lead)
         lcms = np.minimum(self.digits, c)
-        ldeg = _CAP * n - lcms.sum(axis=1)
+        # a signed sum, as unused rows get -1 below
+        ldeg = _CAP * n - lcms.sum(axis=1, dtype=np.int64)
         ldeg[t:] = -1
 
         # lcm-divisor criterion: drop (i, t) when some lcm(j, t) strictly

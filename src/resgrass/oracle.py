@@ -24,8 +24,8 @@ from .errors import DEFAULT_BUDGET, BudgetError, InputError
 from .exterior import ExtElement, Subspace, os_ideal_part, wedge
 from .field import (
     DEFAULT_MODULUS,
-    batch_rank,
     check_enumeration_field,
+    batch_rank,
     check_kernel_modulus,
     matmul_mod,
     projective_points,
@@ -184,15 +184,16 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = N
     point = np.zeros((1, arr.n), dtype=np.int64)
     for (i,), c in pt.terms.items():
         point[0, i] = c
-    mat = matmul_mod(point, wedge_map, pt.p).reshape(-1, arr.n)
+    # row i of mat is column i of the wedge matrix
+    mat = matmul_mod(point, wedge_map, pt.p).reshape(arr.n, -1)
     return len(rref_mod(mat, pt.p)[1]) < arr.n - 1
 
 
 def _wedge_map(n: int, sub: Subspace):
-    """M with (a @ M)[r * n + i] = coset coordinate r of (a ^ e_i) reduced mod I_2.
+    """M with (a @ M[i])[r] = coset coordinate r of (a ^ e_i) reduced mod I_2.
 
-    A batch of points times M holds, per point, the matrix whose column i
-    is a ^ e_i.
+    A batch of points times M holds, per point, the columns a ^ e_i of its
+    wedge matrix, column-major: shape (n, batch, rows).
     """
     m = comb(n, 2)
     # w[j, i] = e_j ^ e_i in pair coordinates
@@ -201,17 +202,25 @@ def _wedge_map(n: int, sub: Subspace):
         w[i, j, c] = 1
         w[j, i, c] = sub.p - 1
     red = sub.reduce_rows(w.reshape(n * n, m))[:, sub.coset_columns()]
-    return red.reshape(n, n, -1).transpose(0, 2, 1).reshape(n, -1)
+    return np.ascontiguousarray(red.reshape(n, n, -1).transpose(1, 0, 2))
 
 
 def _resonant_rows(batches, wedge_map, q: int):
-    """The resonant points of each batch: those whose wedge matrix has rank below n - 1."""
+    """The resonant points of each batch: those whose wedge matrix has rank below n - 1.
+
+    The points of a batch share their leading coordinate l, with a_l = 1.
+    Since a ^ a = 0, column l of the wedge matrix is minus the sum of a_i
+    times column i over i != l, so the other n - 1 columns have the same
+    rank, and only they are eliminated.
+    """
+    n = len(wedge_map)
     # a generator keeps one batch's arrays alive while the next is built; freeing
     # them after every batch made the scan about a quarter slower (page faults)
     for pts in batches:
-        n = pts.shape[1]
-        mats = matmul_mod(pts, wedge_map, q).reshape(len(pts), -1, n)
-        yield pts[batch_rank(mats, q) < n - 1]
+        lead = int(np.flatnonzero(pts[0])[0])
+        cols = matmul_mod(pts, np.delete(wedge_map, lead, axis=0), q)
+        # (batch, rows, n - 1) as a view: batch_rank eliminates column-major
+        yield pts[batch_rank(cols.transpose(1, 2, 0), q) < n - 1]
 
 
 def enumerate_r1(
@@ -220,8 +229,9 @@ def enumerate_r1(
     """All resonant points of P^{n-1}(F_q), as sorted normalized tuples.
 
     Candidates are scanned in batches.  One product gives the reduced wedge
-    matrices of a whole batch, one batched elimination their ranks, and a
-    point is resonant when its rank is below n - 1.  A given i2 supplies I_2.
+    matrices of a whole batch, less the column of its leading coordinate,
+    one batched elimination their ranks, and a point is resonant when its
+    rank is below n - 1.  A given i2 supplies I_2.
     """
     check_enumeration_field(q)
     budget = DEFAULT_BUDGET if budget is None else budget

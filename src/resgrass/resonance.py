@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,7 @@ from .field import (
     kernel_basis,
     kernel_dtype,
     matmul_mod,
+    mod,
     projective_points,
     rref,
 )
@@ -106,10 +108,10 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     pair coordinate of its pivot, which it equals on I_2.  Every pair
     coordinate w_ab is the linear form sum_r y_r * rows[r][ab], and the
     Plucker quadrics pulled back along those forms generate the ideal in
-    dim I_2 variables.
+    dim I_2 variables.  The OS points are counted off the circuits I_2 was
+    built from, its dependent triples.
     """
     t0 = time.perf_counter()
-    n_triples = len(dependent_sets(arr, 3, p))
     i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
     if i2.dim():
@@ -134,7 +136,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
         n=arr.n,
         p=p,
         hilbert=hilbert,
-        n_os_points=n_triples,
+        n_os_points=len(i2.circuits),
         n_span_forms=i2.ambient_dim() - i2.dim(),
         timings_ms={
             "span": ms(t0, t1),
@@ -167,22 +169,44 @@ def is_decomposable(u: ExtElement) -> bool:
     return True
 
 
+# Plucker relations per step of decomposable_mask: the rows that fail one
+# are dropped before the next step.
+_RELATION_CHUNK = 16
+
+
+@lru_cache(maxsize=None)
+def _plucker_terms(n: int):
+    """Pair indices (ab, cd, ac, bd, ad, bc) of each a < b < c < d of range(n), shape (6, C(n, 4))."""
+    pair = {pr: i for i, pr in enumerate(combinations(range(n), 2))}
+    quads = list(combinations(range(n), 4))
+    return np.array(
+        [
+            [pair[(t[i], t[j])] for t in quads]
+            for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+        ],
+        dtype=np.int64,
+    ).reshape(6, len(quads))
+
+
 def decomposable_mask(u, n: int, q: int):
     """Which rows of u, grade-2 elements in pair coordinates mod q, are decomposable.
 
     The batched is_decomposable: every three-term Plucker relation over
     a < b < c < d of range(n).  A relation that leaves a row's support
     vanishes there, so this is the same test, in characteristic 2 as well.
+    The relations go in chunks, each on the rows that passed all before it.
     """
-    pair = {pr: i for i, pr in enumerate(combinations(range(n), 2))}
-    quads = list(combinations(range(n), 4))
-    ab, cd, ac, bd, ad, bc = (
-        [pair[(t[i], t[j])] for t in quads]
-        for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
-    )
+    terms = _plucker_terms(n)
     u = u.astype(kernel_dtype(2 * (q - 1) ** 2))
-    rel = u[:, ab] * u[:, cd] - u[:, ac] * u[:, bd] + u[:, ad] * u[:, bc]
-    return ~(rel % q).any(axis=1)
+    live = np.arange(len(u))
+    for lo in range(0, terms.shape[1], _RELATION_CHUNK):
+        ab, cd, ac, bd, ad, bc = terms[:, lo : lo + _RELATION_CHUNK]
+        w = u[live]
+        rel = w[:, ab] * w[:, cd] - w[:, ac] * w[:, bd] + w[:, ad] * w[:, bc]
+        live = live[~mod(rel, q).any(axis=1)]
+    mask = np.zeros(len(u), dtype=bool)
+    mask[live] = True
+    return mask
 
 
 def factor_decomposable(u: ExtElement):

@@ -148,6 +148,14 @@ def test_bench_braid(capsys):
     assert res["hilbert"] == "5*P_0"
     assert res["runs"] == 2
     assert set(res["stages"]) == {"span", "groebner", "hilbert", "total"}
+    # the F_q oracle on A3, the second route to R^1
+    assert [(o["fixture"], o["q"]) for o in obj["oracle"]] == [("A3", 5), ("A3", 7)]
+    for o in obj["oracle"]:
+        assert o["agree"] is True and o["runs"] == 2
+        assert 0 < o["ms"]["min"] <= o["ms"]["median"]
+    code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1")
+    assert code == 0
+    assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
 
 
 def test_input_errors_exit_2(capsys, tmp_path):

@@ -124,11 +124,28 @@ def test_matmul_mod_is_exact(p):
         assert got.tolist() == want
 
 
-# 46337, the largest prime eliminated in int32, reduces at every step
-@pytest.mark.parametrize("p", [2, 3, 46337, DEFAULT_MODULUS, BOUNDARY_PRIME])
+# Per prime, the largest column count eliminated unreduced in int8
+# (p (p - 1) + cols (p - 1)^2 <= 127) or int16 (<= 32767), then one more.
+# The int8 shapes have rows enough for the entries to grow at every step.
+NARROW_EDGES = {
+    3: ((33, 30), (33, 31)),
+    7: ((5, 2), (5, 3)),
+    11: ((3, 326), (3, 327)),
+    13: ((3, 226), (3, 227)),
+}
+
+
+# 11 | 13 and 181 | 191 straddle p (p - 1) <= 127 and <= 32767; 46337, the
+# largest prime eliminated in int32, reduces at every step
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 13, 181, 191, 46337, DEFAULT_MODULUS, BOUNDARY_PRIME])
 def test_batch_rank_matches_rank(p):
+    if p in NARROW_EDGES:
+        (_, fits), (_, over) = NARROW_EDGES[p]
+        whole = [p * (p - 1) + c * (p - 1) ** 2 for c in (fits, over)]
+        assert over == fits + 1
+        assert whole[0] <= 127 < whole[1] or 127 < whole[0] <= 32767 < whole[1]
     rng = random.Random(p)
-    for rows, cols in ((6, 4), (4, 7), (9, 9), (0, 3), (3, 0)):
+    for rows, cols in ((6, 4), (4, 7), (9, 9), (0, 3), (3, 0), *NARROW_EDGES.get(p, ())):
         mats = []
         for _ in range(40):
             # low-rank products as well as full random matrices
@@ -140,6 +157,27 @@ def test_batch_rank_matches_rank(p):
             mats += [low, full]
         stack = np.array(mats, dtype=np.int64).reshape(len(mats), rows, cols)
         assert batch_rank(stack, p).tolist() == [reference_rank(m, cols, p) for m in mats]
+
+
+def growth_matrix(p: int, cols: int):
+    """A cols x cols matrix of rank cols - 1 on which batch_rank grows one entry by (p - 1)^2 per step.
+
+    Row k < cols - 1 holds 1 at column k and p - 1 right of it, so each step
+    takes p - 1 times the pivot row from the last row, whose entry in the
+    next column then has residue p - 1 again.  Unreduced, the last entry of
+    the last row loses (p - 1)^2 at every step and ends at a multiple of p.
+    """
+    rows = [[0] * k + [1] + [p - 1] * (cols - 1 - k) for k in range(cols - 1)]
+    rows.append([(p - 1 + k) % p for k in range(cols - 1)] + [(cols - 1) % p])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11, 13, 181, 191, 46337, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_batch_rank_under_the_largest_growth(p):
+    for cols in range(2, 41):
+        mat = growth_matrix(p, cols)
+        assert reference_rank(mat, cols, p) == cols - 1
+        assert batch_rank(np.array(mat, dtype=np.int64)[None], p).tolist() == [cols - 1]
 
 
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_MODULUS, BOUNDARY_PRIME])
@@ -166,6 +204,10 @@ def test_projective_points_follow_the_product_order(q, m):
     ]
     batches = list(projective_points(q, m))
     assert all(len(b) <= BATCH_ROWS for b in batches)
+    # the lead-column drop of enumerate_r1 needs one leading 1 per batch
+    for b in batches:
+        lead = (b != 0).argmax(axis=1)
+        assert (lead == lead[0]).all() and (b[:, lead[0]] == 1).all()
     got = [tuple(row) for b in batches for row in b.tolist()]
     assert got == want
     assert len(got) == (q**m - 1) // (q - 1)

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from resgrass.resonance import (
     factor_decomposable,
     is_decomposable,
     os_points,
+    _RELATION_CHUNK,
     r1_hilbert,
     span_forms,
 )
@@ -265,6 +267,27 @@ def test_decomposable_mask_equals_is_decomposable(arr, q):
     u = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), m) @ basis % q
     want = [is_decomposable(sub.element_from_vec(row)) for row in u.tolist()]
     assert decomposable_mask(u, arr.n, q).tolist() == want
+
+
+def test_decomposable_mask_tests_every_chunk_of_relations():
+    # n = 7 has C(7, 4) = 35 relations, and the last chunk holds the last
+    # three, (3, 4, 5, 6) among them; e_34 + e_56 fails that relation only,
+    # and e_01 + e_23 only (0, 1, 2, 3), the first
+    n, q = 7, 5
+    pairs = list(combinations(range(n), 2))
+    assert comb(n, 4) % _RELATION_CHUNK == 3
+    rng = random.Random(7)
+    elems = [
+        ExtElement(q, 2, {(3, 4): 1, (5, 6): 1}),
+        ExtElement(q, 2, {(0, 1): 2, (2, 3): 3}),
+    ]
+    for _ in range(4):
+        x, y = (ExtElement(q, 1, {(i,): rng.randrange(q) for i in range(n)}) for _ in "xy")
+        elems.append(wedge(x, y))
+    u = np.array([[e.terms.get(pr, 0) for pr in pairs] for e in elems], dtype=np.int64)
+    want = [is_decomposable(e) for e in elems]
+    assert want[:2] == [False, False] and all(want[2:])
+    assert decomposable_mask(u, n, q).tolist() == want
 
 
 def test_decomposable_mask_at_the_boundary_prime():
