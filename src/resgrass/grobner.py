@@ -66,6 +66,9 @@ class GrevlexOrder:
             _CAP - ((key >> (_W * i)) & 0xFF) for i in range(self.nvars)
         )
 
+    def exponent(self, key: int, v: int) -> int:
+        return _CAP - ((key >> (_W * v)) & 0xFF)
+
     def degree(self, key: int) -> int:
         return key >> self._degshift
 
@@ -154,9 +157,6 @@ class Poly:
 
     def lead_coeff(self) -> int:
         return self.terms[self.lead_key()]
-
-    def lead_exponents(self):
-        return self.ring.ord.unpack(self.lead_key())
 
     def monic(self) -> "Poly":
         if not self.terms:
@@ -629,9 +629,6 @@ class GroebnerBasis:
 
     def contains(self, f: Poly) -> bool:
         return normal_form(f, self.gens).is_zero()
-
-    def lead_exponents(self):
-        return [g.lead_exponents() for g in self.gens]
 
     def __repr__(self):
         return f"GroebnerBasis({len(self.gens)} generators over {self.ring!r})"

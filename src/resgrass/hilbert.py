@@ -3,7 +3,10 @@
 Writing the Hilbert series of S/I as h(t) / (1-t)^nvars, the numerator h is
 computed by pivoting on a frequent variable x: h(I) = h(I + (x)) + t*h(I : x).
 Base cases are pure-power complete intersections and the one-mixed-generator
-colon formula.  The Hilbert polynomial is then extracted exactly and expressed
+colon formula.  Monomials are the engine's grevlex keys (grobner.GrevlexOrder),
+each generator carried with its support mask, so a leading ideal is read off a
+basis as it stands and shares the engine's cap of 127 on exponents and total
+degree.  The Hilbert polynomial is then extracted exactly and expressed
 in the binomial basis P_i(d) = C(d+i, i), the form quotient-of-projective-
 scheme output is usually read in.
 """
@@ -13,77 +16,61 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, factorial
 
-_W = 8
+from .grobner import GrevlexOrder
 
 
-def _guards(nvars: int) -> int:
-    return sum(0x80 << (_W * i) for i in range(nvars))
-
-
-def _pack(exps):
-    key = 0
-    mask = 0
-    deg = 0
-    for i, e in enumerate(exps):
-        if not 0 <= e <= 127:
-            raise OverflowError(f"exponent {e} outside 0..127")
-        if e:
-            key |= e << (_W * i)
-            mask |= 1 << i
-            deg += e
-    return key, mask, deg
-
-
-def _divides(a, b, guards: int) -> bool:
-    """Packed monomial a divides b (digit-wise a <= b)."""
-    if a[1] & ~b[1]:
-        return False
-    return (b[0] + guards - a[0]) & guards == guards
-
-
-def _minimalize(gens, guards: int):
-    """Drop generators divisible by another; equal degrees never divide."""
-    gens = sorted(set(gens), key=lambda g: g[2])
+def _minimalize(ord_, gens):
+    """The (key, support mask) pairs of gens that no other one divides, ascending."""
+    degree, divides = ord_.degree, ord_.divides
     kept = []
-    for g in gens:
-        ok = True
-        for h in kept:
-            if h[2] >= g[2]:
+    d = lower = 0  # keys ascend by degree, and equal degrees never divide
+    for g in sorted(set(gens)):
+        if degree(g[0]) > d:
+            d, lower = degree(g[0]), len(kept)
+        for h in kept[:lower]:
+            if not h[1] & ~g[1] and divides(h[0], g[0]):
                 break
-            if _divides(h, g, guards):
-                ok = False
-                break
-        if ok:
+        else:
             kept.append(g)
     return kept
 
 
 class MonomialIdeal:
-    """A monomial ideal, held as its minimal generating exponent tuples."""
+    """A monomial ideal, held as the grevlex keys of its minimal generators."""
 
     def __init__(self, nvars: int, gens):
-        self.nvars = nvars
-        self._packed = _minimalize([_pack(e) for e in gens], _guards(nvars))
-        self.gens = tuple(sorted(self._unpack(g[0]) for g in self._packed))
+        ord_ = GrevlexOrder(nvars)
+        self._hold(ord_, [ord_.pack(e) for e in gens])
 
-    def _unpack(self, key: int):
-        return tuple((key >> (_W * i)) & 0xFF for i in range(self.nvars))
+    def _hold(self, ord_, keys):
+        self.nvars = ord_.nvars
+        self._ord = ord_
+        unpack = ord_.unpack
+        self._gens = _minimalize(
+            ord_, [(k, sum(1 << v for v, e in enumerate(unpack(k)) if e)) for k in keys]
+        )
+
+    @property
+    def gens(self):
+        """The minimal generators as exponent tuples, sorted."""
+        return tuple(sorted(self._ord.unpack(k) for k, _ in self._gens))
 
     def __len__(self):
-        return len(self.gens)
+        return len(self._gens)
 
     def contains(self, exps) -> bool:
-        g = _pack(exps)
-        guards = _guards(self.nvars)
-        return any(_divides(h, g, guards) for h in self._packed)
+        k = self._ord.pack(exps)
+        return any(self._ord.divides(h, k) for h, _ in self._gens)
 
     def __repr__(self):
-        return f"MonomialIdeal({len(self.gens)} gens in {self.nvars} vars)"
+        return f"MonomialIdeal({len(self)} gens in {self.nvars} vars)"
 
 
 def leading_ideal(gb) -> MonomialIdeal:
     """Monomial ideal of lead terms; minimal already when gb is reduced."""
-    return MonomialIdeal(gb.ring.nvars, gb.lead_exponents())
+    mi = MonomialIdeal.__new__(MonomialIdeal)
+    mi._hold(gb.ring.ord, [g.lead_key() for g in gb])
+    return mi
 
 
 def _poly_add(a, b):
@@ -111,40 +98,38 @@ def _one_minus_t_pow(d: int):
     return out
 
 
-def _numer(gens, guards: int, memo: dict):
+def _numer(gens, ord_, memo: dict):
     if not gens:
         return [1]
-    if any(g[2] == 0 for g in gens):
-        return [0]
     key = frozenset(g[0] for g in gens)
+    if ord_.one in key:
+        return [0]
     hit = memo.get(key)
     if hit is not None:
         return hit
 
+    degree = ord_.degree
     pures = [g for g in gens if g[1].bit_count() == 1]
     mixed = [g for g in gens if g[1].bit_count() > 1]
     if not mixed:
         h = [1]
         for g in pures:
-            h = _poly_mul(h, _one_minus_t_pow(g[2]))
+            h = _poly_mul(h, _one_minus_t_pow(degree(g[0])))
     elif len(mixed) == 1:
-        # I = P + (m): h = h(P) - t^|m| h(P : m), and P : m is pure again
-        m = mixed[0]
+        # I = P + (m): h = h(P) - t^|m| h(P : m), and P : m is pure again;
+        # gens are minimal, so no pure x_v^a divides m, and a > m_v
+        m = mixed[0][0]
         first = [1]
         second = [1]
-        for g in pures:
-            first = _poly_mul(first, _one_minus_t_pow(g[2]))
-            v = g[1].bit_length() - 1
-            res = g[2] - ((m[0] >> (_W * v)) & 0xFF)
-            if res <= 0:
-                second = [0]
-                break
+        for g, mask in pures:
+            a = degree(g)
+            first = _poly_mul(first, _one_minus_t_pow(a))
+            res = a - ord_.exponent(m, mask.bit_length() - 1)
             second = _poly_mul(second, _one_minus_t_pow(res))
-        h = _poly_add(first, [-c for c in _poly_mul([0] * m[2] + [1], second)])
+        h = _poly_add(first, [-c for c in _poly_mul([0] * degree(m) + [1], second)])
     else:
         counts: dict = {}
-        for g in mixed:
-            mask = g[1]
+        for _, mask in mixed:
             v = 0
             while mask:
                 if mask & 1:
@@ -153,21 +138,19 @@ def _numer(gens, guards: int, memo: dict):
                 v += 1
         pivot = max(sorted(counts), key=lambda v: counts[v])
         bit = 1 << pivot
-        shift = _W * pivot
-        without = [g for g in gens if not g[1] & bit]
-        plus = without + [(1 << shift, bit, 1)]
+        x = ord_.pack_combo((pivot,))
+        plus = [g for g in gens if not g[1] & bit] + [(x, bit)]
         colon = []
         for g in gens:
-            e = (g[0] >> shift) & 0xFF
-            if e == 0:
+            if not g[1] & bit:
                 colon.append(g)
-            elif e == 1:
-                colon.append((g[0] - (1 << shift), g[1] & ~bit, g[2] - 1))
+            elif ord_.exponent(g[0], pivot) == 1:
+                colon.append((ord_.quo(g[0], x), g[1] & ~bit))
             else:
-                colon.append((g[0] - (1 << shift), g[1], g[2] - 1))
+                colon.append((ord_.quo(g[0], x), g[1]))
         h = _poly_add(
-            _numer(plus, guards, memo),
-            [0] + _numer(_minimalize(colon, guards), guards, memo),
+            _numer(plus, ord_, memo),
+            [0] + _numer(_minimalize(ord_, colon), ord_, memo),
         )
 
     while h and h[-1] == 0:
@@ -178,7 +161,7 @@ def _numer(gens, guards: int, memo: dict):
 
 def hilbert_numerator(mi: MonomialIdeal):
     """Coefficients of h(t) with HS(S/I) = h(t) / (1-t)^nvars."""
-    h = _numer(list(mi._packed), _guards(mi.nvars), {})
+    h = _numer(list(mi._gens), mi._ord, {})
     while h and h[-1] == 0:
         h.pop()
     return h

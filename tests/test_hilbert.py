@@ -1,6 +1,9 @@
 import random
 from itertools import combinations_with_replacement
 
+import pytest
+
+from resgrass.arrangement import fixture
 from resgrass.grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
 from resgrass.hilbert import (
     HilbertPoly,
@@ -12,7 +15,7 @@ from resgrass.hilbert import (
     leading_ideal,
 )
 
-from cases import permute_vars
+from cases import braid, permute_vars, r1_ideal
 
 
 def brute_hf(mi, d):
@@ -80,24 +83,44 @@ def test_formatting():
 
 
 def test_random_ideals_against_counting_oracle():
+    # (ideals, variables, generators, steps of one generator's degree); the
+    # wider shapes reach the colon on a pivot of exponent 0, 1 and above
     rng = random.Random(11)
-    for _ in range(15):
-        nvars = rng.randrange(2, 5)
-        gens = []
-        for _ in range(rng.randrange(1, 4)):
-            exps = [0] * nvars
-            for _ in range(rng.randrange(1, 4)):
-                exps[rng.randrange(nvars)] += 1
-            gens.append(tuple(exps))
-        mi = MonomialIdeal(nvars, gens)
-        numer = hilbert_numerator(mi)
-        vals = hilbert_function_values(numer, nvars, 7)
-        assert vals == [brute_hf(mi, d) for d in range(8)]
-        # polynomial agrees with the function for large degrees
-        hp = hilbert_polynomial(numer, nvars)
-        start = max(len(numer) - 1, 0)
-        for d in range(start, 8):
-            assert hp.evaluate(d) == vals[d]
+    for count, nvars_to, gens_to, deg_to in ((15, 5, 4, 4), (40, 6, 7, 5)):
+        for _ in range(count):
+            nvars = rng.randrange(2, nvars_to)
+            gens = []
+            for _ in range(rng.randrange(1, gens_to)):
+                exps = [0] * nvars
+                for _ in range(rng.randrange(1, deg_to)):
+                    exps[rng.randrange(nvars)] += 1
+                gens.append(tuple(exps))
+            mi = MonomialIdeal(nvars, gens)
+            numer = hilbert_numerator(mi)
+            vals = hilbert_function_values(numer, nvars, 7)
+            assert vals == [brute_hf(mi, d) for d in range(8)]
+            # polynomial agrees with the function for large degrees
+            hp = hilbert_polynomial(numer, nvars)
+            start = max(len(numer) - 1, 0)
+            for d in range(start, 8):
+                assert hp.evaluate(d) == vals[d]
+
+
+def test_monomial_ideals_share_the_packing_cap():
+    for gens in ([(128, 0, 0)], [(-1, 0, 0)], [(100, 28, 0)], [(1, 0, 0), (0, 64, 64)]):
+        with pytest.raises(OverflowError):
+            MonomialIdeal(3, gens)
+    assert MonomialIdeal(3, [(127, 0, 0), (0, 100, 27)]).gens == ((0, 100, 27), (127, 0, 0))
+
+
+@pytest.mark.parametrize("arr", [fixture("Hessian"), braid(5)], ids=["Hessian", "A5"])
+def test_leading_ideal_of_a_reduced_basis_is_its_lead_keys(arr):
+    # the leads of a reduced basis are minimal generators of its leading ideal
+    ring, gens = r1_ideal(arr, 31991)
+    gb = buchberger(gens, ring=ring)
+    lead = leading_ideal(gb)
+    assert len(lead) == len(gb)
+    assert lead.gens == tuple(sorted(ring.ord.unpack(g.lead_key()) for g in gb))
 
 
 def test_hilbert_data_is_order_independent():
