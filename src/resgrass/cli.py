@@ -3,8 +3,9 @@
 Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
---budget), fixtures (list built-ins), bench (per-stage timings, and the A3
-oracle over F_5 and F_7; no external baseline is run).  Exit codes: 0
+--budget), fixtures (list built-ins), bench (per-stage timings, the Groebner
+engine's counters and pair-pass time, and the A3 oracle over F_5 and F_7; no
+external baseline is run).  Exit codes: 0
 success, 2 input error, 3 budget error.
 """
 
@@ -164,12 +165,17 @@ def cmd_bench(args) -> int:
             }
             for s in STAGES
         }
+        # the engine's counts repeat from run to run; its pair-pass time does not
+        engine = {k: v for k, v in runs[0].engine.items() if k != "pair_s"}
+        pair_ms = [round(r.engine.get("pair_s", 0.0) * 1000.0, 3) for r in runs]
+        engine["pair_ms"] = {"min": min(pair_ms), "median": statistics.median(pair_ms)}
         results.append(
             {
                 "fixture": arr.name,
                 "hilbert": runs[0].hilbert,
                 "runs": args.repeat,
                 "stages": stages,
+                "engine": engine,
             }
         )
     oracle = []

@@ -122,13 +122,15 @@ def rref_mod(mat, p: int):
     zero rows dropped.  Column by column, the first remaining row with a
     nonzero entry becomes the pivot row and one vectorized step clears the
     column in every other row that has it.  Entries are reduced after each
-    step, so no value passes (p - 1)^2 in size.
+    step, so no value passes (p - 1)^2 in size.  A step adds multiples of a
+    row whose nonzeros lie in columns that held one from the start, so only
+    those columns are visited.
     """
     a = mod(np.asarray(mat, dtype=np.int64), p)
-    rows, cols = a.shape
+    rows, _ = a.shape
     pivots = []
     r = 0
-    for c in range(cols):
+    for c in np.flatnonzero(a.any(axis=0)).tolist():
         if r == rows:
             break
         below = np.flatnonzero(a[r:, c])

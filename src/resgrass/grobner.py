@@ -12,13 +12,15 @@ Grevlex is the only order: the ideals of the resonance pipeline are
 homogeneous, and their Hilbert polynomial does not depend on the order.
 The engine takes homogeneous generators only.  As in Faugere's F4, it
 reduces each degree's inputs and S-pairs as one matrix, and the basis comes
-out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  The
-S-pairs of each new lead are pruned by the Gebauer-Moeller lcm-divisor and
-coprime criteria, as numpy masks over exponent rows.
+out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  Each
+degree's new leads go to the pair set in one batch, and one pass blocked
+under _BLOCK prunes their S-pairs by the Gebauer-Moeller lcm-divisor and
+coprime criteria, as integer numpy masks without BLAS.
 """
 
 from __future__ import annotations
 
+import time
 from heapq import heapify, heappop, heappush
 from itertools import combinations
 
@@ -374,16 +376,61 @@ def _first_divisor(rows, divisors):
     return out
 
 
-class _PairSet:
-    """S-pair queue popping smallest (lcm, i, j) first, pruned as each lead arrives.
+def _threshold_bits(digits):
+    """Rows of bits [e_v > k], for k below the largest exponent of x_v in any row.
 
+    A row j divides a monomial m whose exponents stay within those of the
+    rows exactly when bits_j & ~bits_m == 0, and the bits of an lcm are the
+    or of its factors' bits.  The bits go in as many uint64 words per row as
+    they take.
+    """
+    nrows, n = digits.shape
+    top = _CAP - digits.min(axis=0, initial=_CAP).astype(np.int64)
+    var = np.repeat(np.arange(n), top)
+    k = np.arange(len(var)) - np.repeat(np.cumsum(top) - top, top)
+    out = np.zeros((nrows, 8 * (-(-len(var) // 64) or 1)), np.uint8)
+    step = max(1, _BLOCK // max(1, len(var)))
+    for s in range(0, nrows, step):
+        bits = _CAP - digits[s : s + step, var] > k
+        packed = np.packbits(bits, axis=1)
+        out[s : s + step, : packed.shape[1]] = packed
+    return out.view(np.uint64)
+
+
+def _strictly_divided(ld, bits, bt):
+    """For each lead i of bits, whether the lcm with lead t of another strictly divides lcm(i, t).
+
+    ld holds the lcm degrees with lead t, bits the threshold bits of the
+    leads and bt those of t.  Leads above the least degree are tested
+    against those below the largest, in blocks that keep temporaries under
+    _BLOCK.
+    """
+    out = np.zeros(len(ld), bool)
+    cand = np.flatnonzero(ld > ld.min())
+    low = np.flatnonzero(ld < ld.max())
+    dbits, dl = bits[low], ld[low]
+    mbits = ~(bits[cand] | bt)
+    step = max(1, _BLOCK // max(1, dbits.nbytes))
+    for s in range(0, len(cand), step):
+        c = cand[s : s + step]
+        hit = ((dbits & mbits[s : s + step, None]) == 0).all(axis=2) & (dl < ld[c, None])
+        out[c] = hit.any(axis=1)
+    return out
+
+
+class _PairSet:
+    """S-pair queue popping smallest (lcm, i, j) first, pruned a degree's leads at a time.
+
+    The engine hands over each degree's new leads in one add_elements call.
     Monomials are rows of the complement digits of their grevlex keys, so an
-    lcm is an elementwise minimum, and the Gebauer-Moeller criteria on the
-    new pairs of a lead are array masks over its candidates.  Only the lcms
-    that survive are packed into keys for the heap, and a queued pair is
-    never retired: the engine reduces a whole degree at once, where a pair
-    that would reduce to zero costs one more zero row.  The counters say how
-    many candidate pairs were created and how many each criterion pruned.
+    lcm is an elementwise minimum.  The Gebauer-Moeller criteria on the new
+    pairs are array masks, taken in blocks of leads that keep every
+    temporary under _BLOCK; the divisor test runs on packed threshold bits
+    in integer numpy ops, without BLAS.  Only the lcms that survive are
+    packed into keys for the heap, and a queued pair is never retired: the
+    engine reduces a whole degree at once, where a pair that would reduce to
+    zero costs one more zero row.  The counters say how many candidate pairs
+    were created and how many each criterion pruned.
     """
 
     def __init__(self, ord_):
@@ -396,45 +443,78 @@ class _PairSet:
         self.created = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_element(self, lead: int):
+        self.add_elements([lead])
+
+    def add_elements(self, leads):
+        """Queue the pairs of each lead with every earlier one, earlier leads of the batch too.
+
+        The result is that of adding the leads one at a time, in order.
+        """
+        if not leads:
+            return
         n = self.ord.nvars
-        t = len(self.degs)
-        c = np.frombuffer(lead.to_bytes(n + 1, "little")[:n], np.uint8)
-        cdeg = self.ord.degree(lead)
-        lcms = np.minimum(self.digits, c)
-        # a signed sum, as unused rows get -1 below
-        ldeg = _CAP * n - lcms.sum(axis=1, dtype=np.int64)
-        ldeg[t:] = -1
+        t0, t1 = len(self.degs), len(self.degs) + len(leads)
+        if t1 > len(self.digits):
+            grown = np.full((2 * t1, n), _CAP, np.uint8)
+            grown[:t0] = self.digits[:t0]
+            self.digits = grown
+        self.digits[t0:t1] = np.frombuffer(
+            b"".join(k.to_bytes(n + 1, "little")[:n] for k in leads), np.uint8
+        ).reshape(-1, n)
+        self.degs += [self.ord.degree(k) for k in leads]
+        digits = self.digits[:t1]
+        bits = _threshold_bits(digits)
+        degs = np.array(self.degs, np.int32)
+        step = max(1, _BLOCK // (t1 * max(n, bits[0].nbytes)))
+        for a in range(t0, t1, step):
+            b = min(a + step, t1)
+            ldeg = np.minimum(digits[a:b, None], digits[None, :b]).sum(axis=2, dtype=np.int32)
+            np.subtract(_CAP * n, ldeg, out=ldeg)
+            # lcm-divisor criterion: drop (i, t) when lcm(j, t) strictly
+            # divides lcm(i, t) for some j < t.  It does when the bits lead j
+            # has beyond those of lead t lie in lcm(i, t) and are fewer than
+            # those of i; above, the lcm degree less that of t, counts them.
+            # A j with above = 0 divides lead t and drops every pair with
+            # above > 0.  The j with above = 1 have one bit each: one mask of
+            # them drops every pair with above > 1 whose lcm holds one.
+            above = ldeg - degs[a:b, None]
+            pair = np.arange(b) < np.arange(a, b)[:, None]  # i < t
+            one = np.where((pair & (above == 1))[..., None], bits[:b], np.uint64(0))
+            mask = np.bitwise_or.reduce(one, axis=1) & ~bits[a:b]
+            dead = ~pair | (above > 1) & (bits[:b] & mask[:, None]).any(axis=2)
+            dead |= (pair & (above == 0)).any(axis=1, keepdims=True) & (above > 0)
+            # a j those rules dropped drops no pair they did not, so only the
+            # survivors with above > 1 are left to test against each other
+            multi = ~dead & (above > 1)
+            lows = np.where(multi, above, 2 * _CAP).min(axis=1)
+            highs = np.where(multi, above, -1).max(axis=1)
+            for r in np.flatnonzero(lows < highs).tolist():
+                m = np.flatnonzero(multi[r])
+                dead[r, m] = _strictly_divided(above[r, m], bits[m], bits[a + r])
+            r, i = np.nonzero(~dead)
+            self.created += sum(range(a, b))
+            self.pruned_lcm += sum(range(a, b)) - len(i)
+            d = ldeg[r, i]
+            cop = (d == degs[i] + degs[r + a]).tolist()
+            lcms = np.minimum(digits[r + a], digits[i])
+            buf = np.concatenate([lcms, d[:, None].astype(np.uint8)], axis=1).tobytes()
 
-        # lcm-divisor criterion: drop (i, t) when some lcm(j, t) strictly
-        # divides lcm(i, t), that is lead j divides it and has a smaller lcm
-        # degree.  If such a j exists, one that survives does too, so
-        # candidates are tested by ascending degree against the survivors.
-        keep = np.zeros(len(ldeg), bool)
-        for d in sorted(set(ldeg[:t].tolist())):
-            level = np.flatnonzero(ldeg == d)
-            keep[level[_first_divisor(lcms[level], self.digits[keep]) < 0]] = True
-        idx = np.flatnonzero(keep)
-        self.created += t
-        self.pruned_lcm += t - len(idx)
-
-        # one pair per distinct lcm, with the smallest i; none when some pair
-        # with that lcm has coprime leads, since its S-poly reduces to zero
-        groups: dict = {}
-        for i, row, d in zip(idx.tolist(), lcms[idx].tolist(), ldeg[idx].tolist()):
-            key = int.from_bytes(bytes(row + [d]), "little")
-            g = groups.setdefault(key, [i, False, 0])
-            g[1] |= d == self.degs[i] + cdeg
-            g[2] += 1
-        for key, (i, cop, size) in groups.items():
-            if cop:
-                self.pruned_coprime += size
-                continue
-            self.pruned_lcm += size - 1
-            heappush(self.heap, (key, i, t))
-        if t == len(self.digits):
-            self.digits = np.concatenate([self.digits, np.full_like(self.digits, _CAP)])
-        self.digits[t] = c
-        self.degs.append(cdeg)
+            # one pair per lead and distinct lcm, with the smallest i; none
+            # when some pair with that lcm has coprime leads, since its
+            # S-poly reduces to zero
+            groups: dict = {}
+            w = n + 1
+            for e, (t, j) in enumerate(zip((r + a).tolist(), i.tolist())):
+                key = int.from_bytes(buf[e * w : e * w + w], "little")
+                g = groups.setdefault((key, t), [j, False, 0])
+                g[1] |= cop[e]
+                g[2] += 1
+            for (key, t), (j, c, size) in groups.items():
+                if c:
+                    self.pruned_coprime += size
+                    continue
+                self.pruned_lcm += size - 1
+                heappush(self.heap, (key, j, t))
 
     def min_degree(self) -> int:
         """The lcm degree of the pair pop returns next, or _CAP + 1 when none is left."""
@@ -496,6 +576,7 @@ class _F4Engine:
         # rows, zero rows, monomials reached, non-pivot columns, new elements
         self.degrees: dict = {}
         self.reductions = self.zero_reductions = 0  # S-pairs
+        self.pair_s = 0.0  # seconds in the pair-set passes
 
     def run(self):
         while (d := min([*self.inputs, self.pairs.min_degree()])) <= _CAP:
@@ -581,21 +662,28 @@ class _F4Engine:
             _add_rows(table, grp[sel], idx[sel], coef[sel], table, p)
 
         # the rows go in slices of at most _BLOCK bytes, inputs first: each is
-        # cleared on the pivots found so far, and its own are cleared above
-        red, pivots = np.zeros((0, ncol), np.int64), []
-        kept = 0  # the rank of the inputs alone
+        # cleared on the pivots found so far, and its own are cleared above.
+        # Reduced rows stay in slice order, row k pivoting at pivots[k], in a
+        # buffer that doubles when full; they are sorted once at the end.
         step = max(1, _BLOCK // (8 * max(1, ncol)))
+        red, pivots = np.zeros((step, ncol), np.int64), []
+        kept = 0  # the rank of the inputs alone
         bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
         for lo, hi in zip(bounds, bounds[1:]):
             mat, grp, idx, coef = entries(rows[lo:hi])
             _add_rows(mat, grp, idx, coef, table, p)
-            _clear(mat, pivots, red, p)
+            nred = len(pivots)
+            _clear(mat, pivots, red[:nred], p)
             new, found = rref_mod(mat, p)
-            _clear(red, found, new, p)
-            red = np.concatenate([red, new])[np.argsort(pivots + found)]
-            pivots = sorted(pivots + found)
+            _clear(red[:nred], found, new, p)
+            if nred + len(found) > len(red):
+                red = np.concatenate([red, np.zeros_like(red[: max(len(red), len(found))])])
+            red[nred : nred + len(found)] = new
+            pivots += found
             if hi == nin:
-                kept = len(red)
+                kept = len(pivots)
+        order = np.argsort(pivots)
+        red, pivots = red[order], [pivots[k] for k in order.tolist()]
         # an S-pair reduces to zero unless it adds to the rank of the inputs
         npairs = len(rows) - nin
         self.reductions += npairs
@@ -606,17 +694,32 @@ class _F4Engine:
             nz = np.flatnonzero(row)[1:]
             self.leads.append(cols[c])
             self.tails.append(([cols[k] for k in nz.tolist()], row[nz].tolist()))
-            self.pairs.add_element(cols[c])
+        t0 = time.perf_counter()
+        self.pairs.add_elements([cols[c] for c in pivots])
+        self.pair_s += time.perf_counter() - t0
+
+    def stats(self) -> dict:
+        """The counters of the run: per degree, of the S-pairs, and of the pair set."""
+        pairs = self.pairs
+        return dict(degrees=self.degrees, reductions=self.reductions,
+                    zero_reductions=self.zero_reductions, created=pairs.created,
+                    pruned_lcm=pairs.pruned_lcm, pruned_coprime=pairs.pruned_coprime,
+                    pair_s=self.pair_s)
 
 
 class GroebnerBasis:
-    """Reduced Groebner basis: monic generators sorted by ascending lead."""
+    """Reduced Groebner basis: monic generators sorted by ascending lead.
 
-    __slots__ = ("ring", "gens")
+    stats holds the engine's counters from buchberger (_F4Engine.stats), or
+    is empty when no engine ran.
+    """
 
-    def __init__(self, ring: PolyRing, gens):
+    __slots__ = ("ring", "gens", "stats")
+
+    def __init__(self, ring: PolyRing, gens, stats=None):
         self.ring = ring
         self.gens = tuple(gens)
+        self.stats = stats or {}
 
     def __len__(self):
         return len(self.gens)
@@ -652,4 +755,5 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         return GroebnerBasis(ring, [])
     if not all(g.is_homogeneous() for g in polys):
         raise ValueError("buchberger takes homogeneous generators only")
-    return GroebnerBasis(ring, _F4Engine(ring, polys).run())
+    engine = _F4Engine(ring, polys)
+    return GroebnerBasis(ring, engine.run(), engine.stats())

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -86,6 +86,8 @@ class ResonanceReport:
     n_os_points: int
     n_span_forms: int
     timings_ms: dict
+    # the Groebner engine's counters (GroebnerBasis.stats); not in to_json
+    engine: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -126,10 +128,12 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
         hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
         t3 = time.perf_counter()
         hilbert = format_hp(hp)
+        engine = gb.stats
     else:
         # no dependent triple: no resonance, and no reason to run Buchberger
         t2 = t3 = t1
         hilbert = "0"
+        engine = {}
     ms = lambda a, b: round((b - a) * 1000.0, 3)
     return ResonanceReport(
         arrangement=arr.name,
@@ -144,6 +148,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
             "hilbert": ms(t2, t3),
             "total": ms(t0, t3),
         },
+        engine=engine,
     )
 
 

@@ -158,6 +158,19 @@ def test_bench_braid(capsys):
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
 
 
+def test_bench_reports_engine_counters(capsys):
+    code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "2", "--json")
+    assert code == 0
+    (res,) = json.loads(out)["results"]
+    eng = res["engine"]
+    assert {k: eng[k] for k in ("created", "pruned_lcm", "pruned_coprime")} == dict(
+        created=15, pruned_lcm=7, pruned_coprime=0
+    )
+    assert (eng["reductions"], eng["zero_reductions"]) == (8, 7)
+    assert sum(c["new"] for c in eng["degrees"].values()) == 6
+    assert 0 < eng["pair_ms"]["min"] <= eng["pair_ms"]["median"]
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "r1")[0] == 2
     assert run(capsys, "r1", "--fixture", "Nope")[0] == 2

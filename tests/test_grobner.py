@@ -1,18 +1,22 @@
 import random
+import tracemalloc
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 
 from resgrass.arrangement import fixture
 from resgrass.errors import InputError
 from resgrass.field import rank
 from resgrass.grobner import (
+    _BLOCK,
     GroebnerBasis,
     GrevlexOrder,
     PluckerRing,
     PolyRing,
     _F4Engine,
     _PairSet,
+    _threshold_bits,
     buchberger,
     normal_form,
     plucker_ideal,
@@ -373,27 +377,50 @@ def counters(pairs):
 
 
 def replay(pairs, events):
-    """What a pair set pops when fed events: a lead key to add, None to pop."""
+    """What a pair set pops when fed events: a lead key to add, a list of
+    lead keys to add in one batch, None to pop."""
     out = []
     for ev in events:
         if ev is None:
             out.append(pairs.pop())
+        elif isinstance(ev, list):
+            pairs.add_elements(ev)
         else:
             pairs.add_element(ev)
     return out
 
 
+def batched(events, ord_):
+    """The same events with each run of equal-degree leads between pops as one batch."""
+    out = []
+    for ev in events:
+        if ev is not None and out and isinstance(out[-1], list):
+            if ord_.degree(out[-1][-1]) == ord_.degree(ev):
+                out[-1].append(ev)
+                continue
+        out.append(ev if ev is None else [ev])
+    return out
+
+
 class RecordingPairs:
-    """Passes calls on to a pair set and records them as replay events."""
+    """Passes calls on to a pair set and records them as replay events; a
+    batch is recorded as its leads, in order, so a replay adds them one at
+    a time."""
 
     def __init__(self, inner):
         self.inner = inner
         self.events = []
         self.pops = []
+        self.batches = 0
 
     def add_element(self, lead):
         self.events.append(lead)
         self.inner.add_element(lead)
+
+    def add_elements(self, leads):
+        self.events.extend(leads)
+        self.batches += 1
+        self.inner.add_elements(leads)
 
     def __getattr__(self, name):
         # reads such as min_degree and the lead digits change nothing
@@ -406,14 +433,15 @@ class RecordingPairs:
         return out
 
 
-def lead_stream(rng, ord_, length):
+def lead_stream(rng, ord_, length, powers=False):
     """Replay events: random leads, with repeats, leads coprime to an earlier
     one and divisors of an earlier one, pops in between, and enough pops at
-    the end to empty the queue."""
+    the end to empty the queue.  With powers, some leads are powers x_v^e
+    with e from 2 to 5."""
     combos, events = [], []
     n = ord_.nvars
     for _ in range(length):
-        kind = rng.randrange(5)
+        kind = rng.randrange(6 if powers else 5)
         prev = rng.choice(combos) if combos else None
         if kind == 0 and prev:
             combo = prev
@@ -422,6 +450,8 @@ def lead_stream(rng, ord_, length):
         elif kind == 2 and prev and len(set(prev)) < n:
             free = [v for v in range(n) if v not in prev]
             combo = rng.choices(free, k=rng.randint(1, 3))
+        elif kind == 5:
+            combo = [rng.randrange(n)] * rng.randint(2, 5)
         else:
             combo = rng.choices(range(n), k=rng.randint(1, 4))
         combos.append(combo)
@@ -444,6 +474,53 @@ def test_pair_set_matches_reference_on_random_lead_streams():
                 total[k] += counters(ref)[k]
     # every criterion fired somewhere
     assert all(total.values()), total
+
+
+def test_batched_pair_set_matches_reference_on_random_lead_streams():
+    # each run of equal-degree leads goes in as one batch, as the engine
+    # hands over a degree's leads; the reference adds them one at a time
+    rng = random.Random(13)
+    total = dict.fromkeys(COUNTERS, 0)
+    words = set()
+    for nvars in (4, 7, 9, 17, 35):
+        for powers in (False, True):
+            for _ in range(5):
+                ord_ = GrevlexOrder(nvars)
+                length = rng.randint(40, 80) if powers else rng.randint(5, 60)
+                events = lead_stream(rng, ord_, length, powers)
+                fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
+                assert replay(fast, batched(events, ord_)) == replay(ref, events)
+                assert counters(fast) == counters(ref)
+                for k in COUNTERS:
+                    total[k] += counters(ref)[k]
+                bits = _threshold_bits(fast.digits[: len(fast.degs)])
+                words.add(bits.shape[1])
+    assert all(total.values()), total
+    # some streams need more than one 64-bit word of threshold bits
+    assert max(words) > 1, words
+
+
+def test_threshold_bits_decide_divisibility():
+    rng = random.Random(14)
+    for nvars in (3, 20, 35):
+        ord_ = GrevlexOrder(nvars)
+        keys = [rand_mono(rng, ord_, maxdeg=rng.choice((2, 6))) for _ in range(60)]
+        keys += [ord_.pack_combo([v] * 4) for v in range(nvars)]
+        digits = np.frombuffer(
+            b"".join(k.to_bytes(nvars + 1, "little")[:nvars] for k in keys), np.uint8
+        ).reshape(-1, nvars)
+        bits = _threshold_bits(digits)
+        # x_v^4 for every v takes at least 4 * nvars bits
+        assert bits.shape[1] >= -(-4 * nvars // 64)
+        divides = ((bits[:, None] & ~bits[None]) == 0).all(axis=2)
+        for a, ka in enumerate(keys):
+            for b, kb in enumerate(keys):
+                assert divides[a, b] == ord_.divides(ka, kb)
+            # the bits of an lcm are the or of its factors' bits
+            kl = lcm(ord_, ka, keys[0])
+            row = np.frombuffer(kl.to_bytes(nvars + 1, "little")[:nvars], np.uint8)
+            both = _threshold_bits(np.vstack([digits, row]))
+            assert (both[-1] == both[a] | both[0]).all()
 
 
 # per degree: rows, zero rows, monomials reached, non-pivot columns, new elements
@@ -476,6 +553,8 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     eng.run()
     ref = ReferencePairSet(ring.ord)
     assert replay(ref, rec.events) == rec.pops
+    # the engine hands over each degree's new leads in one batch
+    assert rec.batches == len(eng.degrees)
     assert counters(rec.inner) == counters(ref)
     got = dict(counters(ref), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
     assert got == expected
@@ -486,6 +565,42 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     # the rows are the input generators and the S-pairs, each reduced once
     assert sum(c["rows"] for c in eng.degrees.values()) == len(gens) + eng.reductions
     assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
+
+
+def test_basis_keeps_the_engine_counters():
+    ring, gens = r1_ideal(braid(4), P)
+    gb = buchberger(gens, ring=ring)
+    stats = dict(gb.stats)
+    assert stats.pop("pair_s") > 0
+    degrees = stats.pop("degrees")
+    assert stats == dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=787,
+                         pruned_coprime=0)
+    assert {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in degrees.items()} == BRAID_DEGREES[4]
+    assert buchberger([ring.zero()], ring=ring).stats == {}
+
+
+@pytest.mark.parametrize("name", ["A5", "Hessian"])
+def test_pair_pass_memory_stays_within_blocks(name):
+    # the degree-2 leads in one batch, and in batches of 40: the temporaries
+    # of a pass stay under a fixed multiple of _BLOCK whatever the batch size
+    # (one unblocked lcm array would take 0.7 MB on A5, 1.9 MB on the Hessian)
+    arr = braid(5) if name == "A5" else fixture("Hessian")
+    ring, gens = r1_ideal(arr, P)
+    eng = _F4Engine(ring, gens)
+    eng.run()
+    leads = [m for m in eng.leads if ring.ord.degree(m) == 2]
+    assert len(leads) in (175, 266)
+    seen = []
+    for size in (len(leads), 40):
+        pairs = _PairSet(ring.ord)
+        tracemalloc.start()
+        for s in range(0, len(leads), size):
+            pairs.add_elements(leads[s : s + size])
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak - kept < 3 * _BLOCK, (size, peak - kept)
+        seen.append((counters(pairs), pairs.heap))
+    assert seen[0] == seen[1]
 
 
 def test_hessian_engine_counters():
