@@ -588,7 +588,10 @@ class _F4Engine:
                 qi, qj = l - self.leads[i], l - self.leads[j]
                 # the leads cancel, so the S-polynomial is the two tails
                 rows.append(([qi + t for t in ki] + [qj + t for t in kj], ci + [-c for c in cj]))
-            self._reduce(d, rows, nin)
+            leads = self._reduce(d, rows, nin)
+            t0 = time.perf_counter()
+            self.pairs.add_elements(leads)
+            self.pair_s += time.perf_counter() - t0
         if self.pairs.pop() is not None:
             # its S-polynomial has monomials the packing cannot hold
             raise OverflowError(f"S-pair degree over the cap {_CAP}")
@@ -620,6 +623,7 @@ class _F4Engine:
         return reached, reducer
 
     def _reduce(self, d: int, rows, nin: int):
+        """Reduce degree d's rows, the first nin of them inputs; return the new leads."""
         p = self.p
         reached, reducer = self._reducers(rows)
         # pivot monomials ascending, then the other columns descending
@@ -666,7 +670,7 @@ class _F4Engine:
         # Reduced rows stay in slice order, row k pivoting at pivots[k], in a
         # buffer that doubles when full; they are sorted once at the end.
         step = max(1, _BLOCK // (8 * max(1, ncol)))
-        red, pivots = np.zeros((step, ncol), np.int64), []
+        red, pivots = np.zeros((0, ncol), np.int64), []
         kept = 0  # the rank of the inputs alone
         bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
         for lo, hi in zip(bounds, bounds[1:]):
@@ -677,7 +681,7 @@ class _F4Engine:
             new, found = rref_mod(mat, p)
             _clear(red[:nred], found, new, p)
             if nred + len(found) > len(red):
-                red = np.concatenate([red, np.zeros_like(red[: max(len(red), len(found))])])
+                red = np.concatenate([red, np.zeros((max(len(red), len(found)), ncol), np.int64)])
             red[nred : nred + len(found)] = new
             pivots += found
             if hi == nin:
@@ -694,9 +698,7 @@ class _F4Engine:
             nz = np.flatnonzero(row)[1:]
             self.leads.append(cols[c])
             self.tails.append(([cols[k] for k in nz.tolist()], row[nz].tolist()))
-        t0 = time.perf_counter()
-        self.pairs.add_elements([cols[c] for c in pivots])
-        self.pair_s += time.perf_counter() - t0
+        return [cols[c] for c in pivots]
 
     def stats(self) -> dict:
         """The counters of the run: per degree, of the S-pairs, and of the pair set."""

@@ -154,7 +154,8 @@ def test_r1_in_i2_coordinates_equals_the_pair_coordinate_route_on_random_realiza
 
 
 @pytest.mark.parametrize(
-    "ell, hilbert, cap_s", [(4, "15*P_0", 5.0), (5, "35*P_0", 20.0), (6, "70*P_0", 15.0)]
+    "ell, hilbert, cap_s",
+    [(4, "15*P_0", 5.0), (5, "35*P_0", 20.0), (6, "70*P_0", 15.0), (7, "126*P_0", 30.0)],
 )
 def test_r1_braid_ladder(ell, hilbert, cap_s):
     # C(ell+1, 3) local plus C(ell+1, 4) non-local components (Cohen-Suciu 1999)
