@@ -44,7 +44,6 @@ from .resonance import (
     PluckerPoint,
     ResonanceReport,
     decomposables_in_I2_bruteforce,
-    factor_decomposable,
     is_decomposable,
     os_points,
     r1_hilbert,
@@ -81,7 +80,6 @@ __all__ = [
     "decomposables_in_I2_bruteforce",
     "dependent_sets",
     "enumerate_r1",
-    "factor_decomposable",
     "fixture",
     "format_hp",
     "from_matrix",

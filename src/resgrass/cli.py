@@ -22,12 +22,7 @@ from .arrangement import Arrangement, fixture, load_arrangement
 from .errors import BudgetError, InputError
 from .exterior import ExtElement
 from .field import DEFAULT_MODULUS, is_prime
-from .oracle import (
-    AomotoComplex,
-    aomoto_profile,
-    check_prop21,
-    is_resonant_k,
-)
+from .oracle import aomoto_profile, check_prop21, is_resonant_k
 from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
@@ -81,11 +76,10 @@ def cmd_check_point(args) -> int:
     p = args.p
     pt = ExtElement(p, 1, {(i,): c % p for i, c in enumerate(coords) if c % p})
     k = args.k
-    # one complex serves the profile and both verdicts; h^1 = n - 1 - rank d_1,
-    # so the point is resonant in grade 1 exactly when h^1 > 0
-    cx = AomotoComplex(arr, p, up_to=k)
-    kres = is_resonant_k(arr, pt, k, cx=cx) if k >= 2 else None
-    prof = kres.profile if kres is not None else aomoto_profile(arr, pt, up_to=k, cx=cx)
+    # one profile serves both verdicts; h^1 = n - 1 - rank d_1, so the point
+    # is resonant in grade 1 exactly when h^1 > 0
+    kres = is_resonant_k(arr, pt, k) if k >= 2 else None
+    prof = kres.profile if kres is not None else aomoto_profile(arr, pt, up_to=k)
     res1 = prof.dims[1] > 0
     if args.json:
         obj = {

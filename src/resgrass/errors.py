@@ -1,4 +1,4 @@
-"""Exceptions shared across the package."""
+"""Exceptions and the candidate budget shared across the package."""
 
 
 class InputError(ValueError):
@@ -22,3 +22,14 @@ class BudgetError(RuntimeError):
 
 
 DEFAULT_BUDGET = 10_000_000
+
+
+def check_budget(q: int, m: int, budget: int | None, what: str) -> None:
+    """BudgetError when the (q^m - 1)/(q - 1) points of P^{m-1}(F_q) exceed budget.
+
+    A budget of None means DEFAULT_BUDGET.
+    """
+    budget = DEFAULT_BUDGET if budget is None else budget
+    candidates = (q**m - 1) // (q - 1)
+    if candidates > budget:
+        raise BudgetError(candidates, budget, what)

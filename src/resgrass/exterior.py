@@ -178,11 +178,6 @@ class Subspace:
             out = (out - matmul_mod(out[:, self.pivots], basis, self.p)) % self.p
         return out
 
-    def element_from_vec(self, vec) -> ExtElement:
-        return ExtElement(
-            self.p, self.k, {s: c for s, c in zip(self.subsets, vec) if c % self.p}
-        )
-
     def contains(self, x: ExtElement) -> bool:
         return not self.reduce_rows([self.vector(x)]).any()
 
@@ -194,6 +189,24 @@ class Subspace:
     def coset_subsets(self):
         """Basis subsets of a complement: the non-pivot coordinates."""
         return [self.subsets[i] for i in self.coset_columns()]
+
+
+def wedge_table(subsets, target: Subspace):
+    """Entries of e_i ^ e_s over the given subsets s, in the coordinates of target.
+
+    Returns int64 arrays (row, i, column, sign), one entry per i outside s:
+    e_i ^ e_s = sign * e_t, where s is subsets[row] and t is
+    target.subsets[column].  An element a of grade 1 times e_s then has
+    a_i * sign at (row, column).
+    """
+    entries = []
+    for r, s in enumerate(subsets):
+        for i in range(target.n):
+            merged = _merge_signed((i,), s)
+            if merged is not None:
+                sign, key = merged
+                entries.append((r, i, target.index[key], sign))
+    return np.array(entries, dtype=np.int64).reshape(-1, 4).T
 
 
 def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspace:

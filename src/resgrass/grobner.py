@@ -442,9 +442,6 @@ class _PairSet:
         self.heap: list = []  # (lcm key, i, j)
         self.created = self.pruned_lcm = self.pruned_coprime = 0
 
-    def add_element(self, lead: int):
-        self.add_elements([lead])
-
     def add_elements(self, leads):
         """Queue the pairs of each lead with every earlier one, earlier leads of the batch too.
 

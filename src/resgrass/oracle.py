@@ -12,16 +12,14 @@ found by the decomposable search in P(I_2).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
-from itertools import combinations
+from dataclasses import asdict, dataclass
 from math import comb
 
 import numpy as np
 
 from .arrangement import Arrangement
-from .errors import DEFAULT_BUDGET, BudgetError, InputError
-from .exterior import ExtElement, Subspace, os_ideal_part, wedge
+from .errors import InputError, check_budget
+from .exterior import ExtElement, Subspace, os_ideal_part, wedge_table
 from .field import (
     DEFAULT_MODULUS,
     check_enumeration_field,
@@ -32,7 +30,9 @@ from .field import (
     rank,
     rref_mod,
 )
-from .resonance import decomposables_in_I2_bruteforce, i2_slice
+from .resonance import DECOMPOSABLE_SEARCH, decomposables_in_I2_bruteforce, i2_slice
+
+POINT_ENUMERATION = "resonant point enumeration"
 
 
 def _check_point(pt: ExtElement):
@@ -68,13 +68,7 @@ class CohomologyProfile:
         return sum((-1) ** k * h for k, h in enumerate(self.dims))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dims": list(self.dims),
-                "ambient_dims": list(self.ambient_dims),
-                "last_rank": self.last_rank,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 class AomotoComplex:
@@ -107,40 +101,33 @@ class AomotoComplex:
         for k in range(1, up_to + 1):
             dims.append(comb(arr.n, k) - self.parts[k].dim())
         self.ambient_dims = tuple(dims)
-
-    @cached_property
-    def wedge_map(self):
-        """The _wedge_map of I_2, built on first use and shared by every point."""
-        return _wedge_map(self.arr.n, self.parts[2])
-
-    def _domain_subsets(self, k: int):
-        return [()] if k == 0 else self.parts[k].coset_subsets()
-
-    def differential(self, pt: ExtElement, k: int):
-        """Matrix of d_k: A^k -> A^{k+1}, rows indexed by the coset basis of A^k."""
-        target = self.parts[k + 1]
-        cols = self._coset_cols[k + 1]
-        rows = []
-        for s in self._domain_subsets(k):
-            img = pt if k == 0 else wedge(pt, ExtElement(self.p, k, {s: 1}))
-            rows.append(target.vector(img))
-        if not rows:
-            return np.zeros((0, len(cols)), dtype=np.int64)
-        return target.reduce_rows(rows)[:, cols]
-
-    def fits(self, arr: Arrangement, pt: ExtElement, up_to: int):
-        """InputError unless this complex serves pt on arr to grade up_to."""
-        if self.arr != arr or self.p != pt.p or self.up_to < up_to:
-            raise InputError(
-                f"the complex (F_{self.p}, grades up to {self.up_to}) does not serve "
-                f"{arr.name} at a point over F_{pt.p} to grade {up_to}"
-            )
+        # grade k's table: e_i ^ e_s over the coset basis e_s of A^k, whose
+        # size is ambient_dims[k], in grade k+1 coordinates
+        self._tables = [
+            wedge_table([()] if k == 0 else self.parts[k].coset_subsets(), self.parts[k + 1])
+            for k in range(up_to + 1)
+        ]
 
     def differentials(self, pt: ExtElement):
+        """The matrices of d_0..d_up_to at pt, rows and columns in coset coordinates.
+
+        Row s of d_k is pt ^ e_s reduced mod I_{k+1}: pt's coordinates go
+        through grade k's wedge table, one matrix of grade k+1 coordinates,
+        reduced in one step.
+        """
         _check_point(pt)
         if pt.p != self.p:
             raise InputError("point modulus does not match the complex")
-        return [self.differential(pt, k) for k in range(self.up_to + 1)]
+        a = np.zeros(self.arr.n, dtype=np.int64)
+        for (i,), c in pt.terms.items():
+            a[i] = c
+        mats = []
+        for k, (rows, gens, cols, signs) in enumerate(self._tables):
+            target = self.parts[k + 1]
+            d = np.zeros((self.ambient_dims[k], target.ambient_dim()), dtype=np.int64)
+            d[rows, cols] = a[gens] * signs
+            mats.append(target.reduce_rows(d)[:, self._coset_cols[k + 1]])
+        return mats
 
     def profile(self, pt: ExtElement) -> CohomologyProfile:
         mats = self.differentials(pt)
@@ -152,57 +139,33 @@ class AomotoComplex:
         return CohomologyProfile(tuple(dims), self.ambient_dims, ranks[-1])
 
 
-def aomoto_profile(
-    arr: Arrangement, pt: ExtElement, up_to: int = 1, cx: AomotoComplex | None = None
-) -> CohomologyProfile:
-    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt, on cx when given.
-
-    A given complex must be built to grade up_to exactly.
-    """
-    _check_point(pt)
-    if cx is None:
-        cx = AomotoComplex(arr, pt.p, up_to)
-    cx.fits(arr, pt, up_to)
-    if cx.up_to != up_to:
-        raise InputError(f"the complex is built to grade {cx.up_to}, not {up_to}")
-    return cx.profile(pt)
+def aomoto_profile(arr: Arrangement, pt: ExtElement, up_to: int = 1) -> CohomologyProfile:
+    """Cohomology dimensions h^0..h^up_to of (A, a) at a = pt."""
+    return AomotoComplex(arr, pt.p, up_to).profile(pt)
 
 
-def is_resonant_1(arr: Arrangement, pt: ExtElement, cx: AomotoComplex | None = None) -> bool:
+def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
     """Whether some b outside span(pt) has pt ^ b in I_2.
 
     The rank test of enumerate_r1 on one point: the map b -> (pt ^ b mod
     I_2) always kills pt, so resonance is exactly a kernel of dimension 2
-    or more.  A given complex cx supplies I_2 and keeps its wedge map.
+    or more, rank d_1 < n - 1, which is h^1 > 0.
     """
-    _check_point(pt)
-    if cx is None:
-        wedge_map = _wedge_map(arr.n, os_ideal_part(arr, 2, pt.p))
-    else:
-        cx.fits(arr, pt, 1)
-        wedge_map = cx.wedge_map
-    point = np.zeros((1, arr.n), dtype=np.int64)
-    for (i,), c in pt.terms.items():
-        point[0, i] = c
-    # row i of mat is column i of the wedge matrix
-    mat = matmul_mod(point, wedge_map, pt.p).reshape(arr.n, -1)
-    return len(rref_mod(mat, pt.p)[1]) < arr.n - 1
+    return aomoto_profile(arr, pt).dims[1] > 0
 
 
 def _wedge_map(n: int, sub: Subspace):
     """M with (a @ M[i])[r] = coset coordinate r of (a ^ e_i) reduced mod I_2.
 
-    A batch of points times M holds, per point, the columns a ^ e_i of its
+    Built from the wedge table of the 1-subsets: M[i, j] is e_j ^ e_i.  A
+    batch of points times M holds, per point, the columns a ^ e_i of its
     wedge matrix, column-major: shape (n, batch, rows).
     """
-    m = comb(n, 2)
-    # w[j, i] = e_j ^ e_i in pair coordinates
-    w = np.zeros((n, n, m), dtype=np.int64)
-    for c, (i, j) in enumerate(combinations(range(n), 2)):
-        w[i, j, c] = 1
-        w[j, i, c] = sub.p - 1
-    red = sub.reduce_rows(w.reshape(n * n, m))[:, sub.coset_columns()]
-    return np.ascontiguousarray(red.reshape(n, n, -1).transpose(1, 0, 2))
+    rows, gens, cols, signs = wedge_table([(i,) for i in range(n)], sub)
+    w = np.zeros((n, n, sub.ambient_dim()), dtype=np.int64)
+    w[rows, gens, cols] = signs
+    red = sub.reduce_rows(w.reshape(n * n, -1))[:, sub.coset_columns()]
+    return red.reshape(n, n, -1)
 
 
 def _resonant_rows(batches, wedge_map, q: int):
@@ -234,11 +197,8 @@ def enumerate_r1(
     rank is below n - 1.  A given i2 supplies I_2.
     """
     check_enumeration_field(q)
-    budget = DEFAULT_BUDGET if budget is None else budget
     n = arr.n
-    candidates = (q**n - 1) // (q - 1)
-    if candidates > budget:
-        raise BudgetError(candidates, budget, "resonant point enumeration")
+    check_budget(q, n, budget, POINT_ENUMERATION)
     wedge_map = _wedge_map(n, i2_slice(arr, q, i2))
     found = []
     for hits in _resonant_rows(projective_points(q, n), wedge_map, q):
@@ -261,19 +221,7 @@ class Prop21Report:
     extra: tuple  # flagged points on no plane
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "arrangement": self.arrangement,
-                "q": self.q,
-                "agree": self.agree,
-                "n_resonant": self.n_resonant,
-                "n_planes": self.n_planes,
-                "n_plane_points": self.n_plane_points,
-                "planes_pairwise_disjoint": self.planes_pairwise_disjoint,
-                "missing": [list(pt) for pt in self.missing],
-                "extra": [list(pt) for pt in self.extra],
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21Report:
@@ -282,10 +230,12 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     Route one enumerates resonant points by rank tests; route two takes the
     union of F_q-points of the planes found by the decomposable search.
     Agreement plus the symmetric difference goes into the report.  Both
-    routes share one I_2.
+    routes share one I_2, and both budgets are checked before either scan.
     """
     check_enumeration_field(q)
     i2 = os_ideal_part(arr, 2, q)
+    check_budget(q, i2.dim(), budget, DECOMPOSABLE_SEARCH)
+    check_budget(q, arr.n, budget, POINT_ENUMERATION)
     planes = decomposables_in_I2_bruteforce(arr, q, budget, i2)
     resonant = set(enumerate_r1(arr, q, budget, i2))
     union = set()
@@ -323,18 +273,10 @@ class KResonance:
         return self.resonant
 
 
-def is_resonant_k(
-    arr: Arrangement,
-    pt: ExtElement,
-    k: int,
-    cx: AomotoComplex | None = None,
-) -> KResonance:
-    """Grade-k resonance of pt by cohomology.
-
-    A given complex cx, built to grade k, supplies the profile.
-    """
+def is_resonant_k(arr: Arrangement, pt: ExtElement, k: int) -> KResonance:
+    """Grade-k resonance of pt by cohomology."""
     if k < 1:
         raise InputError("resonance grade must be at least 1")
-    profile = aomoto_profile(arr, pt, up_to=k, cx=cx)
+    profile = aomoto_profile(arr, pt, up_to=k)
     h = profile.dims[k]
     return KResonance(k, h, h != 0, profile)

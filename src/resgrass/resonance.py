@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
-from .errors import DEFAULT_BUDGET, BudgetError, InputError
-from .exterior import ExtElement, Subspace, os_ideal_part, wedge
+from .errors import InputError, check_budget
+from .exterior import ExtElement, Subspace, os_ideal_part
 from .field import (
     DEFAULT_MODULUS,
     check_enumeration_field,
@@ -30,7 +30,7 @@ from .field import (
     matmul_mod,
     mod,
     projective_points,
-    rref,
+    rref_mod,
 )
 from .grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
@@ -90,17 +90,9 @@ class ResonanceReport:
     engine: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "arrangement": self.arrangement,
-                "n": self.n,
-                "p": self.p,
-                "hilbert": self.hilbert,
-                "n_os_points": self.n_os_points,
-                "n_span_forms": self.n_span_forms,
-                "timings_ms": self.timings_ms,
-            }
-        )
+        obj = asdict(self)
+        del obj["engine"]
+        return json.dumps(obj)
 
 
 def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
@@ -174,6 +166,8 @@ def is_decomposable(u: ExtElement) -> bool:
     return True
 
 
+DECOMPOSABLE_SEARCH = "decomposable search in P(I_2)"
+
 # Plucker relations per step of decomposable_mask: the rows that fail one
 # are dropped before the next step.
 _RELATION_CHUNK = 16
@@ -214,31 +208,6 @@ def decomposable_mask(u, n: int, q: int):
     return mask
 
 
-def factor_decomposable(u: ExtElement):
-    """Vectors (x, y) with x ^ y = u; ValueError when u is not decomposable.
-
-    For u = x ^ y, row a of the antisymmetric matrix of u is x_a y - y_a x,
-    so two rows a, b with u_ab != 0 span the factor plane, and their wedge
-    is u_ab * u.
-    """
-    if u.grade != 2 or u.is_zero():
-        raise ValueError("need a nonzero grade-2 element")
-    p = u.p
-
-    def row(i, scale):
-        return ExtElement(p, 1, {
-            (l if k == i else k,): (v if k == i else -v) * scale
-            for (k, l), v in u.terms.items()
-            if i in (k, l)
-        })
-
-    (a, b), c = min(u.terms.items())
-    x, y = row(a, pow(c, p - 2, p)), row(b, 1)
-    if wedge(x, y) != u:
-        raise ValueError("element is not decomposable")
-    return x, y
-
-
 @dataclass(frozen=True)
 class Plane:
     """A projective line of 2-planes: reduced-echelon basis of a 2-dim subspace."""
@@ -246,17 +215,6 @@ class Plane:
     n: int
     p: int
     basis: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @classmethod
-    def from_pair(cls, x: ExtElement, y: ExtElement, n: int) -> "Plane":
-        p = x.p
-        rows = []
-        for v in (x, y):
-            rows.append([v.terms.get((i,), 0) for i in range(n)])
-        red, _ = rref(rows, n, p)
-        if len(red) != 2:
-            raise ValueError("vectors do not span a plane")
-        return cls(n, p, (tuple(red[0]), tuple(red[1])))
 
     def points(self):
         """The q+1 projective points on the plane, first nonzero coordinate 1."""
@@ -288,23 +246,28 @@ def decomposables_in_I2_bruteforce(
 
     Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
     BudgetError before any work happens.  Candidates are scanned in batches
-    of coefficient vectors over the echelon basis of I_2, and only those
-    that pass decomposable_mask are factored.  A given i2 supplies I_2.
+    of coefficient vectors over the echelon basis of I_2.  A candidate u
+    that passes decomposable_mask is x ^ y, and row a of its antisymmetric
+    matrix is x_a y - y_a x, so the rows span span(x, y): one rref_mod
+    gives the plane's basis.  A rank other than 2 raises ValueError.  A
+    given i2 supplies I_2.
     """
     check_enumeration_field(q)
-    budget = DEFAULT_BUDGET if budget is None else budget
     sub = i2_slice(arr, q, i2)
-    m = sub.dim()
-    candidates = (q**m - 1) // (q - 1) if m else 0
-    if candidates > budget:
-        raise BudgetError(candidates, budget, "decomposable search in P(I_2)")
+    n, m = arr.n, sub.dim()
+    check_budget(q, m, budget, DECOMPOSABLE_SEARCH)
     basis = np.array(sub.rows, dtype=np.int64).reshape(m, sub.ambient_dim())
+    upper = np.triu_indices(n, 1)  # the pairs a < b in lex order
     planes = []
     for coeffs in projective_points(q, m):
         u = matmul_mod(coeffs, basis, q)
-        for row in u[decomposable_mask(u, arr.n, q)].tolist():
-            elem = sub.element_from_vec(row)
-            if is_decomposable(elem):
-                x, y = factor_decomposable(elem)
-                planes.append(Plane.from_pair(x, y, arr.n))
+        hits = u[decomposable_mask(u, n, q)]
+        mats = np.zeros((len(hits), n, n), dtype=np.int64)
+        mats[:, upper[0], upper[1]] = hits
+        mats[:, upper[1], upper[0]] = -hits
+        for mat in mats:
+            red, pivots = rref_mod(mat, q)
+            if len(pivots) != 2:
+                raise ValueError(f"a decomposable candidate has rank {len(pivots)}, not 2")
+            planes.append(Plane(n, q, tuple(map(tuple, red.tolist()))))
     return sorted(planes, key=lambda pl: pl.basis)

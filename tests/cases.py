@@ -4,6 +4,8 @@ import random
 from heapq import heappop, heappush
 from itertools import combinations
 
+import numpy as np
+
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 from resgrass.grobner import (
@@ -17,8 +19,9 @@ from resgrass.grobner import (
     buchberger,
     plucker_ideal,
 )
+from resgrass.field import matmul_mod, projective_points
 from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
-from resgrass.resonance import os_points, span_forms
+from resgrass.resonance import Plane, decomposable_mask, is_decomposable, os_points, span_forms
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -140,6 +143,78 @@ def reference_os_ideal_part(arr, k, p):
                     if not w.is_zero():
                         elems.append(w)
     return subspace_from_elements(arr.n, k, p, elems)
+
+
+def reference_differentials(cx, pt):
+    """d_0..d_up_to of the complex cx at pt, one wedge per coset basis subset.
+
+    Row s of d_k is the element pt ^ e_s as a vector of grade k+1, reduced
+    mod I_{k+1}.  The twin of AomotoComplex.differentials.
+    """
+    mats = []
+    for k in range(cx.up_to + 1):
+        target = cx.parts[k + 1]
+        domain = [()] if k == 0 else cx.parts[k].coset_subsets()
+        rows = [
+            target.vector(pt if k == 0 else wedge(pt, ExtElement(cx.p, k, {s: 1})))
+            for s in domain
+        ]
+        mat = np.array(rows, dtype=np.int64).reshape(len(rows), target.ambient_dim())
+        mats.append(target.reduce_rows(mat)[:, target.coset_columns()])
+    return mats
+
+
+def factor_decomposable(u):
+    """Vectors (x, y) with x ^ y = u; ValueError when u is not decomposable.
+
+    For u = x ^ y, row a of the antisymmetric matrix of u is x_a y - y_a x,
+    so two rows a, b with u_ab != 0 span the factor plane, and their wedge
+    is u_ab * u.
+    """
+    if u.grade != 2 or u.is_zero():
+        raise ValueError("need a nonzero grade-2 element")
+    p = u.p
+
+    def row(i, scale):
+        return ExtElement(p, 1, {
+            (l if k == i else k,): (v if k == i else -v) * scale
+            for (k, l), v in u.terms.items()
+            if i in (k, l)
+        })
+
+    (a, b), c = min(u.terms.items())
+    x, y = row(a, pow(c, p - 2, p)), row(b, 1)
+    if wedge(x, y) != u:
+        raise ValueError("element is not decomposable")
+    return x, y
+
+
+def reference_plane(x, y, n):
+    """The Plane spanned by grade-1 elements x and y, reduced by reference_rref."""
+    rows = [[v.terms.get((i,), 0) for i in range(n)] for v in (x, y)]
+    red, _ = reference_rref(rows, n, x.p)
+    if len(red) != 2:
+        raise ValueError("vectors do not span a plane")
+    return Plane(n, x.p, (tuple(red[0]), tuple(red[1])))
+
+
+def reference_decomposable_planes(arr, q):
+    """The planes of decomposables_in_I2_bruteforce by the element route.
+
+    Each candidate that passes decomposable_mask becomes an ExtElement,
+    is tested by is_decomposable, factored by factor_decomposable and
+    reduced by reference_plane.
+    """
+    sub = os_ideal_part(arr, 2, q)
+    basis = np.array(sub.rows, dtype=np.int64).reshape(sub.dim(), sub.ambient_dim())
+    planes = []
+    for coeffs in projective_points(q, sub.dim()):
+        u = matmul_mod(coeffs, basis, q)
+        for row in u[decomposable_mask(u, arr.n, q)].tolist():
+            elem = ExtElement(q, 2, dict(zip(sub.subsets, row)))
+            if is_decomposable(elem):
+                planes.append(reference_plane(*factor_decomposable(elem), arr.n))
+    return sorted(planes, key=lambda pl: pl.basis)
 
 
 def reference_r1_hilbert(arr, p):

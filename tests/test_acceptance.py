@@ -24,14 +24,9 @@ from resgrass.hilbert import (
     leading_ideal,
 )
 from resgrass.oracle import AomotoComplex, check_prop21
-from resgrass.resonance import (
-    decomposables_in_I2_bruteforce,
-    factor_decomposable,
-    is_decomposable,
-    os_points,
-)
+from resgrass.resonance import decomposables_in_I2_bruteforce, is_decomposable, os_points
 
-from cases import permute_vars, rand_poly, spoly, subspace_from_elements
+from cases import factor_decomposable, permute_vars, rand_poly, spoly, subspace_from_elements
 
 P = 31991
 

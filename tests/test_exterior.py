@@ -198,7 +198,8 @@ def test_subspace_reduce_and_coset():
     rng = random.Random(4)
     for _ in range(20):
         x = rand_elem(rng, P, 6, 2)
-        red = sub.element_from_vec(sub.reduce_rows([sub.vector(x)])[0].tolist())
+        vec = sub.reduce_rows([sub.vector(x)])[0].tolist()
+        red = ExtElement(P, 2, dict(zip(sub.subsets, vec)))
         assert sub.reduce_rows([sub.vector(red)]).tolist() == [sub.vector(red)]
         assert sub.contains(x - red)
         for i, s in enumerate(sub.subsets):

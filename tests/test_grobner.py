@@ -377,8 +377,9 @@ def counters(pairs):
 
 
 def replay(pairs, events):
-    """What a pair set pops when fed events: a lead key to add, a list of
-    lead keys to add in one batch, None to pop."""
+    """What a pair set pops when fed events: a lead key to add through
+    add_element (the reference's call), a list of lead keys to add in one
+    add_elements batch, None to pop."""
     out = []
     for ev in events:
         if ev is None:
@@ -388,6 +389,11 @@ def replay(pairs, events):
         else:
             pairs.add_element(ev)
     return out
+
+
+def singletons(events):
+    """The same events with each lead in a batch of its own."""
+    return [ev if ev is None else [ev] for ev in events]
 
 
 def batched(events, ord_):
@@ -412,10 +418,6 @@ class RecordingPairs:
         self.events = []
         self.pops = []
         self.batches = 0
-
-    def add_element(self, lead):
-        self.events.append(lead)
-        self.inner.add_element(lead)
 
     def add_elements(self, leads):
         self.events.extend(leads)
@@ -468,7 +470,7 @@ def test_pair_set_matches_reference_on_random_lead_streams():
             ord_ = GrevlexOrder(nvars)
             events = lead_stream(rng, ord_, rng.randint(5, 40))
             fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
-            assert replay(fast, events) == replay(ref, events)
+            assert replay(fast, singletons(events)) == replay(ref, events)
             assert counters(fast) == counters(ref)
             for k in COUNTERS:
                 total[k] += counters(ref)[k]

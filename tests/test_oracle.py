@@ -12,6 +12,7 @@ from resgrass.exterior import ExtElement, os_ideal_part
 from resgrass.oracle import (
     AomotoComplex,
     CohomologyProfile,
+    KResonance,
     aomoto_profile,
     check_prop21,
     enumerate_r1,
@@ -19,7 +20,15 @@ from resgrass.oracle import (
     is_resonant_k,
 )
 
-from cases import BOOLEAN, BOUNDARY_PRIME, FIRST_REFUSED, PENCIL, braid, braid_rows
+from cases import (
+    BOOLEAN,
+    BOUNDARY_PRIME,
+    FIRST_REFUSED,
+    PENCIL,
+    braid,
+    braid_rows,
+    reference_differentials,
+)
 
 P = 31991
 
@@ -125,15 +134,14 @@ def test_enumerate_r1_matches_rank_and_h1_exhaustively():
     cx = AomotoComplex(a3, 5, up_to=1)
     seen = set()
     for lead in range(6):
-        from itertools import product
-
         for tail in product(range(5), repeat=5 - lead):
             coords = (0,) * lead + (1,) + tail
             x = pt(coords, 5)
-            by_rank = is_resonant_1(a3, x)
             by_h1 = cx.profile(x).dims[1] != 0
-            assert by_rank == by_h1
-            assert by_rank == (coords in resonant)
+            assert by_h1 == (coords in resonant)
+            if len(seen) % 50 == 0:
+                # the one-point call builds its own complex
+                assert is_resonant_1(a3, x) == by_h1
             seen.add(coords)
     assert len(seen) == (5**6 - 1) // 4
 
@@ -209,6 +217,27 @@ def test_oracle_refuses_a_field_the_realization_degenerates_over(capsys, tmp_pat
     assert "columns 0 and 1 are proportional over F_3" in capsys.readouterr().err
 
 
+def test_check_prop21_refuses_a_budget_before_either_scan(capsys, monkeypatch):
+    def no_scan(q, m):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(oracle, "projective_points", no_scan)
+    monkeypatch.setattr(resonance, "projective_points", no_scan)
+    a3 = fixture("A3")
+    # the decomposable side is checked first: 400 candidates in P(I_2) over F_7
+    with pytest.raises(BudgetError, match="decomposable search") as exc:
+        check_prop21(a3, 7, budget=399)
+    assert exc.value.candidates == 400
+    with pytest.raises(BudgetError, match="resonant point enumeration") as exc:
+        check_prop21(a3, 7, budget=2000)
+    assert exc.value.candidates == 19608
+    assert cli.main(["oracle", "--fixture", "A3", "--q", "7", "--budget", "2000"]) == 3
+    assert capsys.readouterr().err == (
+        "error: resonant point enumeration needs 19608 candidates, over the budget of 2000"
+        " (pass a larger budget to override)\n"
+    )
+
+
 def test_check_prop21_hessian_char2_budget():
     with pytest.raises(BudgetError):
         check_prop21(fixture("Hessian"), 2)
@@ -250,7 +279,7 @@ def test_enumerate_r1_equals_pointwise_scan(arr, q):
         for lead in range(arr.n)
         for tail in product(range(q), repeat=arr.n - lead - 1)
         for coords in [(0,) * lead + (1,) + tail]
-        if is_resonant_1(arr, pt(coords, q), cx=cx)
+        if cx.profile(pt(coords, q)).dims[1] > 0
     ]
     assert enumerate_r1(arr, q) == sorted(want)
 
@@ -289,19 +318,32 @@ def test_shared_complex_gives_the_same_verdicts():
     cx = AomotoComplex(a3, P, up_to=2)
     for coeffs in ([1] * 6, [0, 1, 0, 0, -1, 0], [1, -1, 0, -1, 0, 1]):
         x = pt(coeffs)
-        assert aomoto_profile(a3, x, up_to=2, cx=cx) == aomoto_profile(a3, x, up_to=2)
-        assert is_resonant_1(a3, x, cx=cx) == is_resonant_1(a3, x)
-        shared = is_resonant_k(a3, x, 2, cx=cx)
-        assert shared == is_resonant_k(a3, x, 2)
-        assert shared.profile == aomoto_profile(a3, x, up_to=2)
-    with pytest.raises(InputError):
-        aomoto_profile(a3, pt([1] * 6), up_to=3, cx=cx)  # deeper than the complex
-    with pytest.raises(InputError):
-        aomoto_profile(a3, pt([1] * 6), up_to=1, cx=cx)  # shallower than the complex
-    with pytest.raises(InputError):
-        is_resonant_1(a3, pt([1] * 6, 5), cx=cx)  # another field
-    with pytest.raises(InputError):
-        is_resonant_k(fixture("Hessian"), pt([1] * 12), 1, cx=cx)  # another arrangement
+        prof = cx.profile(x)
+        assert prof == aomoto_profile(a3, x, up_to=2)
+        assert is_resonant_1(a3, x) == (prof.dims[1] > 0)
+        assert is_resonant_k(a3, x, 2) == KResonance(2, prof.dims[2], prof.dims[2] != 0, prof)
+    with pytest.raises(InputError, match="modulus"):
+        cx.profile(pt([1] * 6, 5))  # another field
+
+
+@pytest.mark.parametrize("p", [P, 5])
+@pytest.mark.parametrize(
+    "arr, up_to",
+    [(fixture("A3"), 3), (braid(4), 3), (fixture("Hessian"), 1), (PENCIL, 1), (BOOLEAN, 3)],
+    ids=["A3", "A4", "Hessian", "pencil", "boolean"],
+)
+def test_differentials_equal_the_pointwise_wedges(arr, up_to, p):
+    rng = random.Random(20)
+    cx = AomotoComplex(arr, p, up_to=up_to)
+    points = [[1] * arr.n, [0, 1] + [0] * (arr.n - 2), [1, p - 1] + [0] * (arr.n - 2)]
+    points += [[rng.randrange(p) for _ in range(arr.n)] for _ in range(4)]
+    for coeffs in points:
+        x = pt(coeffs, p)
+        if x.is_zero():
+            continue
+        got, want = cx.differentials(x), reference_differentials(cx, x)
+        assert [m.shape for m in got] == [m.shape for m in want]
+        assert all((g == w).all() for g, w in zip(got, want))
 
 
 def test_profile_refuses_broken_invariants():

@@ -11,11 +11,10 @@ from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
+from resgrass import resonance
 from resgrass.resonance import (
-    Plane,
     decomposable_mask,
     decomposables_in_I2_bruteforce,
-    factor_decomposable,
     is_decomposable,
     os_points,
     _RELATION_CHUNK,
@@ -23,7 +22,16 @@ from resgrass.resonance import (
     span_forms,
 )
 
-from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, reference_r1_hilbert, relabelled_a4
+from cases import (
+    BOOLEAN,
+    BOUNDARY_PRIME,
+    PENCIL,
+    braid,
+    factor_decomposable,
+    reference_decomposable_planes,
+    reference_r1_hilbert,
+    relabelled_a4,
+)
 
 P = 31991
 
@@ -244,10 +252,27 @@ def test_budget_resolution():
     assert exc.value.budget == 10_000_000
 
 
-def test_plane_from_pair_rejects_dependent():
-    x = ExtElement(5, 1, {(0,): 1})
-    with pytest.raises(ValueError):
-        Plane.from_pair(x, x.scale(2), 4)
+@pytest.mark.parametrize(
+    "arr, q",
+    [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (braid(4), 2), (braid(4), 3),
+     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)],
+    ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "A4/F_3", "pencil/F_2", "pencil/F_3",
+         "boolean/F_2", "boolean/F_3"],
+)
+def test_planes_equal_the_factored_elements(arr, q):
+    # the search reads each plane off its antisymmetric matrix; the reference
+    # factors the element and reduces the two factors
+    assert decomposables_in_I2_bruteforce(arr, q) == reference_decomposable_planes(arr, q)
+
+
+def test_decomposable_search_refuses_a_rank_other_than_2(monkeypatch):
+    # with the mask bypassed every candidate reaches the guard, and the
+    # first that is not decomposable has rank 4
+    monkeypatch.setattr(
+        resonance, "decomposable_mask", lambda u, n, q: np.ones(len(u), dtype=bool)
+    )
+    with pytest.raises(ValueError, match="rank 4, not 2"):
+        decomposables_in_I2_bruteforce(fixture("A3"), 5)
 
 
 @pytest.mark.parametrize(
@@ -266,7 +291,9 @@ def test_decomposable_mask_equals_is_decomposable(arr, q):
         for tail in product(range(q), repeat=m - lead - 1)
     ]
     u = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), m) @ basis % q
-    want = [is_decomposable(sub.element_from_vec(row)) for row in u.tolist()]
+    want = [
+        is_decomposable(ExtElement(q, 2, dict(zip(sub.subsets, row)))) for row in u.tolist()
+    ]
     assert decomposable_mask(u, arr.n, q).tolist() == want
 
 
