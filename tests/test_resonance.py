@@ -7,11 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from resgrass import resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
-from resgrass import resonance
 from resgrass.resonance import (
     decomposable_mask,
     decomposables_in_I2_bruteforce,
