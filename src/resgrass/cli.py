@@ -22,7 +22,7 @@ from .arrangement import Arrangement, fixture, load_arrangement
 from .errors import BudgetError, InputError
 from .exterior import ExtElement
 from .field import DEFAULT_MODULUS, is_prime
-from .oracle import aomoto_profile, check_prop21, is_resonant_k
+from .oracle import check_prop21, is_resonant_k
 from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
@@ -78,8 +78,8 @@ def cmd_check_point(args) -> int:
     k = args.k
     # one profile serves both verdicts; h^1 = n - 1 - rank d_1, so the point
     # is resonant in grade 1 exactly when h^1 > 0
-    kres = is_resonant_k(arr, pt, k) if k >= 2 else None
-    prof = kres.profile if kres is not None else aomoto_profile(arr, pt, up_to=k)
+    kres = is_resonant_k(arr, pt, k)
+    prof = kres.profile
     res1 = prof.dims[1] > 0
     if args.json:
         obj = {
@@ -89,7 +89,7 @@ def cmd_check_point(args) -> int:
             "profile": json.loads(prof.to_json()),
             "resonant_1": res1,
         }
-        if kres is not None:
+        if k >= 2:
             obj["k_check"] = {
                 "k": kres.k,
                 "h": kres.h,
@@ -101,7 +101,7 @@ def cmd_check_point(args) -> int:
     print(f"point: ({', '.join(str(c) for c in coords)}) over F_{p}")
     print(f"profile h^0..h^{k}: {' '.join(str(h) for h in prof.dims)}")
     print(f"resonant (grade 1): {'yes' if res1 else 'no'}")
-    if kres is not None:
+    if k >= 2:
         print(f"grade {kres.k}: h={kres.h} resonant={'yes' if kres.resonant else 'no'}")
     return 0
 

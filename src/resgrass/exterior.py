@@ -53,10 +53,6 @@ class ExtElement:
                 clean[key] = c
         self.terms = clean
 
-    @classmethod
-    def generator(cls, p: int, i: int) -> "ExtElement":
-        return cls(p, 1, {(i,): 1})
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -138,8 +134,8 @@ class Subspace:
     """Subspace of the grade-k slice, held in reduced echelon form.
 
     Coordinates run over the k-subsets of range(n) in lexicographic order, so
-    equal subspaces always carry identical rows.  A slice of the relation
-    ideal also keeps the circuits it was built from.
+    equal subspaces always carry identical rows, an int64 array.  A slice of
+    the relation ideal also keeps the circuits it was built from.
     """
 
     __slots__ = ("n", "k", "p", "subsets", "index", "rows", "pivots", "circuits")
@@ -174,8 +170,7 @@ class Subspace:
         """
         out = np.asarray(mat, dtype=np.int64) % self.p
         if self.pivots:
-            basis = np.asarray(self.rows, dtype=np.int64)
-            out = (out - matmul_mod(out[:, self.pivots], basis, self.p)) % self.p
+            out = (out - matmul_mod(out[:, self.pivots], self.rows, self.p)) % self.p
         return out
 
     def contains(self, x: ExtElement) -> bool:
@@ -248,4 +243,4 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
                 sign, key = merged
                 mat[r, index[key]] = (-1) ** i * sign
     red, pivots = rref_mod(mat, p)
-    return Subspace(n, k, p, red.tolist(), pivots, circuits)
+    return Subspace(n, k, p, red, pivots, circuits)

@@ -15,13 +15,14 @@ reduces each degree's inputs and S-pairs as one matrix, and the basis comes
 out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  Each
 degree's new leads go to the pair set in one batch, and one pass blocked
 under _BLOCK prunes their S-pairs by the Gebauer-Moeller lcm-divisor and
-coprime criteria, as integer numpy masks without BLAS.
+coprime criteria, as integer numpy masks without BLAS.  normal_form reads
+its remainders off the same reducer table the engine builds per degree.
 """
 
 from __future__ import annotations
 
 import time
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import combinations
 
 import numpy as np
@@ -276,87 +277,13 @@ def plucker_ideal(ring: PolyRing, coords=None):
     return out
 
 
-class _DivisorIndex:
-    """First basis element whose lead divides a query monomial, with caching.
-
-    The negative cache stores how many elements have been checked, so
-    appending new elements never requires invalidation.
-    """
-
-    def __init__(self, ord_, leads=()):
-        self.ord = ord_
-        self.leads = list(leads)
-        self._pos: dict = {}
-        self._neg: dict = {}
-
-    def append(self, lead: int):
-        self.leads.append(lead)
-
-    def find(self, m: int):
-        gi = self._pos.get(m)
-        if gi is not None:
-            return gi
-        leads = self.leads
-        divides = self.ord.divides
-        for gi in range(self._neg.get(m, 0), len(leads)):
-            if divides(leads[gi], m):
-                self._pos[m] = gi
-                return gi
-        self._neg[m] = len(leads)
-        return None
-
-
-def _nf_terms(terms, basis_terms, index: _DivisorIndex, lcinvs, ord_, p: int):
-    """Full normal form of a term dict against an indexed basis."""
-    work = {k: c % p for k, c in terms.items() if c % p}
-    out: dict = {}
-    heap = [-k for k in work]
-    heapify(heap)
-    mul = ord_.mul
-    quo = ord_.quo
-    while heap:
-        k = -heappop(heap)
-        c = work.pop(k, 0) % p
-        if not c:
-            continue
-        gi = index.find(k)
-        if gi is None:
-            out[k] = c
-            continue
-        q = quo(k, index.leads[gi])
-        f = c * lcinvs[gi] % p
-        for kg, cg in basis_terms[gi]:
-            kk = mul(q, kg)
-            if kk == k:
-                continue
-            cur = work.get(kk)
-            if cur is None:
-                work[kk] = -f * cg
-                heappush(heap, -kk)
-            else:
-                work[kk] = cur - f * cg
-    return out
-
-
-def normal_form(f: Poly, gens) -> Poly:
-    """Remainder of f on division by gens (a GroebnerBasis or iterable of Poly).
-
-    Every monomial of the result is irreducible; the result is canonical when
-    gens is a Groebner basis.
-    """
-    if isinstance(gens, GroebnerBasis):
-        gens = gens.gens
-    gens = [g for g in gens if g.terms]
-    ring = f.ring
-    if not gens:
-        return f
-    index = _DivisorIndex(ring.ord, [g.lead_key() for g in gens])
-    basis_terms = [list(g.terms.items()) for g in gens]
-    lcinvs = [pow(g.lead_coeff(), ring.p - 2, ring.p) for g in gens]
-    return Poly(ring, _nf_terms(f.terms, basis_terms, index, lcinvs, ring.ord, ring.p))
-
-
 _BLOCK = 1 << 18  # bytes per temporary of a blocked array operation
+
+
+def _digits(keys, n: int):
+    """The complement digits of packed keys in n variables, one uint8 row each."""
+    buf = b"".join(k.to_bytes(n + 1, "little") for k in keys)
+    return np.frombuffer(buf, np.uint8).reshape(-1, n + 1)[:, :n]
 
 
 def _first_divisor(rows, divisors):
@@ -455,9 +382,7 @@ class _PairSet:
             grown = np.full((2 * t1, n), _CAP, np.uint8)
             grown[:t0] = self.digits[:t0]
             self.digits = grown
-        self.digits[t0:t1] = np.frombuffer(
-            b"".join(k.to_bytes(n + 1, "little")[:n] for k in leads), np.uint8
-        ).reshape(-1, n)
+        self.digits[t0:t1] = _digits(leads, n)
         self.degs += [self.ord.degree(k) for k in leads]
         digits = self.digits[:t1]
         bits = _threshold_bits(digits)
@@ -595,19 +520,19 @@ class _F4Engine:
         basis = [Poly(self.ring, {m: 1, **dict(zip(*t))}) for m, t in zip(self.leads, self.tails)]
         return sorted(basis, key=Poly.lead_key)
 
-    def _reducers(self, rows):
-        """(reached monomials, the basis element reducing each one a lead divides)."""
+    def _reducers(self, rows, divisors):
+        """(reached monomials, the basis element reducing each one a lead divides).
+
+        divisors holds the digit rows of the leads, and the first of them
+        that divides a monomial gives its reducer.
+        """
         n = self.ord.nvars
         reached = {k for keys, _ in rows for k in keys}
         todo = list(reached)
         reducer: dict = {}
-        divisors = self.pairs.digits[: len(self.leads)]
         while todo:
-            digits = np.frombuffer(
-                b"".join(k.to_bytes(n + 1, "little") for k in todo), np.uint8
-            ).reshape(-1, n + 1)[:, :n]
             found = []
-            for m, e in zip(todo, _first_divisor(digits, divisors).tolist()):
+            for m, e in zip(todo, _first_divisor(_digits(todo, n), divisors).tolist()):
                 if e < 0:
                     continue
                 reducer[m] = e
@@ -619,10 +544,15 @@ class _F4Engine:
             todo = found
         return reached, reducer
 
-    def _reduce(self, d: int, rows, nin: int):
-        """Reduce degree d's rows, the first nin of them inputs; return the new leads."""
+    def _table(self, rows, divisors):
+        """Symbolic preprocessing of rows and the reducer table of F4.
+
+        Returns the non-pivot columns, descending, the count of monomials
+        reached, and forms, which maps sparse rows over the reached
+        monomials to their normal forms as a matrix over those columns.
+        """
         p = self.p
-        reached, reducer = self._reducers(rows)
+        reached, reducer = self._reducers(rows, divisors)
         # pivot monomials ascending, then the other columns descending
         piv = sorted(reducer)
         cols = sorted(reached.difference(reducer), reverse=True)
@@ -662,6 +592,18 @@ class _F4Engine:
             sel = level[grp] == lv
             _add_rows(table, grp[sel], idx[sel], coef[sel], table, p)
 
+        def forms(sparse):
+            mat, grp, idx, coef = entries(sparse)
+            _add_rows(mat, grp, idx, coef, table, p)
+            return mat
+
+        return cols, len(reached), forms
+
+    def _reduce(self, d: int, rows, nin: int):
+        """Reduce degree d's rows, the first nin of them inputs; return the new leads."""
+        p = self.p
+        cols, nreached, forms = self._table(rows, self.pairs.digits[: len(self.leads)])
+        ncol = len(cols)
         # the rows go in slices of at most _BLOCK bytes, inputs first: each is
         # cleared on the pivots found so far, and its own are cleared above.
         # Reduced rows stay in slice order, row k pivoting at pivots[k], in a
@@ -671,11 +613,11 @@ class _F4Engine:
         kept = 0  # the rank of the inputs alone
         bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
         for lo, hi in zip(bounds, bounds[1:]):
-            mat, grp, idx, coef = entries(rows[lo:hi])
-            _add_rows(mat, grp, idx, coef, table, p)
+            mat = forms(rows[lo:hi])
             nred = len(pivots)
             _clear(mat, pivots, red[:nred], p)
             new, found = rref_mod(mat, p)
+            del mat  # so that no slice is held while the next is mapped
             _clear(red[:nred], found, new, p)
             if nred + len(found) > len(red):
                 red = np.concatenate([red, np.zeros((max(len(red), len(found)), ncol), np.int64)])
@@ -690,7 +632,7 @@ class _F4Engine:
         self.reductions += npairs
         self.zero_reductions += npairs - (len(red) - kept)
         self.degrees[d] = dict(rows=len(rows), zero_rows=len(rows) - len(red),
-                               monomials=len(reached), nonpivot=ncol, new=len(red))
+                               monomials=nreached, nonpivot=ncol, new=len(red))
         for row, c in zip(red, pivots):
             nz = np.flatnonzero(row)[1:]
             self.leads.append(cols[c])
@@ -704,6 +646,31 @@ class _F4Engine:
                     zero_reductions=self.zero_reductions, created=pairs.created,
                     pruned_lcm=pairs.pruned_lcm, pruned_coprime=pairs.pruned_coprime,
                     pair_s=self.pair_s)
+
+
+def normal_form(f: Poly, gens) -> Poly:
+    """Remainder of f on division by gens (a GroebnerBasis or iterable of Poly).
+
+    Each monomial is reduced by the first of gens whose lead divides it, so
+    every monomial of the result is irreducible; the result is canonical
+    when gens is a Groebner basis.  The remainder is read off the reducer
+    table of the F4 engine, with the monic gens as its leads and no S-pair
+    formed, so moduli above field.MAX_KERNEL_MODULUS raise InputError.
+    """
+    if isinstance(gens, GroebnerBasis):
+        gens = gens.gens
+    ring = f.ring
+    engine = _F4Engine(ring, ())
+    for g in gens:
+        if g.terms:
+            g = g.monic()
+            lead = g.lead_key()
+            tail = {k: c for k, c in g.terms.items() if k != lead}
+            engine.leads.append(lead)
+            engine.tails.append((list(tail), list(tail.values())))
+    rows = [(list(f.terms), list(f.terms.values()))]
+    cols, _, forms = engine._table(rows, _digits(engine.leads, ring.nvars))
+    return Poly(ring, dict(zip(cols, forms(rows)[0].tolist())))
 
 
 class GroebnerBasis:

@@ -112,7 +112,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
         pivot_pairs = (i2.subsets[c] for c in i2.pivots)
         ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
         coords = {
-            pr: ring.linear_form([row[c] for row in i2.rows])
+            pr: ring.linear_form(i2.rows[:, c].tolist())
             for c, pr in enumerate(i2.subsets)
         }
         gb = buchberger(plucker_ideal(ring, coords), ring=ring)
@@ -256,11 +256,10 @@ def decomposables_in_I2_bruteforce(
     sub = i2_slice(arr, q, i2)
     n, m = arr.n, sub.dim()
     check_budget(q, m, budget, DECOMPOSABLE_SEARCH)
-    basis = np.array(sub.rows, dtype=np.int64).reshape(m, sub.ambient_dim())
     upper = np.triu_indices(n, 1)  # the pairs a < b in lex order
     planes = []
     for coeffs in projective_points(q, m):
-        u = matmul_mod(coeffs, basis, q)
+        u = matmul_mod(coeffs, sub.rows, q)
         hits = u[decomposable_mask(u, n, q)]
         mats = np.zeros((len(hits), n, n), dtype=np.int64)
         mats[:, upper[0], upper[1]] = hits

@@ -1,7 +1,7 @@
 """Small arrangements and moduli shared by the test modules."""
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 
 import numpy as np
@@ -14,8 +14,6 @@ from resgrass.grobner import (
     PluckerRing,
     Poly,
     PolyRing,
-    _DivisorIndex,
-    _nf_terms,
     buchberger,
     plucker_ideal,
 )
@@ -125,7 +123,7 @@ def subspace_from_elements(n, k, p, elems):
             row[index[key]] = c
         mat.append(row)
     rows, pivots = reference_rref(mat, len(index), p)
-    return Subspace(n, k, p, rows, pivots)
+    return Subspace(n, k, p, np.array(rows, dtype=np.int64).reshape(-1, len(index)), pivots)
 
 
 def reference_os_ideal_part(arr, k, p):
@@ -238,7 +236,7 @@ def r1_ideal(arr, p):
     i2 = os_ideal_part(arr, 2, p)
     ring = PolyRing(i2.dim(), p)
     coords = {
-        pr: ring.linear_form([row[c] for row in i2.rows]) for c, pr in enumerate(i2.subsets)
+        pr: ring.linear_form(i2.rows[:, c].tolist()) for c, pr in enumerate(i2.subsets)
     }
     return ring, plucker_ideal(ring, coords)
 
@@ -283,6 +281,84 @@ def permute_vars(f, perm):
     return f.ring.from_exp_terms(
         {tuple(unpack(k)[i] for i in perm): c for k, c in f.terms.items()}
     )
+
+
+class _DivisorIndex:
+    """First basis element whose lead divides a query monomial, with caching.
+
+    The negative cache stores how many elements have been checked, so
+    appending new elements never requires invalidation.
+    """
+
+    def __init__(self, ord_, leads=()):
+        self.ord = ord_
+        self.leads = list(leads)
+        self._pos: dict = {}
+        self._neg: dict = {}
+
+    def append(self, lead: int):
+        self.leads.append(lead)
+
+    def find(self, m: int):
+        gi = self._pos.get(m)
+        if gi is not None:
+            return gi
+        leads = self.leads
+        divides = self.ord.divides
+        for gi in range(self._neg.get(m, 0), len(leads)):
+            if divides(leads[gi], m):
+                self._pos[m] = gi
+                return gi
+        self._neg[m] = len(leads)
+        return None
+
+
+def _nf_terms(terms, basis_terms, index: _DivisorIndex, lcinvs, ord_, p: int):
+    """Full normal form of a term dict against an indexed basis."""
+    work = {k: c % p for k, c in terms.items() if c % p}
+    out: dict = {}
+    heap = [-k for k in work]
+    heapify(heap)
+    mul = ord_.mul
+    quo = ord_.quo
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k, 0) % p
+        if not c:
+            continue
+        gi = index.find(k)
+        if gi is None:
+            out[k] = c
+            continue
+        q = quo(k, index.leads[gi])
+        f = c * lcinvs[gi] % p
+        for kg, cg in basis_terms[gi]:
+            kk = mul(q, kg)
+            if kk == k:
+                continue
+            cur = work.get(kk)
+            if cur is None:
+                work[kk] = -f * cg
+                heappush(heap, -kk)
+            else:
+                work[kk] = cur - f * cg
+    return out
+
+
+def reference_normal_form(f, gens):
+    """Remainder of f on division by gens, term by term through a heap.
+
+    Each monomial is reduced by the first of gens whose lead divides it;
+    it takes any prime.  The twin of grobner.normal_form.
+    """
+    gens = [g for g in gens if g.terms]
+    ring = f.ring
+    if not gens:
+        return f
+    index = _DivisorIndex(ring.ord, [g.lead_key() for g in gens])
+    basis_terms = [list(g.terms.items()) for g in gens]
+    lcinvs = [pow(g.lead_coeff(), ring.p - 2, ring.p) for g in gens]
+    return Poly(ring, _nf_terms(f.terms, basis_terms, index, lcinvs, ring.ord, ring.p))
 
 
 class ReferencePairSet:

@@ -9,6 +9,7 @@ from resgrass import cli, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, os_ideal_part
+from resgrass.grobner import PolyRing, normal_form
 from resgrass.oracle import (
     AomotoComplex,
     CohomologyProfile,
@@ -378,11 +379,13 @@ def test_moduli_above_the_kernel_bound_are_refused(capsys):
         assert cli.main(argv) == 2
         assert "largest modulus" in capsys.readouterr().err
     a3 = fixture("A3")
+    big = PolyRing(2, FIRST_REFUSED)
     for call in (
         lambda: os_ideal_part(a3, 2, FIRST_REFUSED),
         lambda: AomotoComplex(a3, FIRST_REFUSED),
         lambda: enumerate_r1(a3, FIRST_REFUSED, budget=10**40),
         lambda: check_prop21(a3, FIRST_REFUSED, budget=10**40),
+        lambda: normal_form(big.var(0), [big.var(1)]),
     ):
         with pytest.raises(InputError):
             call()
