@@ -4,8 +4,9 @@ Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
 --budget), fixtures (list built-ins), bench (per-stage timings, the Groebner
-engine's counters and pair-pass time, and the A3 oracle over F_5 and F_7; no
-external baseline is run).  Exit codes: 0
+engine's counters and pair-pass time, and the A3 oracle over F_5 and F_7;
+--json adds the python and numpy versions and the core count; no external
+baseline is run).  Exit codes: 0
 success, 2 input error, 3 budget error.
 """
 
@@ -13,10 +14,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from .arrangement import Arrangement, fixture, load_arrangement
 from .errors import BudgetError, InputError
@@ -190,7 +195,8 @@ def cmd_bench(args) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"results": results, "oracle": oracle}))
+        env = {"python": platform.python_version(), "numpy": np.__version__, "cores": os.cpu_count()}
+        print(json.dumps({"results": results, "oracle": oracle, "environment": env}))
         return 0
     for res in results:
         print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']})")

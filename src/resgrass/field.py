@@ -5,10 +5,13 @@ goes through the numpy kernels rref_mod and batch_rank, for moduli up to
 MAX_KERNEL_MODULUS.  rref_mod works in int64; batch_rank and matmul_mod
 work in the narrowest integer type that holds every value they form, int8
 for the F_3 scans and int32 at p = 31991, and take remainders through
-mod, which is many times faster than numpy's %.  rref, rank and
+mod, which is many times faster than numpy's %.  batch_rank eliminates
+a stack of matrices with the batch axis innermost, so every step runs
+along the whole batch rather than along one matrix's rows.  rref, rank and
 kernel_basis take plain lists of rows of any integers and reduce them mod
 p before they reach a kernel.  Everything in this package is exact:
-matmul_mod computes in float64 only where every sum stays below 2^53.
+matmul_mod computes in float32 or float64 only where every sum stays below
+2^24 or 2^53.
 """
 
 from __future__ import annotations
@@ -55,8 +58,10 @@ def is_prime(n: int) -> bool:
 MAX_KERNEL_MODULUS = 2**31
 _INT64_MAX = 2**63 - 1
 _INT32_MAX = 2**31 - 1
-# float64 holds every integer below 2^53 exactly, whatever the summation order
+# float64 holds every integer below 2^53 exactly, and float32 every one below
+# 2^24, whatever the summation order
 _FLOAT_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
 
 # Points per batch of the projective scans: enough to amortize numpy calls,
 # few enough that a batch's arrays stay a few megabytes.
@@ -97,17 +102,20 @@ def mod(x, p: int):
 def matmul_mod(a, b, p: int):
     """a @ b mod p for arrays with entries in [0, p).
 
-    b may carry leading stack dimensions, which the product broadcasts over.
+    Either may carry leading stack dimensions, which the product broadcasts over.
     The residues come in the narrowest type that holds p and every sum of
     products, since reducing there is cheapest.
-    Products whose sums stay below 2^53 go through float64 exactly;
-    otherwise the inner dimension is cut into blocks short enough that a
-    block's sum of products, added to the running residue, fits in int64.
+    Products whose sums stay below 2^24 go through float32 exactly, and
+    those below 2^53 through float64; otherwise the inner dimension is cut
+    into blocks short enough that a block's sum of products, added to the
+    running residue, fits in int64.
     """
     inner = a.shape[-1]
-    if inner * (p - 1) ** 2 < _FLOAT_EXACT:
-        prod = a.astype(np.float64) @ b.astype(np.float64)
-        return mod(prod.astype(kernel_dtype(max(p, inner * (p - 1) ** 2))), p)
+    sums = inner * (p - 1) ** 2
+    if sums < _FLOAT_EXACT:
+        ftype = np.float32 if sums < _FLOAT32_EXACT else np.float64
+        prod = a.astype(ftype) @ b.astype(ftype)
+        return mod(prod.astype(kernel_dtype(max(p, sums))), p)
     step = (_INT64_MAX - (p - 1)) // (p - 1) ** 2
     out = mod(a[..., :step] @ b[..., :step, :], p)
     for lo in range(step, inner, step):
@@ -150,16 +158,17 @@ def rref_mod(mat, p: int):
 
 
 def inv_mod(x, p: int):
-    """Elementwise inverse of an array of nonzero residues, as x^(p-2)."""
-    out = np.ones_like(x)
+    """Elementwise inverse of an array of nonzero residues, as x^(p-2); F_3 takes one reduction."""
     base = mod(x, p)
+    out = None
     e = p - 2
     while e:
         if e & 1:
-            out = mod(out * base, p)
-        base = mod(base * base, p)
+            out = base if out is None else mod(out * base, p)
         e >>= 1
-    return out
+        if e:
+            base = mod(base * base, p)
+    return np.ones_like(x) if out is None else out
 
 
 def batch_rank(mats, p: int):
@@ -174,9 +183,10 @@ def batch_rank(mats, p: int):
     plus that growth over every column, the elimination runs unreduced in
     the narrowest such type: int8 for F_3 on 9 columns.  Otherwise it runs
     in kernel_dtype(p (p - 1)), int32 for p = 31991, and the whole stack is
-    reduced only before it could overflow.  The stack is eliminated
-    column-major, so a transposed view of a (cols, batch, rows) array in
-    that type is taken without a copy.
+    reduced only before it could overflow.  The stack is held as (cols,
+    rows, batch), so every step works along the batch axis, the longest
+    and contiguous one; a transposed view of a contiguous (cols, rows,
+    batch) array in that type is taken without a copy.
     """
     batch, rows, ncols = mats.shape
     ranks = np.zeros(batch, dtype=np.int64)
@@ -186,22 +196,30 @@ def batch_rank(mats, p: int):
     whole = p * (p - 1) + ncols * growth
     dtype = kernel_dtype(whole if whole <= _INT32_MAX else p * (p - 1))
     limit = np.iinfo(dtype).max
-    # column-major stack: a[c] holds column c of every matrix
-    a = np.ascontiguousarray(mats.transpose(2, 0, 1), dtype=dtype)
-    at = np.arange(batch)
+    # a[c, r] holds entry (r, c) of every matrix
+    a = np.ascontiguousarray(mats.transpose(2, 1, 0), dtype=dtype)
+    # row r weighs rows - r, so the heaviest nonzero entry of a matrix's
+    # column, top, marks its first nonzero row, rows - top
+    weights = np.arange(rows, 0, -1, dtype=kernel_dtype(rows))[:, None]
+    # row r of matrix b is entry r * batch + b of the flattened (rows * batch)
+    # axis, so its row rows - top is entry past - top * batch
+    past = np.arange(batch) + rows * batch
     bound = p  # every entry lies in (-bound, bound)
     for _ in range(ncols):
         if bound > limit - growth:
             a = mod(a, p)
             bound = p
         col = mod(a[0], p)
-        nonzero = col != 0
-        ranks += nonzero.any(axis=1)
-        pivot = mod(a[:, at, nonzero.argmax(axis=1)], p)
-        # a matrix without a pivot has an all-zero column, so its update
-        # below is zero whatever its pivot row holds
+        top = np.maximum.reduce((col != 0) * weights, axis=0)
+        ranks += top > 0
+        # a matrix without a pivot (top 0) wraps round to its own row 0: its
+        # column is all zero, so its update below is zero whatever that row
+        # holds.  take returns the pivot rows in C order; a fancy index
+        # returns them in Fortran order, which slowed the update many times.
+        flat = past - top.astype(np.intp) * batch
+        pivot = mod(a.reshape(len(a), -1).take(flat, axis=1, mode="wrap"), p)
         scaled = mod(pivot[1:] * inv_mod(pivot[0], p), p)
-        a = a[1:] - scaled[:, :, None] * col
+        a = a[1:] - scaled[:, None, :] * col
         bound += growth
     return ranks
 

@@ -155,17 +155,18 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
 
 
 def _wedge_map(n: int, sub: Subspace):
-    """M with (a @ M[i])[r] = coset coordinate r of (a ^ e_i) reduced mod I_2.
+    """W with (W[i] @ a)[r] = coset coordinate r of (a ^ e_i) reduced mod I_2.
 
-    Built from the wedge table of the 1-subsets: M[i, j] is e_j ^ e_i.  A
-    batch of points times M holds, per point, the columns a ^ e_i of its
-    wedge matrix, column-major: shape (n, batch, rows).
+    Built from the wedge table of the 1-subsets: column j of W[i] is
+    e_j ^ e_i.  W times a batch of points, one point per column, holds the
+    columns a ^ e_i of every point's wedge matrix, batch innermost: shape
+    (n, rows, batch), the layout batch_rank eliminates in.
     """
     rows, gens, cols, signs = wedge_table([(i,) for i in range(n)], sub)
     w = np.zeros((n, n, sub.ambient_dim()), dtype=np.int64)
     w[rows, gens, cols] = signs
     red = sub.reduce_rows(w.reshape(n * n, -1))[:, sub.coset_columns()]
-    return red.reshape(n, n, -1)
+    return np.ascontiguousarray(red.reshape(n, n, -1).transpose(0, 2, 1))
 
 
 def _resonant_rows(batches, wedge_map, q: int):
@@ -181,9 +182,12 @@ def _resonant_rows(batches, wedge_map, q: int):
     # them after every batch made the scan about a quarter slower (page faults)
     for pts in batches:
         lead = int(np.flatnonzero(pts[0])[0])
-        cols = matmul_mod(pts, np.delete(wedge_map, lead, axis=0), q)
-        # (batch, rows, n - 1) as a view: batch_rank eliminates column-major
-        yield pts[batch_rank(cols.transpose(1, 2, 0), q) < n - 1]
+        # the points as contiguous columns: a strided right operand made the
+        # product about twice as slow
+        cols = matmul_mod(np.delete(wedge_map, lead, axis=0), np.ascontiguousarray(pts.T), q)
+        # (batch, rows, n - 1) as a view of the (n - 1, rows, batch) columns,
+        # which batch_rank transposes back without a copy
+        yield pts[batch_rank(cols.transpose(2, 1, 0), q) < n - 1]
 
 
 def enumerate_r1(

@@ -1,5 +1,8 @@
 import json
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from resgrass.cli import main
@@ -153,6 +156,11 @@ def test_bench_braid(capsys):
     for o in obj["oracle"]:
         assert o["agree"] is True and o["runs"] == 2
         assert 0 < o["ms"]["min"] <= o["ms"]["median"]
+    # the machine the times were taken on
+    env = obj["environment"]
+    assert set(env) == {"python", "numpy", "cores"}
+    assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
+    assert env["cores"] == os.cpu_count()
     code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1")
     assert code == 0
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out

@@ -49,7 +49,7 @@ def test_inverse_values():
 
 def test_inverse_property():
     rng = random.Random(0)
-    for p in (31991, BOUNDARY_PRIME):
+    for p in (2, 3, 5, 7, 13, 31991, BOUNDARY_PRIME):
         x = np.array([rng.randrange(1, p) for _ in range(200)], dtype=np.int64)
         assert (x * inv_mod(x, p) % p == 1).all()
 
@@ -178,6 +178,66 @@ def test_batch_rank_under_the_largest_growth(p):
         mat = growth_matrix(p, cols)
         assert reference_rank(mat, cols, p) == cols - 1
         assert batch_rank(np.array(mat, dtype=np.int64)[None], p).tolist() == [cols - 1]
+
+
+def sparse_stack(rng, p: int, batch: int, rows: int, cols: int):
+    """batch matrices with up to cols nonzero rows each, anywhere among rows, as (batch, rows, cols)."""
+    stack = np.zeros((batch, rows, cols), dtype=np.int64)
+    for mat in stack:
+        for r in rng.sample(range(rows), min(rows, rng.randrange(1, cols + 2))):
+            mat[r] = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(cols)]
+    return stack
+
+
+def reference_ranks(stack, p: int):
+    return [reference_rank(m, stack.shape[2], p) for m in stack.tolist()]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_batch_rank_edge_stacks(p):
+    rng = random.Random(p)
+    # an empty batch, and a batch of one
+    assert batch_rank(np.zeros((0, 5, 3), dtype=np.int64), p).tolist() == []
+    one = sparse_stack(rng, p, 1, 6, 4)
+    assert batch_rank(one, p).tolist() == reference_ranks(one, p)
+    # with 130 rows the pivot weights need int16, and pivots lie past row 127
+    tall = sparse_stack(rng, p, 30, 130, 4)
+    tall[:, 120:] = sparse_stack(rng, p, 30, 10, 4)
+    tall[::2, :120] = 0
+    assert tall[:, 128:].any()
+    assert batch_rank(tall, p).tolist() == reference_ranks(tall, p)
+    # a column that is zero in every matrix
+    stack = sparse_stack(rng, p, 40, 7, 5)
+    stack[:, :, 2] = 0
+    assert batch_rank(stack, p).tolist() == reference_ranks(stack, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_batch_rank_of_a_transposed_view(p):
+    rng = random.Random(p)
+    for cols, rows, batch in ((5, 11, 40), (9, 35, 3), (3, 4, 1)):
+        # the layout the oracle hands over: (cols, rows, batch) in memory
+        stored = np.ascontiguousarray(sparse_stack(rng, p, batch, rows, cols).transpose(2, 1, 0))
+        before = stored.copy()
+        view = stored.transpose(2, 1, 0)
+        assert not view.flags.c_contiguous
+        want = reference_ranks(np.ascontiguousarray(view), p)
+        assert batch_rank(view, p).tolist() == batch_rank(view.copy(), p).tolist() == want
+        assert (stored == before).all()
+
+
+# the largest inner dimension whose sums float32 holds, then one more; at
+# p = 31 one more gives an odd sum above 2^24, which float32 would round
+@pytest.mark.parametrize("p", [7, 31])
+def test_matmul_mod_at_the_float32_edge(p):
+    edge = (2**24 - 1) // (p - 1) ** 2
+    for inner in (edge, edge + 1):
+        a = np.full((2, inner), p - 1, dtype=np.int64)
+        a[0, 0] = p - 2
+        a[1, ::3] = 1
+        got = matmul_mod(a, a.T.copy(), p)
+        want = [[sum(x * y for x, y in zip(r, s)) % p for s in a.tolist()] for r in a.tolist()]
+        assert got.tolist() == want
 
 
 @pytest.mark.parametrize("p", [2, 3, DEFAULT_MODULUS, BOUNDARY_PRIME])

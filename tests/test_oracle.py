@@ -3,12 +3,14 @@ import random
 import time
 from itertools import product
 
+import numpy as np
 import pytest
 
 from resgrass import cli, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
-from resgrass.exterior import ExtElement, os_ideal_part
+from resgrass.exterior import ExtElement, os_ideal_part, wedge
+from resgrass.field import matmul_mod
 from resgrass.grobner import PolyRing, normal_form
 from resgrass.oracle import (
     AomotoComplex,
@@ -283,6 +285,24 @@ def test_enumerate_r1_equals_pointwise_scan(arr, q):
         if cx.profile(pt(coords, q)).dims[1] > 0
     ]
     assert enumerate_r1(arr, q) == sorted(want)
+
+
+@pytest.mark.parametrize("arr, q", [(fixture("A3"), 7), (A4, 3)], ids=["A3/F_7", "A4/F_3"])
+def test_wedge_map_columns_are_the_reduced_wedges(arr, q):
+    """The batched product, seen as batch_rank sees it, holds a ^ e_i in column i of point a's matrix."""
+    rng = random.Random(q)
+    n = arr.n
+    sub = os_ideal_part(arr, 2, q)
+    coset = sub.coset_columns()
+    pts = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(20)], dtype=np.int64)
+    stored = matmul_mod(oracle._wedge_map(n, sub), np.ascontiguousarray(pts.T), q)
+    mats = stored.transpose(2, 1, 0)
+    assert mats.shape == (len(pts), len(coset), n)
+    for coeffs, mat in zip(pts.tolist(), mats):
+        a = pt(coeffs, q)
+        for i in range(n):
+            want = sub.reduce_rows([sub.vector(wedge(a, ExtElement(q, 1, {(i,): 1})))])[0, coset]
+            assert mat[:, i].tolist() == want.tolist()
 
 
 def test_check_prop21_a4_f3_within_cap():
