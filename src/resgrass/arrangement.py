@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DuplicateHyperplaneError, InputError
-from .field import DEFAULT_MODULUS, batch_rank, residues
+from .field import DEFAULT_MODULUS, batch_rank, rank, residues
 
 Flat = tuple[int, ...]
 
@@ -228,15 +228,32 @@ def dependent_sets(arr: Arrangement, max_size: int = 3, p: int = DEFAULT_MODULUS
                 "dependent sets of size > 3 need a realization matrix, "
                 f"but {arr.name!r} is combinatorial"
             )
-        triples = set()
-        for flat in arr.flats:
-            triples.update(combinations(flat, 3))
-        return sorted(triples)
+        return sorted({t for flat in arr.flats for t in combinations(flat, 3)})
     cols = arr.columns()
-    out = []
-    for size in range(3, min(max_size, arr.n) + 1):
-        out.extend(_dependent_subsets(cols, size, p))
-    return out
+    sizes = range(3, min(max_size, arr.n) + 1)
+    return [S for size in sizes for S in _dependent_subsets(cols, size, p)]
+
+
+def circuits(arr: Arrangement, max_size: int, p: int = DEFAULT_MODULUS):
+    """(circuits with 3 <= size <= max_size over F_p, rank), one size after another.
+
+    A dependent set is a circuit when no facet of it is among the dependent
+    sets one size smaller; sets larger than the rank are all dependent and
+    skip batch_rank.  A realization must be simple over F_p; a flats-only
+    arrangement has its dependent triples as circuits, and rank None.
+    """
+    if arr.matrix is None:
+        return dependent_sets(arr, max_size, p), None
+    cols = arr.columns()
+    check_simple(cols, p)
+    ell = rank(arr.matrix, arr.n, p)
+    found, below = [], set()  # below: the dependent sets one size smaller
+    for size in range(3, min(max_size, ell + 1) + 1):
+        subs = combinations(range(arr.n), size)
+        dep = _dependent_subsets(cols, size, p) if size <= ell else list(subs)
+        found += [S for S in dep if below.isdisjoint(combinations(S, size - 1))]
+        below = set(dep)
+    return found, ell
 
 
 _A3_MATRIX = (

@@ -4,10 +4,10 @@ Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
 --budget), fixtures (list built-ins), bench (per-stage timings, the Groebner
-engine's counters and pair-pass time, and the A3 oracle over F_5 and F_7;
---json adds the python and numpy versions and the core count; no external
-baseline is run).  Exit codes: 0
-success, 2 input error, 3 budget error.
+engine's counters and pair-pass time, the A3 oracle over F_5 and F_7, and
+an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
+python and numpy versions and the core count; no external baseline is
+run).  Exit codes: 0 success, 2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -19,20 +19,22 @@ import platform
 import statistics
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
-from .arrangement import Arrangement, fixture, load_arrangement
+from .arrangement import Arrangement, fixture, from_matrix, load_arrangement
 from .errors import BudgetError, InputError
 from .exterior import ExtElement
 from .field import DEFAULT_MODULUS, is_prime
-from .oracle import check_prop21, is_resonant_k
+from .oracle import AomotoComplex, check_prop21, is_resonant_k
 from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
 STAGES = ("span", "groebner", "hilbert", "total")
 ORACLE_FIELDS = (5, 7)  # bench times check_prop21 on A3 over these
+CHECK_K = 3  # and an Aomoto complex to this grade with one profile, on braid A4
 
 
 def _load(args) -> Arrangement:
@@ -87,19 +89,10 @@ def cmd_check_point(args) -> int:
     prof = kres.profile
     res1 = prof.dims[1] > 0
     if args.json:
-        obj = {
-            "arrangement": arr.name,
-            "coords": coords,
-            "p": p,
-            "profile": json.loads(prof.to_json()),
-            "resonant_1": res1,
-        }
+        obj = dict(arrangement=arr.name, coords=coords, p=p,
+                   profile=json.loads(prof.to_json()), resonant_1=res1)
         if k >= 2:
-            obj["k_check"] = {
-                "k": kres.k,
-                "h": kres.h,
-                "resonant": kres.resonant,
-            }
+            obj["k_check"] = dict(k=kres.k, h=kres.h, resonant=kres.resonant)
         print(json.dumps(obj))
         return 0
     print(f"arrangement: {arr.describe()}")
@@ -132,23 +125,25 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    arrs = [fixture(name) for name in FIXTURES]
     if args.json:
-        rows = []
-        for name in FIXTURES:
-            arr = fixture(name)
-            rows.append(
-                {
-                    "name": arr.name,
-                    "n": arr.n,
-                    "flats": len(arr.flats),
-                    "realized": arr.matrix is not None,
-                }
-            )
+        rows = [dict(name=a.name, n=a.n, flats=len(a.flats), realized=a.matrix is not None)
+                for a in arrs]
         print(json.dumps(rows))
         return 0
-    for name in FIXTURES:
-        print(fixture(name).describe())
+    for arr in arrs:
+        print(arr.describe())
     return 0
+
+
+def _timed(fn, repeat: int):
+    """The results of repeat calls of fn, and the min and median of their wall times in ms."""
+    outs, times = [], []
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        outs.append(fn())
+        times.append(round((time.perf_counter() - t0) * 1000.0, 3))
+    return outs, {"min": min(times), "median": statistics.median(times)}
 
 
 def cmd_bench(args) -> int:
@@ -168,35 +163,25 @@ def cmd_bench(args) -> int:
         engine = {k: v for k, v in runs[0].engine.items() if k != "pair_s"}
         pair_ms = [round(r.engine.get("pair_s", 0.0) * 1000.0, 3) for r in runs]
         engine["pair_ms"] = {"min": min(pair_ms), "median": statistics.median(pair_ms)}
-        results.append(
-            {
-                "fixture": arr.name,
-                "hilbert": runs[0].hilbert,
-                "runs": args.repeat,
-                "stages": stages,
-                "engine": engine,
-            }
-        )
+        results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
+                            stages=stages, engine=engine))
     oracle = []
     a3 = fixture("A3")
     for q in ORACLE_FIELDS:
-        times, agree = [], True
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            agree &= check_prop21(a3, q).agree
-            times.append(round((time.perf_counter() - t0) * 1000.0, 3))
-        oracle.append(
-            {
-                "fixture": a3.name,
-                "q": q,
-                "agree": agree,
-                "runs": args.repeat,
-                "ms": {"min": min(times), "median": statistics.median(times)},
-            }
-        )
+        reps, ms = _timed(lambda: check_prop21(a3, q), args.repeat)
+        agree = all(rep.agree for rep in reps)
+        oracle.append(dict(fixture=a3.name, q=q, agree=agree, runs=args.repeat, ms=ms))
+    # a check-point --k CHECK_K call: one AomotoComplex and one profile, on
+    # braid A4 realized by the columns e_i - e_j (i < j) of F^5
+    pairs = list(combinations(range(5), 2))
+    a4 = from_matrix([[(r == i) - (r == j) for i, j in pairs] for r in range(5)], "A4", args.p)
+    pt = ExtElement(args.p, 1, {(i,): i + 1 for i in range(a4.n)})
+    profs, ms = _timed(lambda: AomotoComplex(a4, args.p, CHECK_K).profile(pt), args.repeat)
+    check = dict(fixture=a4.name, k=CHECK_K, dims=list(profs[0].dims), runs=args.repeat, ms=ms)
     if args.json:
         env = {"python": platform.python_version(), "numpy": np.__version__, "cores": os.cpu_count()}
-        print(json.dumps({"results": results, "oracle": oracle, "environment": env}))
+        print(json.dumps({"results": results, "oracle": oracle, "check_point": check,
+                          "environment": env}))
         return 0
     for res in results:
         print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']})")
@@ -209,6 +194,8 @@ def cmd_bench(args) -> int:
             f"oracle {orc['fixture']}/F_{orc['q']}: agree={agree} (runs={orc['runs']})  "
             f"min={orc['ms']['min']:.3f} ms  median={orc['ms']['median']:.3f} ms"
         )
+    print(f"check-point A4 --k {CHECK_K}: h={check['dims']} (runs={args.repeat})  "
+          f"min={ms['min']:.3f} ms  median={ms['median']:.3f} ms")
     return 0
 
 

@@ -12,8 +12,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .arrangement import Arrangement, check_simple, dependent_sets
-from .field import DEFAULT_MODULUS, check_kernel_modulus, matmul_mod, rref_mod
+from .arrangement import Arrangement, circuits
+from .field import DEFAULT_MODULUS, check_kernel_modulus, leveled_rref, matmul_mod
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -213,34 +213,33 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
     J is disjoint from B.  One such row for each k-set that contains a broken
     circuit gives C(n, k) - b_k rows with distinct leading coordinates: a
     basis of I_k by the no-broken-circuit theorem (Bjorner 1982; Orlik-Terao,
-    Arrangements of Hyperplanes, 3.5, with the order reversed).  One numpy
-    elimination then brings it to reduced echelon form.  The theorem needs
-    the matroid over F_p, so a realization whose columns are zero or
-    proportional mod p is refused.  Flats-only arrangements know their
-    size-3 dependencies, hence support k <= 2 only (the slice for k < 2 is
-    zero).  The circuits of size <= k+1 come back with the slice: for k = 2,
-    every dependent triple.
+    Arrangements of Hyperplanes, 3.5, with the order reversed), which
+    leveled_rref brings to reduced echelon form with no pivot search.  The
+    circuits come from one arrangement.circuits pass (ideal_slice takes
+    them).  The theorem needs the matroid over F_p, so a realization whose
+    columns are zero or proportional mod p is refused.  Flats-only
+    arrangements know their size-3 dependencies, hence support k <= 2 only
+    (the slice for k < 2 is zero).  The circuits of size <= k+1 come back
+    with the slice: for k = 2, every dependent triple.
     """
     check_kernel_modulus(p)
-    if arr.matrix is not None:
-        check_simple(arr.columns(), p)
-    n = arr.n
-    circuits = []
-    for S in dependent_sets(arr, min(k + 1, n), p):
-        if not any(set(S).issuperset(c) for c in circuits):
-            circuits.append(S)
+    return ideal_slice(arr.n, k, p, circuits(arr, min(k + 1, arr.n), p)[0])
+
+
+def ideal_slice(n: int, k: int, p: int, circs) -> Subspace:
+    """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out."""
+    sub = Subspace(n, k, p, None, None, [C for C in circs if len(C) <= k + 1])
     rows = {}  # leading k-set -> (J, C) of its row
-    for C in circuits:
+    for C in sub.circuits:
         rest = [i for i in range(n) if i not in C[:-1]]
         for J in combinations(rest, k - len(C) + 1):
             rows.setdefault(tuple(sorted(J + C[:-1])), (J, C))
-    index = {s: i for i, s in enumerate(combinations(range(n), k))}
-    mat = np.zeros((len(rows), len(index)), dtype=np.int64)
+    mat = np.zeros((len(rows), len(sub.subsets)), dtype=np.int64)
     for r, (J, C) in enumerate(rows.values()):
         for i in range(len(C)):
             merged = _merge_signed(J, C[:i] + C[i + 1 :])
             if merged is not None:
                 sign, key = merged
-                mat[r, index[key]] = (-1) ** i * sign
-    red, pivots = rref_mod(mat, p)
-    return Subspace(n, k, p, red, pivots, circuits)
+                mat[r, sub.index[key]] = (-1) ** i * sign
+    sub.rows, sub.pivots = leveled_rref(mat, p)
+    return sub

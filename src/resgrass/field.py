@@ -2,12 +2,14 @@
 
 There is one elimination path: every rank and row reduction in the package
 goes through the numpy kernels rref_mod and batch_rank, for moduli up to
-MAX_KERNEL_MODULUS.  rref_mod works in int64; batch_rank and matmul_mod
-work in the narrowest integer type that holds every value they form, int8
-for the F_3 scans and int32 at p = 31991, and take remainders through
-mod, which is many times faster than numpy's %.  batch_rank eliminates
-a stack of matrices with the batch axis innermost, so every step runs
-along the whole batch rather than along one matrix's rows.  rref, rank and
+MAX_KERNEL_MODULUS, or, where the rows lead in distinct columns, through
+the leveled solve solve_levels (leveled_rref, the F4 reducer table).  The
+first and last work in int64; batch_rank and matmul_mod work in the
+narrowest integer type that holds every value they form, int8 for the F_3
+scans and int32 at p = 31991, and take remainders through mod, which is
+many times faster than numpy's %.  batch_rank eliminates a stack of
+matrices with the batch axis innermost, so every step runs along the
+whole batch rather than along one matrix's rows.  rref, rank and
 kernel_basis take plain lists of rows of any integers and reduce them mod
 p before they reach a kernel.  Everything in this package is exact:
 matmul_mod computes in float32 or float64 only where every sum stays below
@@ -62,6 +64,8 @@ _INT32_MAX = 2**31 - 1
 # 2^24, whatever the summation order
 _FLOAT_EXACT = 2**53
 _FLOAT32_EXACT = 2**24
+
+_BLOCK = 1 << 18  # bytes per temporary of a blocked array operation
 
 # Points per batch of the projective scans: enough to amortize numpy calls,
 # few enough that a batch's arrays stay a few megabytes.
@@ -157,6 +161,60 @@ def rref_mod(mat, p: int):
     return a[:r], pivots
 
 
+def _add_rows(out, grp, idx, coef, src, p: int):
+    """out[grp[e]] += coef[e] * src[idx[e]] mod p for every entry e, grp ascending.
+
+    Products are reduced mod p before they are summed, so nothing leaves
+    int64 for p < 2^31; entries go in blocks that keep temporaries under _BLOCK.
+    """
+    step = max(1, _BLOCK // (8 * max(1, src.shape[1])))
+    for s in range(0, len(grp), step):
+        g = grp[s : s + step]
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
+        part = src[idx[s : s + step]] * coef[s : s + step, None] % p
+        at = g[starts]
+        out[at] = (out[at] + np.add.reduceat(part, starts)) % p
+
+
+def solve_levels(out, grp, idx, coef, p: int):
+    """out[r] += coef[e] * out[idx[e]] mod p over the entries e of row r = grp[e], in place.
+
+    grp ascends and idx[e] < grp[e]: a row's level is one more than the
+    highest level it reads, and each level is one _add_rows on final rows.
+    """
+    depth = [0] * len(out)
+    for r, j in zip(grp.tolist(), idx.tolist()):
+        depth[r] = max(depth[r], depth[j] + 1)
+    level = np.array(depth, np.int64)
+    for lv in range(1, max(depth, default=0) + 1):
+        sel = level[grp] == lv
+        _add_rows(out, grp[sel], idx[sel], coef[sel], out, p)
+
+
+def leveled_rref(mat, p: int):
+    """rref_mod of a 2-D integer array whose rows lead in distinct columns, with no pivot search.
+
+    Sorted by leading column, last first, and scaled to a leading 1, each
+    row holds only the leads of rows before it, and solve_levels clears them.
+    """
+    m = np.asarray(mat, dtype=np.int64)
+    if not len(m):
+        return m, []
+    lead = (m % p != 0).argmax(axis=1)
+    row = np.full(m.shape[1], len(m))  # the row leading at each column
+    row[lead] = np.arange(len(m))
+    order = row[row < len(m)][::-1]
+    a, lead = m[order] % p, lead[order]
+    a *= inv_mod(a[np.arange(len(a)), lead], p)[:, None]
+    a %= p
+    # entry (r, c) reads the row leading at c, which comes before r
+    row[lead] = np.arange(len(a))
+    grp, col = np.nonzero(a)
+    sel = row[col] < grp
+    solve_levels(a, grp[sel], row[col[sel]], p - a[grp[sel], col[sel]], p)
+    return a[::-1], lead[::-1].tolist()
+
+
 def inv_mod(x, p: int):
     """Elementwise inverse of an array of nonzero residues, as x^(p-2); F_3 takes one reduction."""
     base = mod(x, p)
@@ -243,8 +301,8 @@ def rref(rows, ncols: int, p: int):
 
 
 def rank(rows, ncols: int, p: int) -> int:
-    """batch_rank on one matrix given as a list of rows."""
-    return int(batch_rank(residues(rows, ncols, p)[None], p)[0])
+    """rref_mod's pivot count of one matrix given as a list of rows (batch_rank needs a batch)."""
+    return len(rref_mod(residues(rows, ncols, p), p)[1])
 
 
 def kernel_basis(rows, ncols: int, p: int):

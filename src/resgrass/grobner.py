@@ -27,7 +27,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .field import DEFAULT_MODULUS, check_kernel_modulus, is_prime, rref_mod
+from .field import _BLOCK, DEFAULT_MODULUS, _add_rows, check_kernel_modulus, is_prime, rref_mod
+from .field import solve_levels
 
 _W = 8
 _CAP = 127
@@ -113,9 +114,6 @@ class PolyRing:
     def var(self, i: int) -> "Poly":
         return Poly(self, {self.ord.pack_combo((i,)): 1})
 
-    def from_exp_terms(self, terms: dict) -> "Poly":
-        return Poly(self, {self.ord.pack(e): c for e, c in terms.items()})
-
     def linear_form(self, coeffs) -> "Poly":
         return Poly(self, {self.ord.pack_combo((i,)): c for i, c in enumerate(coeffs)})
 
@@ -134,10 +132,6 @@ class PluckerRing(PolyRing):
         super().__init__(len(pairs), p, names=names)
         self.n = n
         self.pairs = pairs
-        self.pair_index = {pr: k for k, pr in enumerate(pairs)}
-
-    def pair_var(self, i: int, j: int) -> "Poly":
-        return self.var(self.pair_index[(min(i, j), max(i, j))])
 
 
 class Poly:
@@ -208,17 +202,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def evaluate(self, vals) -> int:
-        p = self.ring.p
-        total = 0
-        for key, c in self.terms.items():
-            prod = c
-            for i, e in enumerate(self.ring.ord.unpack(key)):
-                if e:
-                    prod = prod * pow(vals[i], e, p) % p
-            total += prod
-        return total % p
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -275,9 +258,6 @@ def plucker_ideal(ring: PolyRing, coords=None):
         if not q.is_zero():
             out.append(q)
     return out
-
-
-_BLOCK = 1 << 18  # bytes per temporary of a blocked array operation
 
 
 def _digits(keys, n: int):
@@ -450,21 +430,6 @@ class _PairSet:
         return i, j, key
 
 
-def _add_rows(out, grp, idx, coef, src, p: int):
-    """out[grp[e]] += coef[e] * src[idx[e]] mod p for every entry e, grp ascending.
-
-    Products are reduced mod p before they are summed, so nothing leaves
-    int64 for p < 2^31; entries go in blocks that keep temporaries under _BLOCK.
-    """
-    step = max(1, _BLOCK // (8 * max(1, src.shape[1])))
-    for s in range(0, len(grp), step):
-        g = grp[s : s + step]
-        starts = np.flatnonzero(np.diff(g, prepend=-1))
-        part = src[idx[s : s + step]] * coef[s : s + step, None] % p
-        at = g[starts]
-        out[at] = (out[at] + np.add.reduceat(part, starts)) % p
-
-
 def _clear(mat, cols, rows, p: int):
     """mat -= mat[:, cols] @ rows mod p in place: zero cols, for echelon rows pivoting there."""
     r, k = np.nonzero(mat[:, cols])
@@ -576,21 +541,15 @@ class _F4Engine:
             return out, grp[~at], idx[~at], coef[~at]
 
         # the normal form of a pivot monomial m is minus that of its
-        # reducer's tail, which holds only smaller monomials: a row's level,
-        # one more than the highest level it reads, orders the table
+        # reducer's tail, which holds only smaller monomials, so each row
+        # reads only rows before it
         table, grp, idx, coef = entries(
             [
                 ([m - self.leads[e] + t for t in self.tails[e][0]], [-c for c in self.tails[e][1]])
                 for m, e in zip(piv, map(reducer.__getitem__, piv))
             ]
         )
-        depth = [0] * npiv
-        for r, j in zip(grp.tolist(), idx.tolist()):  # j < r, rows ascending
-            depth[r] = max(depth[r], depth[j] + 1)
-        level = np.array(depth, np.int64)
-        for lv in range(1, max(depth, default=0) + 1):
-            sel = level[grp] == lv
-            _add_rows(table, grp[sel], idx[sel], coef[sel], table, p)
+        solve_levels(table, grp, idx, coef, p)
 
         def forms(sparse):
             mat, grp, idx, coef = entries(sparse)

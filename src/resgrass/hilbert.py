@@ -167,15 +167,6 @@ def hilbert_numerator(mi: MonomialIdeal):
     return h
 
 
-def hilbert_function_values(numer, nvars: int, upto: int):
-    """Hilbert function values dim (S/I)_d for d = 0..upto, by series expansion."""
-    vals = list(numer[: upto + 1]) + [0] * max(0, upto + 1 - len(numer))
-    for _ in range(nvars):
-        for i in range(1, upto + 1):
-            vals[i] += vals[i - 1]
-    return vals
-
-
 def _binom(x: int, r: int) -> int:
     """C(x, r) for any integer x, polynomial extension (exact)."""
     if r < 0:

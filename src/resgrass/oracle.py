@@ -13,23 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import comb
 
 import numpy as np
 
-from .arrangement import Arrangement
+from .arrangement import Arrangement, circuits
 from .errors import InputError, check_budget
-from .exterior import ExtElement, Subspace, os_ideal_part, wedge_table
-from .field import (
-    DEFAULT_MODULUS,
-    check_enumeration_field,
-    batch_rank,
-    check_kernel_modulus,
-    matmul_mod,
-    projective_points,
-    rank,
-    rref_mod,
-)
+from .exterior import ExtElement, Subspace, ideal_slice, os_ideal_part, wedge_table
+from .field import DEFAULT_MODULUS, batch_rank, check_enumeration_field, check_kernel_modulus
+from .field import matmul_mod, projective_points, rref_mod
 from .resonance import DECOMPOSABLE_SEARCH, decomposables_in_I2_bruteforce, i2_slice
 
 POINT_ENUMERATION = "resonant point enumeration"
@@ -75,32 +66,28 @@ class AomotoComplex:
     """The complex (A, a) over F_p in coset coordinates, reusable across points.
 
     Grades 0..up_to are kept; the target grade up_to+1 is needed for the last
-    differential.  Combinatorial arrangements know their dependencies only up
-    to size 3, so up_to >= 2 requires a realization.
+    differential.  One arrangement.circuits pass serves every slice
+    I_1..I_{up_to+1} (ideal_slice) and gives the rank.  Combinatorial
+    arrangements know their dependencies only up to size 3, so up_to >= 2
+    requires a realization.
     """
 
     def __init__(self, arr: Arrangement, p: int = DEFAULT_MODULUS, up_to: int = 1):
         if up_to < 0:
             raise InputError("up_to must be nonnegative")
         check_kernel_modulus(p)
-        if up_to >= 2:
-            if arr.matrix is None:
-                raise InputError(
-                    "cohomology above grade 1 needs I_3 and deeper, which require "
-                    "a realization matrix; this arrangement is flats-only"
-                )
-            ell = rank(arr.matrix, arr.n, p)
-            if up_to > ell:
-                raise InputError(f"up_to={up_to} exceeds the arrangement rank {ell}")
-        self.arr = arr
-        self.p = p
-        self.up_to = up_to
-        self.parts = {k: os_ideal_part(arr, k, p) for k in range(1, up_to + 2)}
+        if up_to >= 2 and arr.matrix is None:
+            raise InputError(
+                "cohomology above grade 1 needs I_3 and deeper, which require "
+                "a realization matrix; this arrangement is flats-only"
+            )
+        circs, ell = circuits(arr, up_to + 2, p)
+        if up_to >= 2 and up_to > ell:
+            raise InputError(f"up_to={up_to} exceeds the arrangement rank {ell}")
+        self.arr, self.p, self.up_to = arr, p, up_to
+        self.parts = {k: ideal_slice(arr.n, k, p, circs) for k in range(1, up_to + 2)}
         self._coset_cols = {k: sub.coset_columns() for k, sub in self.parts.items()}
-        dims = [1]
-        for k in range(1, up_to + 1):
-            dims.append(comb(arr.n, k) - self.parts[k].dim())
-        self.ambient_dims = tuple(dims)
+        self.ambient_dims = (1, *(len(self._coset_cols[k]) for k in range(1, up_to + 1)))
         # grade k's table: e_i ^ e_s over the coset basis e_s of A^k, whose
         # size is ambient_dims[k], in grade k+1 coordinates
         self._tables = [

@@ -126,6 +126,18 @@ def subspace_from_elements(n, k, p, elems):
     return Subspace(n, k, p, np.array(rows, dtype=np.int64).reshape(-1, len(index)), pivots)
 
 
+def reference_circuits(arr, max_size, p):
+    """Circuits of size 3..max_size: each dependent set containing no smaller one.
+
+    A superset scan over dependent_sets; the twin of arrangement.circuits.
+    """
+    found = []
+    for S in dependent_sets(arr, max_size, p):
+        if not any(set(S).issuperset(c) for c in found):
+            found.append(S)
+    return found
+
+
 def reference_os_ideal_part(arr, k, p):
     """I_k from its full spanning set: e_J ^ boundary(S) over every dependent S, then rref."""
     elems = []
@@ -266,19 +278,49 @@ def rand_poly(ring, rng, deg, nterms=3, homogeneous=False):
     return Poly(ring, terms)
 
 
+def from_exp_terms(ring, terms: dict):
+    """The polynomial of ring with the given exponent tuple -> coefficient terms."""
+    return Poly(ring, {ring.ord.pack(e): c for e, c in terms.items()})
+
+
+def evaluate(f, vals) -> int:
+    """f at the point vals, mod p."""
+    p = f.ring.p
+    total = 0
+    for key, c in f.terms.items():
+        for i, e in enumerate(f.ring.ord.unpack(key)):
+            c = c * pow(vals[i], e, p) % p
+        total += c
+    return total % p
+
+
+def pair_var(ring, i: int, j: int):
+    """The variable w_ij of a PluckerRing, in either order of i and j."""
+    return ring.var(ring.pairs.index((min(i, j), max(i, j))))
+
+
+def hilbert_function_values(numer, nvars: int, upto: int):
+    """Hilbert function values dim (S/I)_d for d = 0..upto, by series expansion."""
+    vals = list(numer[: upto + 1]) + [0] * max(0, upto + 1 - len(numer))
+    for _ in range(nvars):
+        for i in range(1, upto + 1):
+            vals[i] += vals[i - 1]
+    return vals
+
+
 def spoly(f, g):
     ord_ = f.ring.ord
     lf, lg = f.lead_key(), g.lead_key()
     l = lcm(ord_, lf, lg)
-    mf = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lf)): g.lead_coeff()})
-    mg = f.ring.from_exp_terms({ord_.unpack(ord_.quo(l, lg)): f.lead_coeff()})
+    mf = from_exp_terms(f.ring, {ord_.unpack(ord_.quo(l, lf)): g.lead_coeff()})
+    mg = from_exp_terms(f.ring, {ord_.unpack(ord_.quo(l, lg)): f.lead_coeff()})
     return mf * f - mg * g
 
 
 def permute_vars(f, perm):
     """f with variable perm[i] put in place of variable i, in the same ring."""
     unpack = f.ring.ord.unpack
-    return f.ring.from_exp_terms(
+    return from_exp_terms(f.ring, 
         {tuple(unpack(k)[i] for i in perm): c for k, c in f.terms.items()}
     )
 

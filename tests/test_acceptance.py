@@ -18,7 +18,6 @@ from resgrass.grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
 from resgrass.hilbert import (
     MonomialIdeal,
     format_hp,
-    hilbert_function_values,
     hilbert_numerator,
     hilbert_polynomial,
     leading_ideal,
@@ -27,7 +26,10 @@ from resgrass.oracle import AomotoComplex, check_prop21
 from resgrass.resonance import decomposables_in_I2_bruteforce, is_decomposable, os_points
 
 from cases import (
+    evaluate,
     factor_decomposable,
+    from_exp_terms,
+    hilbert_function_values,
     permute_vars,
     rand_poly,
     reference_normal_form,
@@ -205,7 +207,7 @@ def test_criterion_8_gb_soundness(acceptance_log):
                 ]
             )
         ring = PolyRing(4, 101)
-        gens = [ring.from_exp_terms(dict(s)) for s in seeds]
+        gens = [from_exp_terms(ring, dict(s)) for s in seeds]
         results = []
         for gs in (gens, [permute_vars(g, (2, 0, 3, 1)) for g in gens]):
             lead = leading_ideal(buchberger(gs, ring))
@@ -244,7 +246,7 @@ def test_criterion_9_plucker_consistency(acceptance_log):
         assert len(pts) == {"A3": 4, "Hessian": 36}[name]
         for pt in pts:
             for quad in quads:
-                assert quad.evaluate(pt.coords) == 0
+                assert evaluate(quad, pt.coords) == 0
     counts = []
     for n in range(3, 13):
         counts.append(len(plucker_ideal(PluckerRing(n, P))))

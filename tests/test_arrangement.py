@@ -7,6 +7,7 @@ import pytest
 from resgrass.arrangement import (
     Arrangement,
     check_simple,
+    circuits,
     dependent_sets,
     fixture,
     from_matrix,
@@ -15,7 +16,16 @@ from resgrass.arrangement import (
 )
 from resgrass.errors import DuplicateHyperplaneError, InputError
 
-from cases import BOUNDARY_PRIME, MALFORMED_JSON, reference_rank
+from cases import (
+    BOOLEAN,
+    BOUNDARY_PRIME,
+    MALFORMED_JSON,
+    PENCIL,
+    braid,
+    reference_circuits,
+    reference_rank,
+    relabelled_a4,
+)
 
 A3_FLATS = ((0, 1, 2), (0, 3, 4), (1, 4, 5), (2, 3, 5))
 
@@ -193,3 +203,22 @@ def test_batched_dependencies_match_a_rank_per_subset(p):
                 flats.add(tuple(on_line))
         assert rank2_flats_from_realization(mat, p) == tuple(sorted(flats))
     assert simple >= 5
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 31991, BOUNDARY_PRIME])
+def test_circuit_pass_matches_the_superset_scan(p):
+    """One circuit pass per size, against the superset scan over dependent_sets.
+
+    The sizes run past rank + 1, where every set is dependent and none is a
+    circuit, and the rank comes back with the circuits.
+    """
+    cases = [(braid(3), 6), (relabelled_a4(), 6), (braid(5), 5), (BOOLEAN, 4)]
+    cases += [(PENCIL, 3), (fixture("Hessian"), 3)]
+    for arr, top in cases:
+        ell = None if arr.matrix is None else reference_rank(arr.matrix, arr.n, p)
+        for size in range(top + 1):
+            assert circuits(arr, size, p) == (reference_circuits(arr, size, p), ell), (arr.name, size)
+    # the flats know only the triples
+    for arr in (PENCIL, fixture("Hessian")):
+        with pytest.raises(InputError, match="need a realization matrix"):
+            circuits(arr, 4, p)

@@ -156,6 +156,11 @@ def test_bench_braid(capsys):
     for o in obj["oracle"]:
         assert o["agree"] is True and o["runs"] == 2
         assert 0 < o["ms"]["min"] <= o["ms"]["median"]
+    # one check-point --k 3 on braid A4: a complex to grade 3 and a profile
+    cp = obj["check_point"]
+    assert (cp["fixture"], cp["k"], cp["runs"]) == ("A4", 3, 2)
+    assert cp["dims"] == [0, 0, 0, 0]  # the point 1..10 weighs no flat to zero
+    assert 0 < cp["ms"]["min"] <= cp["ms"]["median"]
     # the machine the times were taken on
     env = obj["environment"]
     assert set(env) == {"python", "numpy", "cores"}
@@ -164,6 +169,7 @@ def test_bench_braid(capsys):
     code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1")
     assert code == 0
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
+    assert "check-point A4 --k 3: h=[0, 0, 0, 0] (runs=1)" in out
 
 
 def test_bench_reports_engine_counters(capsys):

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from resgrass import field
 from resgrass.errors import InputError
 from resgrass.field import (
     BATCH_ROWS,
@@ -14,6 +15,7 @@ from resgrass.field import (
     inv_mod,
     is_prime,
     kernel_basis,
+    leveled_rref,
     matmul_mod,
     projective_points,
     rank,
@@ -252,6 +254,44 @@ def test_rref_mod_matches_rref(p):
             mat = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left]
             red, pivots = rref_mod(np.array(mat, dtype=np.int64).reshape(rows, cols), p)
             assert (red.tolist(), pivots) == reference_rref(mat, cols, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, DEFAULT_MODULUS, BOUNDARY_PRIME])
+def test_leveled_rref_matches_rref_mod(p, monkeypatch):
+    """The leveled solve on rows that lead in distinct columns, against rref_mod.
+
+    Leads are any nonzero residue, the rows come shuffled, and a
+    bidiagonal matrix, each row reading the next, makes one level per row.
+    """
+    levels = []
+    real = field._add_rows
+
+    def counting(out, grp, *args):
+        levels.append(len(grp))
+        return real(out, grp, *args)
+
+    monkeypatch.setattr(field, "_add_rows", counting)
+    rng = random.Random(p)
+    for rows, cols in ((1, 1), (4, 4), (5, 9), (8, 8), (12, 20)):
+        for _ in range(10):
+            mat = np.zeros((rows, cols), dtype=np.int64)
+            for r, lead in enumerate(sorted(rng.sample(range(cols), rows))):
+                mat[r, lead] = rng.randrange(1, p)
+                for c in range(lead + 1, cols):
+                    mat[r, c] = rng.choice((0, 1, p - 1, rng.randrange(p)))
+            mat = mat[rng.sample(range(rows), rows)]
+            got, want = leveled_rref(mat, p), rref_mod(mat, p)
+            assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+    chain = np.zeros((6, 8), dtype=np.int64)
+    for r in range(6):
+        chain[r, r], chain[r, r + 1] = rng.randrange(1, p), rng.randrange(1, p)
+    levels.clear()
+    got, want = leveled_rref(chain[::-1], p), rref_mod(chain, p)
+    assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+    assert len(levels) == 5  # depth 5: row r reads row r + 1
+    for empty in (np.zeros((0, 5), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)):
+        red, pivots = leveled_rref(empty, p)
+        assert red.shape == empty.shape and pivots == []
 
 
 # 2^12 - 1 and (3^8 - 1)/2 points take several batches, with carries across them

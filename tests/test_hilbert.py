@@ -9,13 +9,12 @@ from resgrass.hilbert import (
     HilbertPoly,
     MonomialIdeal,
     format_hp,
-    hilbert_function_values,
     hilbert_numerator,
     hilbert_polynomial,
     leading_ideal,
 )
 
-from cases import braid, permute_vars, r1_ideal
+from cases import braid, from_exp_terms, hilbert_function_values, permute_vars, r1_ideal
 
 
 def brute_hf(mi, d):
@@ -150,7 +149,7 @@ def test_hilbert_data_is_order_independent():
                 ]
             )
         ring = PolyRing(nvars, p)
-        gens = [ring.from_exp_terms(dict(s)) for s in seeds]
+        gens = [from_exp_terms(ring, dict(s)) for s in seeds]
         results = []
         for gs in (gens, [permute_vars(g, (2, 0, 3, 1)) for g in gens]):
             lead = leading_ideal(buchberger(gs, ring=ring))

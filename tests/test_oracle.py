@@ -317,21 +317,32 @@ def test_check_prop21_a4_f3_within_cap():
 
 
 def test_check_point_builds_each_ideal_slice_once(capsys, monkeypatch, tmp_path):
-    built = []
-    real = oracle.os_ideal_part
+    passes, built = [], []
+    real_pass, real_slice = oracle.circuits, oracle.ideal_slice
 
-    def counting(arr, k, p):
+    def counting_pass(arr, max_size, p):
+        passes.append(max_size)
+        return real_pass(arr, max_size, p)
+
+    def counting_slice(n, k, p, circs):
         built.append(k)
-        return real(arr, k, p)
+        return real_slice(n, k, p, circs)
 
-    monkeypatch.setattr(oracle, "os_ideal_part", counting)
+    monkeypatch.setattr(oracle, "circuits", counting_pass)
+    monkeypatch.setattr(oracle, "ideal_slice", counting_slice)
     path = tmp_path / "A4.txt"
     path.write_text("matrix\n" + "".join(" ".join(map(str, r)) + "\n" for r in braid_rows(4)))
-    code = cli.main(["check-point", "--input", str(path), "--k", "3", "--json",
-                     "0,0,0,0,0,1,2,0,0,-3"])
-    obj = json.loads(capsys.readouterr().out)
-    assert code == 0 and obj["k_check"]["k"] == 3
-    assert sorted(built) == [1, 2, 3, 4]
+    argv = ["check-point", "--input", str(path), "--k", "3", "--json", "0,0,0,0,0,1,2,0,0,-3"]
+    outs = []
+    for call in (1, 2):
+        assert cli.main(argv) == 0
+        outs.append(capsys.readouterr().out)
+        # one circuit pass up to size k + 2 and one slice per grade 1..k+1, and
+        # the second call on the same file repeats them: nothing is cached
+        assert passes == [5] * call
+        assert built == [1, 2, 3, 4] * call
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["k_check"]["k"] == 3
 
 
 def test_shared_complex_gives_the_same_verdicts():

@@ -27,6 +27,7 @@ from cases import (
     BOUNDARY_PRIME,
     PENCIL,
     braid,
+    evaluate,
     factor_decomposable,
     reference_decomposable_planes,
     reference_r1_hilbert,
@@ -56,7 +57,7 @@ def test_plucker_quadrics_vanish_on_os_points():
         quads = plucker_ideal(ring)
         for pt in os_points(arr):
             for q in quads:
-                assert q.evaluate(pt.coords) == 0
+                assert evaluate(q, pt.coords) == 0
 
 
 def test_span_forms_single_point():
