@@ -6,8 +6,9 @@ for one point), oracle (exhaustive small-field cross-check, capped by
 --budget), fixtures (list built-ins), bench (per-stage timings, the Groebner
 engine's counters and pair-pass time, the A3 oracle over F_5 and F_7, and
 an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
-python and numpy versions and the core count; no external baseline is
-run).  Exit codes: 0 success, 2 input error, 3 budget error.
+python and numpy versions, the core count and the git revision of the
+package's checkout; no external baseline is run).  Exit codes: 0 success,
+2 input error, 3 budget error.
 """
 
 from __future__ import annotations
@@ -179,7 +180,17 @@ def cmd_bench(args) -> int:
     profs, ms = _timed(lambda: AomotoComplex(a4, args.p, CHECK_K).profile(pt), args.repeat)
     check = dict(fixture=a4.name, k=CHECK_K, dims=list(profs[0].dims), runs=args.repeat, ms=ms)
     if args.json:
-        env = {"python": platform.python_version(), "numpy": np.__version__, "cores": os.cpu_count()}
+        # imported here: only bench runs git, and importing subprocess would
+        # add about 4 ms to the start of every other command
+        import subprocess
+
+        try:
+            rev = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                                 capture_output=True, text=True, check=True).stdout.strip()
+        except (OSError, subprocess.CalledProcessError):
+            rev = None  # no git, or the package is not in a checkout
+        env = {"python": platform.python_version(), "numpy": np.__version__,
+               "cores": os.cpu_count(), "git_rev": rev}
         print(json.dumps({"results": results, "oracle": oracle, "check_point": check,
                           "environment": env}))
         return 0

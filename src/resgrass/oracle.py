@@ -18,10 +18,10 @@ import numpy as np
 
 from .arrangement import Arrangement, circuits
 from .errors import InputError, check_budget
-from .exterior import ExtElement, Subspace, ideal_slice, os_ideal_part, wedge_table
+from .exterior import ExtElement, Subspace, ideal_slice, wedge_table
 from .field import DEFAULT_MODULUS, batch_rank, check_enumeration_field, check_kernel_modulus
 from .field import matmul_mod, projective_points, rref_mod
-from .resonance import DECOMPOSABLE_SEARCH, decomposables_in_I2_bruteforce, i2_slice
+from .resonance import DECOMPOSABLE_SEARCH, _decomposable_planes
 
 POINT_ENUMERATION = "resonant point enumeration"
 
@@ -69,12 +69,13 @@ class AomotoComplex:
     differential.  One arrangement.circuits pass serves every slice
     I_1..I_{up_to+1} (ideal_slice) and gives the rank.  Combinatorial
     arrangements know their dependencies only up to size 3, so up_to >= 2
-    requires a realization.
+    requires a realization.  wedges[k] is grade k's reduced wedge map, so
+    that d_k at a point is one product (differentials).
     """
 
     def __init__(self, arr: Arrangement, p: int = DEFAULT_MODULUS, up_to: int = 1):
         if up_to < 0:
-            raise InputError("up_to must be nonnegative")
+            raise InputError(f"cohomology grade {up_to} is negative")
         check_kernel_modulus(p)
         if up_to >= 2 and arr.matrix is None:
             raise InputError(
@@ -83,47 +84,58 @@ class AomotoComplex:
             )
         circs, ell = circuits(arr, up_to + 2, p)
         if up_to >= 2 and up_to > ell:
-            raise InputError(f"up_to={up_to} exceeds the arrangement rank {ell}")
+            raise InputError(f"cohomology grade {up_to} exceeds the arrangement rank {ell}")
         self.arr, self.p, self.up_to = arr, p, up_to
         self.parts = {k: ideal_slice(arr.n, k, p, circs) for k in range(1, up_to + 2)}
-        self._coset_cols = {k: sub.coset_columns() for k, sub in self.parts.items()}
-        self.ambient_dims = (1, *(len(self._coset_cols[k]) for k in range(1, up_to + 1)))
-        # grade k's table: e_i ^ e_s over the coset basis e_s of A^k, whose
-        # size is ambient_dims[k], in grade k+1 coordinates
-        self._tables = [
-            wedge_table([()] if k == 0 else self.parts[k].coset_subsets(), self.parts[k + 1])
-            for k in range(up_to + 1)
-        ]
+        # the coset basis of A^k for k = 0..up_to
+        bases = [[()]] + [self.parts[k].coset_subsets() for k in range(1, up_to + 1)]
+        self.ambient_dims = tuple(map(len, bases))
+        self.wedges = [_reduced_wedges(b, self.parts[k + 1]) for k, b in enumerate(bases)]
 
-    def differentials(self, pt: ExtElement):
-        """The matrices of d_0..d_up_to at pt, rows and columns in coset coordinates.
+    def differentials(self, pts):
+        """The matrices of d_0..d_up_to at a batch of points, in coset coordinates.
 
-        Row s of d_k is pt ^ e_s reduced mod I_{k+1}: pt's coordinates go
-        through grade k's wedge table, one matrix of grade k+1 coordinates,
-        reduced in one step.
+        pts is a (batch, n) array of residues mod p.  d_k comes as one
+        (dim A^k, dim A^(k+1), batch) array, the batch innermost: entry
+        (s, t, b) is coset coordinate t of pts[b] ^ e_s reduced mod I_{k+1},
+        and the whole array is one matmul_mod of grade k's wedge map.
         """
+        cols = np.ascontiguousarray(np.asarray(pts, dtype=np.int64).T)
+        return [matmul_mod(w, cols, self.p) for w in self.wedges]
+
+    def profile(self, pt: ExtElement) -> CohomologyProfile:
         _check_point(pt)
         if pt.p != self.p:
             raise InputError("point modulus does not match the complex")
-        a = np.zeros(self.arr.n, dtype=np.int64)
+        a = np.zeros((1, self.arr.n), dtype=np.int64)
         for (i,), c in pt.terms.items():
-            a[i] = c
-        mats = []
-        for k, (rows, gens, cols, signs) in enumerate(self._tables):
-            target = self.parts[k + 1]
-            d = np.zeros((self.ambient_dims[k], target.ambient_dim()), dtype=np.int64)
-            d[rows, cols] = a[gens] * signs
-            mats.append(target.reduce_rows(d)[:, self._coset_cols[k + 1]])
-        return mats
-
-    def profile(self, pt: ExtElement) -> CohomologyProfile:
-        mats = self.differentials(pt)
-        ranks = [len(rref_mod(m, self.p)[1]) for m in mats]
+            a[0, i] = c
+        ranks = [len(rref_mod(d[:, :, 0], self.p)[1]) for d in self.differentials(a)]
         dims = []
         for k in range(self.up_to + 1):
             below = ranks[k - 1] if k else 0
             dims.append(self.ambient_dims[k] - ranks[k] - below)
         return CohomologyProfile(tuple(dims), self.ambient_dims, ranks[-1])
+
+
+def _reduced_wedges(subsets, target: Subspace):
+    """W with W[s, :, i] = e_i ^ e_s reduced mod target, in target's coset coordinates.
+
+    e_t reduces to itself on a coset column t and to minus the coset part of
+    its echelon row on a pivot column, so each wedge-table entry gathers one
+    row of that normal-form table.  Shape (len(subsets), coset dim, n): times
+    a batch of points as columns it gives their differentials batch
+    innermost, the layout batch_rank eliminates in.
+    """
+    p, coset = target.p, target.coset_columns()
+    normal = np.zeros((target.ambient_dim(), len(coset)), dtype=np.int64)
+    normal[coset, np.arange(len(coset))] = 1
+    if target.pivots:
+        normal[target.pivots] = -target.rows[:, coset] % p
+    rows, gens, cols, signs = wedge_table(subsets, target)
+    w = np.zeros((len(subsets), len(coset), target.n), dtype=np.int64)
+    w[rows, :, gens] = signs[:, None] * normal[cols] % p
+    return w
 
 
 def aomoto_profile(arr: Arrangement, pt: ExtElement, up_to: int = 1) -> CohomologyProfile:
@@ -141,58 +153,34 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
     return aomoto_profile(arr, pt).dims[1] > 0
 
 
-def _wedge_map(n: int, sub: Subspace):
-    """W with (W[i] @ a)[r] = coset coordinate r of (a ^ e_i) reduced mod I_2.
+def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
+    """All resonant points of P^{n-1}(F_q), as sorted normalized tuples, by rank d_1 < n - 1."""
+    check_enumeration_field(q)
+    check_budget(q, arr.n, budget, POINT_ENUMERATION)
+    return _resonant_points(AomotoComplex(arr, q))
 
-    Built from the wedge table of the 1-subsets: column j of W[i] is
-    e_j ^ e_i.  W times a batch of points, one point per column, holds the
-    columns a ^ e_i of every point's wedge matrix, batch innermost: shape
-    (n, rows, batch), the layout batch_rank eliminates in.
+
+def _resonant_points(cx: AomotoComplex):
+    """The points of P^{n-1}(F_q), q = cx.p, where cx has h^1 > 0, sorted.
+
+    h^1 = n - 1 - rank d_1, so a point is resonant when its rank is below
+    n - 1.  Candidates are scanned in batches.  The points of a batch share
+    their leading coordinate l, with a_l = 1.  Since a ^ a = 0, row l of d_1
+    is minus the sum of a_i times row i over i != l, so the other n - 1 rows
+    have the same rank: one product of grade 1's wedge map less row l gives
+    them for the whole batch, and one batched elimination their ranks.
+    A^1 has the basis e_0..e_{n-1}, since I_1 = 0.
     """
-    rows, gens, cols, signs = wedge_table([(i,) for i in range(n)], sub)
-    w = np.zeros((n, n, sub.ambient_dim()), dtype=np.int64)
-    w[rows, gens, cols] = signs
-    red = sub.reduce_rows(w.reshape(n * n, -1))[:, sub.coset_columns()]
-    return np.ascontiguousarray(red.reshape(n, n, -1).transpose(0, 2, 1))
-
-
-def _resonant_rows(batches, wedge_map, q: int):
-    """The resonant points of each batch: those whose wedge matrix has rank below n - 1.
-
-    The points of a batch share their leading coordinate l, with a_l = 1.
-    Since a ^ a = 0, column l of the wedge matrix is minus the sum of a_i
-    times column i over i != l, so the other n - 1 columns have the same
-    rank, and only they are eliminated.
-    """
-    n = len(wedge_map)
-    # a generator keeps one batch's arrays alive while the next is built; freeing
-    # them after every batch made the scan about a quarter slower (page faults)
-    for pts in batches:
+    n, q = cx.arr.n, cx.p
+    found = []
+    for pts in projective_points(q, n):
         lead = int(np.flatnonzero(pts[0])[0])
         # the points as contiguous columns: a strided right operand made the
         # product about twice as slow
-        cols = matmul_mod(np.delete(wedge_map, lead, axis=0), np.ascontiguousarray(pts.T), q)
-        # (batch, rows, n - 1) as a view of the (n - 1, rows, batch) columns,
+        d1 = matmul_mod(np.delete(cx.wedges[1], lead, axis=0), np.ascontiguousarray(pts.T), q)
+        # (batch, cols, n - 1) as a view of the (n - 1, cols, batch) rows,
         # which batch_rank transposes back without a copy
-        yield pts[batch_rank(cols.transpose(2, 1, 0), q) < n - 1]
-
-
-def enumerate_r1(
-    arr: Arrangement, q: int, budget: int | None = None, i2: Subspace | None = None
-):
-    """All resonant points of P^{n-1}(F_q), as sorted normalized tuples.
-
-    Candidates are scanned in batches.  One product gives the reduced wedge
-    matrices of a whole batch, less the column of its leading coordinate,
-    one batched elimination their ranks, and a point is resonant when its
-    rank is below n - 1.  A given i2 supplies I_2.
-    """
-    check_enumeration_field(q)
-    n = arr.n
-    check_budget(q, n, budget, POINT_ENUMERATION)
-    wedge_map = _wedge_map(n, i2_slice(arr, q, i2))
-    found = []
-    for hits in _resonant_rows(projective_points(q, n), wedge_map, q):
+        hits = pts[batch_rank(d1.transpose(2, 1, 0), q) < n - 1]
         found.extend(map(tuple, hits.tolist()))
     return sorted(found)
 
@@ -221,14 +209,15 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     Route one enumerates resonant points by rank tests; route two takes the
     union of F_q-points of the planes found by the decomposable search.
     Agreement plus the symmetric difference goes into the report.  Both
-    routes share one I_2, and both budgets are checked before either scan.
+    routes share one Aomoto complex and its I_2, and both budgets are
+    checked before either scan.
     """
     check_enumeration_field(q)
-    i2 = os_ideal_part(arr, 2, q)
-    check_budget(q, i2.dim(), budget, DECOMPOSABLE_SEARCH)
+    cx = AomotoComplex(arr, q)
+    check_budget(q, cx.parts[2].dim(), budget, DECOMPOSABLE_SEARCH)
     check_budget(q, arr.n, budget, POINT_ENUMERATION)
-    planes = decomposables_in_I2_bruteforce(arr, q, budget, i2)
-    resonant = set(enumerate_r1(arr, q, budget, i2))
+    planes = _decomposable_planes(cx.parts[2])
+    resonant = set(_resonant_points(cx))
     union = set()
     disjoint = True
     for pl in planes:

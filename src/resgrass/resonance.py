@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
-from .errors import InputError, check_budget
+from .errors import check_budget
 from .exterior import ExtElement, Subspace, os_ideal_part
 from .field import (
     DEFAULT_MODULUS,
@@ -227,38 +227,31 @@ class Plane:
         return pts
 
 
-def i2_slice(arr: Arrangement, q: int, i2: Subspace | None = None) -> Subspace:
-    """I_2 of arr over F_q: i2 when given, once checked to have its shape, else built."""
-    if i2 is None:
-        return os_ideal_part(arr, 2, q)
-    if (i2.n, i2.k, i2.p) != (arr.n, 2, q):
-        raise InputError(
-            f"the given slice (n={i2.n}, grade {i2.k}, F_{i2.p}) is not I_2 of "
-            f"{arr.name} (n={arr.n}) over F_{q}"
-        )
-    return i2
-
-
-def decomposables_in_I2_bruteforce(
-    arr: Arrangement, q: int, budget: int | None = None, i2: Subspace | None = None
-):
+def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None = None):
     """All 2-planes whose Plucker point lies in P(I_2), by full F_q enumeration.
 
     Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
-    BudgetError before any work happens.  Candidates are scanned in batches
-    of coefficient vectors over the echelon basis of I_2.  A candidate u
-    that passes decomposable_mask is x ^ y, and row a of its antisymmetric
-    matrix is x_a y - y_a x, so the rows span span(x, y): one rref_mod
-    gives the plane's basis.  A rank other than 2 raises ValueError.  A
-    given i2 supplies I_2.
+    BudgetError before any work happens.
     """
     check_enumeration_field(q)
-    sub = i2_slice(arr, q, i2)
-    n, m = arr.n, sub.dim()
-    check_budget(q, m, budget, DECOMPOSABLE_SEARCH)
+    sub = os_ideal_part(arr, 2, q)
+    check_budget(q, sub.dim(), budget, DECOMPOSABLE_SEARCH)
+    return _decomposable_planes(sub)
+
+
+def _decomposable_planes(sub: Subspace):
+    """The planes of decomposables_in_I2_bruteforce, sub being I_2 over F_q.
+
+    Candidates are scanned in batches of coefficient vectors over the
+    echelon basis of I_2.  A candidate u that passes decomposable_mask is
+    x ^ y, and row a of its antisymmetric matrix is x_a y - y_a x, so the
+    rows span span(x, y): one rref_mod gives the plane's basis.  A rank
+    other than 2 raises ValueError.
+    """
+    n, q = sub.n, sub.p
     upper = np.triu_indices(n, 1)  # the pairs a < b in lex order
     planes = []
-    for coeffs in projective_points(q, m):
+    for coeffs in projective_points(q, sub.dim()):
         u = matmul_mod(coeffs, sub.rows, q)
         hits = u[decomposable_mask(u, n, q)]
         mats = np.zeros((len(hits), n, n), dtype=np.int64)

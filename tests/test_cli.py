@@ -1,16 +1,25 @@
 import json
 import os
 import platform
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from resgrass import cli
 from resgrass.cli import main
 
 from cases import MALFORMED_JSON
 
 PENCIL = "flats n=3\n0,1,2\n"
 BOOLEAN = "matrix\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+def git_head(folder):
+    """HEAD of the checkout holding folder, or None when there is none."""
+    res = subprocess.run(["git", "rev-parse", "HEAD"], cwd=folder, capture_output=True, text=True)
+    return res.stdout.strip() if res.returncode == 0 else None
 
 
 def run(capsys, *argv):
@@ -163,13 +172,24 @@ def test_bench_braid(capsys):
     assert 0 < cp["ms"]["min"] <= cp["ms"]["median"]
     # the machine the times were taken on
     env = obj["environment"]
-    assert set(env) == {"python", "numpy", "cores"}
+    assert set(env) == {"python", "numpy", "cores", "git_rev"}
     assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
     assert env["cores"] == os.cpu_count()
+    assert env["git_rev"] == git_head(Path(cli.__file__).parent)
     code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1")
     assert code == 0
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
     assert "check-point A4 --k 3: h=[0, 0, 0, 0] (runs=1)" in out
+
+
+def test_bench_git_rev_is_null_outside_a_checkout(capsys, monkeypatch):
+    def not_a_checkout(argv, **kwargs):
+        raise subprocess.CalledProcessError(128, argv)
+
+    monkeypatch.setattr(subprocess, "run", not_a_checkout)
+    code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["environment"]["git_rev"] is None
 
 
 def test_bench_reports_engine_counters(capsys):
@@ -198,6 +218,9 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "check-point", "--fixture", "A3", "a,b,c,d,e,f")[0] == 2
     assert run(capsys, "check-point", "--fixture", "A3", "0,0,0,0,0,0")[0] == 2
     assert run(capsys, "check-point", "--fixture", "A3", "--k", "0", "1,1,1,1,1,1")[0] == 2
+    assert run(capsys, "check-point", "--fixture", "A3", "--k", "5", "1,2,3,4,5,6") == (
+        2, "", "error: cohomology grade 5 exceeds the arrangement rank 3\n"
+    )
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense header\n")
     assert run(capsys, "r1", "--input", str(bad))[0] == 2

@@ -6,11 +6,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from resgrass import cli, oracle, resonance
+from resgrass import cli, exterior, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
-from resgrass.exterior import ExtElement, os_ideal_part, wedge
-from resgrass.field import matmul_mod
+from resgrass.exterior import ExtElement, os_ideal_part
 from resgrass.grobner import PolyRing, normal_form
 from resgrass.oracle import (
     AomotoComplex,
@@ -76,12 +75,25 @@ def test_profile_randomized_exactness():
         assert cx.profile(random_nonresonant_point(rng, 12)).dims == (0, 0)
 
 
+def pointwise_differentials(cx, points):
+    """Each point's d_0..d_up_to, from one differentials call on the points as a batch."""
+    batch = np.array(points, dtype=np.int64) % cx.p
+    mats = cx.differentials(batch)
+    assert [d.shape for d in mats] == [
+        (cx.ambient_dims[k], len(cx.parts[k + 1].coset_columns()), len(batch))
+        for k in range(cx.up_to + 1)
+    ]
+    return [[d[:, :, b].astype(np.int64) for d in mats] for b in range(len(batch))]
+
+
 def test_differentials_compose_to_zero():
     rng = random.Random(18)
     a3 = fixture("A3")
     cx = AomotoComplex(a3, P, up_to=3)
-    for coeffs in ([1] * 6, [0, 1, 0, 0, -1, 0], [rng.randrange(P) for _ in range(6)]):
-        mats = cx.differentials(pt(coeffs))
+    points = ([1] * 6, [0, 1, 0, 0, -1, 0], [rng.randrange(P) for _ in range(6)])
+    for coeffs, mats in zip(points, pointwise_differentials(cx, points)):
+        want = reference_differentials(cx, pt(coeffs))
+        assert all((g == w).all() for g, w in zip(mats, want))
         for low, high in zip(mats, mats[1:]):
             assert not ((low @ high) % P).any()
 
@@ -187,27 +199,27 @@ def test_check_prop21_pencil_and_report_json():
 
 
 def test_check_prop21_builds_i2_once(monkeypatch):
-    built = []
-    real = os_ideal_part
+    passes, built = [], []
+    real_pass, real_slice = exterior.circuits, exterior.ideal_slice
 
-    def counting(arr, k, p):
+    def counting_pass(arr, max_size, p):
+        passes.append(max_size)
+        return real_pass(arr, max_size, p)
+
+    def counting_slice(n, k, p, circs):
         built.append(k)
-        return real(arr, k, p)
+        return real_slice(n, k, p, circs)
 
-    monkeypatch.setattr(oracle, "os_ideal_part", counting)
-    monkeypatch.setattr(resonance, "os_ideal_part", counting)
-    assert check_prop21(fixture("A3"), 5).agree
-    assert built == [2]
-
-
-def test_a_given_i2_must_fit():
-    a3 = fixture("A3")
-    assert enumerate_r1(a3, 5, i2=os_ideal_part(a3, 2, 5)) == enumerate_r1(a3, 5)
-    for wrong in (os_ideal_part(a3, 2, 7), os_ideal_part(a3, 3, 5), os_ideal_part(BOOLEAN, 2, 5)):
-        with pytest.raises(InputError, match="not I_2"):
-            enumerate_r1(a3, 5, i2=wrong)
-        with pytest.raises(InputError, match="not I_2"):
-            resonance.decomposables_in_I2_bruteforce(a3, 5, i2=wrong)
+    # os_ideal_part makes its pass and slice in exterior, the complex in oracle
+    for module in (oracle, exterior):
+        monkeypatch.setattr(module, "circuits", counting_pass)
+        monkeypatch.setattr(module, "ideal_slice", counting_slice)
+    for call in (1, 2):
+        assert check_prop21(fixture("A3"), 5).agree
+        # one complex: one pass up to size 3 and the slices I_1 and I_2, whose
+        # I_2 the decomposable search takes as well
+        assert passes == [3] * call
+        assert built == [1, 2] * call
 
 
 def test_oracle_refuses_a_field_the_realization_degenerates_over(capsys, tmp_path):
@@ -268,14 +280,18 @@ def test_profile_json():
 A4 = braid(4)
 
 
+# the number of resonant points: q + 1 on each plane of R^1, which meet only
+# at 0; the Hessian over F_2 has 54 planes and 10 three-dimensional
+# components, 54 * 3 + 10 * 7 points
 @pytest.mark.parametrize(
-    "arr, q",
-    [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (A4, 2),
-     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)],
+    "arr, q, count",
+    [(fixture("A3"), 2, 15), (fixture("A3"), 5, 30), (fixture("A3"), 7, 40), (A4, 2, 45),
+     (PENCIL, 2, 3), (PENCIL, 3, 4), (BOOLEAN, 2, 0), (BOOLEAN, 3, 0),
+     (fixture("Hessian"), 2, 232)],
     ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "pencil/F_2", "pencil/F_3",
-         "boolean/F_2", "boolean/F_3"],
+         "boolean/F_2", "boolean/F_3", "Hessian/F_2"],
 )
-def test_enumerate_r1_equals_pointwise_scan(arr, q):
+def test_enumerate_r1_equals_pointwise_scan(arr, q, count):
     cx = AomotoComplex(arr, q, up_to=1)
     want = [
         coords
@@ -284,25 +300,8 @@ def test_enumerate_r1_equals_pointwise_scan(arr, q):
         for coords in [(0,) * lead + (1,) + tail]
         if cx.profile(pt(coords, q)).dims[1] > 0
     ]
+    assert len(want) == count
     assert enumerate_r1(arr, q) == sorted(want)
-
-
-@pytest.mark.parametrize("arr, q", [(fixture("A3"), 7), (A4, 3)], ids=["A3/F_7", "A4/F_3"])
-def test_wedge_map_columns_are_the_reduced_wedges(arr, q):
-    """The batched product, seen as batch_rank sees it, holds a ^ e_i in column i of point a's matrix."""
-    rng = random.Random(q)
-    n = arr.n
-    sub = os_ideal_part(arr, 2, q)
-    coset = sub.coset_columns()
-    pts = np.array([[rng.randrange(q) for _ in range(n)] for _ in range(20)], dtype=np.int64)
-    stored = matmul_mod(oracle._wedge_map(n, sub), np.ascontiguousarray(pts.T), q)
-    mats = stored.transpose(2, 1, 0)
-    assert mats.shape == (len(pts), len(coset), n)
-    for coeffs, mat in zip(pts.tolist(), mats):
-        a = pt(coeffs, q)
-        for i in range(n):
-            want = sub.reduce_rows([sub.vector(wedge(a, ExtElement(q, 1, {(i,): 1})))])[0, coset]
-            assert mat[:, i].tolist() == want.tolist()
 
 
 def test_check_prop21_a4_f3_within_cap():
@@ -358,7 +357,9 @@ def test_shared_complex_gives_the_same_verdicts():
         cx.profile(pt([1] * 6, 5))  # another field
 
 
-@pytest.mark.parametrize("p", [P, 5])
+# F_3 and F_7 are the fields of the benchmark's scans, whose products run in
+# int8 and int16
+@pytest.mark.parametrize("p", [P, 3, 5, 7])
 @pytest.mark.parametrize(
     "arr, up_to",
     [(fixture("A3"), 3), (braid(4), 3), (fixture("Hessian"), 1), (PENCIL, 1), (BOOLEAN, 3)],
@@ -369,11 +370,9 @@ def test_differentials_equal_the_pointwise_wedges(arr, up_to, p):
     cx = AomotoComplex(arr, p, up_to=up_to)
     points = [[1] * arr.n, [0, 1] + [0] * (arr.n - 2), [1, p - 1] + [0] * (arr.n - 2)]
     points += [[rng.randrange(p) for _ in range(arr.n)] for _ in range(4)]
-    for coeffs in points:
-        x = pt(coeffs, p)
-        if x.is_zero():
-            continue
-        got, want = cx.differentials(x), reference_differentials(cx, x)
+    points = [coeffs for coeffs in points if any(coeffs)]
+    for coeffs, got in zip(points, pointwise_differentials(cx, points)):
+        want = reference_differentials(cx, pt(coeffs, p))
         assert [m.shape for m in got] == [m.shape for m in want]
         assert all((g == w).all() for g, w in zip(got, want))
 
