@@ -34,8 +34,7 @@ from .resonance import r1_hilbert
 
 FIXTURES = ("A3", "Hessian")
 STAGES = ("span", "groebner", "hilbert", "total")
-ORACLE_FIELDS = (5, 7)  # bench times check_prop21 on A3 over these
-CHECK_K = 3  # and an Aomoto complex to this grade with one profile, on braid A4
+CHECK_K = 3  # bench times an Aomoto complex to this grade with one profile, on braid A4
 
 
 def _load(args) -> Arrangement:
@@ -166,16 +165,15 @@ def cmd_bench(args) -> int:
         engine["pair_ms"] = {"min": min(pair_ms), "median": statistics.median(pair_ms)}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
                             stages=stages, engine=engine))
-    oracle = []
-    a3 = fixture("A3")
-    for q in ORACLE_FIELDS:
-        reps, ms = _timed(lambda: check_prop21(a3, q), args.repeat)
-        agree = all(rep.agree for rep in reps)
-        oracle.append(dict(fixture=a3.name, q=q, agree=agree, runs=args.repeat, ms=ms))
-    # a check-point --k CHECK_K call: one AomotoComplex and one profile, on
-    # braid A4 realized by the columns e_i - e_j (i < j) of F^5
+    # check_prop21 on A3 and on braid A4, realized by the columns e_i - e_j (i < j) of F^5
     pairs = list(combinations(range(5), 2))
     a4 = from_matrix([[(r == i) - (r == j) for i, j in pairs] for r in range(5)], "A4", args.p)
+    oracle = []
+    for arr, q in ((fixture("A3"), 5), (fixture("A3"), 7), (a4, 3)):
+        reps, ms = _timed(lambda: check_prop21(arr, q), args.repeat)
+        agree = all(rep.agree for rep in reps)
+        oracle.append(dict(fixture=arr.name, q=q, agree=agree, runs=args.repeat, ms=ms))
+    # a check-point --k CHECK_K call on A4: one AomotoComplex and one profile
     pt = ExtElement(args.p, 1, {(i,): i + 1 for i in range(a4.n)})
     profs, ms = _timed(lambda: AomotoComplex(a4, args.p, CHECK_K).profile(pt), args.repeat)
     check = dict(fixture=a4.name, k=CHECK_K, dims=list(profs[0].dims), runs=args.repeat, ms=ms)

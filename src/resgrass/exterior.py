@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, circuits
-from .field import DEFAULT_MODULUS, check_kernel_modulus, leveled_rref, matmul_mod
+from .field import DEFAULT_MODULUS, check_kernel_modulus, leveled_rref
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -153,28 +153,6 @@ class Subspace:
 
     def ambient_dim(self) -> int:
         return len(self.subsets)
-
-    def vector(self, x: ExtElement):
-        if x.grade != self.k or x.p != self.p:
-            raise ValueError("element grade or modulus mismatch")
-        row = [0] * len(self.subsets)
-        for key, c in x.terms.items():
-            row[self.index[key]] = c
-        return row
-
-    def reduce_rows(self, mat):
-        """Each row of mat reduced modulo the subspace (pivot coordinates zeroed), as int64.
-
-        The rows lose their pivot coordinates times the echelon basis, in one
-        matmul_mod.
-        """
-        out = np.asarray(mat, dtype=np.int64) % self.p
-        if self.pivots:
-            out = (out - matmul_mod(out[:, self.pivots], self.rows, self.p)) % self.p
-        return out
-
-    def contains(self, x: ExtElement) -> bool:
-        return not self.reduce_rows([self.vector(x)]).any()
 
     def coset_columns(self):
         """Indices of the non-pivot coordinates, which span a complement."""

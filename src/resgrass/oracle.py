@@ -19,8 +19,8 @@ import numpy as np
 from .arrangement import Arrangement, circuits
 from .errors import InputError, check_budget
 from .exterior import ExtElement, Subspace, ideal_slice, wedge_table
-from .field import DEFAULT_MODULUS, batch_rank, check_enumeration_field, check_kernel_modulus
-from .field import matmul_mod, projective_points, rref_mod
+from .field import BATCH_ROWS, DEFAULT_MODULUS, batch_rank, check_enumeration_field
+from .field import check_kernel_modulus, matmul_mod, projective_points, rref_mod
 from .resonance import DECOMPOSABLE_SEARCH, _decomposable_planes
 
 POINT_ENUMERATION = "resonant point enumeration"
@@ -160,6 +160,12 @@ def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
     return _resonant_points(AomotoComplex(arr, q))
 
 
+def _compressor(rows: int, cols: int, q: int):
+    """A fixed (rows, cols) matrix mod q: entry k in C order is 48271^(k+1) mod 2^31 - 1."""
+    vals = [pow(48271, k, 2147483647) % q for k in range(1, rows * cols + 1)]
+    return np.array(vals, dtype=np.int64).reshape(rows, cols)
+
+
 def _resonant_points(cx: AomotoComplex):
     """The points of P^{n-1}(F_q), q = cx.p, where cx has h^1 > 0, sorted.
 
@@ -170,18 +176,32 @@ def _resonant_points(cx: AomotoComplex):
     have the same rank: one product of grade 1's wedge map less row l gives
     them for the whole batch, and one batched elimination their ranks.
     A^1 has the basis e_0..e_{n-1}, since I_1 = 0.
+
+    The scan ranks those rows M after a fixed map R (_compressor) takes A^2
+    to r = n + 3 coordinates.  rank(R M) <= rank(M) <= n - 1, so rank n - 1
+    certifies that a point is not resonant; R keeps the rank of almost every
+    M (Cheung, Kwok and Lau, J. ACM 60(5), 2013).  The other points are
+    ranked again on all n rows of d_1, in batches of at most BATCH_ROWS
+    shared by any leads, so R never decides an answer.  With r >= dim A^2
+    there is no R, and only the resonant points are ranked twice.
     """
-    n, q = cx.arr.n, cx.p
-    found = []
+    n, q, full, r = cx.arr.n, cx.p, cx.wedges[1], cx.arr.n + 3
+    small = matmul_mod(_compressor(r, full.shape[1], q), full, q) if r < full.shape[1] else full
+
+    def deficient(w, pts):
+        # contiguous point columns (a strided operand made the product about
+        # twice as slow); batch_rank takes the product as a transposed view
+        d = matmul_mod(w, np.ascontiguousarray(pts.T), q)
+        return pts[batch_rank(d.transpose(2, 1, 0), q) < n - 1]
+
+    found, pending = [], np.zeros((0, n), dtype=np.int64)
     for pts in projective_points(q, n):
         lead = int(np.flatnonzero(pts[0])[0])
-        # the points as contiguous columns: a strided right operand made the
-        # product about twice as slow
-        d1 = matmul_mod(np.delete(cx.wedges[1], lead, axis=0), np.ascontiguousarray(pts.T), q)
-        # (batch, cols, n - 1) as a view of the (n - 1, cols, batch) rows,
-        # which batch_rank transposes back without a copy
-        hits = pts[batch_rank(d1.transpose(2, 1, 0), q) < n - 1]
-        found.extend(map(tuple, hits.tolist()))
+        pending = np.concatenate([pending, deficient(np.delete(small, lead, axis=0), pts)])
+        if len(pending) >= BATCH_ROWS:
+            found.extend(map(tuple, deficient(full, pending[:BATCH_ROWS]).tolist()))
+            pending = pending[BATCH_ROWS:]
+    found.extend(map(tuple, deficient(full, pending).tolist()))
     return sorted(found)
 
 

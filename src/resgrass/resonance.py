@@ -168,8 +168,8 @@ def is_decomposable(u: ExtElement) -> bool:
 
 DECOMPOSABLE_SEARCH = "decomposable search in P(I_2)"
 
-# Plucker relations per step of decomposable_mask: the rows that fail one
-# are dropped before the next step.
+# Plucker relations in the first step of decomposable_mask; each later step
+# takes four times as many, on the rows that passed every step before it.
 _RELATION_CHUNK = 16
 
 
@@ -193,16 +193,20 @@ def decomposable_mask(u, n: int, q: int):
     The batched is_decomposable: every three-term Plucker relation over
     a < b < c < d of range(n).  A relation that leaves a row's support
     vanishes there, so this is the same test, in characteristic 2 as well.
-    The relations go in chunks, each on the rows that passed all before it.
+    The relations go in chunks of _RELATION_CHUNK, then four times the last
+    chunk, each on the rows that passed all before it: a row is dropped only
+    when a relation fails on it, so the chunks never change the mask.
     """
     terms = _plucker_terms(n)
     u = u.astype(kernel_dtype(2 * (q - 1) ** 2))
     live = np.arange(len(u))
-    for lo in range(0, terms.shape[1], _RELATION_CHUNK):
-        ab, cd, ac, bd, ad, bc = terms[:, lo : lo + _RELATION_CHUNK]
+    lo, size = 0, _RELATION_CHUNK
+    while lo < terms.shape[1] and len(live):
+        ab, cd, ac, bd, ad, bc = terms[:, lo : lo + size]
         w = u[live]
         rel = w[:, ab] * w[:, cd] - w[:, ac] * w[:, bd] + w[:, ad] * w[:, bc]
         live = live[~mod(rel, q).any(axis=1)]
+        lo, size = lo + size, 4 * size
     mask = np.zeros(len(u), dtype=bool)
     mask[live] = True
     return mask

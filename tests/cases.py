@@ -111,19 +111,39 @@ def reference_rank(rows, ncols: int, p: int) -> int:
     return rk
 
 
+def subspace_vector(sub, x):
+    """The coordinate row of the grade-k element x in sub's k-subset basis."""
+    if x.grade != sub.k or x.p != sub.p:
+        raise ValueError("element grade or modulus mismatch")
+    row = [0] * len(sub.subsets)
+    for key, c in x.terms.items():
+        row[sub.index[key]] = c
+    return row
+
+
+def reduce_rows(sub, mat):
+    """Each row of mat reduced modulo sub (pivot coordinates zeroed), as int64.
+
+    The rows lose their pivot coordinates times the echelon basis, in one
+    matmul_mod.
+    """
+    out = np.asarray(mat, dtype=np.int64) % sub.p
+    if sub.pivots:
+        out = (out - matmul_mod(out[:, sub.pivots], sub.rows, sub.p)) % sub.p
+    return out
+
+
+def subspace_contains(sub, x):
+    return not reduce_rows(sub, [subspace_vector(sub, x)]).any()
+
+
 def subspace_from_elements(n, k, p, elems):
     """The Subspace spanned by grade-k elements, reduced by reference_rref."""
-    index = {s: i for i, s in enumerate(combinations(range(n), k))}
-    mat = []
-    for x in elems:
-        if x.grade != k or x.p != p:
-            raise ValueError("element grade or modulus mismatch")
-        row = [0] * len(index)
-        for key, c in x.terms.items():
-            row[index[key]] = c
-        mat.append(row)
-    rows, pivots = reference_rref(mat, len(index), p)
-    return Subspace(n, k, p, np.array(rows, dtype=np.int64).reshape(-1, len(index)), pivots)
+    sub = Subspace(n, k, p, None, None)
+    rows, pivots = reference_rref([subspace_vector(sub, x) for x in elems], len(sub.subsets), p)
+    sub.rows = np.array(rows, dtype=np.int64).reshape(-1, len(sub.subsets))
+    sub.pivots = pivots
+    return sub
 
 
 def reference_circuits(arr, max_size, p):
@@ -166,11 +186,11 @@ def reference_differentials(cx, pt):
         target = cx.parts[k + 1]
         domain = [()] if k == 0 else cx.parts[k].coset_subsets()
         rows = [
-            target.vector(pt if k == 0 else wedge(pt, ExtElement(cx.p, k, {s: 1})))
+            subspace_vector(target, pt if k == 0 else wedge(pt, ExtElement(cx.p, k, {s: 1})))
             for s in domain
         ]
         mat = np.array(rows, dtype=np.int64).reshape(len(rows), target.ambient_dim())
-        mats.append(target.reduce_rows(mat)[:, target.coset_columns()])
+        mats.append(reduce_rows(target, mat)[:, target.coset_columns()])
     return mats
 
 

@@ -160,8 +160,8 @@ def test_bench_braid(capsys):
     assert res["hilbert"] == "5*P_0"
     assert res["runs"] == 2
     assert set(res["stages"]) == {"span", "groebner", "hilbert", "total"}
-    # the F_q oracle on A3, the second route to R^1
-    assert [(o["fixture"], o["q"]) for o in obj["oracle"]] == [("A3", 5), ("A3", 7)]
+    # the F_q oracle on A3 and braid A4, the second route to R^1
+    assert [(o["fixture"], o["q"]) for o in obj["oracle"]] == [("A3", 5), ("A3", 7), ("A4", 3)]
     for o in obj["oracle"]:
         assert o["agree"] is True and o["runs"] == 2
         assert 0 < o["ms"]["min"] <= o["ms"]["median"]

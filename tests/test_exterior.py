@@ -9,7 +9,17 @@ from resgrass.arrangement import fixture, from_matrix
 from resgrass.errors import DuplicateHyperplaneError, InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 
-from cases import BOOLEAN, BOUNDARY_PRIME, PENCIL, braid, reference_os_ideal_part, relabelled_a4
+from cases import (
+    BOOLEAN,
+    BOUNDARY_PRIME,
+    PENCIL,
+    braid,
+    reduce_rows,
+    reference_os_ideal_part,
+    relabelled_a4,
+    subspace_contains,
+    subspace_vector,
+)
 
 P = 31991
 
@@ -194,15 +204,15 @@ def test_subspace_reduce_and_coset():
     sub = os_ideal_part(arr, 2)
     for flat in arr.flats:
         for S in combinations(flat, 3):
-            assert sub.contains(boundary(S, P))
+            assert subspace_contains(sub, boundary(S, P))
     assert len(sub.coset_subsets()) == 11
     rng = random.Random(4)
     for _ in range(20):
         x = rand_elem(rng, P, 6, 2)
-        vec = sub.reduce_rows([sub.vector(x)])[0].tolist()
+        vec = reduce_rows(sub, [subspace_vector(sub, x)])[0].tolist()
         red = ExtElement(P, 2, dict(zip(sub.subsets, vec)))
-        assert sub.reduce_rows([sub.vector(red)]).tolist() == [sub.vector(red)]
-        assert sub.contains(x - red)
+        assert reduce_rows(sub, [subspace_vector(sub, red)]).tolist() == [subspace_vector(sub, red)]
+        assert subspace_contains(sub, x - red)
         for i, s in enumerate(sub.subsets):
             if i in set(sub.pivots):
                 assert s not in red.terms

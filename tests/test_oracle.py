@@ -10,6 +10,7 @@ from resgrass import cli, exterior, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, os_ideal_part
+from resgrass.field import BATCH_ROWS, batch_rank
 from resgrass.grobner import PolyRing, normal_form
 from resgrass.oracle import (
     AomotoComplex,
@@ -280,6 +281,24 @@ def test_profile_json():
 A4 = braid(4)
 
 
+_POINTWISE = {}
+
+
+def pointwise_scan(arr, q):
+    """The points of P^{n-1}(F_q) that one profile each finds resonant, kept per (name, q)."""
+    key = (arr.name, q)
+    if key not in _POINTWISE:
+        cx = AomotoComplex(arr, q, up_to=1)
+        _POINTWISE[key] = [
+            coords
+            for lead in range(arr.n)
+            for tail in product(range(q), repeat=arr.n - lead - 1)
+            for coords in [(0,) * lead + (1,) + tail]
+            if cx.profile(pt(coords, q)).dims[1] > 0
+        ]
+    return _POINTWISE[key]
+
+
 # the number of resonant points: q + 1 on each plane of R^1, which meet only
 # at 0; the Hessian over F_2 has 54 planes and 10 three-dimensional
 # components, 54 * 3 + 10 * 7 points
@@ -292,16 +311,36 @@ A4 = braid(4)
          "boolean/F_2", "boolean/F_3", "Hessian/F_2"],
 )
 def test_enumerate_r1_equals_pointwise_scan(arr, q, count):
-    cx = AomotoComplex(arr, q, up_to=1)
-    want = [
-        coords
-        for lead in range(arr.n)
-        for tail in product(range(q), repeat=arr.n - lead - 1)
-        for coords in [(0,) * lead + (1,) + tail]
-        if cx.profile(pt(coords, q)).dims[1] > 0
-    ]
+    want = pointwise_scan(arr, q)
     assert len(want) == count
     assert enumerate_r1(arr, q) == sorted(want)
+
+
+@pytest.mark.parametrize(
+    "arr, q",
+    [(fixture("A3"), 2), (fixture("A3"), 3), (fixture("A3"), 5), (fixture("A3"), 7),
+     (A4, 2), (A4, 3), (PENCIL, 3), (BOOLEAN, 3)],
+    ids=["A3/F_2", "A3/F_3", "A3/F_5", "A3/F_7", "A4/F_2", "A4/F_3", "pencil/F_3",
+         "boolean/F_3"],
+)
+def test_enumerate_r1_rechecks_every_uncertified_point(arr, q, monkeypatch):
+    # with a zero compression map no point is certified, so each one must
+    # be ranked again on the full d_1, all n rows, in batches of at most
+    # BATCH_ROWS; the pencil and the boolean arrangement have dim A^2 <= n + 3,
+    # so their first ranks are exact and only resonant points come back
+    shapes = []
+
+    def spy(mats, p):
+        shapes.append(mats.shape)
+        return batch_rank(mats, p)
+
+    monkeypatch.setattr(oracle, "_compressor", lambda rows, cols, q: np.zeros((rows, cols), int))
+    monkeypatch.setattr(oracle, "batch_rank", spy)
+    assert enumerate_r1(arr, q) == sorted(pointwise_scan(arr, q))
+    n, dim2 = arr.n, AomotoComplex(arr, q).wedges[1].shape[1]  # dim2 = dim A^2
+    rechecks = [b for b, rows, cols in shapes if (rows, cols) == (dim2, n)]
+    assert max(rechecks, default=0) <= BATCH_ROWS
+    assert sum(rechecks) == ((q**n - 1) // (q - 1) if n + 3 < dim2 else len(pointwise_scan(arr, q)))
 
 
 def test_check_prop21_a4_f3_within_cap():

@@ -32,6 +32,7 @@ from cases import (
     reference_decomposable_planes,
     reference_r1_hilbert,
     relabelled_a4,
+    subspace_contains,
 )
 
 P = 31991
@@ -231,7 +232,7 @@ def test_decomposables_in_I2_braid_over_f5():
     sub = os_ideal_part(fixture("A3"), 2, 5)
     for pl in planes:
         x, y = (ExtElement(5, 1, {(i,): c for i, c in enumerate(v)}) for v in pl.basis)
-        assert sub.contains(wedge(x, y))
+        assert subspace_contains(sub, wedge(x, y))
 
 
 def test_decomposables_budget():
@@ -299,23 +300,27 @@ def test_decomposable_mask_equals_is_decomposable(arr, q):
 
 
 def test_decomposable_mask_tests_every_chunk_of_relations():
-    # n = 7 has C(7, 4) = 35 relations, and the last chunk holds the last
-    # three, (3, 4, 5, 6) among them; e_34 + e_56 fails that relation only,
-    # and e_01 + e_23 only (0, 1, 2, 3), the first
-    n, q = 7, 5
+    # n = 9 has C(9, 4) = 126 relations, taken in chunks of 16, 64 and the
+    # last 46, since each chunk is four times the one before; e_01 + e_23
+    # fails only relation 0, (0, 1, 2, 3), e_12 + e_34 only relation 56,
+    # (1, 2, 3, 4), and e_56 + e_78 only the last, (5, 6, 7, 8)
+    n, q = 9, 5
     pairs = list(combinations(range(n), 2))
-    assert comb(n, 4) % _RELATION_CHUNK == 3
+    quads = list(combinations(range(n), 4))
+    assert 5 * _RELATION_CHUNK <= quads.index((5, 6, 7, 8)) == comb(n, 4) - 1
+    assert _RELATION_CHUNK <= quads.index((1, 2, 3, 4)) < 5 * _RELATION_CHUNK
     rng = random.Random(7)
     elems = [
-        ExtElement(q, 2, {(3, 4): 1, (5, 6): 1}),
         ExtElement(q, 2, {(0, 1): 2, (2, 3): 3}),
+        ExtElement(q, 2, {(1, 2): 1, (3, 4): 4}),
+        ExtElement(q, 2, {(5, 6): 1, (7, 8): 1}),
     ]
     for _ in range(4):
         x, y = (ExtElement(q, 1, {(i,): rng.randrange(q) for i in range(n)}) for _ in "xy")
         elems.append(wedge(x, y))
     u = np.array([[e.terms.get(pr, 0) for pr in pairs] for e in elems], dtype=np.int64)
     want = [is_decomposable(e) for e in elems]
-    assert want[:2] == [False, False] and all(want[2:])
+    assert want[:3] == [False, False, False] and all(want[3:])
     assert decomposable_mask(u, n, q).tolist() == want
 
 
