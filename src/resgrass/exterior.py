@@ -164,38 +164,23 @@ class Subspace:
         return [self.subsets[i] for i in self.coset_columns()]
 
 
-def wedge_table(subsets, target: Subspace):
-    """Entries of e_i ^ e_s over the given subsets s, in the coordinates of target.
-
-    Returns int64 arrays (row, i, column, sign), one entry per i outside s:
-    e_i ^ e_s = sign * e_t, where s is subsets[row] and t is
-    target.subsets[column].  An element a of grade 1 times e_s then has
-    a_i * sign at (row, column).
-    """
-    entries = []
-    for r, s in enumerate(subsets):
-        for i in range(target.n):
-            merged = _merge_signed((i,), s)
-            if merged is not None:
-                sign, key = merged
-                entries.append((r, i, target.index[key], sign))
-    return np.array(entries, dtype=np.int64).reshape(-1, 4).T
-
-
 def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspace:
     """The grade-k slice I_k of the ideal generated by boundaries of dependent sets.
 
     I_k is spanned by e_J ^ boundary(C) over the circuits C (minimal dependent
     sets) with |C| <= k+1.  Its leading coordinate in the lex order is
-    e_{J u B}, where B is C minus its largest element (a broken circuit) and
-    J is disjoint from B.  One such row for each k-set that contains a broken
-    circuit gives C(n, k) - b_k rows with distinct leading coordinates: a
-    basis of I_k by the no-broken-circuit theorem (Bjorner 1982; Orlik-Terao,
+    e_T, T = J u B, where B is C minus its largest element (a broken circuit)
+    and J is disjoint from B.  One such row for each k-set T that contains a
+    broken circuit gives C(n, k) - b_k rows with distinct leading coordinates:
+    a basis of I_k by the no-broken-circuit theorem (Bjorner 1982; Orlik-Terao,
     Arrangements of Hyperplanes, 3.5, with the order reversed), which
-    leveled_rref brings to reduced echelon form with no pivot search.  The
-    circuits come from one arrangement.circuits pass (ideal_slice takes
-    them).  The theorem needs the matroid over F_p, so a realization whose
-    columns are zero or proportional mod p is refused.  Flats-only
+    leveled_rref brings to reduced echelon form with no pivot search.  Up to
+    sign, the row is read off facets: it is e_T when max C lies in T, and
+    otherwise, with V = T u {max C}, the sum of (-1)^j e_{V - v_j} over the
+    j-th elements v_j of V that lie in C; the echelon form does not see the
+    sign.  The circuits come from one arrangement.circuits pass (ideal_slice
+    takes them).  The theorem needs the matroid over F_p, so a realization
+    whose columns are zero or proportional mod p is refused.  Flats-only
     arrangements know their size-3 dependencies, hence support k <= 2 only
     (the slice for k < 2 is zero).  The circuits of size <= k+1 come back
     with the slice: for k = 2, every dependent triple.
@@ -205,19 +190,25 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
 
 
 def ideal_slice(n: int, k: int, p: int, circs) -> Subspace:
-    """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out."""
+    """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out.
+
+    Each leading k-set T keeps the first circuit C that reaches it, and its
+    row is the facet sum of os_ideal_part.
+    """
     sub = Subspace(n, k, p, None, None, [C for C in circs if len(C) <= k + 1])
-    rows = {}  # leading k-set -> (J, C) of its row
+    leads = {}  # leading k-set -> the circuit of its row
     for C in sub.circuits:
         rest = [i for i in range(n) if i not in C[:-1]]
         for J in combinations(rest, k - len(C) + 1):
-            rows.setdefault(tuple(sorted(J + C[:-1])), (J, C))
-    mat = np.zeros((len(rows), len(sub.subsets)), dtype=np.int64)
-    for r, (J, C) in enumerate(rows.values()):
-        for i in range(len(C)):
-            merged = _merge_signed(J, C[:i] + C[i + 1 :])
-            if merged is not None:
-                sign, key = merged
-                mat[r, sub.index[key]] = (-1) ** i * sign
+            leads.setdefault(tuple(sorted(J + C[:-1])), C)
+    mat = np.zeros((len(leads), len(sub.subsets)), dtype=np.int64)
+    for r, (T, C) in enumerate(leads.items()):
+        if C[-1] in T:
+            mat[r, sub.index[T]] = 1
+            continue
+        V = tuple(sorted(T + C[-1:]))
+        for j, v in enumerate(V):
+            if v in C:
+                mat[r, sub.index[V[:j] + V[j + 1 :]]] = (-1) ** j
     sub.rows, sub.pivots = leveled_rref(mat, p)
     return sub

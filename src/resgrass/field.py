@@ -73,19 +73,14 @@ BATCH_ROWS = 1024
 
 
 def check_kernel_modulus(p: int, what: str = "modulus") -> None:
-    """InputError unless the numpy kernels compute exactly mod p."""
+    """InputError unless p is a prime the numpy kernels compute exactly mod."""
+    if not is_prime(p):
+        raise InputError(f"{what} must be prime, got {p}")
     if p > MAX_KERNEL_MODULUS:
         raise InputError(
             f"{what} {p} is above {MAX_KERNEL_MODULUS}, the largest modulus the "
             "numpy kernels compute exactly"
         )
-
-
-def check_enumeration_field(q: int) -> None:
-    """InputError unless q is a prime the numpy kernels take as an F_q to enumerate."""
-    if not is_prime(q):
-        raise InputError(f"enumeration field size must be prime, got {q}")
-    check_kernel_modulus(q, "enumeration field size")
 
 
 def kernel_dtype(bound: int):

@@ -2,19 +2,19 @@
 
 Writing the Hilbert series of S/I as h(t) / (1-t)^nvars, the numerator h is
 computed by pivoting on a frequent variable x: h(I) = h(I + (x)) + t*h(I : x).
-Base cases are pure-power complete intersections and the one-mixed-generator
-colon formula.  Monomials are the engine's grevlex keys (grobner.GrevlexOrder),
-each generator carried with its support mask, so a leading ideal is read off a
-basis as it stands and shares the engine's cap of 127 on exponents and total
-degree.  The Hilbert polynomial is then extracted exactly and expressed
-in the binomial basis P_i(d) = C(d+i, i), the form quotient-of-projective-
-scheme output is usually read in.
+The one base case is a pure-power complete intersection, whose numerator is
+the product of the (1 - t^a).  Monomials are the engine's grevlex keys
+(grobner.GrevlexOrder), each generator carried with its support mask, so a
+leading ideal is read off a basis as it stands and shares the engine's cap
+of 127 on exponents and total degree.  The Hilbert polynomial is read off h
+in powers of (1 - t), exactly, in the binomial basis P_i(d) = C(d+i, i),
+the form quotient-of-projective-scheme output is usually read in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
+from math import comb
 
 from .grobner import GrevlexOrder
 
@@ -108,25 +108,11 @@ def _numer(gens, ord_, memo: dict):
     if hit is not None:
         return hit
 
-    degree = ord_.degree
-    pures = [g for g in gens if g[1].bit_count() == 1]
     mixed = [g for g in gens if g[1].bit_count() > 1]
     if not mixed:
         h = [1]
-        for g in pures:
-            h = _poly_mul(h, _one_minus_t_pow(degree(g[0])))
-    elif len(mixed) == 1:
-        # I = P + (m): h = h(P) - t^|m| h(P : m), and P : m is pure again;
-        # gens are minimal, so no pure x_v^a divides m, and a > m_v
-        m = mixed[0][0]
-        first = [1]
-        second = [1]
-        for g, mask in pures:
-            a = degree(g)
-            first = _poly_mul(first, _one_minus_t_pow(a))
-            res = a - ord_.exponent(m, mask.bit_length() - 1)
-            second = _poly_mul(second, _one_minus_t_pow(res))
-        h = _poly_add(first, [-c for c in _poly_mul([0] * degree(m) + [1], second)])
+        for g, _ in gens:
+            h = _poly_mul(h, _one_minus_t_pow(ord_.degree(g)))
     else:
         counts: dict = {}
         for _, mask in mixed:
@@ -167,16 +153,6 @@ def hilbert_numerator(mi: MonomialIdeal):
     return h
 
 
-def _binom(x: int, r: int) -> int:
-    """C(x, r) for any integer x, polynomial extension (exact)."""
-    if r < 0:
-        return 0
-    num = 1
-    for i in range(r):
-        num *= x - i
-    return num // factorial(r)
-
-
 @dataclass(frozen=True)
 class HilbertPoly:
     """Hilbert polynomial in the basis P_i(d) = C(d+i, i)."""
@@ -194,37 +170,18 @@ class HilbertPoly:
 
 
 def hilbert_polynomial(numer, nvars: int) -> HilbertPoly:
-    """Exact Hilbert polynomial of a quotient with numerator numer over nvars vars."""
-    h = list(numer)
-    while h and h[-1] == 0:
-        h.pop()
-    d = nvars
-    while h and sum(h) == 0 and d > 0:
-        # divide by (1 - t): quotient coefficients are prefix sums
-        acc = 0
-        q = []
-        for c in h[:-1]:
-            acc += c
-            q.append(acc)
-        h = q
-        while h and h[-1] == 0:
-            h.pop()
-        d -= 1
-    if not h or d <= 0:
-        return HilbertPoly(())
-    r = d - 1
+    """Exact Hilbert polynomial of a quotient with numerator numer over nvars vars.
 
-    def f(x: int) -> int:
-        return sum(c * _binom(x - k + r, r) for k, c in enumerate(h))
-
-    # f(-j) = sum_i coeffs[i] * (-1)^i * C(j-1, i): triangular system
-    coeffs = []
-    for i in range(r + 1):
-        j = i + 1
-        rhs = f(-j) - sum(
-            coeffs[k] * (-1) ** k * comb(j - 1, k) for k in range(i)
-        )
-        coeffs.append((-1) ** i * rhs)
+    In powers of s = 1 - t the numerator is sum_j b_j s^j, with
+    b_j = (-1)^j sum_k h_k C(k, j).  As 1/(1-t)^(i+1) generates P_i, the
+    polynomial is sum_{j < nvars} b_j P_{nvars-1-j}; the terms j >= nvars
+    are polynomials in t, which change finitely many values only.
+    """
+    coeffs = [
+        (-1) ** j * sum(c * comb(k, j) for k, c in enumerate(numer)) for j in reversed(range(nvars))
+    ]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     return HilbertPoly(tuple(coeffs))
 
 

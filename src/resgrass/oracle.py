@@ -18,9 +18,9 @@ import numpy as np
 
 from .arrangement import Arrangement, circuits
 from .errors import InputError, check_budget
-from .exterior import ExtElement, Subspace, ideal_slice, wedge_table
-from .field import BATCH_ROWS, DEFAULT_MODULUS, batch_rank, check_enumeration_field
-from .field import check_kernel_modulus, matmul_mod, projective_points, rref_mod
+from .exterior import ExtElement, Subspace, ideal_slice
+from .field import BATCH_ROWS, DEFAULT_MODULUS, batch_rank, check_kernel_modulus
+from .field import matmul_mod, projective_points, rref_mod
 from .resonance import DECOMPOSABLE_SEARCH, _decomposable_planes
 
 POINT_ENUMERATION = "resonant point enumeration"
@@ -109,6 +109,8 @@ class AomotoComplex:
             raise InputError("point modulus does not match the complex")
         a = np.zeros((1, self.arr.n), dtype=np.int64)
         for (i,), c in pt.terms.items():
+            if not 0 <= i < self.arr.n:
+                raise InputError(f"point index {i} is outside 0..{self.arr.n - 1}")
             a[0, i] = c
         ranks = [len(rref_mod(d[:, :, 0], self.p)[1]) for d in self.differentials(a)]
         dims = []
@@ -121,18 +123,27 @@ class AomotoComplex:
 def _reduced_wedges(subsets, target: Subspace):
     """W with W[s, :, i] = e_i ^ e_s reduced mod target, in target's coset coordinates.
 
-    e_t reduces to itself on a coset column t and to minus the coset part of
-    its echelon row on a pivot column, so each wedge-table entry gathers one
-    row of that normal-form table.  Shape (len(subsets), coset dim, n): times
-    a batch of points as columns it gives their differentials batch
-    innermost, the layout batch_rank eliminates in.
+    The products are read off the facets of target's subsets: e_i ^ e_s =
+    (-1)^j e_t when i is the j-th element of t and s is t without it.  e_t
+    reduces to itself on a coset column t and to minus the coset part of its
+    echelon row on a pivot column, so each product gathers one row of that
+    normal-form table.  Shape (len(subsets), coset dim, n): times a batch of
+    points as columns it gives their differentials batch innermost, the
+    layout batch_rank eliminates in.
     """
     p, coset = target.p, target.coset_columns()
     normal = np.zeros((target.ambient_dim(), len(coset)), dtype=np.int64)
     normal[coset, np.arange(len(coset))] = 1
     if target.pivots:
         normal[target.pivots] = -target.rows[:, coset] % p
-    rows, gens, cols, signs = wedge_table(subsets, target)
+    row = {s: r for r, s in enumerate(subsets)}
+    entries = [
+        (row[s], i, c, (-1) ** j)
+        for c, t in enumerate(target.subsets)
+        for j, i in enumerate(t)
+        if (s := t[:j] + t[j + 1 :]) in row
+    ]
+    rows, gens, cols, signs = np.array(entries, dtype=np.int64).reshape(-1, 4).T
     w = np.zeros((len(subsets), len(coset), target.n), dtype=np.int64)
     w[rows, :, gens] = signs[:, None] * normal[cols] % p
     return w
@@ -155,7 +166,7 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
 
 def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
     """All resonant points of P^{n-1}(F_q), as sorted normalized tuples, by rank d_1 < n - 1."""
-    check_enumeration_field(q)
+    check_kernel_modulus(q, "enumeration field size")
     check_budget(q, arr.n, budget, POINT_ENUMERATION)
     return _resonant_points(AomotoComplex(arr, q))
 
@@ -232,7 +243,7 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     routes share one Aomoto complex and its I_2, and both budgets are
     checked before either scan.
     """
-    check_enumeration_field(q)
+    check_kernel_modulus(q, "enumeration field size")
     cx = AomotoComplex(arr, q)
     check_budget(q, cx.parts[2].dim(), budget, DECOMPOSABLE_SEARCH)
     check_budget(q, arr.n, budget, POINT_ENUMERATION)

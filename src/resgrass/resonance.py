@@ -24,7 +24,7 @@ from .errors import check_budget
 from .exterior import ExtElement, Subspace, os_ideal_part
 from .field import (
     DEFAULT_MODULUS,
-    check_enumeration_field,
+    check_kernel_modulus,
     kernel_basis,
     kernel_dtype,
     matmul_mod,
@@ -237,7 +237,7 @@ def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None 
     Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
     BudgetError before any work happens.
     """
-    check_enumeration_field(q)
+    check_kernel_modulus(q, "enumeration field size")
     sub = os_ideal_part(arr, 2, q)
     check_budget(q, sub.dim(), budget, DECOMPOSABLE_SEARCH)
     return _decomposable_planes(sub)

@@ -100,6 +100,7 @@ def test_random_ideals_against_counting_oracle():
             assert vals == [brute_hf(mi, d) for d in range(8)]
             # polynomial agrees with the function for large degrees
             hp = hilbert_polynomial(numer, nvars)
+            assert not hp.coeffs or hp.coeffs[-1]
             start = max(len(numer) - 1, 0)
             for d in range(start, 8):
                 assert hp.evaluate(d) == vals[d]

@@ -124,6 +124,10 @@ def test_profile_input_errors():
         aomoto_profile(flats_only, pt([1] * 6), up_to=2)
     with pytest.raises(InputError):
         aomoto_profile(fixture("Hessian"), pt([1] * 12), up_to=2)
+    # numpy would read e_{-1} as e_5 and fail on e_6 with a bare IndexError
+    for terms in ({(-1,): 1, (4,): P - 1}, {(6,): 1}):
+        with pytest.raises(InputError, match=r"outside 0\.\.5"):
+            aomoto_profile(a3, ExtElement(P, 1, terms))
 
 
 def test_is_resonant_1_examples():
@@ -397,8 +401,8 @@ def test_shared_complex_gives_the_same_verdicts():
 
 
 # F_3 and F_7 are the fields of the benchmark's scans, whose products run in
-# int8 and int16
-@pytest.mark.parametrize("p", [P, 3, 5, 7])
+# int8 and int16; F_2 is the field of `oracle --q 2`, in int8 as well
+@pytest.mark.parametrize("p", [P, 2, 3, 5, 7])
 @pytest.mark.parametrize(
     "arr, up_to",
     [(fixture("A3"), 3), (braid(4), 3), (fixture("Hessian"), 1), (PENCIL, 1), (BOOLEAN, 3)],
@@ -437,6 +441,22 @@ def test_check_point_at_the_boundary_prime(capsys):
         assert code == 0
         assert obj["profile"] == {"dims": [0, 0, 0], "ambient_dims": [1, 6, 11], "last_rank": 6}
         assert obj["resonant_1"] is False and obj["k_check"]["h"] == 0
+
+
+@pytest.mark.parametrize("p", [4, 9, 15])
+def test_composite_moduli_are_refused(p):
+    # the kernels used to take them: a slice of dimension 4 at p = 4, a
+    # negative cohomology dimension, flats from a realization mod 15
+    a3 = fixture("A3")
+    for call in (
+        lambda: os_ideal_part(a3, 2, p),
+        lambda: aomoto_profile(a3, pt([1] * 6, p)),
+        lambda: from_matrix(a3.matrix, p=p),
+    ):
+        with pytest.raises(InputError, match=f"^modulus must be prime, got {p}$"):
+            call()
+    with pytest.raises(InputError, match=f"^enumeration field size must be prime, got {p}$"):
+        check_prop21(a3, p)
 
 
 def test_moduli_above_the_kernel_bound_are_refused(capsys):
