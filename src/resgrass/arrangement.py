@@ -135,8 +135,9 @@ def load_arrangement(text: str, name: str | None = None, p: int = DEFAULT_MODULU
     if not lines:
         raise InputError("empty arrangement input")
     header, body = lines[0], lines[1:]
+    parts = header.split()
 
-    if header.split() == ["matrix"]:
+    if parts == ["matrix"]:
         if not body:
             raise InputError("matrix header with no rows")
         try:
@@ -145,8 +146,7 @@ def load_arrangement(text: str, name: str | None = None, p: int = DEFAULT_MODULU
             raise InputError(f"bad matrix row: {e}") from None
         return from_matrix(matrix, name=name or "arrangement", p=p)
 
-    if header.startswith("flats"):
-        parts = header.split()
+    if parts[0] == "flats":
         if len(parts) != 2 or not parts[1].startswith("n="):
             raise InputError("flats header must look like 'flats n=<N>'")
         try:

@@ -28,7 +28,7 @@ import numpy as np
 from .arrangement import Arrangement, fixture, from_matrix, load_arrangement
 from .errors import BudgetError, InputError
 from .exterior import ExtElement
-from .field import DEFAULT_MODULUS, is_prime
+from .field import DEFAULT_MODULUS, check_kernel_modulus, is_prime
 from .oracle import AomotoComplex, check_prop21, is_resonant_k
 from .resonance import r1_hilbert
 
@@ -37,7 +37,7 @@ STAGES = ("span", "groebner", "hilbert", "total")
 CHECK_K = 3  # bench times an Aomoto complex to this grade with one profile, on braid A4
 
 
-def _load(args) -> Arrangement:
+def _load(args, p: int) -> Arrangement:
     if args.fixture and args.input:
         raise InputError("give either --fixture or --input, not both")
     if args.fixture:
@@ -48,7 +48,7 @@ def _load(args) -> Arrangement:
             text = path.read_text()
         except OSError as e:
             raise InputError(f"cannot read {args.input}: {e}") from None
-        return load_arrangement(text, name=path.stem, p=args.p)
+        return load_arrangement(text, name=path.stem, p=p)
     raise InputError("an arrangement is required: --fixture <name> or --input <path>")
 
 
@@ -63,7 +63,7 @@ def _parse_coords(text: str, n: int) -> list[int]:
 
 
 def cmd_r1(args) -> int:
-    arr = _load(args)
+    arr = _load(args, args.p)
     rep = r1_hilbert(arr, p=args.p)
     if args.json:
         print(rep.to_json())
@@ -78,7 +78,7 @@ def cmd_r1(args) -> int:
 
 
 def cmd_check_point(args) -> int:
-    arr = _load(args)
+    arr = _load(args, args.p)
     coords = _parse_coords(args.coords, arr.n)
     p = args.p
     pt = ExtElement(p, 1, {(i,): c % p for i, c in enumerate(coords) if c % p})
@@ -105,7 +105,8 @@ def cmd_check_point(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    arr = _load(args)
+    check_kernel_modulus(args.q, "enumeration field size")
+    arr = _load(args, args.q)
     rep = check_prop21(arr, args.q, args.budget)
     if args.json:
         print(rep.to_json())
@@ -218,15 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     src = argparse.ArgumentParser(add_help=False)
     src.add_argument("--fixture", help="built-in arrangement: A3 or Hessian")
     src.add_argument("--input", help="path to an arrangement file (JSON, matrix, or flats)")
-    src.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="field modulus (prime)")
     src.add_argument("--json", action="store_true", help="machine-readable output")
 
     r1 = sub.add_parser("r1", parents=[src], help="Hilbert polynomial of R^1")
+    r1.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="field modulus (prime)")
     r1.set_defaults(func=cmd_r1)
 
     cp = sub.add_parser("check-point", parents=[src], help="resonance verdict for a point")
     cp.add_argument("coords", help="comma-separated integer coordinates, length n")
     cp.add_argument("--k", type=int, default=1, help="profile depth (grade)")
+    cp.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="field modulus (prime)")
     cp.set_defaults(func=cmd_check_point)
 
     orc = sub.add_parser("oracle", parents=[src], help="exhaustive F_q cross-check")

@@ -616,8 +616,6 @@ def normal_form(f: Poly, gens) -> Poly:
     table of the F4 engine, with the monic gens as its leads and no S-pair
     formed, so moduli above field.MAX_KERNEL_MODULUS raise InputError.
     """
-    if isinstance(gens, GroebnerBasis):
-        gens = gens.gens
     ring = f.ring
     engine = _F4Engine(ring, ())
     for g in gens:

@@ -92,18 +92,15 @@ def _poly_mul(a, b):
 
 
 def _one_minus_t_pow(d: int):
+    """Coefficients of 1 - t^d; d = 0 gives 0, the numerator of the unit ideal."""
     out = [0] * (d + 1)
-    out[0] = 1
-    out[d] = -1
+    out[0] += 1
+    out[d] -= 1
     return out
 
 
 def _numer(gens, ord_, memo: dict):
-    if not gens:
-        return [1]
     key = frozenset(g[0] for g in gens)
-    if ord_.one in key:
-        return [0]
     hit = memo.get(key)
     if hit is not None:
         return hit
@@ -147,10 +144,7 @@ def _numer(gens, ord_, memo: dict):
 
 def hilbert_numerator(mi: MonomialIdeal):
     """Coefficients of h(t) with HS(S/I) = h(t) / (1-t)^nvars."""
-    h = _numer(list(mi._gens), mi._ord, {})
-    while h and h[-1] == 0:
-        h.pop()
-    return h
+    return _numer(list(mi._gens), mi._ord, {})
 
 
 @dataclass(frozen=True)

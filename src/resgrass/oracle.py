@@ -249,13 +249,9 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     check_budget(q, arr.n, budget, POINT_ENUMERATION)
     planes = _decomposable_planes(cx.parts[2])
     resonant = set(_resonant_points(cx))
-    union = set()
-    disjoint = True
-    for pl in planes:
-        pts = set(pl.points())
-        if union & pts:
-            disjoint = False
-        union |= pts
+    # the q + 1 points of a plane are distinct, so only a point on two planes repeats
+    on = [pt for pl in planes for pt in pl.points()]
+    union = set(on)
     missing = tuple(sorted(union - resonant))
     extra = tuple(sorted(resonant - union))
     return Prop21Report(
@@ -265,7 +261,7 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
         n_resonant=len(resonant),
         n_planes=len(planes),
         n_plane_points=len(union),
-        planes_pairwise_disjoint=disjoint,
+        planes_pairwise_disjoint=len(union) == len(on),
         missing=missing,
         extra=extra,
     )

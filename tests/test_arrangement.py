@@ -138,6 +138,9 @@ def test_bad_headers_and_flats():
         load_arrangement("")
     with pytest.raises(InputError):
         load_arrangement("lines n=3\n0,1,2\n")
+    for header in ("flatsfoo n=3", "flats_v2 n=3"):  # the first token must be exactly flats
+        with pytest.raises(InputError, match="unrecognized header"):
+            load_arrangement(f"{header}\n0,1,2\n")
     with pytest.raises(InputError):
         load_arrangement("flats n=3\n0,1\n")  # too small
     with pytest.raises(InputError):

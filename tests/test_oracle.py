@@ -201,6 +201,12 @@ def test_check_prop21_pencil_and_report_json():
     assert obj["agree"] is True
     assert obj["q"] == 3
     assert obj["missing"] == [] and obj["extra"] == []
+    # four lines through a point over F_3: the planes meet, so the union of
+    # their points is smaller than the sum of the plane sizes
+    four = check_prop21(from_matrix([[1, 0, 1, 1], [0, 1, 1, 2]]), 3)
+    assert four.agree and four.n_planes == 13
+    assert four.n_plane_points == four.n_resonant == 13
+    assert four.planes_pairwise_disjoint is False
 
 
 def test_check_prop21_builds_i2_once(monkeypatch):
@@ -228,13 +234,26 @@ def test_check_prop21_builds_i2_once(monkeypatch):
 
 
 def test_oracle_refuses_a_field_the_realization_degenerates_over(capsys, tmp_path):
-    # simple over F_31991, where the file is read, but columns 0 and 1 agree mod 3
+    # the oracle reads its input over F_q: columns 0 and 1 are proportional
+    # mod 3 but not mod 5
     path = tmp_path / "degenerate.txt"
     path.write_text("matrix\n1 1 0 1\n0 3 1 1\n0 0 1 2\n")
     assert cli.main(["oracle", "--input", str(path), "--q", "5", "--json"]) == 0
     capsys.readouterr()
     assert cli.main(["oracle", "--input", str(path), "--q", "3", "--json"]) == 2
     assert "columns 0 and 1 are proportional over F_3" in capsys.readouterr().err
+    # columns 0 and 2 agree mod 31991 but not mod 5
+    path.write_text("matrix\n1 0 1 1\n0 1 31991 2\n")
+    assert cli.main(["oracle", "--input", str(path), "--q", "5"]) == 0
+    assert "agree: yes" in capsys.readouterr().out
+    # the third row vanishes mod 5, so columns 0, 1 and 2 span a flat over F_5
+    path.write_text("matrix\n1 0 1\n0 1 1\n0 0 5\n")
+    assert cli.main(["oracle", "--input", str(path), "--q", "5"]) == 0
+    assert "n=3, 1 flats" in capsys.readouterr().out
+    # the oracle has no field but F_q, so it takes no --p
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "--input", str(path), "--q", "5", "--p", "7"])
+    assert exc.value.code == 2
 
 
 def test_check_prop21_refuses_a_budget_before_either_scan(capsys, monkeypatch):
@@ -459,7 +478,7 @@ def test_composite_moduli_are_refused(p):
         check_prop21(a3, p)
 
 
-def test_moduli_above_the_kernel_bound_are_refused(capsys):
+def test_moduli_above_the_kernel_bound_are_refused(capsys, tmp_path):
     for argv in (
         ["check-point", "--fixture", "A3", "--k", "2", "--p", str(FIRST_REFUSED), "1,2,3,5,7,11"],
         ["check-point", "--fixture", "A3", "--p", str(2**61 - 1), "1,2,3,5,7,11"],
@@ -467,6 +486,13 @@ def test_moduli_above_the_kernel_bound_are_refused(capsys):
     ):
         assert cli.main(argv) == 2
         assert "largest modulus" in capsys.readouterr().err
+    # the oracle reads its input over F_q, and names q before it reads the file
+    path = tmp_path / "a3.txt"
+    rows = fixture("A3").matrix
+    path.write_text("matrix\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    assert cli.main(["oracle", "--input", str(path), "--q", str(FIRST_REFUSED)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: enumeration field size {FIRST_REFUSED} is above")
     a3 = fixture("A3")
     big = PolyRing(2, FIRST_REFUSED)
     for call in (
