@@ -6,7 +6,9 @@ then read cohomology dimensions off exact ranks.  No Groebner bases are
 involved, so this module cross-validates the Grassmannian pipeline rather
 than depending on it.  Exhaustive small-field enumeration closes the loop:
 the resonant points found by rank tests must match the union of planes
-found by the decomposable search in P(I_2).
+found by the decomposable search in P(I_2).  The enumeration ranks only the
+points of the hyperplane sum a_i = 0, after checking that the boundary map
+kills I_2, which proves that no other point is resonant.
 """
 
 from __future__ import annotations
@@ -165,9 +167,13 @@ def is_resonant_1(arr: Arrangement, pt: ExtElement) -> bool:
 
 
 def enumerate_r1(arr: Arrangement, q: int, budget: int | None = None):
-    """All resonant points of P^{n-1}(F_q), as sorted normalized tuples, by rank d_1 < n - 1."""
+    """All resonant points of P^{n-1}(F_q), as sorted normalized tuples, by rank d_1 < n - 1.
+
+    Only the (q^(n-1) - 1)/(q - 1) points with coordinate sum 0 are ranked
+    (_resonant_points), and the budget counts those.
+    """
     check_kernel_modulus(q, "enumeration field size")
-    check_budget(q, arr.n, budget, POINT_ENUMERATION)
+    check_budget(q, arr.n - 1, budget, POINT_ENUMERATION)
     return _resonant_points(AomotoComplex(arr, q))
 
 
@@ -179,6 +185,15 @@ def _compressor(rows: int, cols: int, q: int):
 
 def _resonant_points(cx: AomotoComplex):
     """The points of P^{n-1}(F_q), q = cx.p, where cx has h^1 > 0, sorted.
+
+    Only the hyperplane sum a_i = 0 is scanned.  The boundary map sends
+    e_i ^ e_j to e_j - e_i, so it sends a ^ b to (sum a) b - (sum b) a.
+    Once every row of I_2 is checked to lie in its kernel, a ^ b in I_2 forces
+    (sum a) b = (sum b) a, so a point with sum a != 0 has h^1 = 0, in every
+    characteristic (Yuzvinsky, Comm. Algebra 23, 1995).  A row outside that
+    kernel raises ValueError before any point is ranked.  The scan takes
+    the points b of P^{n-2}(F_q) and appends a_{n-1} = -sum b, which gives
+    each point of the hyperplane once, with its leading 1 among b.
 
     h^1 = n - 1 - rank d_1, so a point is resonant when its rank is below
     n - 1.  Candidates are scanned in batches.  The points of a batch share
@@ -197,6 +212,10 @@ def _resonant_points(cx: AomotoComplex):
     there is no R, and only the resonant points are ranked twice.
     """
     n, q, full, r = cx.arr.n, cx.p, cx.wedges[1], cx.arr.n + 3
+    i2 = cx.parts[2]
+    bd = np.array([[(c == j) - (c == i) for c in range(n)] for i, j in i2.subsets])
+    if matmul_mod(i2.rows, bd.reshape(-1, n) % q, q).any():
+        raise ValueError("I_2 fails the boundary check: the boundary map does not kill every row")
     small = matmul_mod(_compressor(r, full.shape[1], q), full, q) if r < full.shape[1] else full
 
     def deficient(w, pts):
@@ -206,7 +225,8 @@ def _resonant_points(cx: AomotoComplex):
         return pts[batch_rank(d.transpose(2, 1, 0), q) < n - 1]
 
     found, pending = [], np.zeros((0, n), dtype=np.int64)
-    for pts in projective_points(q, n):
+    for b in projective_points(q, n - 1):
+        pts = np.append(b, -b.sum(axis=1, keepdims=True) % q, axis=1)
         lead = int(np.flatnonzero(pts[0])[0])
         pending = np.concatenate([pending, deficient(np.delete(small, lead, axis=0), pts)])
         if len(pending) >= BATCH_ROWS:
@@ -237,18 +257,20 @@ class Prop21Report:
 def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21Report:
     """Compare the two routes to R^1 over F_q point by point.
 
-    Route one enumerates resonant points by rank tests; route two takes the
-    union of F_q-points of the planes found by the decomposable search.
-    Agreement plus the symmetric difference goes into the report.  Both
-    routes share one Aomoto complex and its I_2, and both budgets are
-    checked before either scan.
+    Route one enumerates resonant points by rank tests on the hyperplane
+    sum a_i = 0 (_resonant_points); route two takes the union of F_q-points
+    of the planes found by the decomposable search.  Agreement plus the
+    symmetric difference goes into the report.  Both routes share one Aomoto
+    complex and its I_2.  Both budgets, the second on the hyperplane's
+    (q^(n-1) - 1)/(q - 1) points, are checked before either scan, and the
+    boundary check of I_2 runs before either scan too.
     """
     check_kernel_modulus(q, "enumeration field size")
     cx = AomotoComplex(arr, q)
     check_budget(q, cx.parts[2].dim(), budget, DECOMPOSABLE_SEARCH)
-    check_budget(q, arr.n, budget, POINT_ENUMERATION)
-    planes = _decomposable_planes(cx.parts[2])
+    check_budget(q, arr.n - 1, budget, POINT_ENUMERATION)
     resonant = set(_resonant_points(cx))
+    planes = _decomposable_planes(cx.parts[2])
     # the q + 1 points of a plane are distinct, so only a point on two planes repeats
     on = [pt for pl in planes for pt in pl.points()]
     union = set(on)

@@ -10,7 +10,7 @@ from resgrass import cli, exterior, oracle, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, os_ideal_part
-from resgrass.field import BATCH_ROWS, batch_rank
+from resgrass.field import BATCH_ROWS, batch_rank, rref_mod
 from resgrass.grobner import PolyRing, normal_form
 from resgrass.oracle import (
     AomotoComplex,
@@ -269,12 +269,47 @@ def test_check_prop21_refuses_a_budget_before_either_scan(capsys, monkeypatch):
     assert exc.value.candidates == 400
     with pytest.raises(BudgetError, match="resonant point enumeration") as exc:
         check_prop21(a3, 7, budget=2000)
-    assert exc.value.candidates == 19608
+    assert exc.value.candidates == 2801
     assert cli.main(["oracle", "--fixture", "A3", "--q", "7", "--budget", "2000"]) == 3
     assert capsys.readouterr().err == (
-        "error: resonant point enumeration needs 19608 candidates, over the budget of 2000"
+        "error: resonant point enumeration needs 2801 candidates, over the budget of 2000"
         " (pass a larger budget to override)\n"
     )
+
+
+def test_point_budget_counts_the_sum_zero_hyperplane(capsys):
+    # A3 over F_5 scans the (5^5 - 1)/4 = 781 points of sum a_i = 0
+    assert cli.main(["oracle", "--fixture", "A3", "--q", "5", "--budget", "781"]) == 0
+    assert "agree: yes" in capsys.readouterr().out
+    assert cli.main(["oracle", "--fixture", "A3", "--q", "5", "--budget", "780"]) == 3
+    assert "resonant point enumeration needs 781 candidates" in capsys.readouterr().err
+
+
+def test_scan_refuses_an_i2_the_boundary_map_does_not_kill(monkeypatch):
+    # e_0 ^ e_1 has boundary e_1 - e_0, so with it in I_2 a point off the
+    # hyperplane sum a_i = 0 could be resonant, and no scan may run
+    real_slice = oracle.ideal_slice
+
+    def forged_slice(n, k, p, circs):
+        sub = real_slice(n, k, p, circs)
+        if k == 2:
+            extra = np.zeros((1, len(sub.subsets)), dtype=np.int64)
+            extra[0, sub.index[(0, 1)]] = 1
+            sub.rows, sub.pivots = rref_mod(np.concatenate([sub.rows, extra]), p)
+        return sub
+
+    def no_scan(q, m):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(oracle, "ideal_slice", forged_slice)
+    monkeypatch.setattr(oracle, "projective_points", no_scan)
+    monkeypatch.setattr(resonance, "projective_points", no_scan)
+    a3 = fixture("A3")
+    assert AomotoComplex(a3, 5).parts[2].dim() == 5  # the 4 rows of A3's I_2 and e_0 ^ e_1
+    with pytest.raises(ValueError, match="boundary check"):
+        enumerate_r1(a3, 5)
+    with pytest.raises(ValueError, match="boundary check"):
+        check_prop21(a3, 5)
 
 
 def test_check_prop21_hessian_char2_budget():
@@ -341,6 +376,18 @@ def test_enumerate_r1_equals_pointwise_scan(arr, q, count):
 
 @pytest.mark.parametrize(
     "arr, q",
+    [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (A4, 2), (PENCIL, 2),
+     (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3), (fixture("Hessian"), 2)],
+    ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "pencil/F_2", "pencil/F_3",
+         "boolean/F_2", "boolean/F_3", "Hessian/F_2"],
+)
+def test_pointwise_resonant_points_sum_to_zero(arr, q):
+    # the premise of the hyperplane scan, read off the full-space reference
+    assert all(sum(coords) % q == 0 for coords in pointwise_scan(arr, q))
+
+
+@pytest.mark.parametrize(
+    "arr, q",
     [(fixture("A3"), 2), (fixture("A3"), 3), (fixture("A3"), 5), (fixture("A3"), 7),
      (A4, 2), (A4, 3), (PENCIL, 3), (BOOLEAN, 3)],
     ids=["A3/F_2", "A3/F_3", "A3/F_5", "A3/F_7", "A4/F_2", "A4/F_3", "pencil/F_3",
@@ -363,7 +410,10 @@ def test_enumerate_r1_rechecks_every_uncertified_point(arr, q, monkeypatch):
     n, dim2 = arr.n, AomotoComplex(arr, q).wedges[1].shape[1]  # dim2 = dim A^2
     rechecks = [b for b, rows, cols in shapes if (rows, cols) == (dim2, n)]
     assert max(rechecks, default=0) <= BATCH_ROWS
-    assert sum(rechecks) == ((q**n - 1) // (q - 1) if n + 3 < dim2 else len(pointwise_scan(arr, q)))
+    # every point of the hyperplane sum a_i = 0, (q^(n-1) - 1)/(q - 1) of them
+    assert sum(rechecks) == (
+        (q ** (n - 1) - 1) // (q - 1) if n + 3 < dim2 else len(pointwise_scan(arr, q))
+    )
 
 
 def test_check_prop21_a4_f3_within_cap():
