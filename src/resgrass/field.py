@@ -113,8 +113,9 @@ def matmul_mod(a, b, p: int):
     sums = inner * (p - 1) ** 2
     if sums < _FLOAT_EXACT:
         ftype = np.float32 if sums < _FLOAT32_EXACT else np.float64
-        prod = a.astype(ftype) @ b.astype(ftype)
-        return mod(prod.astype(kernel_dtype(max(p, sums))), p)
+        # the float product is freed before the reduction's temporaries are made
+        prod = (a.astype(ftype) @ b.astype(ftype)).astype(kernel_dtype(max(p, sums)))
+        return mod(prod, p)
     step = (_INT64_MAX - (p - 1)) // (p - 1) ** 2
     out = mod(a[..., :step] @ b[..., :step, :], p)
     for lo in range(step, inner, step):
@@ -323,23 +324,21 @@ def kernel_basis(rows, ncols: int, p: int):
 def projective_points(q: int, m: int):
     """The points of P^{m-1}(F_q) with first nonzero coordinate 1, in batches.
 
-    Each batch is an int64 array of at most BATCH_ROWS points.  The points come
-    ordered by the position of their leading 1, then by the coordinates
-    after it as itertools.product lists them, so the memory held at once
-    does not grow with the number of points.
+    Each batch is an int64 array of BATCH_ROWS points, the last one of the
+    rest, so the memory held at once does not grow with the number of
+    points.  The points come ordered by the position of their leading 1,
+    then by the coordinates after it as itertools.product lists them; a
+    batch may span several leads.
     """
-    for lead in range(m):
-        total = q ** (m - lead - 1)
-        for start in range(0, total, BATCH_ROWS):
-            size = min(BATCH_ROWS, total - start)
-            batch = np.zeros((size, m), dtype=np.int64)
-            batch[:, lead] = 1
-            # add 0..size-1 to the base-q digits of start, last digit first
-            carry = np.arange(size, dtype=np.int64)
-            rest = start
-            for c in range(m - 1, lead, -1):
-                rest, digit = divmod(rest, q)
-                val = carry + digit
-                batch[:, c] = val % q
-                carry = val // q
-            yield batch
+    total = (q**m - 1) // (q - 1)
+    # first[l] is the index of the first point that leads at coordinate l
+    first = np.array([(q**m - q ** (m - lead)) // (q - 1) for lead in range(m)], dtype=np.int64)
+    for start in range(0, total, BATCH_ROWS):
+        k = np.arange(start, min(start + BATCH_ROWS, total), dtype=np.int64)
+        lead = np.searchsorted(first, k, side="right") - 1
+        batch, rest = np.zeros((len(k), m), dtype=np.int64), k - first[lead]
+        # the base-q digits of rest fill the coordinates after the lead
+        for c in range(m - 1, 0, -1):
+            rest, batch[:, c] = np.divmod(rest, q)
+        batch[np.arange(len(k)), lead] = 1
+        yield batch

@@ -196,20 +196,18 @@ def _resonant_points(cx: AomotoComplex):
     each point of the hyperplane once, with its leading 1 among b.
 
     h^1 = n - 1 - rank d_1, so a point is resonant when its rank is below
-    n - 1.  Candidates are scanned in batches.  The points of a batch share
-    their leading coordinate l, with a_l = 1.  Since a ^ a = 0, row l of d_1
-    is minus the sum of a_i times row i over i != l, so the other n - 1 rows
-    have the same rank: one product of grade 1's wedge map less row l gives
-    them for the whole batch, and one batched elimination their ranks.
-    A^1 has the basis e_0..e_{n-1}, since I_1 = 0.
+    n - 1.  Candidates are scanned in batches of BATCH_ROWS points of any
+    leads: one product of grade 1's wedge map gives d_1 for a whole batch,
+    and one batched elimination its ranks.  A^1 has the basis e_0..e_{n-1},
+    since I_1 = 0, and a ^ a = 0 puts a in the kernel of d_1.
 
-    The scan ranks those rows M after a fixed map R (_compressor) takes A^2
-    to r = n + 3 coordinates.  rank(R M) <= rank(M) <= n - 1, so rank n - 1
-    certifies that a point is not resonant; R keeps the rank of almost every
-    M (Cheung, Kwok and Lau, J. ACM 60(5), 2013).  The other points are
-    ranked again on all n rows of d_1, in batches of at most BATCH_ROWS
-    shared by any leads, so R never decides an answer.  With r >= dim A^2
-    there is no R, and only the resonant points are ranked twice.
+    The scan ranks d_1 after a fixed map R (_compressor) takes A^2 to
+    r = n + 3 coordinates.  rank(R d_1) <= rank(d_1) <= n - 1, so rank
+    n - 1 certifies that a point is not resonant; R keeps the rank of almost
+    every d_1 (Cheung, Kwok and Lau, J. ACM 60(5), 2013).  The other points
+    are ranked again on the full d_1, in batches of at most BATCH_ROWS, so
+    R never decides an answer.  With r >= dim A^2 there is no R, and the
+    first ranks are exact.
     """
     n, q, full, r = cx.arr.n, cx.p, cx.wedges[1], cx.arr.n + 3
     i2 = cx.parts[2]
@@ -224,15 +222,15 @@ def _resonant_points(cx: AomotoComplex):
         d = matmul_mod(w, np.ascontiguousarray(pts.T), q)
         return pts[batch_rank(d.transpose(2, 1, 0), q) < n - 1]
 
+    recheck = (lambda pts: pts) if small is full else (lambda pts: deficient(full, pts))
     found, pending = [], np.zeros((0, n), dtype=np.int64)
     for b in projective_points(q, n - 1):
         pts = np.append(b, -b.sum(axis=1, keepdims=True) % q, axis=1)
-        lead = int(np.flatnonzero(pts[0])[0])
-        pending = np.concatenate([pending, deficient(np.delete(small, lead, axis=0), pts)])
+        pending = np.concatenate([pending, deficient(small, pts)])
         if len(pending) >= BATCH_ROWS:
-            found.extend(map(tuple, deficient(full, pending[:BATCH_ROWS]).tolist()))
+            found.extend(map(tuple, recheck(pending[:BATCH_ROWS]).tolist()))
             pending = pending[BATCH_ROWS:]
-    found.extend(map(tuple, deficient(full, pending).tolist()))
+    found.extend(map(tuple, recheck(pending).tolist()))
     return sorted(found)
 
 

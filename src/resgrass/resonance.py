@@ -5,8 +5,9 @@ P(Lambda^2), the boundary of the triple, and these points span I_2, the
 degree-2 part of the Orlik-Solomon ideal.  The first resonance variety is
 G(2, n) intersected with P(I_2): in coordinates on I_2 its ideal is the
 Plucker quadrics pulled back to I_2.  Its Hilbert polynomial is the headline
-output; a brute-force decomposable search over a small field gives the same
-locus point by point for cross-checking.
+output; an exact decomposable search over a small field, which fixes the
+coordinates on I_2 one at a time, gives the same locus point by point for
+cross-checking.
 """
 
 from __future__ import annotations
@@ -23,14 +24,13 @@ from .arrangement import Arrangement, dependent_sets
 from .errors import check_budget
 from .exterior import ExtElement, Subspace, os_ideal_part
 from .field import (
+    BATCH_ROWS,
     DEFAULT_MODULUS,
     check_kernel_modulus,
+    inv_mod,
     kernel_basis,
     kernel_dtype,
-    matmul_mod,
     mod,
-    projective_points,
-    rref_mod,
 )
 from .grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
@@ -168,10 +168,6 @@ def is_decomposable(u: ExtElement) -> bool:
 
 DECOMPOSABLE_SEARCH = "decomposable search in P(I_2)"
 
-# Plucker relations in the first step of decomposable_mask; each later step
-# takes four times as many, on the rows that passed every step before it.
-_RELATION_CHUNK = 16
-
 
 @lru_cache(maxsize=None)
 def _plucker_terms(n: int):
@@ -185,31 +181,6 @@ def _plucker_terms(n: int):
         ],
         dtype=np.int64,
     ).reshape(6, len(quads))
-
-
-def decomposable_mask(u, n: int, q: int):
-    """Which rows of u, grade-2 elements in pair coordinates mod q, are decomposable.
-
-    The batched is_decomposable: every three-term Plucker relation over
-    a < b < c < d of range(n).  A relation that leaves a row's support
-    vanishes there, so this is the same test, in characteristic 2 as well.
-    The relations go in chunks of _RELATION_CHUNK, then four times the last
-    chunk, each on the rows that passed all before it: a row is dropped only
-    when a relation fails on it, so the chunks never change the mask.
-    """
-    terms = _plucker_terms(n)
-    u = u.astype(kernel_dtype(2 * (q - 1) ** 2))
-    live = np.arange(len(u))
-    lo, size = 0, _RELATION_CHUNK
-    while lo < terms.shape[1] and len(live):
-        ab, cd, ac, bd, ad, bc = terms[:, lo : lo + size]
-        w = u[live]
-        rel = w[:, ab] * w[:, cd] - w[:, ac] * w[:, bd] + w[:, ad] * w[:, bc]
-        live = live[~mod(rel, q).any(axis=1)]
-        lo, size = lo + size, 4 * size
-    mask = np.zeros(len(u), dtype=bool)
-    mask[live] = True
-    return mask
 
 
 @dataclass(frozen=True)
@@ -232,10 +203,11 @@ class Plane:
 
 
 def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None = None):
-    """All 2-planes whose Plucker point lies in P(I_2), by full F_q enumeration.
+    """All 2-planes whose Plucker point lies in P(I_2), by an exact search over F_q.
 
-    Candidate count is (q^dim - 1)/(q - 1); anything over the budget raises
-    BudgetError before any work happens.
+    The budget counts all (q^dim - 1)/(q - 1) points of P(I_2), although the
+    search tests far fewer; anything over it raises BudgetError before any
+    work happens.
     """
     check_kernel_modulus(q, "enumeration field size")
     sub = os_ideal_part(arr, 2, q)
@@ -243,27 +215,58 @@ def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None 
     return _decomposable_planes(sub)
 
 
+def _relations_hold(w, terms, q: int):
+    """Which rows of w, pair coordinates mod q, satisfy every relation (_plucker_terms columns)."""
+    ab, cd, ac, bd, ad, bc = terms
+    return ~mod(w[:, ab] * w[:, cd] - w[:, ac] * w[:, bd] + w[:, ad] * w[:, bc], q).any(axis=1)
+
+
 def _decomposable_planes(sub: Subspace):
     """The planes of decomposables_in_I2_bruteforce, sub being I_2 over F_q.
 
-    Candidates are scanned in batches of coefficient vectors over the
-    echelon basis of I_2.  A candidate u that passes decomposable_mask is
-    x ^ y, and row a of its antisymmetric matrix is x_a y - y_a x, so the
-    rows span span(x, y): one rref_mod gives the plane's basis.  A rank
-    other than 2 raises ValueError.
+    A point of P(I_2) is u = sum_r c_r rows[r] over the m echelon rows of
+    I_2, and the search fixes c_0, c_1, ... in turn.  Since I_2 is the sum
+    of its parts I_2(X) over the rank-2 flats X (Orlik and Terao,
+    Arrangements of Hyperplanes, 3.1), each Plucker relation reads few rows
+    in its six pair columns; the last of them is its last variable, and a
+    relation that no row reads vanishes on I_2.  Stage j extends each
+    nonzero prefix by every c_j and the zero prefix by 1, so candidates are
+    normalized, and keeps those on which the relations with last variable j
+    hold, in batches of BATCH_ROWS.  A candidate falls only where a relation
+    it fixes fails, and each relation is tested once, so the survivors are
+    the decomposables of P(I_2).
+
+    A survivor u is x ^ y.  With (i, j) its lex-first pair with w_ij != 0,
+    column j and row i of its antisymmetric matrix, over w_ij, are the
+    reduced echelon basis of span(x, y), and their wedge is u / w_ij; a
+    survivor where it is not raises ValueError.
     """
-    n, q = sub.n, sub.p
-    upper = np.triu_indices(n, 1)  # the pairs a < b in lex order
-    planes = []
-    for coeffs in projective_points(q, sub.dim()):
-        u = matmul_mod(coeffs, sub.rows, q)
-        hits = u[decomposable_mask(u, n, q)]
-        mats = np.zeros((len(hits), n, n), dtype=np.int64)
-        mats[:, upper[0], upper[1]] = hits
-        mats[:, upper[1], upper[0]] = -hits
-        for mat in mats:
-            red, pivots = rref_mod(mat, q)
-            if len(pivots) != 2:
-                raise ValueError(f"a decomposable candidate has rank {len(pivots)}, not 2")
-            planes.append(Plane(n, q, tuple(map(tuple, red.tolist()))))
+    n, q, m = sub.n, sub.p, sub.dim()
+    if not m:
+        return []
+    wide = kernel_dtype(2 * (q - 1) ** 2)
+    rows, terms = sub.rows.astype(wide), _plucker_terms(n)
+    reads = (rows != 0)[:, terms].any(axis=1)  # reads[r, t]: row r is nonzero on relation t
+    last = np.where(reads.any(axis=0), m - 1 - reads[::-1].argmax(axis=0), -1)
+    live = rows[:0].astype(kernel_dtype(q))
+    for j in range(m):
+        # candidate k is base[k // q] + (k % q) rows[j]: base's last row,
+        # rows[j] itself with c = 0, is the zero prefix extended by 1
+        base = np.concatenate([live, rows[j : j + 1]])
+        total, kept, stage = len(live) * q + 1, [], terms[:, last == j]
+        for lo in range(0, total, BATCH_ROWS):
+            s, c = np.divmod(np.arange(lo, min(lo + BATCH_ROWS, total)), q)
+            w = mod(base[s] + c.astype(wide)[:, None] * rows[j], q)
+            kept.append(w[_relations_hold(w, stage, q)])
+        live = np.concatenate(kept).astype(live.dtype)
+    u, pairs, h = live.astype(np.int64), np.triu_indices(n, 1), np.arange(len(live))
+    mats = np.zeros((len(u), n, n), dtype=np.int64)
+    mats[:, pairs[0], pairs[1]], mats[:, pairs[1], pairs[0]] = u, -u
+    lead = (u != 0).argmax(axis=1)
+    inv = inv_mod(u[h, lead], q)[:, None]
+    v1, v2 = mod(mats[h, :, pairs[1][lead]] * inv, q), mod(mats[h, pairs[0][lead]] * inv, q)
+    wedge = v1[:, pairs[0]] * v2[:, pairs[1]] - v1[:, pairs[1]] * v2[:, pairs[0]]
+    if (mod(wedge, q) != mod(u * inv, q)).any():
+        raise ValueError("a decomposable candidate fails the wedge check v1 ^ v2 = u / w_ij")
+    planes = [Plane(n, q, (tuple(a), tuple(b))) for a, b in zip(v1.tolist(), v2.tolist())]
     return sorted(planes, key=lambda pl: pl.basis)

@@ -17,9 +17,9 @@ from resgrass.grobner import (
     buchberger,
     plucker_ideal,
 )
-from resgrass.field import matmul_mod, projective_points
+from resgrass.field import kernel_dtype, matmul_mod, mod, projective_points
 from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
-from resgrass.resonance import Plane, decomposable_mask, is_decomposable, os_points, span_forms
+from resgrass.resonance import Plane, _plucker_terms, is_decomposable, os_points, span_forms
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -55,9 +55,9 @@ def braid(ell):
     return from_matrix(braid_rows(ell), name=f"A{ell}")
 
 
-def relabelled_a4():
+def relabelled_a4(seed=5):
     order = list(range(10))
-    random.Random(5).shuffle(order)
+    random.Random(seed).shuffle(order)
     return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
 
 
@@ -228,10 +228,41 @@ def reference_plane(x, y, n):
     return Plane(n, x.p, (tuple(red[0]), tuple(red[1])))
 
 
+# Plucker relations in the first step of decomposable_mask; each later step
+# takes four times as many, on the rows that passed every step before it.
+_RELATION_CHUNK = 16
+
+
+def decomposable_mask(u, n: int, q: int):
+    """Which rows of u, grade-2 elements in pair coordinates mod q, are decomposable.
+
+    The batched is_decomposable: every three-term Plucker relation over
+    a < b < c < d of range(n).  A relation that leaves a row's support
+    vanishes there, so this is the same test, in characteristic 2 as well.
+    The relations go in chunks of _RELATION_CHUNK, then four times the last
+    chunk, each on the rows that passed all before it: a row is dropped only
+    when a relation fails on it, so the chunks never change the mask.
+    """
+    terms = _plucker_terms(n)
+    u = u.astype(kernel_dtype(2 * (q - 1) ** 2))
+    live = np.arange(len(u))
+    lo, size = 0, _RELATION_CHUNK
+    while lo < terms.shape[1] and len(live):
+        ab, cd, ac, bd, ad, bc = terms[:, lo : lo + size]
+        w = u[live]
+        rel = w[:, ab] * w[:, cd] - w[:, ac] * w[:, bd] + w[:, ad] * w[:, bc]
+        live = live[~mod(rel, q).any(axis=1)]
+        lo, size = lo + size, 4 * size
+    mask = np.zeros(len(u), dtype=bool)
+    mask[live] = True
+    return mask
+
+
 def reference_decomposable_planes(arr, q):
     """The planes of decomposables_in_I2_bruteforce by the element route.
 
-    Each candidate that passes decomposable_mask becomes an ExtElement,
+    Every point of P(I_2) is a candidate, as in an exhaustive scan.  Each
+    candidate that passes decomposable_mask becomes an ExtElement,
     is tested by is_decomposable, factored by factor_decomposable and
     reduced by reference_plane.
     """

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from resgrass import cli, exterior, oracle, resonance
+from resgrass import cli, exterior, oracle
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, os_ideal_part
@@ -257,11 +257,11 @@ def test_oracle_refuses_a_field_the_realization_degenerates_over(capsys, tmp_pat
 
 
 def test_check_prop21_refuses_a_budget_before_either_scan(capsys, monkeypatch):
-    def no_scan(q, m):
+    def no_scan(*args):
         raise AssertionError("a scan ran")
 
     monkeypatch.setattr(oracle, "projective_points", no_scan)
-    monkeypatch.setattr(resonance, "projective_points", no_scan)
+    monkeypatch.setattr(oracle, "_decomposable_planes", no_scan)
     a3 = fixture("A3")
     # the decomposable side is checked first: 400 candidates in P(I_2) over F_7
     with pytest.raises(BudgetError, match="decomposable search") as exc:
@@ -298,12 +298,12 @@ def test_scan_refuses_an_i2_the_boundary_map_does_not_kill(monkeypatch):
             sub.rows, sub.pivots = rref_mod(np.concatenate([sub.rows, extra]), p)
         return sub
 
-    def no_scan(q, m):
+    def no_scan(*args):
         raise AssertionError("a scan ran")
 
     monkeypatch.setattr(oracle, "ideal_slice", forged_slice)
     monkeypatch.setattr(oracle, "projective_points", no_scan)
-    monkeypatch.setattr(resonance, "projective_points", no_scan)
+    monkeypatch.setattr(oracle, "_decomposable_planes", no_scan)
     a3 = fixture("A3")
     assert AomotoComplex(a3, 5).parts[2].dim() == 5  # the 4 rows of A3's I_2 and e_0 ^ e_1
     with pytest.raises(ValueError, match="boundary check"):
@@ -315,6 +315,18 @@ def test_scan_refuses_an_i2_the_boundary_map_does_not_kill(monkeypatch):
 def test_check_prop21_hessian_char2_budget():
     with pytest.raises(BudgetError):
         check_prop21(fixture("Hessian"), 2)
+
+
+def test_check_prop21_hessian_char2_with_a_raised_budget():
+    # P(I_2) has 2^27 - 1 points, but the decomposable search tests about
+    # 15,000 candidates; the 124 planes are 54 isolated ones and the 7 lines
+    # of P^2(F_2) in each of the 10 three-dimensional components
+    t0 = time.perf_counter()
+    rep = check_prop21(fixture("Hessian"), 2, budget=2 * 10**8)
+    assert time.perf_counter() - t0 < 10.0
+    assert rep.agree and not rep.missing and not rep.extra
+    assert (rep.n_planes, rep.n_plane_points, rep.n_resonant) == (124, 232, 232)
+    assert not rep.planes_pairwise_disjoint
 
 
 def test_is_resonant_k_braid():
@@ -397,7 +409,7 @@ def test_enumerate_r1_rechecks_every_uncertified_point(arr, q, monkeypatch):
     # with a zero compression map no point is certified, so each one must
     # be ranked again on the full d_1, all n rows, in batches of at most
     # BATCH_ROWS; the pencil and the boolean arrangement have dim A^2 <= n + 3,
-    # so their first ranks are exact and only resonant points come back
+    # so their first ranks are the exact ones, on every point
     shapes = []
 
     def spy(mats, p):
@@ -411,9 +423,7 @@ def test_enumerate_r1_rechecks_every_uncertified_point(arr, q, monkeypatch):
     rechecks = [b for b, rows, cols in shapes if (rows, cols) == (dim2, n)]
     assert max(rechecks, default=0) <= BATCH_ROWS
     # every point of the hyperplane sum a_i = 0, (q^(n-1) - 1)/(q - 1) of them
-    assert sum(rechecks) == (
-        (q ** (n - 1) - 1) // (q - 1) if n + 3 < dim2 else len(pointwise_scan(arr, q))
-    )
+    assert sum(rechecks) == (q ** (n - 1) - 1) // (q - 1)
 
 
 def test_check_prop21_a4_f3_within_cap():

@@ -13,11 +13,9 @@ from resgrass.errors import BudgetError, InputError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
-    decomposable_mask,
     decomposables_in_I2_bruteforce,
     is_decomposable,
     os_points,
-    _RELATION_CHUNK,
     r1_hilbert,
     span_forms,
 )
@@ -26,7 +24,9 @@ from cases import (
     BOOLEAN,
     BOUNDARY_PRIME,
     PENCIL,
+    _RELATION_CHUNK,
     braid,
+    decomposable_mask,
     evaluate,
     factor_decomposable,
     reference_decomposable_planes,
@@ -257,23 +257,46 @@ def test_budget_resolution():
 @pytest.mark.parametrize(
     "arr, q",
     [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (braid(4), 2), (braid(4), 3),
-     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)],
+     (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)]
+    + [(relabelled_a4(seed), 3) for seed in (11, 12, 13)],
     ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "A4/F_3", "pencil/F_2", "pencil/F_3",
-         "boolean/F_2", "boolean/F_3"],
+         "boolean/F_2", "boolean/F_3", "A4-11/F_3", "A4-12/F_3", "A4-13/F_3"],
 )
 def test_planes_equal_the_factored_elements(arr, q):
     # the search reads each plane off its antisymmetric matrix; the reference
-    # factors the element and reduces the two factors
+    # factors each decomposable of an exhaustive scan and reduces the two
+    # factors; the search prunes in an order that depends on the labelling
     assert decomposables_in_I2_bruteforce(arr, q) == reference_decomposable_planes(arr, q)
 
 
+@pytest.mark.parametrize(
+    "arr, q, tested, exhaustive",
+    [(fixture("A3"), 7, 95, 400), (braid(4), 3, 271, 29_524)],
+    ids=["A3/F_7", "A4/F_3"],
+)
+def test_decomposable_search_tests_few_candidates(arr, q, tested, exhaustive, monkeypatch):
+    # the search drops a prefix of coefficients once a relation it fixes
+    # fails, so it tests far fewer candidates than the points of P(I_2)
+    sizes = []
+    real = resonance._relations_hold
+
+    def spy(w, terms, p):
+        sizes.append(len(w))
+        return real(w, terms, p)
+
+    monkeypatch.setattr(resonance, "_relations_hold", spy)
+    planes = decomposables_in_I2_bruteforce(arr, q)
+    assert len(planes) == {"A3": 5, "A4": 15}[arr.name]
+    assert sum(sizes) == tested
+    m = os_ideal_part(arr, 2, q).dim()
+    assert (q**m - 1) // (q - 1) == exhaustive
+
+
 def test_decomposable_search_refuses_a_rank_other_than_2(monkeypatch):
-    # with the mask bypassed every candidate reaches the guard, and the
-    # first that is not decomposable has rank 4
-    monkeypatch.setattr(
-        resonance, "decomposable_mask", lambda u, n, q: np.ones(len(u), dtype=bool)
-    )
-    with pytest.raises(ValueError, match="rank 4, not 2"):
+    # with no Plucker relation every candidate reaches the guard, and the
+    # wedge of the two vectors read off one that is not decomposable is not it
+    monkeypatch.setattr(resonance, "_plucker_terms", lambda n: np.zeros((6, 0), dtype=np.int64))
+    with pytest.raises(ValueError, match="fails the wedge check"):
         decomposables_in_I2_bruteforce(fixture("A3"), 5)
 
 
