@@ -9,7 +9,7 @@ Simple arrangements only; duplicate (proportional) columns are rejected.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -22,12 +22,17 @@ Flat = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Arrangement:
-    """n hyperplanes, their rank-2 flats of size >= 3, and an optional realization."""
+    """n hyperplanes, their rank-2 flats of size >= 3, and an optional realization.
+
+    p is the prime the flats of a realization were read over, None for
+    flats-only input; it takes no part in equality.
+    """
 
     n: int
     flats: tuple[Flat, ...]
     matrix: tuple[tuple[int, ...], ...] | None = None
     name: str = "arrangement"
+    p: int | None = field(default=None, compare=False)
 
     def columns(self):
         if self.matrix is None:
@@ -211,7 +216,12 @@ def from_matrix(matrix, name: str = "arrangement", p: int = DEFAULT_MODULUS) -> 
     """Arrangement whose hyperplanes are the columns of an integer matrix."""
     mat = tuple(tuple(int(x) for x in row) for row in matrix)
     flats = rank2_flats_from_realization(mat, p)
-    return Arrangement(len(mat[0]), flats, mat, name)
+    return Arrangement(len(mat[0]), flats, mat, name, p)
+
+
+def _flat_triples(flats):
+    """The dependent triples of a simple arrangement: the 3-subsets of its rank-2 flats, sorted."""
+    return sorted({t for flat in flats for t in combinations(flat, 3)})
 
 
 def dependent_sets(arr: Arrangement, max_size: int = 3, p: int = DEFAULT_MODULUS):
@@ -228,7 +238,7 @@ def dependent_sets(arr: Arrangement, max_size: int = 3, p: int = DEFAULT_MODULUS
                 "dependent sets of size > 3 need a realization matrix, "
                 f"but {arr.name!r} is combinatorial"
             )
-        return sorted({t for flat in arr.flats for t in combinations(flat, 3)})
+        return _flat_triples(arr.flats)
     cols = arr.columns()
     sizes = range(3, min(max_size, arr.n) + 1)
     return [S for size in sizes for S in _dependent_subsets(cols, size, p)]
@@ -240,7 +250,9 @@ def circuits(arr: Arrangement, max_size: int, p: int = DEFAULT_MODULUS):
     A dependent set is a circuit when no facet of it is among the dependent
     sets one size smaller; sets larger than the rank are all dependent and
     skip batch_rank.  A realization must be simple over F_p; a flats-only
-    arrangement has its dependent triples as circuits, and rank None.
+    arrangement has its dependent triples as circuits, and rank None.  The
+    triples of the flats are the size-3 circuits of a realization read over
+    F_p too, so only another prime ranks them again.
     """
     if arr.matrix is None:
         return dependent_sets(arr, max_size, p), None
@@ -249,8 +261,12 @@ def circuits(arr: Arrangement, max_size: int, p: int = DEFAULT_MODULUS):
     ell = rank(arr.matrix, arr.n, p)
     found, below = [], set()  # below: the dependent sets one size smaller
     for size in range(3, min(max_size, ell + 1) + 1):
-        subs = combinations(range(arr.n), size)
-        dep = _dependent_subsets(cols, size, p) if size <= ell else list(subs)
+        if size > ell:
+            dep = list(combinations(range(arr.n), size))
+        elif size == 3 and arr.p == p:
+            dep = _flat_triples(arr.flats)
+        else:
+            dep = _dependent_subsets(cols, size, p)
         found += [S for S in dep if below.isdisjoint(combinations(S, size - 1))]
         below = set(dep)
     return found, ell

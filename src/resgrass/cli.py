@@ -3,8 +3,9 @@
 Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
---budget), fixtures (list built-ins), bench (per-stage timings, the Groebner
-engine's counters and pair-pass time, the A3 oracle over F_5 and F_7, and
+--budget), fixtures (list built-ins), bench (per-stage r1 timings with the
+Groebner engine's counters and pair-pass time on the fixtures and braid A4
+and A5, or on one --fixture, the A3 oracle over F_5 and F_7, and
 an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
 python and numpy versions, the core count and the git revision of the
 package's checkout; no external baseline is run).  Exit codes: 0 success,
@@ -20,6 +21,7 @@ import platform
 import statistics
 import sys
 import time
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -147,11 +149,21 @@ def _timed(fn, repeat: int):
     return outs, {"min": min(times), "median": statistics.median(times)}
 
 
+def _braid(ell: int, p: int) -> Arrangement:
+    """Braid arrangement A_ell, realized by the columns e_i - e_j (i < j) of F^(ell+1)."""
+    pairs = list(combinations(range(ell + 1), 2))
+    rows = [[(r == i) - (r == j) for i, j in pairs] for r in range(ell + 1)]
+    return from_matrix(rows, f"A{ell}", p)
+
+
 def cmd_bench(args) -> int:
-    names = [args.fixture] if args.fixture else list(FIXTURES)
+    a4 = _braid(4, args.p)
+    if args.fixture:
+        arrs = [fixture(args.fixture)]
+    else:
+        arrs = [*map(fixture, FIXTURES), a4, _braid(5, args.p)]
     results = []
-    for name in names:
-        arr = fixture(name)
+    for arr in arrs:
         runs = [r1_hilbert(arr, p=args.p) for _ in range(args.repeat)]
         stages = {
             s: {
@@ -166,9 +178,6 @@ def cmd_bench(args) -> int:
         engine["pair_ms"] = {"min": min(pair_ms), "median": statistics.median(pair_ms)}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
                             stages=stages, engine=engine))
-    # check_prop21 on A3 and on braid A4, realized by the columns e_i - e_j (i < j) of F^5
-    pairs = list(combinations(range(5), 2))
-    a4 = from_matrix([[(r == i) - (r == j) for i, j in pairs] for r in range(5)], "A4", args.p)
     oracle = []
     for arr, q in ((fixture("A3"), 5), (fixture("A3"), 7), (a4, 3)):
         reps, ms = _timed(lambda: check_prop21(arr, q), args.repeat)
@@ -268,8 +277,14 @@ def _validate(args):
         raise InputError(f"--k must be at least 1, got {k}")
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call and reused after it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _validate(args)
         return args.func(args)

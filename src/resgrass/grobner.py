@@ -22,13 +22,15 @@ its remainders off the same reducer table the engine builds per degree.
 from __future__ import annotations
 
 import time
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations
+from math import isqrt
 
 import numpy as np
 
-from .field import _BLOCK, DEFAULT_MODULUS, _add_rows, check_kernel_modulus, is_prime, rref_mod
-from .field import solve_levels
+from .field import _BLOCK, DEFAULT_MODULUS, _add_rows, check_kernel_modulus, is_prime
+from .field import rref_mod, solve_levels
 
 _W = 8
 _CAP = 127
@@ -237,26 +239,87 @@ class Poly:
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
 
-def plucker_ideal(ring: PolyRing, coords=None):
+@lru_cache(maxsize=None)
+def _plucker_terms(n: int):
+    """Pair indices (ab, cd, ac, bd, ad, bc) of each a < b < c < d of range(n), shape (6, C(n, 4))."""
+    pair = {pr: i for i, pr in enumerate(combinations(range(n), 2))}
+    quads = list(combinations(range(n), 4))
+    return np.array(
+        [
+            [pair[(t[i], t[j])] for t in quads]
+            for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
+        ],
+        dtype=np.int64,
+    ).reshape(6, len(quads))
+
+
+def plucker_ideal(ring: PolyRing, forms=None):
     """The three-term quadrics cutting out G(2, n), one per 4-subset of indices.
 
-    coords maps each pair (i, j), i < j < n, to the polynomial standing for
-    the Plucker coordinate w_ij; by default these are the variables of a
-    PluckerRing.  Given linear forms pull the quadrics back along them, and
-    quadrics that vanish there are left out.
+    Column ab of forms, an nvars x C(n, 2) matrix with pairs in lex order,
+    holds the linear form standing for the Plucker coordinate w_ab; by
+    default forms is the identity, the variables of a PluckerRing.  The
+    quadric of a < b < c < d is w_ab w_cd - w_ac w_bd + w_ad w_bc, each
+    product the outer product of two sparse columns, formed for blocks of
+    4-subsets that keep temporaries under _BLOCK.  A quadric that vanishes,
+    or that is a nonzero multiple of an earlier one, is left out, so the
+    first of each proportional set comes back, in 4-subset order.
     """
-    if coords is None:
-        coords = {pr: ring.var(k) for k, pr in enumerate(ring.pairs)}
-    n = 1 + max(j for _, j in coords)
-    out = []
-    for a, b, c, d in combinations(range(n), 4):
-        q = (
-            coords[a, b] * coords[c, d]
-            - coords[a, c] * coords[b, d]
-            + coords[a, d] * coords[b, c]
-        )
-        if not q.is_zero():
-            out.append(q)
+    p, nv = ring.p, ring.nvars
+    forms = np.eye(nv, dtype=np.int64) if forms is None else np.asarray(forms, np.int64) % p
+    npairs = forms.shape[1]
+    n = (1 + isqrt(1 + 8 * npairs)) // 2
+    if forms.shape != (nv, n * (n - 1) // 2):
+        raise ValueError(f"forms must be {nv} x C(n, 2), got {forms.shape[0]} x {npairs}")
+    # column c is val[c, k] * y_var[c, k] summed over k, padded with zeros
+    col, row = np.nonzero(forms.T)
+    size = (forms != 0).sum(axis=0)
+    var = np.zeros((npairs, max(1, size.max(initial=0))), np.int64)
+    val = np.zeros_like(var)
+    slot = np.arange(len(col)) - (np.cumsum(size) - size)[col]
+    var[col, slot], val[col, slot] = row, forms[row, col]
+    terms = _plucker_terms(n)
+    step = max(1, _BLOCK // (24 * var.shape[1] ** 2))
+    # the terms of each block's quadrics: y_r y_s, r <= s, of quadric t has
+    # key t * nv^2 + r * nv + s; keys ascend, coefficients are nonzero
+    keys, coefs = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for lo in range(0, terms.shape[1], step):
+        t = terms[:, lo : lo + step]
+        left, right = t[0::2].ravel(), t[1::2].ravel()  # ab, ac, ad and cd, bd, bc
+        quad = lo + np.arange(len(left)) % t.shape[1]
+        sign = np.repeat([1, p - 1, 1], t.shape[1])[:, None, None]
+        r, s = var[left][:, :, None], var[right][:, None, :]
+        low = np.minimum(r, s)
+        key = ((quad[:, None, None] * nv + low) * nv + r + s - low).ravel()
+        coef = (val[left][:, :, None] * val[right][:, None, :] % p * sign % p).ravel()
+        order = np.argsort(key)
+        key, coef = key[order], coef[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        key, coef = key[first], np.add.reduceat(coef, first) % p
+        keys.append(key[coef != 0])
+        coefs.append(coef[coef != 0])
+    key, coef = np.concatenate(keys), np.concatenate(coefs)
+    quad, mono = np.divmod(key, nv**2)
+    new = np.diff(quad, prepend=-1) != 0
+    bounds = [*np.flatnonzero(new).tolist(), len(key)]
+    # scaled to 1 at its first monomial, a quadric and its multiples agree
+    leads = coef[new].tolist()
+    inv = {c: pow(c, p - 2, p) for c in set(leads)}
+    scaled = coef * np.array([inv[c] for c in leads], np.int64)[np.cumsum(new) - 1] % p
+    sig = np.stack([mono, scaled], axis=1).tobytes()
+    seen, keep = set(), []
+    for a, b in zip(bounds, bounds[1:]):
+        keep.append((h := sig[16 * a : 16 * b]) not in seen)
+        seen.add(h)
+    # only the terms of the quadrics kept become Python ints
+    keep, lengths = np.array(keep, bool), np.diff(bounds)
+    at = np.repeat(keep, lengths)
+    monos, cs = mono[at].tolist(), coef[at].tolist()
+    packed = {m: ring.ord.pack_combo(divmod(m, nv)) for m in set(monos)}
+    out, b = [], 0
+    for k in lengths[keep].tolist():
+        out.append(Poly(ring, dict(zip(map(packed.__getitem__, monos[b : b + k]), cs[b : b + k]))))
+        b += k
     return out
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -32,7 +31,7 @@ from .field import (
     kernel_dtype,
     mod,
 )
-from .grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
+from .grobner import PluckerRing, PolyRing, _plucker_terms, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 
 
@@ -102,8 +101,9 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     pair coordinate of its pivot, which it equals on I_2.  Every pair
     coordinate w_ab is the linear form sum_r y_r * rows[r][ab], and the
     Plucker quadrics pulled back along those forms generate the ideal in
-    dim I_2 variables.  The OS points are counted off the circuits I_2 was
-    built from, its dependent triples.
+    dim I_2 variables: plucker_ideal reads the forms off the rows and gives
+    each quadric once up to a scalar.  The OS points are counted off the
+    circuits I_2 was built from, its dependent triples.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
@@ -111,11 +111,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     if i2.dim():
         pivot_pairs = (i2.subsets[c] for c in i2.pivots)
         ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
-        coords = {
-            pr: ring.linear_form(i2.rows[:, c].tolist())
-            for c, pr in enumerate(i2.subsets)
-        }
-        gb = buchberger(plucker_ideal(ring, coords), ring=ring)
+        gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
         t2 = time.perf_counter()
         hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
         t3 = time.perf_counter()
@@ -167,20 +163,6 @@ def is_decomposable(u: ExtElement) -> bool:
 
 
 DECOMPOSABLE_SEARCH = "decomposable search in P(I_2)"
-
-
-@lru_cache(maxsize=None)
-def _plucker_terms(n: int):
-    """Pair indices (ab, cd, ac, bd, ad, bc) of each a < b < c < d of range(n), shape (6, C(n, 4))."""
-    pair = {pr: i for i, pr in enumerate(combinations(range(n), 2))}
-    quads = list(combinations(range(n), 4))
-    return np.array(
-        [
-            [pair[(t[i], t[j])] for t in quads]
-            for i, j in ((0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2))
-        ],
-        dtype=np.int64,
-    ).reshape(6, len(quads))
 
 
 @dataclass(frozen=True)

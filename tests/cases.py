@@ -7,6 +7,7 @@ from itertools import combinations
 import numpy as np
 
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
+from resgrass.errors import InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 from resgrass.grobner import (
     _CAP,
@@ -298,10 +299,52 @@ def r1_ideal(arr, p):
     """The ring and the pulled-back Plucker quadrics that r1_hilbert hands to buchberger."""
     i2 = os_ideal_part(arr, 2, p)
     ring = PolyRing(i2.dim(), p)
-    coords = {
-        pr: ring.linear_form(i2.rows[:, c].tolist()) for c, pr in enumerate(i2.subsets)
-    }
-    return ring, plucker_ideal(ring, coords)
+    return ring, plucker_ideal(ring, i2.rows)
+
+
+def reference_plucker_ideal(ring, coords=None):
+    """The nonzero three-term quadrics, one per 4-subset, by Poly arithmetic.
+
+    coords maps each pair (i, j), i < j < n, to the polynomial standing for
+    the Plucker coordinate w_ij; by default these are the variables of a
+    PluckerRing.  The twin of grobner.plucker_ideal, which also leaves out
+    the multiples of earlier quadrics (first_of_each_multiple).
+    """
+    if coords is None:
+        coords = {pr: ring.var(k) for k, pr in enumerate(ring.pairs)}
+    n = 1 + max(j for _, j in coords)
+    out = []
+    for a, b, c, d in combinations(range(n), 4):
+        q = (
+            coords[a, b] * coords[c, d]
+            - coords[a, c] * coords[b, d]
+            + coords[a, d] * coords[b, c]
+        )
+        if not q.is_zero():
+            out.append(q)
+    return out
+
+
+def first_of_each_multiple(polys):
+    """polys without those that are a nonzero multiple of an earlier one, in order."""
+    seen, out = set(), []
+    for f in polys:
+        key = frozenset(f.monic().terms.items())
+        if key not in seen:
+            seen.add(key)
+            out.append(f)
+    return out
+
+
+def random_simple_realization(rng, p):
+    """A random 3x5 .. 4x7 matrix with small entries whose columns are simple mod p."""
+    while True:
+        rows, cols = rng.choice(((3, 5), (3, 6), (4, 6), (4, 7)))
+        mat = [[rng.randrange(-1, 3) for _ in range(cols)] for _ in range(rows)]
+        try:
+            return from_matrix(mat, name="random", p=p)
+        except InputError:
+            continue
 
 
 def lcm(ord_, a, b):

@@ -225,3 +225,25 @@ def test_circuit_pass_matches_the_superset_scan(p):
     for arr in (PENCIL, fixture("Hessian")):
         with pytest.raises(InputError, match="need a realization matrix"):
             circuits(arr, 4, p)
+
+
+def test_circuits_rank_again_at_a_prime_other_than_the_load():
+    """The flats give the triples only at the prime they were read over.
+
+    Column 3 is (1, 1, 5): with e_0 and e_1 it is dependent mod 5 and not
+    mod 31991, so the loaded flats are right at one prime and wrong at the
+    other, and each prime gets the batch-rank answer.
+    """
+    mat = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 5]]
+    want = {p: (reference_circuits(Arrangement(4, (), tuple(map(tuple, mat))), 4, p), 3)
+            for p in (5, 31991)}
+    assert want[5][0] == [(0, 1, 3)] and want[31991][0] == [(0, 1, 2, 3)]
+    for load in (5, 31991):
+        arr = from_matrix(mat, p=load)
+        assert arr.p == load
+        assert arr.flats == (((0, 1, 3),) if load == 5 else ())
+        for p in (5, 31991):
+            assert circuits(arr, 4, p) == want[p], (load, p)
+    # the prime is not part of the arrangement's identity
+    assert from_matrix(mat, p=31991) == Arrangement(4, (), tuple(map(tuple, mat)))
+    assert load_arrangement("flats n=3\n0,1,2\n").p is None

@@ -205,6 +205,60 @@ def test_bench_reports_engine_counters(capsys):
     assert 0 < eng["pair_ms"]["min"] <= eng["pair_ms"]["median"]
 
 
+def test_bench_adds_braid_a4_and_a5_without_a_fixture(capsys, monkeypatch):
+    # the Hessian is left out here to keep the test short
+    monkeypatch.setattr(cli, "FIXTURES", ("A3",))
+    code, out, _ = run(capsys, "bench", "--repeat", "1", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [(r["fixture"], r["hilbert"]) for r in results] == [
+        ("A3", "5*P_0"), ("A4", "15*P_0"), ("A5", "35*P_0")
+    ]
+    # the pullback's degree-2 rows: C(n, 4) quadrics less the vanishing ones and
+    # the multiples of earlier ones
+    degree2 = [r["engine"]["degrees"]["2"] for r in results]
+    assert [(d["rows"], d["new"]) for d in degree2] == [(15, 5), (95, 40), (355, 175)]
+    code, out, _ = run(capsys, "bench", "--repeat", "1")
+    assert code == 0
+    assert "A4: 15*P_0 (runs=1)" in out and "A5: 35*P_0 (runs=1)" in out
+
+
+def _outcome(capsys, argv):
+    """(exit code, output less its timings, stderr) of one main call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = ("exit", e.code)
+    cap = capsys.readouterr()
+    out = [line for line in cap.out.splitlines() if not line.startswith("timings ms:")]
+    if out and out[0].startswith("{"):
+        obj = json.loads(out[0])
+        obj.pop("timings_ms", None)
+        out = obj
+    return code, out, cap.err
+
+
+def test_one_parser_serves_mixed_calls(capsys, monkeypatch):
+    calls = [
+        ("r1", "--fixture", "A3"),
+        ("fixtures", "--json"),
+        ("check-point", "--fixture", "A3", "--k", "2", "1,-1,0,0,0,0"),
+        ("r1", "--fixture", "A3", "--order", "lex"),
+        ("oracle", "--fixture", "A3", "--q", "3", "--json"),
+        ("r1", "--fixture", "Hessian", "--p", "4"),
+        ("check-point", "--fixture", "A3", "--json", "1,2,3,4,5,6"),
+        ("bogus",),
+        ("r1", "--fixture", "A3", "--p", "2", "--json"),
+        ("fixtures",),
+    ]
+    reused = [_outcome(capsys, argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == [_outcome(capsys, argv) for argv in calls]
+    # argparse errors still exit 2, and input errors return 2
+    assert [c[0] for c in reused] == [0, 0, 0, ("exit", 2), 0, 2, 0, ("exit", 2), 0, 0]
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "r1")[0] == 2
     assert run(capsys, "r1", "--fixture", "Nope")[0] == 2

@@ -7,6 +7,7 @@ import pytest
 
 from resgrass.arrangement import fixture
 from resgrass.errors import InputError
+from resgrass.exterior import os_ideal_part
 from resgrass.field import rank
 from resgrass.grobner import (
     _BLOCK,
@@ -23,19 +24,24 @@ from resgrass.grobner import (
 )
 
 from cases import (
+    BOOLEAN,
     BOUNDARY_PRIME,
     FIRST_REFUSED,
+    PENCIL,
     ReferencePairSet,
     braid,
     evaluate,
+    first_of_each_multiple,
     from_exp_terms,
     lcm,
     pair_var,
     r1_ideal,
     rand_poly,
+    random_simple_realization,
     reference_buchberger,
     reference_interreduce,
     reference_normal_form,
+    reference_plucker_ideal,
     spoly,
 )
 
@@ -118,6 +124,30 @@ def test_plucker_ideal_n4():
     quads = plucker_ideal(ring)
     assert len(quads) == 1
     assert repr(quads[0]) == "w_0_3*w_1_2 - w_0_2*w_1_3 + w_0_1*w_2_3"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, P])
+def test_plucker_ideal_is_the_reference_less_the_multiples(p):
+    # the quadrics of plucker_ideal are those of the Poly-arithmetic route, in
+    # the same order, less each multiple of an earlier one
+    for n in range(4, 9):
+        ring = PluckerRing(n, p)
+        assert plucker_ideal(ring) == reference_plucker_ideal(ring)  # no multiples here
+    rng = random.Random(60 + p)
+    arrs = [braid(ell) for ell in (3, 4, 5, 6)] + [fixture("Hessian"), PENCIL, BOOLEAN]
+    arrs += [random_simple_realization(rng, p) for _ in range(6)]
+    dropped = 0
+    for arr in arrs:
+        i2 = os_ideal_part(arr, 2, p)
+        ring = PolyRing(i2.dim(), p)
+        coords = {pr: ring.linear_form(i2.rows[:, c].tolist()) for c, pr in enumerate(i2.subsets)}
+        ref = reference_plucker_ideal(ring, coords)
+        got = plucker_ideal(ring, i2.rows)
+        assert got == first_of_each_multiple(ref), arr.name
+        dropped += len(ref) - len(got)
+    assert dropped > 0
+    with pytest.raises(ValueError, match="C\\(n, 2\\)"):
+        plucker_ideal(PolyRing(3, p), np.eye(3, 4, dtype=np.int64))
 
 
 def test_plucker_quadrics_vanish_on_decomposables():
@@ -569,8 +599,8 @@ def test_threshold_bits_decide_divisibility():
 # per degree: rows, zero rows, monomials reached, non-pivot columns, new elements
 DEGREE_COUNTERS = ("rows", "zero_rows", "monomials", "nonpivot", "new")
 BRAID_DEGREES = {
-    4: {2: (200, 160, 45, 45, 40), 3: (201, 195, 48, 11, 6), 4: (47, 47, 54, 5, 0)},
-    5: {2: (1065, 890, 190, 190, 175), 3: (2016, 1995, 288, 36, 21), 4: (371, 371, 327, 15, 0)},
+    4: {2: (95, 55, 45, 45, 40), 3: (201, 195, 48, 11, 6), 4: (47, 47, 54, 5, 0)},
+    5: {2: (355, 180, 190, 190, 175), 3: (2016, 1995, 288, 36, 21), 4: (371, 371, 327, 15, 0)},
 }
 HESSIAN_DEGREES = {
     2: (450, 184, 324, 324, 266),

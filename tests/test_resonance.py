@@ -9,7 +9,7 @@ import pytest
 
 from resgrass import resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
-from resgrass.errors import BudgetError, InputError
+from resgrass.errors import BudgetError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
@@ -29,6 +29,7 @@ from cases import (
     decomposable_mask,
     evaluate,
     factor_decomposable,
+    random_simple_realization,
     reference_decomposable_planes,
     reference_r1_hilbert,
     relabelled_a4,
@@ -140,23 +141,12 @@ def test_r1_in_i2_coordinates_equals_the_pair_coordinate_route(arr):
     assert _report_counts(arr, P) == reference_r1_hilbert(arr, P)
 
 
-def _random_simple_realization(rng, p):
-    """A random 3x5 .. 4x7 matrix with small entries whose columns are simple mod p."""
-    while True:
-        rows, cols = rng.choice(((3, 5), (3, 6), (4, 6), (4, 7)))
-        mat = [[rng.randrange(-1, 3) for _ in range(cols)] for _ in range(rows)]
-        try:
-            return from_matrix(mat, name="random", p=p)
-        except InputError:
-            continue
-
-
 @pytest.mark.parametrize("p", [2, 3, 5, 7, P])
 def test_r1_in_i2_coordinates_equals_the_pair_coordinate_route_on_random_realizations(p):
     rng = random.Random(40 + p)
     hilberts = set()
     for _ in range(10):
-        arr = _random_simple_realization(rng, p)
+        arr = random_simple_realization(rng, p)
         got = _report_counts(arr, p)
         assert got == reference_r1_hilbert(arr, p), arr.matrix
         hilberts.add(got[0])
