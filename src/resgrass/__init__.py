@@ -41,7 +41,6 @@ from .oracle import (
 )
 from .resonance import (
     Plane,
-    PluckerPoint,
     ResonanceReport,
     decomposables_in_I2_bruteforce,
     is_decomposable,
@@ -66,7 +65,6 @@ __all__ = [
     "KResonance",
     "MonomialIdeal",
     "Plane",
-    "PluckerPoint",
     "PluckerRing",
     "Poly",
     "PolyRing",

@@ -197,6 +197,8 @@ def _from_json(text: str, name: str | None, p: int) -> Arrangement:
     n = obj["n"]
     if not _is_int(n) or n <= 0:
         raise InputError("'n' must be a positive integer")
+    if not isinstance(obj.get("name", ""), str):
+        raise InputError("'name' must be a string")
     resolved = name or obj.get("name") or "arrangement"
     matrix = _int_rows(obj, "matrix")
     flats = _int_rows(obj, "flats")

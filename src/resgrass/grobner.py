@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import time
 from functools import lru_cache
-from heapq import heappop, heappush
 from itertools import combinations
 from math import isqrt
 
@@ -389,7 +388,7 @@ def _strictly_divided(ld, bits, bt):
 
 
 class _PairSet:
-    """S-pair queue popping smallest (lcm, i, j) first, pruned a degree's leads at a time.
+    """S-pairs kept by lcm degree, taken a degree at a time and pruned a degree's leads at a time.
 
     The engine hands over each degree's new leads in one add_elements call.
     Monomials are rows of the complement digits of their grevlex keys, so an
@@ -397,10 +396,10 @@ class _PairSet:
     pairs are array masks, taken in blocks of leads that keep every
     temporary under _BLOCK; the divisor test runs on packed threshold bits
     in integer numpy ops, without BLAS.  Only the lcms that survive are
-    packed into keys for the heap, and a queued pair is never retired: the
-    engine reduces a whole degree at once, where a pair that would reduce to
-    zero costs one more zero row.  The counters say how many candidate pairs
-    were created and how many each criterion pruned.
+    packed into keys, and a queued pair is never retired: the engine reduces
+    a whole degree at once, where a pair that would reduce to zero costs one
+    more zero row.  The counters say how many candidate pairs were created
+    and how many each criterion pruned.
     """
 
     def __init__(self, ord_):
@@ -409,7 +408,7 @@ class _PairSet:
         # than by count keep numpy's per-size cache of small blocks small
         self.digits = np.full((16, ord_.nvars), _CAP, dtype=np.uint8)
         self.degs: list[int] = []
-        self.heap: list = []  # (lcm key, i, j)
+        self.queued: dict = {}  # lcm degree -> [(lcm key, i, j)], in the order found
         self.created = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_elements(self, leads):
@@ -479,18 +478,11 @@ class _PairSet:
                     self.pruned_coprime += size
                     continue
                 self.pruned_lcm += size - 1
-                heappush(self.heap, (key, j, t))
+                self.queued.setdefault(self.ord.degree(key), []).append((key, j, t))
 
-    def min_degree(self) -> int:
-        """The lcm degree of the pair pop returns next, or _CAP + 1 when none is left."""
-        return self.ord.degree(self.heap[0][0]) if self.heap else _CAP + 1
-
-    def pop(self):
-        """(i, j, lcm key) of the pair with the smallest (lcm, i, j), or None."""
-        if not self.heap:
-            return None
-        key, i, j = heappop(self.heap)
-        return i, j, key
+    def take(self, d: int) -> list:
+        """Remove and return the queued (lcm key, i, j) of lcm degree d."""
+        return self.queued.pop(d, [])
 
 
 def _clear(mat, cols, rows, p: int):
@@ -529,11 +521,12 @@ class _F4Engine:
         self.pair_s = 0.0  # seconds in the pair-set passes
 
     def run(self):
-        while (d := min([*self.inputs, self.pairs.min_degree()])) <= _CAP:
+        # a new lead of degree d is reduced by every older lead, so its pairs
+        # have lcm degree above d: no pair joins a degree once it is taken
+        while (d := min([*self.inputs, *self.pairs.queued], default=_CAP + 1)) <= _CAP:
             rows = [(list(g.terms), list(g.terms.values())) for g in self.inputs.pop(d, ())]
             nin = len(rows)
-            while self.pairs.min_degree() == d:
-                i, j, l = self.pairs.pop()
+            for l, i, j in self.pairs.take(d):
                 (ki, ci), (kj, cj) = self.tails[i], self.tails[j]
                 qi, qj = l - self.leads[i], l - self.leads[j]
                 # the leads cancel, so the S-polynomial is the two tails
@@ -542,7 +535,7 @@ class _F4Engine:
             t0 = time.perf_counter()
             self.pairs.add_elements(leads)
             self.pair_s += time.perf_counter() - t0
-        if self.pairs.pop() is not None:
+        if self.pairs.queued:
             # its S-polynomial has monomials the packing cannot hold
             raise OverflowError(f"S-pair degree over the cap {_CAP}")
         basis = [Poly(self.ring, {m: 1, **dict(zip(*t))}) for m, t in zip(self.leads, self.tails)]

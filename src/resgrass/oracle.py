@@ -206,15 +206,14 @@ def _resonant_points(cx: AomotoComplex):
     n - 1 certifies that a point is not resonant; R keeps the rank of almost
     every d_1 (Cheung, Kwok and Lau, J. ACM 60(5), 2013).  The other points
     are ranked again on the full d_1, in batches of at most BATCH_ROWS, so
-    R never decides an answer.  With r >= dim A^2 there is no R, and the
-    first ranks are exact.
+    R never decides an answer.
     """
     n, q, full, r = cx.arr.n, cx.p, cx.wedges[1], cx.arr.n + 3
     i2 = cx.parts[2]
     bd = np.array([[(c == j) - (c == i) for c in range(n)] for i, j in i2.subsets])
     if matmul_mod(i2.rows, bd.reshape(-1, n) % q, q).any():
         raise ValueError("I_2 fails the boundary check: the boundary map does not kill every row")
-    small = matmul_mod(_compressor(r, full.shape[1], q), full, q) if r < full.shape[1] else full
+    small = matmul_mod(_compressor(r, full.shape[1], q), full, q)
 
     def deficient(w, pts):
         # contiguous point columns (a strided operand made the product about
@@ -222,15 +221,14 @@ def _resonant_points(cx: AomotoComplex):
         d = matmul_mod(w, np.ascontiguousarray(pts.T), q)
         return pts[batch_rank(d.transpose(2, 1, 0), q) < n - 1]
 
-    recheck = (lambda pts: pts) if small is full else (lambda pts: deficient(full, pts))
     found, pending = [], np.zeros((0, n), dtype=np.int64)
     for b in projective_points(q, n - 1):
         pts = np.append(b, -b.sum(axis=1, keepdims=True) % q, axis=1)
         pending = np.concatenate([pending, deficient(small, pts)])
         if len(pending) >= BATCH_ROWS:
-            found.extend(map(tuple, recheck(pending[:BATCH_ROWS]).tolist()))
+            found.extend(map(tuple, deficient(full, pending[:BATCH_ROWS]).tolist()))
             pending = pending[BATCH_ROWS:]
-    found.extend(map(tuple, recheck(pending).tolist()))
+    found.extend(map(tuple, deficient(full, pending).tolist()))
     return sorted(found)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
 from .errors import check_budget
-from .exterior import ExtElement, Subspace, os_ideal_part
+from .exterior import ExtElement, Subspace, boundary, os_ideal_part
 from .field import (
     BATCH_ROWS,
     DEFAULT_MODULUS,
@@ -35,43 +35,22 @@ from .grobner import PluckerRing, PolyRing, _plucker_terms, buchberger, plucker_
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 
 
-@dataclass(frozen=True)
-class PluckerPoint:
-    """A point of P(Lambda^2 F_p^n) in pair coordinates, pairs in lex order."""
-
-    n: int
-    p: int
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        want = self.n * (self.n - 1) // 2
-        if len(self.coords) != want:
-            raise ValueError(f"expected {want} coordinates, got {len(self.coords)}")
-
-
-def os_points(arr: Arrangement, p: int = DEFAULT_MODULUS) -> list[PluckerPoint]:
-    """One point per dependent triple: the (+1, -1, +1) boundary pattern."""
-    index = {pr: k for k, pr in enumerate(combinations(range(arr.n), 2))}
-    pts = []
-    for a, b, c in dependent_sets(arr, 3, p):
-        coords = [0] * len(index)
-        coords[index[(b, c)]] = 1
-        coords[index[(a, c)]] = p - 1
-        coords[index[(a, b)]] = 1
-        pts.append(PluckerPoint(arr.n, p, tuple(coords)))
-    return pts
+def os_points(arr: Arrangement, p: int = DEFAULT_MODULUS) -> list[ExtElement]:
+    """One point of P(Lambda^2) per dependent triple: its boundary, the (+1, -1, +1) pattern."""
+    return [boundary(t, p) for t in dependent_sets(arr, 3, p)]
 
 
 def span_forms(points, ring: PluckerRing):
-    """Linear forms cutting out the projective span of the given points.
+    """Linear forms cutting out the projective span of the given grade-2 points.
 
-    With no points the span is empty and every coordinate must vanish, so all
-    ring variables come back.
+    The points are read in the ring's pair coordinates.  With no points the
+    span is empty and every coordinate must vanish, so all ring variables
+    come back.
     """
     for pt in points:
-        if pt.n != ring.n or pt.p != ring.p:
+        if pt.p != ring.p or pt.grade != 2 or any(b >= ring.n for _, b in pt.terms):
             raise ValueError("point does not match the ring")
-    rows = [list(pt.coords) for pt in points]
+    rows = [[pt.terms.get(pr, 0) for pr in ring.pairs] for pt in points]
     ker = kernel_basis(rows, ring.nvars, ring.p)
     return [ring.linear_form(v) for v in ker]
 
@@ -188,8 +167,8 @@ def decomposables_in_I2_bruteforce(arr: Arrangement, q: int, budget: int | None 
     """All 2-planes whose Plucker point lies in P(I_2), by an exact search over F_q.
 
     The budget counts all (q^dim - 1)/(q - 1) points of P(I_2), although the
-    search tests far fewer; anything over it raises BudgetError before any
-    work happens.
+    search tests far fewer; I_2 is built first, since dim is its dimension,
+    and anything over the budget raises BudgetError before the search runs.
     """
     check_kernel_modulus(q, "enumeration field size")
     sub = os_ideal_part(arr, 2, q)

@@ -1,5 +1,6 @@
 """Small arrangements and moduli shared by the test modules."""
 
+import hashlib
 import random
 from heapq import heapify, heappop, heappush
 from itertools import combinations
@@ -40,6 +41,13 @@ MALFORMED_JSON = (
     '{"n": 3, "matrix": [["a", 0, 1], [0, 1, 1]]}',
     '{"n": 3, "matrix": [[1e400, 0, 1], [0, 1, 1]]}',
     '{"n": 3, "matrix": [[1, 0, 1], [0, 1, 1]], "flats": "012"}',
+)
+
+# JSON arrangements whose name is not a string; the loader passed any value
+# through, and describe() and the r1 report printed it
+NON_STRING_NAMES = tuple(
+    f'{{"n": 3, "flats": [[0, 1, 2]], "name": {name}}}'
+    for name in ("[1, 2]", "7", "2.5", "true", "false", "null", '{"a": 1}')
 )
 
 PENCIL = Arrangement(3, ((0, 1, 2),), None, "pencil")
@@ -386,6 +394,17 @@ def evaluate(f, vals) -> int:
             c = c * pow(vals[i], e, p) % p
         total += c
     return total % p
+
+
+def basis_digest(gb):
+    """sha256 of the terms of a basis: each generator's sorted, then the generators sorted."""
+    terms = sorted(tuple(sorted(g.terms.items())) for g in gb)
+    return hashlib.sha256(repr(terms).encode()).hexdigest()
+
+
+def pair_coords(pt, ring):
+    """The dense coordinates of a grade-2 point over ring.pairs."""
+    return tuple(pt.terms.get(pr, 0) for pr in ring.pairs)
 
 
 def pair_var(ring, i: int, j: int):

@@ -32,6 +32,7 @@ from cases import (
     factor_decomposable,
     from_exp_terms,
     hilbert_function_values,
+    pair_coords,
     permute_vars,
     rand_poly,
     reference_normal_form,
@@ -249,7 +250,7 @@ def test_criterion_9_plucker_consistency(acceptance_log):
         assert len(pts) == {"A3": 4, "Hessian": 36}[name]
         for pt in pts:
             for quad in quads:
-                assert evaluate(quad, pt.coords) == 0
+                assert evaluate(quad, pair_coords(pt, ring)) == 0
     counts = []
     for n in range(3, 13):
         counts.append(len(plucker_ideal(PluckerRing(n, P))))

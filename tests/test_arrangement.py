@@ -20,6 +20,7 @@ from cases import (
     BOOLEAN,
     BOUNDARY_PRIME,
     MALFORMED_JSON,
+    NON_STRING_NAMES,
     PENCIL,
     braid,
     reference_circuits,
@@ -113,6 +114,15 @@ def test_json_matrix_and_flats_must_agree():
 def test_malformed_json_is_refused(text):
     with pytest.raises(InputError):
         load_arrangement(text)
+
+
+@pytest.mark.parametrize("text", NON_STRING_NAMES)
+def test_json_name_must_be_a_string(text):
+    # also when the caller passes a name of its own, as r1 --input does
+    for name in (None, "given"):
+        with pytest.raises(InputError, match="'name' must be a string"):
+            load_arrangement(text, name=name)
+    assert load_arrangement(text.replace('"name"', '"label"')).name == "arrangement"
 
 
 def test_json_takes_integers_of_any_size():

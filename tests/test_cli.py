@@ -10,7 +10,7 @@ import pytest
 from resgrass import cli
 from resgrass.cli import main
 
-from cases import MALFORMED_JSON
+from cases import MALFORMED_JSON, NON_STRING_NAMES
 
 PENCIL = "flats n=3\n0,1,2\n"
 BOOLEAN = "matrix\n1 0 0\n0 1 0\n0 0 1\n"
@@ -282,11 +282,13 @@ def test_input_errors_exit_2(capsys, tmp_path):
 
 def test_malformed_json_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    for text in MALFORMED_JSON:
+    for text in MALFORMED_JSON + NON_STRING_NAMES:
         path.write_text(text)
         code, out, err = run(capsys, "r1", "--input", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+        # r1 --input passes the file stem as the name, and the file is still refused
+        assert (err == "error: 'name' must be a string\n") == (text in NON_STRING_NAMES)
 
 
 @pytest.mark.parametrize("p", [31991, 2**31 - 1])

@@ -29,6 +29,7 @@ from cases import (
     FIRST_REFUSED,
     PENCIL,
     ReferencePairSet,
+    basis_digest,
     braid,
     evaluate,
     first_of_each_multiple,
@@ -447,14 +448,33 @@ def counters(pairs):
     return {k: getattr(pairs, k) for k in COUNTERS}
 
 
+def pop_degree(ref, d):
+    """Pop a ReferencePairSet's pairs of lcm degree d, none being queued below
+    d, as (lcm key, i, j) in the order popped."""
+    out = []
+    while ref.heap and ref.ord.degree(ref.heap[0][0]) <= d:
+        i, j, key = ref.pop()
+        assert ref.ord.degree(key) == d
+        out.append((key, i, j))
+    return out
+
+
+def take_lowest(pairs):
+    """The pairs of the lowest queued lcm degree, taken off the pair set and
+    sorted, or [] when none is queued; the reference pops them."""
+    if isinstance(pairs, ReferencePairSet):
+        return pop_degree(pairs, pairs.ord.degree(pairs.heap[0][0])) if pairs.heap else []
+    return sorted(pairs.take(min(pairs.queued))) if pairs.queued else []
+
+
 def replay(pairs, events):
-    """What a pair set pops when fed events: a lead key to add through
+    """What a pair set takes when fed events: a lead key to add through
     add_element (the reference's call), a list of lead keys to add in one
-    add_elements batch, None to pop."""
+    add_elements batch, None to take the lowest queued degree."""
     out = []
     for ev in events:
         if ev is None:
-            out.append(pairs.pop())
+            out.append(take_lowest(pairs))
         elif isinstance(ev, list):
             pairs.add_elements(ev)
         else:
@@ -468,7 +488,7 @@ def singletons(events):
 
 
 def batched(events, ord_):
-    """The same events with each run of equal-degree leads between pops as one batch."""
+    """The same events with each run of equal-degree leads between takes as one batch."""
     out = []
     for ev in events:
         if ev is not None and out and isinstance(out[-1], list):
@@ -480,36 +500,31 @@ def batched(events, ord_):
 
 
 class RecordingPairs:
-    """Passes calls on to a pair set and records them as replay events; a
-    batch is recorded as its leads, in order, so a replay adds them one at
-    a time."""
+    """Passes calls on to a pair set and records them as events: each batch
+    of leads as the list of its leads, each take as (degree, pairs taken)."""
 
     def __init__(self, inner):
         self.inner = inner
         self.events = []
-        self.pops = []
-        self.batches = 0
 
     def add_elements(self, leads):
-        self.events.extend(leads)
-        self.batches += 1
+        self.events.append(list(leads))
         self.inner.add_elements(leads)
 
     def __getattr__(self, name):
-        # reads such as min_degree and the lead digits change nothing
+        # reads such as the queued degrees and the lead digits change nothing
         return getattr(self.inner, name)
 
-    def pop(self):
-        self.events.append(None)
-        out = self.inner.pop()
-        self.pops.append(out)
+    def take(self, d):
+        out = self.inner.take(d)
+        self.events.append((d, out))
         return out
 
 
 def lead_stream(rng, ord_, length, powers=False):
     """Replay events: random leads, with repeats, leads coprime to an earlier
-    one and divisors of an earlier one, pops in between, and enough pops at
-    the end to empty the queue.  With powers, some leads are powers x_v^e
+    one and divisors of an earlier one, takes in between, and enough takes
+    at the end to empty the queue.  With powers, some leads are powers x_v^e
     with e from 2 to 5."""
     combos, events = [], []
     n = ord_.nvars
@@ -536,17 +551,21 @@ def lead_stream(rng, ord_, length, powers=False):
 def test_pair_set_matches_reference_on_random_lead_streams():
     rng = random.Random(12)
     total = dict.fromkeys(COUNTERS, 0)
+    multi = 0
     for nvars in (4, 7, 8, 9, 16, 17, 35):
         for _ in range(6):
             ord_ = GrevlexOrder(nvars)
             events = lead_stream(rng, ord_, rng.randint(5, 40))
             fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
-            assert replay(fast, singletons(events)) == replay(ref, events)
+            takes = replay(fast, singletons(events))
+            assert takes == replay(ref, events)
             assert counters(fast) == counters(ref)
             for k in COUNTERS:
                 total[k] += counters(ref)[k]
-    # every criterion fired somewhere
+            multi += sum(len(t) > 1 for t in takes)
+    # every criterion fired somewhere, and some takes hold several pairs
     assert all(total.values()), total
+    assert multi
 
 
 def test_batched_pair_set_matches_reference_on_random_lead_streams():
@@ -555,6 +574,7 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
     rng = random.Random(13)
     total = dict.fromkeys(COUNTERS, 0)
     words = set()
+    multi = 0
     for nvars in (4, 7, 9, 17, 35):
         for powers in (False, True):
             for _ in range(5):
@@ -562,13 +582,16 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
                 length = rng.randint(40, 80) if powers else rng.randint(5, 60)
                 events = lead_stream(rng, ord_, length, powers)
                 fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
-                assert replay(fast, batched(events, ord_)) == replay(ref, events)
+                takes = replay(fast, batched(events, ord_))
+                assert takes == replay(ref, events)
                 assert counters(fast) == counters(ref)
                 for k in COUNTERS:
                     total[k] += counters(ref)[k]
+                multi += sum(len(t) > 1 for t in takes)
                 bits = _threshold_bits(fast.digits[: len(fast.degs)])
                 words.add(bits.shape[1])
     assert all(total.values()), total
+    assert multi
     # some streams need more than one 64-bit word of threshold bits
     assert max(words) > 1, words
 
@@ -624,10 +647,24 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     eng = _F4Engine(ring, gens)
     rec = eng.pairs = RecordingPairs(eng.pairs)
     eng.run()
+    # the reference adds the leads one at a time, and a take of degree d
+    # holds the pairs of degree d it pops, with none queued below d
     ref = ReferencePairSet(ring.ord)
-    assert replay(ref, rec.events) == rec.pops
-    # the engine hands over each degree's new leads in one batch
-    assert rec.batches == len(eng.degrees)
+    takes = []
+    for ev in rec.events:
+        if isinstance(ev, list):
+            for lead in ev:
+                ref.add_element(lead)
+        else:
+            d, taken = ev
+            assert sorted(taken) == pop_degree(ref, d)
+            takes.append(taken)
+    assert not ref.heap
+    # the engine hands over each degree's new leads in one batch, and takes
+    # each degree once
+    assert len(rec.events) - len(takes) == len(eng.degrees)
+    assert len(takes) == len(eng.degrees)
+    assert sum(map(len, takes)) == eng.reductions == expected["reductions"]
     assert counters(rec.inner) == counters(ref)
     got = dict(counters(ref), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
     assert got == expected
@@ -638,6 +675,26 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     # the rows are the input generators and the S-pairs, each reduced once
     assert sum(c["rows"] for c in eng.degrees.values()) == len(gens) + eng.reductions
     assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
+
+
+# basis_digest of the reduced basis of r1_ideal; A4 and A5 are cases.braid
+BASIS_DIGESTS = {
+    ("A3", 31991): "cd4616402a1cecdf104b48340aa443d83b65a66c185abbe6f74652d0f4ac04d7",
+    ("A3", 3): "6ab86238dd614cfcec2f06611e75191744ff8f4c46ba8031e47d64949df83a1c",
+    ("A4", 31991): "bd7b29aa509daadae46aada75d30bcb5ea6dc8d7ebc0be86c066bd6dd543a39b",
+    ("A4", 3): "bf9892123dfbc8b21f59b2b83a7c47200586b5ac401f5fdb2c1f0bfb5c6ff0c6",
+    ("A5", 31991): "8c0837342c99dbab9b9cd7d5d9b6dea16c4ae8af8c5c77ead5e665cc342c3804",
+    ("A5", 3): "3cdde98323c2e2c7bd97dc20a1dfd225a70e4e9d2ae6a181fc3a36e6d2739d89",
+    ("Hessian", 31991): "674dcbd659ce343da237fceb054e375a01573fbf7cbb9d8bb1611f58f781d478",
+    ("Hessian", 3): "6ef514671559767684b85f182c38c8e56d458339a3a4576f55b2c55b0a9465b8",
+}
+
+
+@pytest.mark.parametrize("name, p", list(BASIS_DIGESTS))
+def test_reduced_basis_digest_is_pinned(name, p):
+    arr = braid(int(name[1:])) if name in ("A4", "A5") else fixture(name)
+    ring, gens = r1_ideal(arr, p)
+    assert basis_digest(buchberger(gens, ring=ring)) == BASIS_DIGESTS[name, p]
 
 
 def test_basis_keeps_the_engine_counters():
@@ -672,7 +729,7 @@ def test_pair_pass_memory_stays_within_blocks(name):
         kept, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak - kept < 3 * _BLOCK, (size, peak - kept)
-        seen.append((counters(pairs), pairs.heap))
+        seen.append((counters(pairs), pairs.queued))
     assert seen[0] == seen[1]
 
 

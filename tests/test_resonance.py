@@ -29,6 +29,7 @@ from cases import (
     decomposable_mask,
     evaluate,
     factor_decomposable,
+    pair_coords,
     random_simple_realization,
     reference_decomposable_planes,
     reference_r1_hilbert,
@@ -43,8 +44,8 @@ def test_os_points_pattern():
     pts = os_points(fixture("A3"))
     assert len(pts) == 4
     first = pts[0]  # triple (0, 1, 2)
-    pairs = list(combinations(range(6), 2))
-    nonzero = {pairs[i]: c for i, c in enumerate(first.coords) if c}
+    ring = PluckerRing(6, P)
+    nonzero = {pr: c for pr, c in zip(ring.pairs, pair_coords(first, ring)) if c}
     assert nonzero == {(1, 2): 1, (0, 2): P - 1, (0, 1): 1}
 
 
@@ -59,19 +60,30 @@ def test_plucker_quadrics_vanish_on_os_points():
         quads = plucker_ideal(ring)
         for pt in os_points(arr):
             for q in quads:
-                assert evaluate(q, pt.coords) == 0
+                assert evaluate(q, pair_coords(pt, ring)) == 0
 
 
 def test_span_forms_single_point():
     ring = PluckerRing(3, 7)
     pts = os_points(from_matrix([[1, 0, 1], [0, 1, 1]], p=7), p=7)
     assert len(pts) == 1
-    assert pts[0].coords == (1, 6, 1)
+    assert pair_coords(pts[0], ring) == (1, 6, 1)
     forms = span_forms(pts, ring)
     assert [repr(f) for f in forms] == ["w_0_1 - w_1_2", "w_0_2 + w_1_2"]
     # same span as the pair {w01 + w02, w02 + w12}
     for combo in ((1, 1, 0), (0, 1, 1)):
         assert normal_form(ring.linear_form(combo), forms).is_zero()
+
+
+def test_span_forms_refuses_points_off_the_ring():
+    ring = PluckerRing(3, 7)
+    for pt in (
+        ExtElement(7, 1, {(0,): 1}),  # grade 1
+        boundary((0, 1, 2), 5),  # over another prime
+        boundary((0, 1, 3), 7),  # index 3 >= ring.n
+    ):
+        with pytest.raises(ValueError, match="does not match the ring"):
+            span_forms([boundary((0, 1, 2), 7), pt], ring)
 
 
 def test_span_forms_counts():
