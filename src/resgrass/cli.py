@@ -7,8 +7,9 @@ for one point), oracle (exhaustive small-field cross-check, capped by
 Groebner engine's counters and pair-pass time on the fixtures and braid A4
 and A5, or on one --fixture, the A3 oracle over F_5 and F_7, and
 an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
-python and numpy versions, the core count and the git revision of the
-package's checkout; no external baseline is run).  Exit codes: 0 success,
+python and numpy versions, the core count, the git revision of the
+package's checkout, whether bytecode writing is off and whether the package
+holds cached bytecode; no external baseline is run).  Exit codes: 0 success,
 2 input error, 3 budget error.
 """
 
@@ -47,8 +48,8 @@ def _load(args, p: int) -> Arrangement:
     if args.input:
         path = Path(args.input)
         try:
-            text = path.read_text()
-        except OSError as e:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
             raise InputError(f"cannot read {args.input}: {e}") from None
         return load_arrangement(text, name=path.stem, p=p)
     raise InputError("an arrangement is required: --fixture <name> or --input <path>")
@@ -197,8 +198,12 @@ def cmd_bench(args) -> int:
                                  capture_output=True, text=True, check=True).stdout.strip()
         except (OSError, subprocess.CalledProcessError):
             rev = None  # no git, or the package is not in a checkout
+        # a process that compiles the package from source starts slower and
+        # peaks higher than one that loads cached bytecode
         env = {"python": platform.python_version(), "numpy": np.__version__,
-               "cores": os.cpu_count(), "git_rev": rev}
+               "cores": os.cpu_count(), "git_rev": rev,
+               "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+               "pycache": any(Path(__file__).parent.glob("__pycache__/*.pyc"))}
         print(json.dumps({"results": results, "oracle": oracle, "check_point": check,
                           "environment": env}))
         return 0

@@ -395,20 +395,17 @@ class _PairSet:
     lcm is an elementwise minimum.  The Gebauer-Moeller criteria on the new
     pairs are array masks, taken in blocks of leads that keep every
     temporary under _BLOCK; the divisor test runs on packed threshold bits
-    in integer numpy ops, without BLAS.  Only the lcms that survive are
-    packed into keys, and a queued pair is never retired: the engine reduces
-    a whole degree at once, where a pair that would reduce to zero costs one
-    more zero row.  The counters say how many candidate pairs were created
-    and how many each criterion pruned.
+    in integer numpy ops, without BLAS.  One np.unique groups survivors by
+    lead and lcm; only queued lcms become keys.  A queued pair is never
+    retired: the engine reduces a whole degree at once, where a pair that
+    would reduce to zero costs one more zero row.  The counters say how many
+    candidate pairs were created and how many each criterion pruned.
     """
 
     def __init__(self, ord_):
         self.ord = ord_
-        # one row per lead, then spare rows; arrays sized by capacity rather
-        # than by count keep numpy's per-size cache of small blocks small
-        self.digits = np.full((16, ord_.nvars), _CAP, dtype=np.uint8)
-        self.degs: list[int] = []
-        self.queued: dict = {}  # lcm degree -> [(lcm key, i, j)], in the order found
+        self.digits = np.zeros((0, ord_.nvars), np.uint8)  # one row per lead
+        self.queued: dict = {}  # lcm degree -> [(lcm key, i, j)], by lead j, then lcm
         self.created = self.pruned_lcm = self.pruned_coprime = 0
 
     def add_elements(self, leads):
@@ -419,16 +416,10 @@ class _PairSet:
         if not leads:
             return
         n = self.ord.nvars
-        t0, t1 = len(self.degs), len(self.degs) + len(leads)
-        if t1 > len(self.digits):
-            grown = np.full((2 * t1, n), _CAP, np.uint8)
-            grown[:t0] = self.digits[:t0]
-            self.digits = grown
-        self.digits[t0:t1] = _digits(leads, n)
-        self.degs += [self.ord.degree(k) for k in leads]
-        digits = self.digits[:t1]
+        t0, t1 = len(self.digits), len(self.digits) + len(leads)
+        digits = self.digits = np.concatenate([self.digits, _digits(leads, n)])
         bits = _threshold_bits(digits)
-        degs = np.array(self.degs, np.int32)
+        degs = _CAP * n - digits.sum(axis=1, dtype=np.int32)
         step = max(1, _BLOCK // (t1 * max(n, bits[0].nbytes)))
         for a in range(t0, t1, step):
             b = min(a + step, t1)
@@ -455,33 +446,32 @@ class _PairSet:
             for r in np.flatnonzero(lows < highs).tolist():
                 m = np.flatnonzero(multi[r])
                 dead[r, m] = _strictly_divided(above[r, m], bits[m], bits[a + r])
-            r, i = np.nonzero(~dead)
-            self.created += sum(range(a, b))
-            self.pruned_lcm += sum(range(a, b)) - len(i)
-            d = ldeg[r, i]
-            cop = (d == degs[i] + degs[r + a]).tolist()
-            lcms = np.minimum(digits[r + a], digits[i])
-            buf = np.concatenate([lcms, d[:, None].astype(np.uint8)], axis=1).tobytes()
-
             # one pair per lead and distinct lcm, with the smallest i; none
             # when some pair with that lcm has coprime leads, since its
-            # S-poly reduces to zero
-            groups: dict = {}
-            w = n + 1
-            for e, (t, j) in enumerate(zip((r + a).tolist(), i.tolist())):
-                key = int.from_bytes(buf[e * w : e * w + w], "little")
-                g = groups.setdefault((key, t), [j, False, 0])
-                g[1] |= cop[e]
-                g[2] += 1
-            for (key, t), (j, c, size) in groups.items():
-                if c:
-                    self.pruned_coprime += size
-                    continue
-                self.pruned_lcm += size - 1
-                self.queued.setdefault(self.ord.degree(key), []).append((key, j, t))
+            # S-poly reduces to zero.  A survivor's bytes are its lead t
+            # (big-endian), lcm digits and lcm degree, so the groups sort by
+            # t, then lcm; survivors come by t, then i, so a group's first
+            # index has its smallest i.
+            r, i = np.nonzero(~dead)
+            t, d = r + a, ldeg[r, i]
+            rows = np.concatenate([t.astype(">u4").view(np.uint8).reshape(-1, 4),
+                                   np.minimum(digits[t], digits[i]), d[:, None].astype(np.uint8)],
+                                  axis=1)
+            uniq, first, group = np.unique(rows.view(f"V{n + 5}").ravel(), return_index=True,
+                                           return_inverse=True)
+            cop = np.bincount(group[d == degs[i] + degs[t]], minlength=len(uniq)) > 0
+            uniq, first = uniq[~cop], first[~cop]
+            # every candidate pair is pruned once or queued once
+            ncop = int(cop[group].sum())
+            self.created += sum(range(a, b))
+            self.pruned_coprime += ncop
+            self.pruned_lcm += sum(range(a, b)) - ncop - len(first)
+            for row, j, lead in zip(uniq.tolist(), i[first].tolist(), t[first].tolist()):
+                key = int.from_bytes(row[4:], "little")  # the bytes past the lead
+                self.queued.setdefault(self.ord.degree(key), []).append((key, j, lead))
 
     def take(self, d: int) -> list:
-        """Remove and return the queued (lcm key, i, j) of lcm degree d."""
+        """Remove and return the queued (lcm key, i, j) of lcm degree d, by lead j, then lcm."""
         return self.queued.pop(d, [])
 
 
@@ -617,7 +607,7 @@ class _F4Engine:
     def _reduce(self, d: int, rows, nin: int):
         """Reduce degree d's rows, the first nin of them inputs; return the new leads."""
         p = self.p
-        cols, nreached, forms = self._table(rows, self.pairs.digits[: len(self.leads)])
+        cols, nreached, forms = self._table(rows, self.pairs.digits)
         ncol = len(cols)
         # the rows go in slices of at most _BLOCK bytes, inputs first: each is
         # cleared on the pivots found so far, and its own are cleared above.

@@ -13,6 +13,7 @@ the form quotient-of-projective-scheme output is usually read in.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -82,23 +83,6 @@ def _poly_add(a, b):
     return out
 
 
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _one_minus_t_pow(d: int):
-    """Coefficients of 1 - t^d; d = 0 gives 0, the numerator of the unit ideal."""
-    out = [0] * (d + 1)
-    out[0] += 1
-    out[d] -= 1
-    return out
-
-
 def _numer(gens, ord_, memo: dict):
     key = frozenset(g[0] for g in gens)
     hit = memo.get(key)
@@ -107,19 +91,14 @@ def _numer(gens, ord_, memo: dict):
 
     mixed = [g for g in gens if g[1].bit_count() > 1]
     if not mixed:
+        # h times 1 - t^d per generator; d = 0 gives 0, the unit ideal's numerator
         h = [1]
         for g, _ in gens:
-            h = _poly_mul(h, _one_minus_t_pow(ord_.degree(g)))
+            h = _poly_add(h, [0] * ord_.degree(g) + [-c for c in h])
     else:
-        counts: dict = {}
-        for _, mask in mixed:
-            v = 0
-            while mask:
-                if mask & 1:
-                    counts[v] = counts.get(v, 0) + 1
-                mask >>= 1
-                v += 1
-        pivot = max(sorted(counts), key=lambda v: counts[v])
+        # the variable in the most mixed generators, the first of a tie
+        counts = Counter(v for _, m in mixed for v in range(m.bit_length()) if m >> v & 1)
+        pivot = max(sorted(counts), key=counts.__getitem__)
         bit = 1 << pivot
         x = ord_.pack_combo((pivot,))
         plus = [g for g in gens if not g[1] & bit] + [(x, bit)]

@@ -402,6 +402,11 @@ def basis_digest(gb):
     return hashlib.sha256(repr(terms).encode()).hexdigest()
 
 
+def numerator_digest(gb):
+    """sha256 of the Hilbert numerator's coefficient list of a basis's lead ideal."""
+    return hashlib.sha256(repr(hilbert_numerator(leading_ideal(gb))).encode()).hexdigest()
+
+
 def pair_coords(pt, ring):
     """The dense coordinates of a grade-2 point over ring.pairs."""
     return tuple(pt.terms.get(pr, 0) for pr in ring.pairs)

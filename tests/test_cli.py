@@ -2,6 +2,7 @@ import json
 import os
 import platform
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,7 @@ def test_bench_braid(capsys):
     assert 0 < cp["ms"]["min"] <= cp["ms"]["median"]
     # the machine the times were taken on
     env = obj["environment"]
-    assert set(env) == {"python", "numpy", "cores", "git_rev"}
+    assert set(env) == {"python", "numpy", "cores", "git_rev", "dont_write_bytecode", "pycache"}
     assert env["python"] == platform.python_version() and env["numpy"] == np.__version__
     assert env["cores"] == os.cpu_count()
     assert env["git_rev"] == git_head(Path(cli.__file__).parent)
@@ -190,6 +191,23 @@ def test_bench_git_rev_is_null_outside_a_checkout(capsys, monkeypatch):
     code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1", "--json")
     assert code == 0
     assert json.loads(out)["environment"]["git_rev"] is None
+
+
+def test_bench_reports_the_bytecode_cache(capsys, monkeypatch, tmp_path):
+    # a package directory with and without cached bytecode, outside a checkout
+    pkg = tmp_path / "resgrass"
+    (pkg / "__pycache__").mkdir(parents=True)
+    monkeypatch.setattr(cli, "__file__", str(pkg / "cli.py"))
+    seen = []
+    for pyc in (None, "cli.cpython-311.pyc"):
+        if pyc:
+            (pkg / "__pycache__" / pyc).write_bytes(b"")
+        code, out, _ = run(capsys, "bench", "--fixture", "A3", "--repeat", "1", "--json")
+        assert code == 0
+        env = json.loads(out)["environment"]
+        assert env["dont_write_bytecode"] is bool(sys.flags.dont_write_bytecode)
+        seen.append(env["pycache"])
+    assert seen == [False, True]
 
 
 def test_bench_reports_engine_counters(capsys):
@@ -289,6 +307,17 @@ def test_malformed_json_exits_2(capsys, tmp_path):
         assert err.startswith("error: ")
         # r1 --input passes the file stem as the name, and the file is still refused
         assert (err == "error: 'name' must be a string\n") == (text in NON_STRING_NAMES)
+
+
+def test_input_that_is_not_utf8_exits_2(capsys, tmp_path):
+    # a UTF-16 byte-order mark is no UTF-8: every command that reads --input
+    # refuses the file by name instead of raising UnicodeDecodeError
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe" + BOOLEAN.encode("utf-16-le"))
+    for argv in (("r1",), ("check-point", "1,2"), ("oracle", "--q", "3")):
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("p", [31991, 2**31 - 1])

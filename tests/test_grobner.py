@@ -35,6 +35,7 @@ from cases import (
     first_of_each_multiple,
     from_exp_terms,
     lcm,
+    numerator_digest,
     pair_var,
     r1_ideal,
     rand_poly,
@@ -588,12 +589,36 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
                 for k in COUNTERS:
                     total[k] += counters(ref)[k]
                 multi += sum(len(t) > 1 for t in takes)
-                bits = _threshold_bits(fast.digits[: len(fast.degs)])
+                bits = _threshold_bits(fast.digits)
                 words.add(bits.shape[1])
     assert all(total.values()), total
     assert multi
     # some streams need more than one 64-bit word of threshold bits
     assert max(words) > 1, words
+
+
+def test_queue_order_does_not_depend_on_the_batches():
+    # a degree's pairs are queued in the same order, unsorted, whether its
+    # leads come in one add_elements call or one call each
+    rng = random.Random(15)
+    longest = 0
+    for nvars in (4, 9, 17, 35):
+        for _ in range(5):
+            ord_ = GrevlexOrder(nvars)
+            events = lead_stream(rng, ord_, rng.randint(20, 60), powers=True)
+            seen = []
+            for evs in (batched(events, ord_), singletons(events)):
+                pairs, taken = _PairSet(ord_), []
+                for ev in evs:
+                    if ev is not None:
+                        pairs.add_elements(ev)
+                        longest = max(longest, len(ev))
+                    elif pairs.queued:
+                        taken.append(pairs.take(min(pairs.queued)))
+                seen.append((taken, counters(pairs)))
+            assert seen[0] == seen[1]
+            assert not pairs.queued
+    assert longest > 1
 
 
 def test_threshold_bits_decide_divisibility():
@@ -624,6 +649,8 @@ DEGREE_COUNTERS = ("rows", "zero_rows", "monomials", "nonpivot", "new")
 BRAID_DEGREES = {
     4: {2: (95, 55, 45, 45, 40), 3: (201, 195, 48, 11, 6), 4: (47, 47, 54, 5, 0)},
     5: {2: (355, 180, 190, 190, 175), 3: (2016, 1995, 288, 36, 21), 4: (371, 371, 327, 15, 0)},
+    6: {2: (1015, 455, 595, 595, 560), 3: (11956, 11900, 1183, 91, 56),
+        4: (1820, 1820, 1330, 35, 0)},
 }
 HESSIAN_DEGREES = {
     2: (450, 184, 324, 324, 266),
@@ -677,7 +704,7 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
 
 
-# basis_digest of the reduced basis of r1_ideal; A4 and A5 are cases.braid
+# basis_digest of the reduced basis of r1_ideal; A4 to A6 are cases.braid
 BASIS_DIGESTS = {
     ("A3", 31991): "cd4616402a1cecdf104b48340aa443d83b65a66c185abbe6f74652d0f4ac04d7",
     ("A3", 3): "6ab86238dd614cfcec2f06611e75191744ff8f4c46ba8031e47d64949df83a1c",
@@ -685,16 +712,34 @@ BASIS_DIGESTS = {
     ("A4", 3): "bf9892123dfbc8b21f59b2b83a7c47200586b5ac401f5fdb2c1f0bfb5c6ff0c6",
     ("A5", 31991): "8c0837342c99dbab9b9cd7d5d9b6dea16c4ae8af8c5c77ead5e665cc342c3804",
     ("A5", 3): "3cdde98323c2e2c7bd97dc20a1dfd225a70e4e9d2ae6a181fc3a36e6d2739d89",
+    ("A6", 31991): "7b9a77020c71025468f8af079d087cf8005a77b061c26871b2ccd6563a9623de",
     ("Hessian", 31991): "674dcbd659ce343da237fceb054e375a01573fbf7cbb9d8bb1611f58f781d478",
     ("Hessian", 3): "6ef514671559767684b85f182c38c8e56d458339a3a4576f55b2c55b0a9465b8",
 }
+# numerator_digest of the same bases: the braid numerators do not depend on p
+BRAID_NUMERATORS = {
+    "A3": "72283f3bd656a9bdde6e8f24fb0aca68011c237d15d5ab36219603637f1e61ac",
+    "A4": "f28112fcce08320568e0eb4aaa45385b655094c1b47ad38fe774e8ccbbbcc04a",
+    "A5": "fe0f99581c5c065bed660c10d87a5e1887c4759849aa7316758b23b1f0e54a7e",
+    "A6": "8749233620ceac4a72ec257165c756ec53ed896400fc82c39ebed3e1e372bdc2",
+}
+NUMERATOR_DIGESTS = {
+    **{(name, p): BRAID_NUMERATORS[name] for name, p in BASIS_DIGESTS if name != "Hessian"},
+    ("Hessian", 31991): "f9cdde36402f24991d097c8a748dc49b5f8ad49f6660bc58d5ae0391bf1a1f4f",
+    ("Hessian", 3): "95a5ad21f04a363aa2ec87cd55ebb3db861665627eedb02ae3208cc55be43d6c",
+}
+
+
+def pinned_arrangement(name):
+    return fixture(name) if name in ("A3", "Hessian") else braid(int(name[1:]))
 
 
 @pytest.mark.parametrize("name, p", list(BASIS_DIGESTS))
 def test_reduced_basis_digest_is_pinned(name, p):
-    arr = braid(int(name[1:])) if name in ("A4", "A5") else fixture(name)
-    ring, gens = r1_ideal(arr, p)
-    assert basis_digest(buchberger(gens, ring=ring)) == BASIS_DIGESTS[name, p]
+    ring, gens = r1_ideal(pinned_arrangement(name), p)
+    gb = buchberger(gens, ring=ring)
+    assert basis_digest(gb) == BASIS_DIGESTS[name, p]
+    assert numerator_digest(gb) == NUMERATOR_DIGESTS[name, p]
 
 
 def test_basis_keeps_the_engine_counters():
@@ -745,6 +790,32 @@ def test_hessian_engine_counters():
     got = {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in eng.degrees.items()}
     assert got == HESSIAN_DEGREES
     assert len(eng.leads) == 418
+
+
+HESSIAN_DEGREES_P3 = {
+    2: (450, 187, 324, 324, 263),
+    3: (3770, 3622, 1310, 233, 148),
+    4: (3515, 3504, 4312, 116, 11),
+    5: (273, 273, 960, 66, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, p, expected, degrees",
+    [
+        ("A6", P, dict(created=189420, pruned_lcm=175644, pruned_coprime=0, reductions=13776,
+                       zero_reductions=13720), BRAID_DEGREES[6]),
+        ("Hessian", 3, dict(created=88831, pruned_lcm=81072, pruned_coprime=201, reductions=7558,
+                            zero_reductions=7399), HESSIAN_DEGREES_P3),
+    ],
+    ids=["A6", "Hessian-p3"],
+)
+def test_engine_counters_are_pinned(name, p, expected, degrees):
+    ring, gens = r1_ideal(pinned_arrangement(name), p)
+    stats = dict(buchberger(gens, ring=ring).stats)
+    got = stats.pop("degrees")
+    assert {k: stats[k] for k in expected} == expected
+    assert {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in got.items()} == degrees
 
 
 def test_s_pairs_past_the_degree_cap_are_refused():
