@@ -4,7 +4,7 @@ Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
 --budget), fixtures (list built-ins), bench (per-stage r1 timings with the
-Groebner engine's counters and pair-pass time on the fixtures and braid A4
+Groebner engine's counters and times per degree on the fixtures and braid A4
 and A5, or on one --fixture, the A3 oracle over F_5 and F_7, and
 an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
 python and numpy versions, the core count, the git revision of the
@@ -140,6 +140,10 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
+def _spread(values):
+    return {"min": min(values), "median": statistics.median(values)}
+
+
 def _timed(fn, repeat: int):
     """The results of repeat calls of fn, and the min and median of their wall times in ms."""
     outs, times = [], []
@@ -147,7 +151,7 @@ def _timed(fn, repeat: int):
         t0 = time.perf_counter()
         outs.append(fn())
         times.append(round((time.perf_counter() - t0) * 1000.0, 3))
-    return outs, {"min": min(times), "median": statistics.median(times)}
+    return outs, _spread(times)
 
 
 def _braid(ell: int, p: int) -> Arrangement:
@@ -166,17 +170,15 @@ def cmd_bench(args) -> int:
     results = []
     for arr in arrs:
         runs = [r1_hilbert(arr, p=args.p) for _ in range(args.repeat)]
-        stages = {
-            s: {
-                "min": min(r.timings_ms[s] for r in runs),
-                "median": statistics.median(r.timings_ms[s] for r in runs),
-            }
-            for s in STAGES
-        }
-        # the engine's counts repeat from run to run; its pair-pass time does not
+        stages = {s: _spread([r.timings_ms[s] for r in runs]) for s in STAGES}
+        # the engine's counts repeat from run to run; its times, in seconds, do not
+        ms = lambda get: _spread([round(get(r.engine) * 1000.0, 3) for r in runs])
         engine = {k: v for k, v in runs[0].engine.items() if k != "pair_s"}
-        pair_ms = [round(r.engine.get("pair_s", 0.0) * 1000.0, 3) for r in runs]
-        engine["pair_ms"] = {"min": min(pair_ms), "median": statistics.median(pair_ms)}
+        engine["pair_ms"] = ms(lambda e: e.get("pair_s", 0.0))
+        if "degrees" in engine:
+            engine["degrees"] = {d: {k[:-2] + "_ms" if k.endswith("_s") else k:
+                                     ms(lambda e: e["degrees"][d][k]) if k.endswith("_s") else v
+                                     for k, v in c.items()} for d, c in engine["degrees"].items()}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
                             stages=stages, engine=engine))
     oracle = []

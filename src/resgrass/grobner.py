@@ -15,8 +15,10 @@ reduces each degree's inputs and S-pairs as one matrix, and the basis comes
 out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  Each
 degree's new leads go to the pair set in one batch, and one pass blocked
 under _BLOCK prunes their S-pairs by the Gebauer-Moeller lcm-divisor and
-coprime criteria, as integer numpy masks without BLAS.  normal_form reads
-its remainders off the same reducer table the engine builds per degree.
+coprime criteria, as integer numpy masks without BLAS.  Inside the engine a
+monomial is a uint8 row of the complement digits of its key, and packed ints
+appear only in its input and output.  normal_form reads its remainders off
+the same reducer table the engine builds per degree.
 """
 
 from __future__ import annotations
@@ -328,33 +330,38 @@ def _digits(keys, n: int):
     return np.frombuffer(buf, np.uint8).reshape(-1, n + 1)[:, :n]
 
 
-def _first_divisor(rows, divisors):
-    """Index of the first divisor of each row among divisors, or -1.
-
-    Both are complement digits, and a monomial divides another when none of
-    its complement digits is smaller.  Rows are tested in blocks, so
-    temporaries stay under _BLOCK.
-    """
-    out = np.full(len(rows), -1)
-    if len(divisors):
-        step = max(1, _BLOCK // divisors.size)
-        for s in range(0, len(rows), step):
-            hit = (divisors >= rows[s : s + step, None, :]).all(axis=2)
-            first = hit.argmax(axis=1)
-            out[s : s + step] = np.where(hit[np.arange(len(first)), first], first, -1)
-    return out
+def _keys(digits):
+    """Each digit row's packed key as one void of big-endian bytes, which sort as the keys do."""
+    n = digits.shape[1]
+    deg = (_CAP * n - digits.sum(axis=1, dtype=np.int64)).astype(np.uint8)
+    return np.concatenate([deg[:, None], digits[:, ::-1]], axis=1).view(f"V{n + 1}").ravel()
 
 
-def _threshold_bits(digits):
-    """Rows of bits [e_v > k], for k below the largest exponent of x_v in any row.
+def _unkeys(keys):
+    """The digit rows of contiguous _keys."""
+    return keys.view(np.uint8).reshape(-1, keys.itemsize)[:, :0:-1]
 
-    A row j divides a monomial m whose exponents stay within those of the
-    rows exactly when bits_j & ~bits_m == 0, and the bits of an lcm are the
-    or of its factors' bits.  The bits go in as many uint64 words per row as
-    they take.
+
+def _ints(digits) -> list:
+    """The packed keys of digit rows, as Python ints."""
+    return [int.from_bytes(k, "big") for k in _keys(digits).tolist()]
+
+
+def _sparse(terms, n: int):
+    """The entries (row, digits, coefficient) of a list of term dicts, row by row."""
+    grp = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
+    coef = np.array([c for t in terms for c in t.values()], np.int64)
+    return grp, _digits([k for t in terms for k in t], n), coef
+
+
+def _threshold_bits(digits, top):
+    """Rows of bits [e_v > k], for k below top_v, the largest exponent of x_v among the leads.
+
+    A lead j divides a monomial m exactly when bits_j & ~bits_m == 0, and
+    the bits of an lcm are the or of its factors' bits.  The bits go in as
+    many uint64 words per row as they take.
     """
     nrows, n = digits.shape
-    top = _CAP - digits.min(axis=0, initial=_CAP).astype(np.int64)
     var = np.repeat(np.arange(n), top)
     k = np.arange(len(var)) - np.repeat(np.cumsum(top) - top, top)
     out = np.zeros((nrows, 8 * (-(-len(var) // 64) or 1)), np.uint8)
@@ -366,24 +373,34 @@ def _threshold_bits(digits):
     return out.view(np.uint64)
 
 
+def _first_subset(bits, lacks):
+    """Index of the first row of bits sharing no bit with each row of lacks, or -1.
+
+    For threshold bits, that is the first lead dividing each monomial whose
+    bits are ~lacks.  Rows of lacks go in blocks under _BLOCK.
+    """
+    out = np.full(len(lacks), -1)
+    step = max(1, _BLOCK // max(1, bits.nbytes))
+    for s in range(0, len(lacks) if len(bits) else 0, step):
+        hit = ((bits & lacks[s : s + step, None]) == 0).all(axis=2)
+        first = hit.argmax(axis=1)
+        out[s : s + step] = np.where(hit[np.arange(len(first)), first], first, -1)
+    return out
+
+
 def _strictly_divided(ld, bits, bt):
     """For each lead i of bits, whether the lcm with lead t of another strictly divides lcm(i, t).
 
     ld holds the lcm degrees with lead t, bits the threshold bits of the
-    leads and bt those of t.  Leads above the least degree are tested
-    against those below the largest, in blocks that keep temporaries under
-    _BLOCK.
+    leads and bt those of t.  Leads below the largest degree are searched
+    lowest first, so the first divisor found has the least degree.
     """
     out = np.zeros(len(ld), bool)
     cand = np.flatnonzero(ld > ld.min())
     low = np.flatnonzero(ld < ld.max())
-    dbits, dl = bits[low], ld[low]
-    mbits = ~(bits[cand] | bt)
-    step = max(1, _BLOCK // max(1, dbits.nbytes))
-    for s in range(0, len(cand), step):
-        c = cand[s : s + step]
-        hit = ((dbits & mbits[s : s + step, None]) == 0).all(axis=2) & (dl < ld[c, None])
-        out[c] = hit.any(axis=1)
+    low = low[np.argsort(ld[low], kind="stable")]
+    j = _first_subset(bits[low], ~(bits[cand] | bt))
+    out[cand] = (j >= 0) & (ld[low][j] < ld[cand])
     return out
 
 
@@ -396,29 +413,39 @@ class _PairSet:
     pairs are array masks, taken in blocks of leads that keep every
     temporary under _BLOCK; the divisor test runs on packed threshold bits
     in integer numpy ops, without BLAS.  One np.unique groups survivors by
-    lead and lcm; only queued lcms become keys.  A queued pair is never
-    retired: the engine reduces a whole degree at once, where a pair that
-    would reduce to zero costs one more zero row.  The counters say how many
-    candidate pairs were created and how many each criterion pruned.
+    lead and lcm, and a degree's queue is arrays of lcm digits, i and j
+    cut from its rows.  The leads' bits serve the engine's reducer search
+    too.  A queued pair is never retired: the engine reduces a whole degree
+    at once, where a pair that would reduce to zero costs one more zero
+    row.  The counters say how many candidate pairs were created and how
+    many each criterion pruned.
     """
 
     def __init__(self, ord_):
         self.ord = ord_
-        self.digits = np.zeros((0, ord_.nvars), np.uint8)  # one row per lead
-        self.queued: dict = {}  # lcm degree -> [(lcm key, i, j)], by lead j, then lcm
+        self.queued: dict = {}  # lcm degree -> [(lcm digits, i, j)], by lead j, then lcm
         self.created = self.pruned_lcm = self.pruned_coprime = 0
+        self.digits = np.zeros((0, ord_.nvars), np.uint8)  # one row per lead
+        self.hold(self.digits)
+
+    def hold(self, leads):
+        """Append leads' digit rows, queueing no pair; top and bits follow them."""
+        self.digits = np.concatenate([self.digits, leads])
+        self.top = _CAP - self.digits.min(axis=0, initial=_CAP).astype(np.int64)
+        self.bits = _threshold_bits(self.digits, self.top)
 
     def add_elements(self, leads):
-        """Queue the pairs of each lead with every earlier one, earlier leads of the batch too.
+        """Hold leads, as digit rows, and queue the pairs of each with every earlier one.
 
-        The result is that of adding the leads one at a time, in order.
+        The earlier leads of the batch count too, so the result is that of
+        adding the leads one at a time, in order.
         """
-        if not leads:
+        if not len(leads):
             return
         n = self.ord.nvars
         t0, t1 = len(self.digits), len(self.digits) + len(leads)
-        digits = self.digits = np.concatenate([self.digits, _digits(leads, n)])
-        bits = _threshold_bits(digits)
+        self.hold(leads)
+        digits, bits = self.digits, self.bits
         degs = _CAP * n - digits.sum(axis=1, dtype=np.int32)
         step = max(1, _BLOCK // (t1 * max(n, bits[0].nbytes)))
         for a in range(t0, t1, step):
@@ -449,15 +476,14 @@ class _PairSet:
             # one pair per lead and distinct lcm, with the smallest i; none
             # when some pair with that lcm has coprime leads, since its
             # S-poly reduces to zero.  A survivor's bytes are its lead t
-            # (big-endian), lcm digits and lcm degree, so the groups sort by
-            # t, then lcm; survivors come by t, then i, so a group's first
-            # index has its smallest i.
+            # (big-endian), then its lcm digits, so the groups sort by t, then
+            # lcm; survivors come by t, then i, so a group's first index has
+            # its smallest i.
             r, i = np.nonzero(~dead)
             t, d = r + a, ldeg[r, i]
             rows = np.concatenate([t.astype(">u4").view(np.uint8).reshape(-1, 4),
-                                   np.minimum(digits[t], digits[i]), d[:, None].astype(np.uint8)],
-                                  axis=1)
-            uniq, first, group = np.unique(rows.view(f"V{n + 5}").ravel(), return_index=True,
+                                   np.minimum(digits[t], digits[i])], axis=1)
+            uniq, first, group = np.unique(rows.view(f"V{n + 4}").ravel(), return_index=True,
                                            return_inverse=True)
             cop = np.bincount(group[d == degs[i] + degs[t]], minlength=len(uniq)) > 0
             uniq, first = uniq[~cop], first[~cop]
@@ -466,13 +492,16 @@ class _PairSet:
             self.created += sum(range(a, b))
             self.pruned_coprime += ncop
             self.pruned_lcm += sum(range(a, b)) - ncop - len(first)
-            for row, j, lead in zip(uniq.tolist(), i[first].tolist(), t[first].tolist()):
-                key = int.from_bytes(row[4:], "little")  # the bytes past the lead
-                self.queued.setdefault(self.ord.degree(key), []).append((key, j, lead))
+            lcms = uniq.view(np.uint8).reshape(-1, n + 4)[:, 4:]
+            i, t, d = i[first], t[first], d[first]
+            for deg in np.unique(d).tolist():
+                at = d == deg
+                self.queued.setdefault(deg, []).append((lcms[at], i[at], t[at]))
 
-    def take(self, d: int) -> list:
-        """Remove and return the queued (lcm key, i, j) of lcm degree d, by lead j, then lcm."""
-        return self.queued.pop(d, [])
+    def take(self, d: int):
+        """Remove and return the queued lcm digits, i and j of lcm degree d, by lead j, then lcm."""
+        none = (self.digits[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))
+        return [np.concatenate(c) for c in zip(*self.queued.pop(d, [none]))]
 
 
 def _clear(mat, cols, rows, p: int):
@@ -492,7 +521,8 @@ class _F4Engine:
     non-pivot split of Faugere-Lachartre).  Rows mapped through the table
     go through rref_mod; the nonzero ones are the new elements, and since
     they are in reduced echelon form over non-pivot columns, the basis is
-    reduced as it grows.
+    reduced as it grows.  Monomials are digit rows, as in the pair set,
+    which holds the leads; packed ints are left to the input and output.
     """
 
     def __init__(self, ring, polys):
@@ -501,113 +531,126 @@ class _F4Engine:
         self.ord, self.p = ring.ord, ring.p
         self.inputs: dict = {}
         for g in polys:
-            self.inputs.setdefault(g.degree(), []).append(g)
+            self.inputs.setdefault(g.degree(), []).append(g.terms)
         self.pairs = _PairSet(self.ord)
-        self.leads: list[int] = []
-        self.tails: list = []  # (keys, coefficients) past the lead of each monic element
-        # rows, zero rows, monomials reached, non-pivot columns, new elements
+        # the tail past the lead of monic element e: entries offsets[e] to offsets[e + 1]
+        self.tail_digits = np.zeros((0, self.ord.nvars), np.uint8)
+        self.tail_coefs, self.offsets = np.zeros(0, np.int64), np.zeros(1, np.int64)
+        # per degree: rows, zero rows, monomials reached, non-pivot columns,
+        # new elements, and the seconds of the symbolic, elimination and pair steps
         self.degrees: dict = {}
         self.reductions = self.zero_reductions = 0  # S-pairs
-        self.pair_s = 0.0  # seconds in the pair-set passes
 
     def run(self):
         # a new lead of degree d is reduced by every older lead, so its pairs
         # have lcm degree above d: no pair joins a degree once it is taken
+        n, p = self.ord.nvars, self.p
         while (d := min([*self.inputs, *self.pairs.queued], default=_CAP + 1)) <= _CAP:
-            rows = [(list(g.terms), list(g.terms.values())) for g in self.inputs.pop(d, ())]
-            nin = len(rows)
-            for l, i, j in self.pairs.take(d):
-                (ki, ci), (kj, cj) = self.tails[i], self.tails[j]
-                qi, qj = l - self.leads[i], l - self.leads[j]
-                # the leads cancel, so the S-polynomial is the two tails
-                rows.append(([qi + t for t in ki] + [qj + t for t in kj], ci + [-c for c in cj]))
-            leads = self._reduce(d, rows, nin)
             t0 = time.perf_counter()
+            inputs = self.inputs.pop(d, [])
+            grp, digits, coef = _sparse(inputs, n)
+            nin = len(inputs)
+            lcm, i, j = self.pairs.take(d)
+            # the leads cancel, so the S-polynomial is tail i less tail j,
+            # each times lcm over its lead
+            ends = np.stack([i, j], axis=1).ravel()
+            seg, sdig, scoef = self._shifted(ends, self.pairs.digits[ends] - lcm.repeat(2, axis=0))
+            grp = np.concatenate([grp, nin + seg // 2])
+            digits = np.concatenate([digits, sdig])
+            coef = np.concatenate([coef, np.where(seg % 2, p - scoef, scoef)])
+            cols, nreached, forms = self._table(grp, digits, coef)
+            t1 = time.perf_counter()
+            leads = self._reduce(d, nin + len(i), nin, cols, nreached, forms)
+            t2 = time.perf_counter()
             self.pairs.add_elements(leads)
-            self.pair_s += time.perf_counter() - t0
+            t3 = time.perf_counter()
+            self.degrees[d].update(symbolic_s=t1 - t0, elim_s=t2 - t1, pairs_s=t3 - t2)
         if self.pairs.queued:
             # its S-polynomial has monomials the packing cannot hold
             raise OverflowError(f"S-pair degree over the cap {_CAP}")
-        basis = [Poly(self.ring, {m: 1, **dict(zip(*t))}) for m, t in zip(self.leads, self.tails)]
+        tails, coefs, at = _ints(self.tail_digits), self.tail_coefs.tolist(), self.offsets.tolist()
+        basis = [Poly(self.ring, {m: 1, **dict(zip(tails[a:b], coefs[a:b]))})
+                 for m, a, b in zip(_ints(self.pairs.digits), at, at[1:])]
         return sorted(basis, key=Poly.lead_key)
 
-    def _reducers(self, rows, divisors):
-        """(reached monomials, the basis element reducing each one a lead divides).
+    def _add_tails(self, digits, coef, lens):
+        """Append the tails of new elements: their entries, in order, and each one's count."""
+        self.tail_digits = np.concatenate([self.tail_digits, digits])
+        self.tail_coefs = np.concatenate([self.tail_coefs, coef])
+        self.offsets = np.concatenate([self.offsets, self.offsets[-1] + np.cumsum(lens)])
 
-        divisors holds the digit rows of the leads, and the first of them
-        that divides a monomial gives its reducer.
+    def _shifted(self, elems, shift):
+        """The tails of elems times m_k / lead, for shift[k] the lead's digits less m_k's.
+
+        Returns each term's index k, its digits and its coefficient.
         """
-        n = self.ord.nvars
-        reached = {k for keys, _ in rows for k in keys}
-        todo = list(reached)
-        reducer: dict = {}
-        while todo:
-            found = []
-            for m, e in zip(todo, _first_divisor(_digits(todo, n), divisors).tolist()):
-                if e < 0:
-                    continue
-                reducer[m] = e
-                q = m - self.leads[e]
-                for t in self.tails[e][0]:
-                    if (mt := q + t) not in reached:
-                        reached.add(mt)
-                        found.append(mt)
-            todo = found
-        return reached, reducer
+        start = self.offsets[elems]
+        lens = self.offsets[elems + 1] - start
+        seg = np.repeat(np.arange(len(elems)), lens)
+        at = np.arange(len(seg)) + np.repeat(start - np.cumsum(lens) + lens, lens)
+        return seg, self.tail_digits[at] - shift[seg], self.tail_coefs[at]
 
-    def _table(self, rows, divisors):
-        """Symbolic preprocessing of rows and the reducer table of F4.
+    def _table(self, grp, digits, coef):
+        """Symbolic preprocessing of sparse rows and the reducer table of F4.
 
-        Returns the non-pivot columns, descending, the count of monomials
-        reached, and forms, which maps sparse rows over the reached
-        monomials to their normal forms as a matrix over those columns.
+        The rows are entries (row, digits, coefficient), rows ascending.
+        Each monomial reached is tested against the held leads, and the
+        first that divides it gives its reducer.  Returns the non-pivot
+        columns, descending, as digit rows; the count of monomials reached; and
+        forms, which maps rows lo to hi to their normal forms as a matrix
+        over those columns.
         """
-        p = self.p
-        reached, reducer = self._reducers(rows, divisors)
+        p, leads = self.p, self.pairs
+        first, inverse = np.unique(_keys(digits), return_inverse=True)
+        reached = todo = first
+        # per pass: the monomials with a reducer, those without, and the
+        # entries of the reducers' rows with the monomial each belongs to
+        found = [(first[:0],) * 4 + (coef[:0],)]
+        while len(todo):
+            rows = _unkeys(todo)
+            e = _first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
+            hit = e >= 0
+            seg, tdig, tcoef = self._shifted(e[hit], leads.digits[e[hit]] - rows[hit])
+            tkeys = _keys(tdig)
+            found.append((todo[hit], todo[~hit], todo[hit][seg], tkeys, tcoef))
+            todo = np.setdiff1d(tkeys, reached)
+            reached = np.union1d(reached, todo)
+        piv, rest, owner, tkeys, tcoef = (np.concatenate(a) for a in zip(*found))
         # pivot monomials ascending, then the other columns descending
-        piv = sorted(reducer)
-        cols = sorted(reached.difference(reducer), reverse=True)
-        npiv, ncol = len(piv), len(cols)
-        index = {m: i for i, m in enumerate(piv + cols)}
+        piv, rest = np.sort(piv), np.sort(rest)[::-1]
+        npiv, ncol = len(piv), len(rest)
+        col = np.empty(len(reached), np.int64)
+        col[np.searchsorted(reached, np.concatenate([piv, rest]))] = np.arange(len(reached))
 
-        def entries(sparse):
+        def entries(g, idx, c, nrows):
             # a matrix of the non-pivot entries, and the others as arrays
-            grp, keys, coefs = [], [], []
-            for r, (ks, cs) in enumerate(sparse):
-                grp += [r] * len(ks)
-                keys += ks
-                coefs += cs
-            grp = np.array(grp, np.int64)
-            idx = np.array([index[k] for k in keys], np.int64)
-            coef = np.array(coefs, np.int64) % p
-            out = np.zeros((len(sparse), ncol), np.int64)
+            out = np.zeros((nrows, ncol), np.int64)
             at = idx >= npiv
-            np.add.at(out.reshape(-1), grp[at] * ncol + idx[at] - npiv, coef[at])
+            np.add.at(out.reshape(-1), g[at] * ncol + idx[at] - npiv, c[at])
             out %= p
-            return out, grp[~at], idx[~at], coef[~at]
+            return out, g[~at], idx[~at], c[~at]
 
         # the normal form of a pivot monomial m is minus that of its
         # reducer's tail, which holds only smaller monomials, so each row
         # reads only rows before it
-        table, grp, idx, coef = entries(
-            [
-                ([m - self.leads[e] + t for t in self.tails[e][0]], [-c for c in self.tails[e][1]])
-                for m, e in zip(piv, map(reducer.__getitem__, piv))
-            ]
-        )
-        solve_levels(table, grp, idx, coef, p)
+        g = col[np.searchsorted(reached, owner)]
+        order = np.argsort(g, kind="stable")
+        idx = col[np.searchsorted(reached, tkeys)]
+        table, tg, ti, tc = entries(g[order], idx[order], p - tcoef[order], npiv)
+        solve_levels(table, tg, ti, tc, p)
+        idx = col[np.searchsorted(reached, first)][inverse]
 
-        def forms(sparse):
-            mat, grp, idx, coef = entries(sparse)
-            _add_rows(mat, grp, idx, coef, table, p)
+        def forms(lo, hi):
+            a, b = np.searchsorted(grp, [lo, hi])
+            mat, g, i, c = entries(grp[a:b] - lo, idx[a:b], coef[a:b], hi - lo)
+            _add_rows(mat, g, i, c, table, p)
             return mat
 
-        return cols, len(reached), forms
+        return _unkeys(np.ascontiguousarray(rest)), len(reached), forms
 
-    def _reduce(self, d: int, rows, nin: int):
-        """Reduce degree d's rows, the first nin of them inputs; return the new leads."""
+    def _reduce(self, d: int, nrows: int, nin: int, cols, nreached: int, forms):
+        """Reduce degree d's rows, the first nin inputs; add the new elements and return leads."""
         p = self.p
-        cols, nreached, forms = self._table(rows, self.pairs.digits)
         ncol = len(cols)
         # the rows go in slices of at most _BLOCK bytes, inputs first: each is
         # cleared on the pivots found so far, and its own are cleared above.
@@ -616,9 +659,9 @@ class _F4Engine:
         step = max(1, _BLOCK // (8 * max(1, ncol)))
         red, pivots = np.zeros((0, ncol), np.int64), []
         kept = 0  # the rank of the inputs alone
-        bounds = [*range(0, nin, step), *range(nin, len(rows), step), len(rows)]
+        bounds = [*range(0, nin, step), *range(nin, nrows, step), nrows]
         for lo, hi in zip(bounds, bounds[1:]):
-            mat = forms(rows[lo:hi])
+            mat = forms(lo, hi)
             nred = len(pivots)
             _clear(mat, pivots, red[:nred], p)
             new, found = rref_mod(mat, p)
@@ -631,18 +674,18 @@ class _F4Engine:
             if hi == nin:
                 kept = len(pivots)
         order = np.argsort(pivots)
-        red, pivots = red[order], [pivots[k] for k in order.tolist()]
+        red, pivots = red[order], np.array(pivots, np.int64)[order]
         # an S-pair reduces to zero unless it adds to the rank of the inputs
-        npairs = len(rows) - nin
+        npairs = nrows - nin
         self.reductions += npairs
         self.zero_reductions += npairs - (len(red) - kept)
-        self.degrees[d] = dict(rows=len(rows), zero_rows=len(rows) - len(red),
+        self.degrees[d] = dict(rows=nrows, zero_rows=nrows - len(red),
                                monomials=nreached, nonpivot=ncol, new=len(red))
-        for row, c in zip(red, pivots):
-            nz = np.flatnonzero(row)[1:]
-            self.leads.append(cols[c])
-            self.tails.append(([cols[k] for k in nz.tolist()], row[nz].tolist()))
-        return [cols[c] for c in pivots]
+        r, c = np.nonzero(red)
+        tail = c != pivots[r]
+        r, c = r[tail], c[tail]
+        self._add_tails(cols[c], red[r, c], np.bincount(r, minlength=len(red)))
+        return cols[pivots]
 
     def stats(self) -> dict:
         """The counters of the run: per degree, of the S-pairs, and of the pair set."""
@@ -650,7 +693,7 @@ class _F4Engine:
         return dict(degrees=self.degrees, reductions=self.reductions,
                     zero_reductions=self.zero_reductions, created=pairs.created,
                     pruned_lcm=pairs.pruned_lcm, pruned_coprime=pairs.pruned_coprime,
-                    pair_s=self.pair_s)
+                    pair_s=sum(c["pairs_s"] for c in self.degrees.values()))
 
 
 def normal_form(f: Poly, gens) -> Poly:
@@ -661,19 +704,20 @@ def normal_form(f: Poly, gens) -> Poly:
     when gens is a Groebner basis.  The remainder is read off the reducer
     table of the F4 engine, with the monic gens as its leads and no S-pair
     formed, so moduli above field.MAX_KERNEL_MODULUS raise InputError.
+    Generators from another ring than f's raise ValueError.
     """
     ring = f.ring
+    gens = [g.monic() for g in gens if g.terms]
+    if any(g.ring is not ring for g in gens):
+        raise ValueError("generators live in different rings")
     engine = _F4Engine(ring, ())
-    for g in gens:
-        if g.terms:
-            g = g.monic()
-            lead = g.lead_key()
-            tail = {k: c for k, c in g.terms.items() if k != lead}
-            engine.leads.append(lead)
-            engine.tails.append((list(tail), list(tail.values())))
-    rows = [(list(f.terms), list(f.terms.values()))]
-    cols, _, forms = engine._table(rows, _digits(engine.leads, ring.nvars))
-    return Poly(ring, dict(zip(cols, forms(rows)[0].tolist())))
+    leads = [g.lead_key() for g in gens]
+    grp, digits, coef = _sparse([{k: c for k, c in g.terms.items() if k != m}
+                                 for g, m in zip(gens, leads)], ring.nvars)
+    engine._add_tails(digits, coef, np.bincount(grp, minlength=len(gens)))
+    engine.pairs.hold(_digits(leads, ring.nvars))
+    cols, _, forms = engine._table(*_sparse([f.terms], ring.nvars))
+    return Poly(ring, dict(zip(_ints(cols), forms(0, 1)[0].tolist())))
 
 
 class GroebnerBasis:

@@ -221,6 +221,9 @@ def test_bench_reports_engine_counters(capsys):
     assert (eng["reductions"], eng["zero_reductions"]) == (8, 7)
     assert sum(c["new"] for c in eng["degrees"].values()) == 6
     assert 0 < eng["pair_ms"]["min"] <= eng["pair_ms"]["median"]
+    # each degree's symbolic, elimination and pair-pass times, min <= median
+    for c in eng["degrees"].values():
+        assert all(0 <= c[k]["min"] <= c[k]["median"] for k in ("symbolic_ms", "elim_ms", "pairs_ms"))
 
 
 def test_bench_adds_braid_a4_and_a5_without_a_fixture(capsys, monkeypatch):

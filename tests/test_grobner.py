@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -11,12 +12,15 @@ from resgrass.exterior import os_ideal_part
 from resgrass.field import rank
 from resgrass.grobner import (
     _BLOCK,
+    _CAP,
     GroebnerBasis,
     GrevlexOrder,
     PluckerRing,
     PolyRing,
     _F4Engine,
     _PairSet,
+    _digits,
+    _first_subset,
     _threshold_bits,
     buchberger,
     normal_form,
@@ -29,6 +33,7 @@ from cases import (
     FIRST_REFUSED,
     PENCIL,
     ReferencePairSet,
+    _DivisorIndex,
     basis_digest,
     braid,
     evaluate,
@@ -222,6 +227,22 @@ def test_normal_form_matches_reference_division(p):
     for f, gens in ((x * y + x, [2 * one]), (x * x, [y, 3 * one]), (ring.zero(), [x + y]),
                     (x + y, []), (x + y, [ring.zero()])):
         assert normal_form(f, gens) == reference_normal_form(f, gens)
+
+
+def test_normal_form_refuses_generators_of_another_ring():
+    # each of these came back wrong, unreduced or as a raw OverflowError
+    # before the check: a divisor over F_11 reducing an F_7 polynomial, and
+    # rings of 5 and 3 variables either way round
+    r7, r11, r3, r5 = PolyRing(3, 7), PolyRing(3, 11), PolyRing(3, 7), PolyRing(5, 7)
+    for f, gens in (
+        (from_exp_terms(r7, {(1, 1, 0): 1}), [from_exp_terms(r11, {(1, 1, 0): 1, (0, 0, 2): 3})]),
+        (from_exp_terms(r5, {(1, 0, 0, 0, 1): 1}), [r3.var(0)]),
+        (from_exp_terms(r3, {(1, 1, 0): 1}), [r5.var(0) + r5.var(4)]),
+    ):
+        with pytest.raises(ValueError, match="different rings"):
+            normal_form(f, gens)
+        with pytest.raises(ValueError, match="different rings"):
+            GroebnerBasis(gens[0].ring, gens).contains(f)
 
 
 @pytest.mark.parametrize("name", ["A5", "Hessian"])
@@ -460,12 +481,23 @@ def pop_degree(ref, d):
     return out
 
 
+def keys_of(ord_, digits):
+    """The packed keys of rows of complement digits."""
+    return [ord_.pack((_CAP - row).tolist()) for row in digits]
+
+
+def take_tuples(ord_, taken):
+    """A pair set's take, its lcm digits, i and j, as (lcm key, i, j) tuples in the take's order."""
+    lcms, i, j = taken
+    return list(zip(keys_of(ord_, lcms), i.tolist(), j.tolist()))
+
+
 def take_lowest(pairs):
     """The pairs of the lowest queued lcm degree, taken off the pair set and
     sorted, or [] when none is queued; the reference pops them."""
     if isinstance(pairs, ReferencePairSet):
         return pop_degree(pairs, pairs.ord.degree(pairs.heap[0][0])) if pairs.heap else []
-    return sorted(pairs.take(min(pairs.queued))) if pairs.queued else []
+    return sorted(take_tuples(pairs.ord, pairs.take(min(pairs.queued)))) if pairs.queued else []
 
 
 def replay(pairs, events):
@@ -477,7 +509,7 @@ def replay(pairs, events):
         if ev is None:
             out.append(take_lowest(pairs))
         elif isinstance(ev, list):
-            pairs.add_elements(ev)
+            pairs.add_elements(_digits(ev, pairs.ord.nvars))
         else:
             pairs.add_element(ev)
     return out
@@ -502,14 +534,15 @@ def batched(events, ord_):
 
 class RecordingPairs:
     """Passes calls on to a pair set and records them as events: each batch
-    of leads as the list of its leads, each take as (degree, pairs taken)."""
+    of leads as the list of their keys, each take as (degree, take_tuples of
+    the pairs taken)."""
 
     def __init__(self, inner):
         self.inner = inner
         self.events = []
 
     def add_elements(self, leads):
-        self.events.append(list(leads))
+        self.events.append(keys_of(self.inner.ord, leads))
         self.inner.add_elements(leads)
 
     def __getattr__(self, name):
@@ -518,7 +551,7 @@ class RecordingPairs:
 
     def take(self, d):
         out = self.inner.take(d)
-        self.events.append((d, out))
+        self.events.append((d, take_tuples(self.inner.ord, out)))
         return out
 
 
@@ -589,8 +622,7 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
                 for k in COUNTERS:
                     total[k] += counters(ref)[k]
                 multi += sum(len(t) > 1 for t in takes)
-                bits = _threshold_bits(fast.digits)
-                words.add(bits.shape[1])
+                words.add(fast.bits.shape[1])
     assert all(total.values()), total
     assert multi
     # some streams need more than one 64-bit word of threshold bits
@@ -611,10 +643,10 @@ def test_queue_order_does_not_depend_on_the_batches():
                 pairs, taken = _PairSet(ord_), []
                 for ev in evs:
                     if ev is not None:
-                        pairs.add_elements(ev)
+                        pairs.add_elements(_digits(ev, nvars))
                         longest = max(longest, len(ev))
                     elif pairs.queued:
-                        taken.append(pairs.take(min(pairs.queued)))
+                        taken.append(take_tuples(ord_, pairs.take(min(pairs.queued))))
                 seen.append((taken, counters(pairs)))
             assert seen[0] == seen[1]
             assert not pairs.queued
@@ -630,7 +662,8 @@ def test_threshold_bits_decide_divisibility():
         digits = np.frombuffer(
             b"".join(k.to_bytes(nvars + 1, "little")[:nvars] for k in keys), np.uint8
         ).reshape(-1, nvars)
-        bits = _threshold_bits(digits)
+        top = _CAP - digits.min(axis=0).astype(np.int64)
+        bits = _threshold_bits(digits, top)
         # x_v^4 for every v takes at least 4 * nvars bits
         assert bits.shape[1] >= -(-4 * nvars // 64)
         divides = ((bits[:, None] & ~bits[None]) == 0).all(axis=2)
@@ -640,7 +673,7 @@ def test_threshold_bits_decide_divisibility():
             # the bits of an lcm are the or of its factors' bits
             kl = lcm(ord_, ka, keys[0])
             row = np.frombuffer(kl.to_bytes(nvars + 1, "little")[:nvars], np.uint8)
-            both = _threshold_bits(np.vstack([digits, row]))
+            both = _threshold_bits(np.vstack([digits, row]), top)
             assert (both[-1] == both[a] | both[0]).all()
 
 
@@ -701,7 +734,7 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     assert got == BRAID_DEGREES[ell]
     # the rows are the input generators and the S-pairs, each reduced once
     assert sum(c["rows"] for c in eng.degrees.values()) == len(gens) + eng.reductions
-    assert sum(c["new"] for c in eng.degrees.values()) == len(eng.leads)
+    assert sum(c["new"] for c in eng.degrees.values()) == len(eng.pairs.digits)
 
 
 # basis_digest of the reduced basis of r1_ideal; A4 to A6 are cases.braid
@@ -713,6 +746,7 @@ BASIS_DIGESTS = {
     ("A5", 31991): "8c0837342c99dbab9b9cd7d5d9b6dea16c4ae8af8c5c77ead5e665cc342c3804",
     ("A5", 3): "3cdde98323c2e2c7bd97dc20a1dfd225a70e4e9d2ae6a181fc3a36e6d2739d89",
     ("A6", 31991): "7b9a77020c71025468f8af079d087cf8005a77b061c26871b2ccd6563a9623de",
+    ("A6", 3): "3ee645e5271cc64acb60ed81e32e907950f82b99504c66d9e97ef3220e17e526",
     ("Hessian", 31991): "674dcbd659ce343da237fceb054e375a01573fbf7cbb9d8bb1611f58f781d478",
     ("Hessian", 3): "6ef514671559767684b85f182c38c8e56d458339a3a4576f55b2c55b0a9465b8",
 }
@@ -763,7 +797,8 @@ def test_pair_pass_memory_stays_within_blocks(name):
     ring, gens = r1_ideal(arr, P)
     eng = _F4Engine(ring, gens)
     eng.run()
-    leads = [m for m in eng.leads if ring.ord.degree(m) == 2]
+    digits = eng.pairs.digits
+    leads = digits[digits.sum(axis=1) == _CAP * ring.nvars - 2]
     assert len(leads) in (175, 266)
     seen = []
     for size in (len(leads), 40):
@@ -774,7 +809,8 @@ def test_pair_pass_memory_stays_within_blocks(name):
         kept, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert peak - kept < 3 * _BLOCK, (size, peak - kept)
-        seen.append((counters(pairs), pairs.queued))
+        queued = {d: take_tuples(ring.ord, pairs.take(d)) for d in sorted(pairs.queued)}
+        seen.append((counters(pairs), queued))
     assert seen[0] == seen[1]
 
 
@@ -789,7 +825,7 @@ def test_hessian_engine_counters():
     assert got["created"] == sum(got[k] for k in COUNTERS[1:]) + eng.reductions
     got = {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in eng.degrees.items()}
     assert got == HESSIAN_DEGREES
-    assert len(eng.leads) == 418
+    assert len(eng.pairs.digits) == 418
 
 
 HESSIAN_DEGREES_P3 = {
@@ -816,6 +852,51 @@ def test_engine_counters_are_pinned(name, p, expected, degrees):
     got = stats.pop("degrees")
     assert {k: stats[k] for k in expected} == expected
     assert {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in got.items()} == degrees
+
+
+def test_high_degree_input_reaches_degree_89():
+    # rows of degrees 59, 60, 88 and 89 from two binomials of degree 30: a
+    # degree-89 monomial has C(89, s) sub-monomials of each lead degree s,
+    # so the reducer search must not enumerate them
+    ring = PolyRing(3, P)
+    f = from_exp_terms(ring, {(30, 0, 0): 1, (0, 0, 30): -1})
+    g = from_exp_terms(ring, {(1, 29, 0): 1, (0, 0, 30): -1})
+    t0 = time.perf_counter()
+    gb = buchberger([f, g])
+    assert time.perf_counter() - t0 < 5.0
+    assert sorted(gb.stats["degrees"]) == [30, 59, 60, 88, 89]
+    assert len(gb) == 4
+    assert_reduced_gb(gb)
+    assert all(reference_normal_form(h, list(gb)).is_zero() for h in (f, g))
+
+
+def test_reducer_search_finds_the_first_dividing_lead():
+    # the threshold-bit search against the first lead a Python scan finds,
+    # on monomials with exponents past every lead's (they count as clipped)
+    rng = random.Random(16)
+    found = missed = 0
+    words = set()
+    for nvars in (3, 4, 9, 17, 35):
+        for _ in range(4):
+            ord_ = GrevlexOrder(nvars)
+            power = lambda top: ord_.pack_combo([rng.randrange(nvars)] * rng.randint(1, top))
+            leads = [rand_mono(rng, ord_, maxdeg=5) for _ in range(rng.randint(1, 30))]
+            leads = [m for m in leads + [power(70) for _ in range(3)] if m != ord_.one]
+            rng.shuffle(leads)
+            monos = [rand_mono(rng, ord_, maxdeg=8) for _ in range(60)]
+            monos += [ord_.mul(rng.choice(leads), rand_mono(rng, ord_, 3)) for _ in range(60)]
+            monos += [power(120) for _ in range(20)]
+            pairs = _PairSet(ord_)
+            pairs.hold(_digits(leads, nvars))
+            words.add(pairs.bits.shape[1])
+            got = _first_subset(pairs.bits, ~_threshold_bits(_digits(monos, nvars), pairs.top))
+            index = _DivisorIndex(ord_, leads)
+            want = [index.find(m) for m in monos]
+            assert got.tolist() == [-1 if w is None else w for w in want]
+            found += sum(w is not None for w in want)
+            missed += want.count(None)
+    assert found and missed
+    assert max(words) > 1, words
 
 
 def test_s_pairs_past_the_degree_cap_are_refused():
