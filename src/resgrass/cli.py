@@ -4,7 +4,8 @@ Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
 for one point), oracle (exhaustive small-field cross-check, capped by
 --budget), fixtures (list built-ins), bench (per-stage r1 timings with the
-Groebner engine's counters and times per degree on the fixtures and braid A4
+Groebner engine's counters and times per degree and the Hilbert recursion's
+calls and memo hits, on the fixtures and braid A4
 and A5, or on one --fixture, the A3 oracle over F_5 and F_7, and
 an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
 python and numpy versions, the core count, the git revision of the
@@ -211,9 +212,12 @@ def cmd_bench(args) -> int:
         return 0
     for res in results:
         print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']})")
+        eng = res["engine"]
         for s in STAGES:
             st = res["stages"][s]
-            print(f"  {s:<9} min={st['min']:.3f} ms  median={st['median']:.3f} ms")
+            calls = (f"  calls={eng['hilbert_calls']} hits={eng['hilbert_hits']}"
+                     if s == "hilbert" and eng else "")
+            print(f"  {s:<9} min={st['min']:.3f} ms  median={st['median']:.3f} ms{calls}")
     for orc in oracle:
         agree = "yes" if orc["agree"] else "no"
         print(

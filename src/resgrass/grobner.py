@@ -608,13 +608,19 @@ class _F4Engine:
         found = [(first[:0],) * 4 + (coef[:0],)]
         while len(todo):
             rows = _unkeys(todo)
-            e = _first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
+            # with no lead yet, as in degree 2, nothing is searched
+            e = (_first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
+                 if len(leads.digits) else np.full(len(todo), -1))
             hit = e >= 0
             seg, tdig, tcoef = self._shifted(e[hit], leads.digits[e[hit]] - rows[hit])
             tkeys = _keys(tdig)
             found.append((todo[hit], todo[~hit], todo[hit][seg], tkeys, tcoef))
-            todo = np.setdiff1d(tkeys, reached)
-            reached = np.union1d(reached, todo)
+            # the tails' monomials not reached yet, merged into reached, which stays sorted
+            todo = np.unique(tkeys)
+            at = np.searchsorted(reached, todo)
+            fresh = reached[np.minimum(at, len(reached) - 1)] != todo
+            todo = todo[fresh]
+            reached = np.insert(reached, at[fresh], todo)
         piv, rest, owner, tkeys, tcoef = (np.concatenate(a) for a in zip(*found))
         # pivot monomials ascending, then the other columns descending
         piv, rest = np.sort(piv), np.sort(rest)[::-1]

@@ -1,39 +1,35 @@
 """Hilbert series numerators of monomial ideals, and Hilbert polynomials.
 
 Writing the Hilbert series of S/I as h(t) / (1-t)^nvars, the numerator h is
-computed by pivoting on a frequent variable x: h(I) = h(I + (x)) + t*h(I : x).
-The one base case is a pure-power complete intersection, whose numerator is
-the product of the (1 - t^a).  Monomials are the engine's grevlex keys
-(grobner.GrevlexOrder), each generator carried with its support mask, so a
-leading ideal is read off a basis as it stands and shares the engine's cap
-of 127 on exponents and total degree.  The Hilbert polynomial is read off h
-in powers of (1 - t), exactly, in the binomial basis P_i(d) = C(d+i, i),
-the form quotient-of-projective-scheme output is usually read in.
+computed by pivoting on x, the variable in the most mixed generators (the
+first of a tie): h(I) = h(I + (x)) + t*h(I : x), memoized on the minimal
+generators, down to pure powers g, whose numerator is prod (1 - t^deg g).
+No step tests generators in pairs: in I : x a quotient g/x divides no other
+generator, or g would divide one, so only a generator without x can fall,
+to a quotient g/x with x^1 in g; a quotient that is one variable y drops the
+generators with y by a mask test.  A reduced basis's leads are minimal, so
+leading_ideal minimalizes only a basis no engine made.  Monomials are the
+engine's grevlex keys with their support masks, under its cap of 127 on
+exponents and total degree.  The Hilbert polynomial is read off h in powers
+of (1 - t), exactly, in the basis P_i(d) = C(d+i, i).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import comb
 
-from .grobner import GrevlexOrder
+import numpy as np
+
+from .grobner import _CAP, GrevlexOrder, _digits
 
 
 def _minimalize(ord_, gens):
     """The (key, support mask) pairs of gens that no other one divides, ascending."""
-    degree, divides = ord_.degree, ord_.divides
-    kept = []
-    d = lower = 0  # keys ascend by degree, and equal degrees never divide
-    for g in sorted(set(gens)):
-        if degree(g[0]) > d:
-            d, lower = degree(g[0]), len(kept)
-        for h in kept[:lower]:
-            if not h[1] & ~g[1] and divides(h[0], g[0]):
-                break
-        else:
-            kept.append(g)
-    return kept
+    gens = sorted(set(gens))  # a divisor comes first
+    return [g for i, g in enumerate(gens)
+            if not any(not h[1] & ~g[1] and ord_.divides(h[0], g[0]) for h in gens[:i])]
 
 
 class MonomialIdeal:
@@ -41,15 +37,13 @@ class MonomialIdeal:
 
     def __init__(self, nvars: int, gens):
         ord_ = GrevlexOrder(nvars)
-        self._hold(ord_, [ord_.pack(e) for e in gens])
+        self._hold(ord_, [ord_.pack(e) for e in gens], False)
 
-    def _hold(self, ord_, keys):
-        self.nvars = ord_.nvars
-        self._ord = ord_
-        unpack = ord_.unpack
-        self._gens = _minimalize(
-            ord_, [(k, sum(1 << v for v, e in enumerate(unpack(k)) if e)) for k in keys]
-        )
+    def _hold(self, ord_, keys, minimal: bool):
+        self.nvars, self._ord = ord_.nvars, ord_
+        masks = np.packbits(_digits(keys, ord_.nvars) != _CAP, axis=1, bitorder="little")
+        gens = [(k, int.from_bytes(m, "little")) for k, m in zip(keys, masks)]
+        self._gens = gens if minimal else _minimalize(ord_, gens)
 
     @property
     def gens(self):
@@ -68,52 +62,58 @@ class MonomialIdeal:
 
 
 def leading_ideal(gb) -> MonomialIdeal:
-    """Monomial ideal of lead terms; minimal already when gb is reduced."""
+    """Monomial ideal of lead terms; those of a basis the engine made (gb.stats set) are minimal."""
     mi = MonomialIdeal.__new__(MonomialIdeal)
-    mi._hold(gb.ring.ord, [g.lead_key() for g in gb])
+    mi._hold(gb.ring.ord, [g.lead_key() for g in gb], bool(gb.stats))
     return mi
 
 
-def _poly_add(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _numer(gens, ord_, memo: dict):
+def _numer(gens, ord_, memo: dict, count: dict):
+    count["calls"] += 1
     key = frozenset(g[0] for g in gens)
     hit = memo.get(key)
     if hit is not None:
+        count["hits"] += 1
         return hit
 
-    mixed = [g for g in gens if g[1].bit_count() > 1]
-    if not mixed:
-        # h times 1 - t^d per generator; d = 0 gives 0, the unit ideal's numerator
+    tally: dict = {}  # bit of x_v -> mixed generators with x_v
+    for _, m in gens:
+        if m & (m - 1):
+            while m:
+                tally[m & -m] = tally.get(m & -m, 0) + 1
+                m &= m - 1
+    if not tally:
+        degs = [ord_.degree(k) for k, _ in gens]
         h = [1]
-        for g, _ in gens:
-            h = _poly_add(h, [0] * ord_.degree(g) + [-c for c in h])
+        for d in set(degs):  # (1 - t^d)^m; d = 0, the unit ideal's, gives 0
+            m = degs.count(d)
+            out = [0] * (len(h) + d * m)
+            for j in range(m + 1):
+                c = (-1) ** j * comb(m, j)
+                for i, a in enumerate(h, d * j):
+                    out[i] += c * a
+            h = out
     else:
-        # the variable in the most mixed generators, the first of a tie
-        counts = Counter(v for _, m in mixed for v in range(m.bit_length()) if m >> v & 1)
-        pivot = max(sorted(counts), key=counts.__getitem__)
-        bit = 1 << pivot
+        bit = min(tally, key=lambda b: (-tally[b], b))  # most mixed generators, then lowest index
+        pivot = bit.bit_length() - 1
         x = ord_.pack_combo((pivot,))
-        plus = [g for g in gens if not g[1] & bit] + [(x, bit)]
-        colon = []
-        for g in gens:
-            if not g[1] & bit:
-                colon.append(g)
-            elif ord_.exponent(g[0], pivot) == 1:
-                colon.append((ord_.quo(g[0], x), g[1] & ~bit))
-            else:
-                colon.append((ord_.quo(g[0], x), g[1]))
-        h = _poly_add(
-            _numer(plus, ord_, memo),
-            [0] + _numer(_minimalize(ord_, colon), ord_, memo),
-        )
+        plus = [g for g in gens if not g[1] & bit]
+        colon, ys, lowered = [], 0, []  # ys: the variables y with x*y in gens
+        for k, m in gens:
+            if m & bit:
+                q = ord_.quo(k, x)
+                if ord_.exponent(k, pivot) == 1:
+                    m ^= bit
+                    if ord_.degree(q) == 1:
+                        ys |= m
+                    else:
+                        lowered.append((q, m))
+                colon.append((q, m))
+        colon += [g for g in plus if not g[1] & ys
+                  and all(m & ~g[1] or not ord_.divides(q, g[0]) for q, m in lowered)]
+        a = _numer(plus + [(x, bit)], ord_, memo, count)
+        b = _numer(colon, ord_, memo, count)
+        h = [c + e for c, e in zip_longest(a, [0] + b, fillvalue=0)]
 
     while h and h[-1] == 0:
         h.pop()
@@ -121,9 +121,14 @@ def _numer(gens, ord_, memo: dict):
     return h
 
 
-def hilbert_numerator(mi: MonomialIdeal):
-    """Coefficients of h(t) with HS(S/I) = h(t) / (1-t)^nvars."""
-    return _numer(list(mi._gens), mi._ord, {})
+def hilbert_numerator(mi: MonomialIdeal, stats: dict | None = None):
+    """Coefficients of h(t) with HS(S/I) = h(t) / (1-t)^nvars.
+
+    stats, if given, gets the recursion's calls and the memo hits among them.
+    """
+    count = {} if stats is None else stats
+    count.update(calls=0, hits=0)
+    return _numer(mi._gens, mi._ord, {}, count)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class ResonanceReport:
     n_os_points: int
     n_span_forms: int
     timings_ms: dict
-    # the Groebner engine's counters (GroebnerBasis.stats); not in to_json
+    # the Groebner engine's counters (GroebnerBasis.stats) and the Hilbert
+    # recursion's calls and memo hits (hilbert_calls, hilbert_hits); not in to_json
     engine: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
@@ -92,10 +93,11 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
         ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
         gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
         t2 = time.perf_counter()
-        hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
+        count: dict = {}
+        hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb), count), ring.nvars)
         t3 = time.perf_counter()
         hilbert = format_hp(hp)
-        engine = gb.stats
+        engine = dict(gb.stats, hilbert_calls=count["calls"], hilbert_hits=count["hits"])
     else:
         # no dependent triple: no resonance, and no reason to run Buchberger
         t2 = t3 = t1

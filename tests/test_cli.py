@@ -181,6 +181,8 @@ def test_bench_braid(capsys):
     assert code == 0
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
     assert "check-point A4 --k 3: h=[0, 0, 0, 0] (runs=1)" in out
+    (hil,) = [line for line in out.splitlines() if line.startswith("  hilbert ")]
+    assert hil.endswith("  calls=9 hits=1")
 
 
 def test_bench_git_rev_is_null_outside_a_checkout(capsys, monkeypatch):
@@ -219,6 +221,8 @@ def test_bench_reports_engine_counters(capsys):
         created=15, pruned_lcm=7, pruned_coprime=0
     )
     assert (eng["reductions"], eng["zero_reductions"]) == (8, 7)
+    # the Hilbert recursion's calls and memo hits
+    assert (eng["hilbert_calls"], eng["hilbert_hits"]) == (9, 1)
     assert sum(c["new"] for c in eng["degrees"].values()) == 6
     assert 0 < eng["pair_ms"]["min"] <= eng["pair_ms"]["median"]
     # each degree's symbolic, elimination and pair-pass times, min <= median

@@ -3,8 +3,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+import resgrass.hilbert as hilbert
 from resgrass.arrangement import fixture
-from resgrass.grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
+from resgrass.grobner import GroebnerBasis, PluckerRing, PolyRing, buchberger
+from resgrass.grobner import plucker_ideal
 from resgrass.hilbert import (
     HilbertPoly,
     MonomialIdeal,
@@ -13,6 +15,8 @@ from resgrass.hilbert import (
     hilbert_polynomial,
     leading_ideal,
 )
+
+from resgrass.resonance import r1_hilbert
 
 from cases import braid, from_exp_terms, hilbert_function_values, permute_vars, r1_ideal
 
@@ -81,10 +85,44 @@ def test_formatting():
     assert format_hp(HilbertPoly((54, 0, 10))) == "54*P_0 + 10*P_2"
 
 
-def test_random_ideals_against_counting_oracle():
+def colon_branches(ord_, gens):
+    """The branches the colon step takes on minimal (key, mask) gens, by the pivot rule.
+
+    "variable": a quotient g/x is one variable; "lowered": g/x lost x and has
+    degree >= 2; "power": x^2 divides g; the "-drops" forms when such a
+    quotient divides a generator without x.
+    """
+    mixed = [m for _, m in gens if m.bit_count() > 1]
+    if not mixed:
+        return set()
+    counts = {v: sum(m >> v & 1 for m in mixed) for v in range(ord_.nvars)}
+    x = max(sorted(counts), key=counts.get)
+    rest = [k for k, m in gens if not m >> x & 1]
+    seen = set()
+    for k, m in gens:
+        if m >> x & 1:
+            q = ord_.quo(k, ord_.pack_combo((x,)))
+            kind = ("power" if ord_.exponent(k, x) > 1
+                    else "variable" if ord_.degree(q) == 1 else "lowered")
+            seen.add(kind)
+            if kind != "power" and any(ord_.divides(q, g) for g in rest):
+                seen.add(kind + "-drops")
+    return seen
+
+
+def test_random_ideals_against_counting_oracle(monkeypatch):
+    seen = set()
+    step = hilbert._numer
+
+    def spy(gens, ord_, memo, count):
+        seen.update(colon_branches(ord_, gens))
+        return step(gens, ord_, memo, count)
+
+    monkeypatch.setattr(hilbert, "_numer", spy)
+    rng = random.Random(11)
+    ideals = []
     # (ideals, variables, generators, steps of one generator's degree); the
     # wider shapes reach the colon on a pivot of exponent 0, 1 and above
-    rng = random.Random(11)
     for count, nvars_to, gens_to, deg_to in ((15, 5, 4, 4), (40, 6, 7, 5)):
         for _ in range(count):
             nvars = rng.randrange(2, nvars_to)
@@ -94,16 +132,30 @@ def test_random_ideals_against_counting_oracle():
                 for _ in range(rng.randrange(1, deg_to)):
                     exps[rng.randrange(nvars)] += 1
                 gens.append(tuple(exps))
-            mi = MonomialIdeal(nvars, gens)
-            numer = hilbert_numerator(mi)
-            vals = hilbert_function_values(numer, nvars, 7)
-            assert vals == [brute_hf(mi, d) for d in range(8)]
-            # polynomial agrees with the function for large degrees
-            hp = hilbert_polynomial(numer, nvars)
-            assert not hp.coeffs or hp.coeffs[-1]
-            start = max(len(numer) - 1, 0)
-            for d in range(start, 8):
-                assert hp.evaluate(d) == vals[d]
+            ideals.append((nvars, gens))
+    # up to three variables to a generator, each to a power up to 3: these
+    # reach a quotient of degree 2 or more that drops a generator
+    for _ in range(20):
+        nvars = rng.randrange(3, 7)
+        gens = []
+        for _ in range(rng.randrange(2, 9)):
+            exps = [0] * nvars
+            for v in rng.sample(range(nvars), rng.randrange(1, 4)):
+                exps[v] = rng.randrange(1, 4)
+            gens.append(tuple(exps))
+        ideals.append((nvars, gens))
+    for nvars, gens in ideals:
+        mi = MonomialIdeal(nvars, gens)
+        numer = hilbert_numerator(mi)
+        vals = hilbert_function_values(numer, nvars, 7)
+        assert vals == [brute_hf(mi, d) for d in range(8)]
+        # polynomial agrees with the function for large degrees
+        hp = hilbert_polynomial(numer, nvars)
+        assert not hp.coeffs or hp.coeffs[-1]
+        start = max(len(numer) - 1, 0)
+        for d in range(start, 8):
+            assert hp.evaluate(d) == vals[d]
+    assert seen == {"variable", "variable-drops", "lowered", "lowered-drops", "power"}
 
 
 def test_monomial_ideals_share_the_packing_cap():
@@ -119,8 +171,39 @@ def test_leading_ideal_of_a_reduced_basis_is_its_lead_keys(arr):
     ring, gens = r1_ideal(arr, 31991)
     gb = buchberger(gens, ring=ring)
     lead = leading_ideal(gb)
+    keys = [ring.ord.unpack(g.lead_key()) for g in gb]
     assert len(lead) == len(gb)
-    assert lead.gens == tuple(sorted(ring.ord.unpack(g.lead_key()) for g in gb))
+    assert lead.gens == tuple(sorted(keys))
+    # leading_ideal holds them as they are; minimalizing them drops none
+    assert MonomialIdeal(ring.nvars, keys).gens == lead.gens
+
+
+def test_leading_ideal_minimalizes_a_basis_built_by_hand():
+    # leads x, x^2 and x*y*z: only x is a minimal generator.  Held as they
+    # are, the pure-power base case would multiply (1 - t)(1 - t^2)
+    ring = PolyRing(3, 31991)
+    gb = GroebnerBasis(ring, [from_exp_terms(ring, t) for t in (
+        {(1, 0, 0): 1}, {(2, 0, 0): 1, (0, 1, 1): 3}, {(1, 1, 1): 1, (0, 0, 3): 2})])
+    lead = leading_ideal(gb)
+    assert lead.gens == ((1, 0, 0),)
+    assert hilbert_numerator(lead) == [1, -1]
+    raw = MonomialIdeal.__new__(MonomialIdeal)
+    raw._hold(ring.ord, [g.lead_key() for g in gb][:2], True)
+    assert hilbert_numerator(raw) == [1, -1, -1, 1]
+
+
+@pytest.mark.parametrize(
+    "name, p, calls, hits",
+    [("A3", 31991, 9, 1), ("A4", 31991, 27, 4), ("A5", 31991, 59, 10),
+     ("Hessian", 31991, 159, 36), ("Hessian", 3, 169, 35)],
+    ids=["A3", "A4", "A5", "Hessian", "Hessian-p3"],
+)
+def test_recursion_counters_are_pinned(name, p, calls, hits):
+    # the pivot rule and the memo key fix these; the report keeps them off its JSON
+    arr = braid(int(name[1])) if name in ("A4", "A5") else fixture(name)
+    rep = r1_hilbert(arr, p)
+    assert (rep.engine["hilbert_calls"], rep.engine["hilbert_hits"]) == (calls, hits)
+    assert "hilbert_calls" not in rep.to_json()
 
 
 def test_hilbert_data_is_order_independent():
