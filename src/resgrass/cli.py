@@ -175,11 +175,10 @@ def cmd_bench(args) -> int:
         # the engine's counts repeat from run to run; its times, in seconds, do not
         ms = lambda get: _spread([round(get(r.engine) * 1000.0, 3) for r in runs])
         engine = {k: v for k, v in runs[0].engine.items() if k != "pair_s"}
-        engine["pair_ms"] = ms(lambda e: e.get("pair_s", 0.0))
-        if "degrees" in engine:
-            engine["degrees"] = {d: {k[:-2] + "_ms" if k.endswith("_s") else k:
-                                     ms(lambda e: e["degrees"][d][k]) if k.endswith("_s") else v
-                                     for k, v in c.items()} for d, c in engine["degrees"].items()}
+        engine["pair_ms"] = ms(lambda e: e["pair_s"])
+        engine["degrees"] = {d: {k[:-2] + "_ms" if k.endswith("_s") else k:
+                                 ms(lambda e: e["degrees"][d][k]) if k.endswith("_s") else v
+                                 for k, v in c.items()} for d, c in engine["degrees"].items()}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
                             stages=stages, engine=engine))
     oracle = []
@@ -216,7 +215,7 @@ def cmd_bench(args) -> int:
         for s in STAGES:
             st = res["stages"][s]
             calls = (f"  calls={eng['hilbert_calls']} hits={eng['hilbert_hits']}"
-                     if s == "hilbert" and eng else "")
+                     if s == "hilbert" else "")
             print(f"  {s:<9} min={st['min']:.3f} ms  median={st['median']:.3f} ms{calls}")
     for orc in oracle:
         agree = "yes" if orc["agree"] else "no"

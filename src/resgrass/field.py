@@ -307,18 +307,11 @@ def kernel_basis(rows, ncols: int, p: int):
     An empty matrix (no rows) has the full space as kernel, so the identity
     basis comes back.
     """
-    red, pivots = rref(rows, ncols, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    vecs = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][f] % p
-        vecs.append(v)
-    out, _ = rref(vecs, ncols, p)
-    return out
+    red, pivots = rref_mod(residues(rows, ncols, p), p)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    vecs = np.eye(ncols, dtype=np.int64)[free]
+    vecs[:, pivots] = mod(-red[:, free].T, p)
+    return rref_mod(vecs, p)[0].tolist()
 
 
 def projective_points(q: int, m: int):

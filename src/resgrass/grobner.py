@@ -31,7 +31,7 @@ from math import isqrt
 import numpy as np
 
 from .field import _BLOCK, DEFAULT_MODULUS, _add_rows, check_kernel_modulus, is_prime
-from .field import rref_mod, solve_levels
+from .field import inv_mod, rref_mod, solve_levels
 
 _W = 8
 _CAP = 127
@@ -272,6 +272,8 @@ def plucker_ideal(ring: PolyRing, forms=None):
     n = (1 + isqrt(1 + 8 * npairs)) // 2
     if forms.shape != (nv, n * (n - 1) // 2):
         raise ValueError(f"forms must be {nv} x C(n, 2), got {forms.shape[0]} x {npairs}")
+    if not nv:  # every quadric vanishes; spares the C(n, 4) pair indices of _plucker_terms
+        return []
     # column c is val[c, k] * y_var[c, k] summed over k, padded with zeros
     col, row = np.nonzero(forms.T)
     size = (forms != 0).sum(axis=0)
@@ -304,9 +306,7 @@ def plucker_ideal(ring: PolyRing, forms=None):
     new = np.diff(quad, prepend=-1) != 0
     bounds = [*np.flatnonzero(new).tolist(), len(key)]
     # scaled to 1 at its first monomial, a quadric and its multiples agree
-    leads = coef[new].tolist()
-    inv = {c: pow(c, p - 2, p) for c in set(leads)}
-    scaled = coef * np.array([inv[c] for c in leads], np.int64)[np.cumsum(new) - 1] % p
+    scaled = coef * inv_mod(coef[new], p)[np.cumsum(new) - 1] % p
     sig = np.stack([mono, scaled], axis=1).tobytes()
     seen, keep = set(), []
     for a, b in zip(bounds, bounds[1:]):
@@ -729,8 +729,8 @@ def normal_form(f: Poly, gens) -> Poly:
 class GroebnerBasis:
     """Reduced Groebner basis: monic generators sorted by ascending lead.
 
-    stats holds the engine's counters from buchberger (_F4Engine.stats), or
-    is empty when no engine ran.
+    stats holds the engine's counters from buchberger (_F4Engine.stats); it
+    is empty only for a basis built by hand.
     """
 
     __slots__ = ("ring", "gens", "stats")
@@ -770,8 +770,6 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
         ring = polys[0].ring
     if any(g.ring is not ring for g in polys):
         raise ValueError("generators live in different rings")
-    if not polys:
-        return GroebnerBasis(ring, [])
     if not all(g.is_homogeneous() for g in polys):
         raise ValueError("buchberger takes homogeneous generators only")
     engine = _F4Engine(ring, polys)

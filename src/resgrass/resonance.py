@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -83,32 +82,25 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     Plucker quadrics pulled back along those forms generate the ideal in
     dim I_2 variables: plucker_ideal reads the forms off the rows and gives
     each quadric once up to a scalar.  The OS points are counted off the
-    circuits I_2 was built from, its dependent triples.
+    circuits I_2 was built from, its dependent triples.  With none, I_2 = 0
+    and the engine runs on zero variables: the HP is 0.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
-    if i2.dim():
-        pivot_pairs = (i2.subsets[c] for c in i2.pivots)
-        ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
-        gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
-        t2 = time.perf_counter()
-        count: dict = {}
-        hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb), count), ring.nvars)
-        t3 = time.perf_counter()
-        hilbert = format_hp(hp)
-        engine = dict(gb.stats, hilbert_calls=count["calls"], hilbert_hits=count["hits"])
-    else:
-        # no dependent triple: no resonance, and no reason to run Buchberger
-        t2 = t3 = t1
-        hilbert = "0"
-        engine = {}
+    pivot_pairs = (i2.subsets[c] for c in i2.pivots)
+    ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
+    gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
+    t2 = time.perf_counter()
+    count: dict = {}
+    hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb), count), ring.nvars)
+    t3 = time.perf_counter()
     ms = lambda a, b: round((b - a) * 1000.0, 3)
     return ResonanceReport(
         arrangement=arr.name,
         n=arr.n,
         p=p,
-        hilbert=hilbert,
+        hilbert=format_hp(hp),
         n_os_points=len(i2.circuits),
         n_span_forms=i2.ambient_dim() - i2.dim(),
         timings_ms={
@@ -117,30 +109,27 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
             "hilbert": ms(t2, t3),
             "total": ms(t0, t3),
         },
-        engine=engine,
+        engine=dict(gb.stats, hilbert_calls=count["calls"], hilbert_hits=count["hits"]),
     )
 
 
 def is_decomposable(u: ExtElement) -> bool:
     """Whether a grade-2 element is a wedge of two vectors.
 
-    Tested by the three-term Plucker relations on the support, which is the
-    u ^ u = 0 criterion in a form that also survives characteristic 2.
+    Tested by the three-term Plucker relations on the support, relabelled
+    0..s-1 and read as one row of Python ints in lex pair order, so exact
+    for every prime; this is the u ^ u = 0 criterion in a form that also
+    survives characteristic 2.
     """
     if u.grade != 2:
         raise ValueError("decomposability test expects grade 2")
-    idx = sorted({i for key in u.terms for i in key})
-    p = u.p
-    get = u.terms.get
-    for a, b, c, d in combinations(idx, 4):
-        val = (
-            get((a, b), 0) * get((c, d), 0)
-            - get((a, c), 0) * get((b, d), 0)
-            + get((a, d), 0) * get((b, c), 0)
-        )
-        if val % p:
-            return False
-    return True
+    keys = np.array(list(u.terms), np.int64).reshape(-1, 2)
+    idx = np.unique(keys)
+    a, b = np.searchsorted(idx, keys).T
+    s = len(idx)
+    w = np.zeros((1, s * (s - 1) // 2), object)
+    w[0, a * (2 * s - a - 1) // 2 + b - a - 1] = list(u.terms.values())
+    return bool(_relations_hold(w, _plucker_terms(s), u.p)[0])
 
 
 DECOMPOSABLE_SEARCH = "decomposable search in P(I_2)"

@@ -19,9 +19,9 @@ from resgrass.grobner import (
     buchberger,
     plucker_ideal,
 )
-from resgrass.field import kernel_dtype, matmul_mod, mod, projective_points
+from resgrass.field import DEFAULT_MODULUS, kernel_dtype, matmul_mod, mod, projective_points
 from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
-from resgrass.resonance import Plane, _plucker_terms, is_decomposable, os_points, span_forms
+from resgrass.resonance import Plane, _plucker_terms, os_points, span_forms
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -70,6 +70,37 @@ def relabelled_a4(seed=5):
     return from_matrix([[row[j] for j in order] for row in braid_rows(4)], name="A4 relabelled")
 
 
+def graphic(v: int, edges, p: int = DEFAULT_MODULUS):
+    """The graphic arrangement of a simple graph on v vertices: one column e_i - e_j per edge."""
+    rows = [[(r == i) - (r == j) for i, j in edges] for r in range(v)]
+    return from_matrix(rows, name=f"graph{v}:{len(edges)}", p=p)
+
+
+def ceva3():
+    """Ceva(3), flats only: the 9 lines of (x^3 - y^3)(y^3 - z^3)(x^3 - z^3).
+
+    Its 12 triple points are read off over F_7, where omega = 2 is a
+    primitive cube root of 1.
+    """
+    normals = [(1, -c, 0) for c in (1, 2, 4)] + [(0, 1, -c) for c in (1, 2, 4)]
+    normals += [(1, 0, -c) for c in (1, 2, 4)]
+    return Arrangement(9, from_matrix(list(zip(*normals)), p=7).flats, None, "Ceva(3)")
+
+
+def direct_sum(a, b):
+    """a (+) b: b's hyperplanes follow a's, in complementary coordinates.
+
+    Two realizations give the block-diagonal matrix, read over a's prime;
+    otherwise the flats of both, b's shifted past a's, with no matrix.
+    """
+    name = f"{a.name}+{b.name}"
+    if a.matrix is None or b.matrix is None:
+        flats = a.flats + tuple(tuple(i + a.n for i in f) for f in b.flats)
+        return Arrangement(a.n + b.n, flats, None, name)
+    rows = [row + (0,) * b.n for row in a.matrix] + [(0,) * a.n + row for row in b.matrix]
+    return from_matrix(rows, name=name, p=a.p)
+
+
 def reference_rref(rows, ncols: int, p: int):
     """Pure-Python reduced row echelon form over F_p: (reduced rows, pivot columns).
 
@@ -96,6 +127,23 @@ def reference_rref(rows, ncols: int, p: int):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def reference_kernel(rows, ncols: int, p: int):
+    """Reduced echelon basis of {v : M v = 0} by reference_rref; the twin of field.kernel_basis.
+
+    Each free column f of the reduced M gives e_f less column f at the
+    pivots, and reference_rref puts those vectors in reduced echelon form.
+    """
+    red, pivots = reference_rref(rows, ncols, p)
+    vecs = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = 1
+        for row, pc in zip(red, pivots):
+            v[pc] = -row[f] % p
+        vecs.append(v)
+    return reference_rref(vecs, ncols, p)[0]
 
 
 def reference_rank(rows, ncols: int, p: int) -> int:
@@ -237,6 +285,22 @@ def reference_plane(x, y, n):
     return Plane(n, x.p, (tuple(red[0]), tuple(red[1])))
 
 
+def reference_is_decomposable(u) -> bool:
+    """Whether the grade-2 element u is a wedge of two vectors; the twin of is_decomposable.
+
+    Every three-term Plucker relation over a < b < c < d of its support, one
+    by one on Python ints, so exact for every prime.
+    """
+    idx = sorted({i for key in u.terms for i in key})
+    get = u.terms.get
+    for a, b, c, d in combinations(idx, 4):
+        val = (get((a, b), 0) * get((c, d), 0) - get((a, c), 0) * get((b, d), 0)
+               + get((a, d), 0) * get((b, c), 0))
+        if val % u.p:
+            return False
+    return True
+
+
 # Plucker relations in the first step of decomposable_mask; each later step
 # takes four times as many, on the rows that passed every step before it.
 _RELATION_CHUNK = 16
@@ -245,7 +309,7 @@ _RELATION_CHUNK = 16
 def decomposable_mask(u, n: int, q: int):
     """Which rows of u, grade-2 elements in pair coordinates mod q, are decomposable.
 
-    The batched is_decomposable: every three-term Plucker relation over
+    The batched reference_is_decomposable: every three-term Plucker relation over
     a < b < c < d of range(n).  A relation that leaves a row's support
     vanishes there, so this is the same test, in characteristic 2 as well.
     The relations go in chunks of _RELATION_CHUNK, then four times the last
@@ -272,7 +336,7 @@ def reference_decomposable_planes(arr, q):
 
     Every point of P(I_2) is a candidate, as in an exhaustive scan.  Each
     candidate that passes decomposable_mask becomes an ExtElement,
-    is tested by is_decomposable, factored by factor_decomposable and
+    is tested by reference_is_decomposable, factored by factor_decomposable and
     reduced by reference_plane.
     """
     sub = os_ideal_part(arr, 2, q)
@@ -282,7 +346,7 @@ def reference_decomposable_planes(arr, q):
         u = matmul_mod(coeffs, basis, q)
         for row in u[decomposable_mask(u, arr.n, q)].tolist():
             elem = ExtElement(q, 2, dict(zip(sub.subsets, row)))
-            if is_decomposable(elem):
+            if reference_is_decomposable(elem):
                 planes.append(reference_plane(*factor_decomposable(elem), arr.n))
     return sorted(planes, key=lambda pl: pl.basis)
 

@@ -11,9 +11,11 @@ import contextlib
 import hashlib
 import io
 import re
+from functools import lru_cache
 
 import pytest
 
+from resgrass import cli
 from resgrass.cli import main
 
 from cases import braid_rows
@@ -86,6 +88,14 @@ def write_inputs(folder):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     return write_inputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def one_r1_run_per_input():
+    """cli's r1_hilbert memoized, so the text and JSON calls on one input and prime share a run."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "r1_hilbert", lru_cache(maxsize=None)(cli.r1_hilbert))
+        yield
 
 
 DIGESTS = {
@@ -164,7 +174,7 @@ def test_the_call_matrix_is_pinned():
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in CALLS], ids=[cid for cid, _ in CALLS])
-def test_output_digest(argv, inputs, request):
+def test_output_digest(argv, inputs, one_r1_run_per_input, request):
     result = run_call(argv, inputs)
     assert digest(result) == DIGESTS[request.node.callspec.id], result
 
@@ -173,4 +183,5 @@ def test_timings_are_stripped_and_nothing_else():
     text = "hilbert: 5*P_0\ntimings ms: span=0.333  groebner=12.000  total=12.333\n"
     assert strip_timings(text) == "hilbert: 5*P_0\ntimings ms: span=#  groebner=#  total=#\n"
     line = '{"hilbert": "5*P_0", "n": 6, "timings_ms": {"span": 0.5, "total": 1.25}}'
-    assert strip_timings(line) == '{"hilbert": "5*P_0", "n": 6, "timings_ms": {"span": #, "total": #}}'
+    want = '{"hilbert": "5*P_0", "n": 6, "timings_ms": {"span": #, "total": #}}'
+    assert strip_timings(line) == want

@@ -24,7 +24,13 @@ from resgrass.field import (
 )
 from resgrass.grobner import PolyRing
 
-from cases import BOUNDARY_PRIME, FIRST_REFUSED, reference_rank, reference_rref
+from cases import (
+    BOUNDARY_PRIME,
+    FIRST_REFUSED,
+    reference_kernel,
+    reference_rank,
+    reference_rref,
+)
 
 
 def test_default_modulus_is_prime():
@@ -97,6 +103,28 @@ def test_rank_nullity():
         assert rank(mat, ncols, p) + len(ker) == ncols
         for v in ker:
             assert [sum(a * b for a, b in zip(row, v)) % p for row in mat] == [0] * nrows
+
+
+@pytest.mark.parametrize("p", [2, 3, 31991, BOUNDARY_PRIME])
+def test_kernel_basis_matches_the_reference(p):
+    # seeded matrices with no rows, of full rank, with zero rows, and with
+    # entries wider than int64, which act as their residues
+    rng = random.Random(p)
+    entry = lambda: rng.choice((0, 1, p - 1, rng.randrange(p)))
+    kinds = {"no rows": 0, "full rank": 0, "zero rows": 0, "wide": 0}
+    for trial in range(60):
+        ncols = rng.randrange(1, 8)
+        mat = [[entry() for _ in range(ncols)] for _ in range(rng.randrange(0, 6))]
+        if trial % 4 == 1:
+            mat.insert(rng.randrange(len(mat) + 1), [0] * ncols)
+        if trial % 4 == 2:
+            mat = [[x + rng.randrange(-3, 4) * p * 2**70 for x in row] for row in mat]
+        kinds["no rows"] += not mat
+        kinds["full rank"] += bool(mat) and len(reference_rref(mat, ncols, p)[1]) == len(mat)
+        kinds["zero rows"] += [0] * ncols in mat
+        kinds["wide"] += any(abs(x) > 2**63 for row in mat for x in row)
+        assert kernel_basis(mat, ncols, p) == reference_kernel(mat, ncols, p)
+    assert min(kinds.values()) > 0, kinds
 
 
 def test_kernel_modulus_boundary():

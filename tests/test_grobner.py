@@ -445,6 +445,10 @@ def test_vectorized_engine_refuses_moduli_above_the_kernel_bound():
     assert len(buchberger(plucker_ideal(PluckerRing(4, BOUNDARY_PRIME)))) == 1
     with pytest.raises(InputError, match="above"):
         buchberger(plucker_ideal(PluckerRing(4, FIRST_REFUSED)))
+    # all-zero input is refused too: it runs the same engine
+    ring = PolyRing(3, FIRST_REFUSED)
+    with pytest.raises(InputError, match="above"):
+        buchberger([ring.zero()], ring=ring)
 
 
 def test_random_gb_certificates():
@@ -785,7 +789,10 @@ def test_basis_keeps_the_engine_counters():
     assert stats == dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=787,
                          pruned_coprime=0)
     assert {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in degrees.items()} == BRAID_DEGREES[4]
-    assert buchberger([ring.zero()], ring=ring).stats == {}
+    # all-zero input runs the engine over nothing: every counter is 0
+    assert buchberger([ring.zero()], ring=ring).stats == dict(
+        degrees={}, reductions=0, zero_reductions=0, created=0, pruned_lcm=0, pruned_coprime=0,
+        pair_s=0)
 
 
 @pytest.mark.parametrize("name", ["A5", "Hessian"])

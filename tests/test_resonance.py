@@ -7,10 +7,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from resgrass import resonance
+from resgrass import grobner, resonance
 from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
+from resgrass.field import MAX_KERNEL_MODULUS
 from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
     decomposables_in_I2_bruteforce,
@@ -32,6 +33,7 @@ from cases import (
     pair_coords,
     random_simple_realization,
     reference_decomposable_planes,
+    reference_is_decomposable,
     reference_r1_hilbert,
     relabelled_a4,
     subspace_contains,
@@ -121,7 +123,24 @@ def test_r1_hilbert_generic_no_flats():
     assert rep.hilbert == "0"
     assert rep.n_os_points == 0
     assert rep.n_span_forms == 6
-    assert rep.timings_ms["groebner"] == 0.0
+    # I_2 = 0: the engine runs on zero variables, and the numerator is 1
+    assert rep.engine == dict(degrees={}, reductions=0, zero_reductions=0, created=0,
+                              pruned_lcm=0, pruned_coprime=0, pair_s=0, hilbert_calls=1,
+                              hilbert_hits=0)
+
+
+def test_r1_hilbert_without_a_dependent_triple_is_quadratic_in_n(monkeypatch):
+    # over zero variables plucker_ideal has no quadric to form, so it must
+    # not build the C(n, 4) pair indices of _plucker_terms: 8.2 million
+    # 4-subsets at n = 120, seconds and a gigabyte, against milliseconds
+    def refuse(n):
+        raise AssertionError(f"_plucker_terms({n}) built on input with no dependent triple")
+
+    monkeypatch.setattr(grobner, "_plucker_terms", refuse)
+    t0 = time.perf_counter()
+    rep = r1_hilbert(Arrangement(120, (), None, "flats n=120"))
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.hilbert == "0" and rep.n_span_forms == comb(120, 2)
 
 
 def test_r1_hilbert_disjoint_triples():
@@ -318,9 +337,9 @@ def test_decomposable_mask_equals_is_decomposable(arr, q):
         for tail in product(range(q), repeat=m - lead - 1)
     ]
     u = np.array(coeffs, dtype=np.int64).reshape(len(coeffs), m) @ basis % q
-    want = [
-        is_decomposable(ExtElement(q, 2, dict(zip(sub.subsets, row)))) for row in u.tolist()
-    ]
+    elems = [ExtElement(q, 2, dict(zip(sub.subsets, row))) for row in u.tolist()]
+    want = [reference_is_decomposable(e) for e in elems]
+    assert [is_decomposable(e) for e in elems] == want
     assert decomposable_mask(u, arr.n, q).tolist() == want
 
 
@@ -344,9 +363,53 @@ def test_decomposable_mask_tests_every_chunk_of_relations():
         x, y = (ExtElement(q, 1, {(i,): rng.randrange(q) for i in range(n)}) for _ in "xy")
         elems.append(wedge(x, y))
     u = np.array([[e.terms.get(pr, 0) for pr in pairs] for e in elems], dtype=np.int64)
-    want = [is_decomposable(e) for e in elems]
+    want = [reference_is_decomposable(e) for e in elems]
     assert want[:3] == [False, False, False] and all(want[3:])
+    assert [is_decomposable(e) for e in elems] == want
     assert decomposable_mask(u, n, q).tolist() == want
+
+
+def factors(u):
+    """Whether factor_decomposable finds a factor pair of the nonzero element u."""
+    try:
+        factor_decomposable(u)
+    except ValueError:
+        return False
+    return True
+
+
+def seeded_elements(rng, p, support):
+    """Wedges of two vectors on support, then the same wedges with one coefficient moved."""
+    elems = []
+    for _ in range(20):
+        x, y = (ExtElement(p, 1, {(i,): rng.choice((1, p - 1, rng.randrange(p)))
+                                  for i in support}) for _ in "xy")
+        w = wedge(x, y)
+        if w.is_zero():
+            continue
+        key = rng.choice(sorted(w.terms))
+        elems += [w, w + ExtElement(p, 2, {key: rng.randrange(1, p)})]
+    return [e for e in elems if not e.is_zero()]
+
+
+@pytest.mark.parametrize(
+    "p, support",
+    [(2, range(6)), (2, (100, 101, 117, 140, 163, 200)), (5, (3, 104, 105, 130, 250)),
+     (2**61 - 1, range(5)), (2**61 - 1, (101, 102, 150, 171, 199))],
+    ids=["F_2", "F_2-wide-indices", "F_5-wide-indices", "2^61-1", "2^61-1-wide-indices"],
+)
+def test_is_decomposable_against_the_factoring_and_the_mask(p, support):
+    # indices of 100 and more are relabelled 0..s-1; 2^61 - 1 is above
+    # MAX_KERNEL_MODULUS, where an int64 relation would wrap round
+    elems = seeded_elements(random.Random(p + len(support)), p, list(support))
+    got = [is_decomposable(e) for e in elems]
+    assert got == [factors(e) for e in elems] == [reference_is_decomposable(e) for e in elems]
+    assert True in got and False in got
+    if p <= MAX_KERNEL_MODULUS:
+        pairs = list(combinations(range(len(support)), 2))
+        u = np.array([[e.terms.get((support[a], support[b]), 0) for a, b in pairs]
+                      for e in elems], dtype=np.int64)
+        assert decomposable_mask(u, len(support), p).tolist() == got
 
 
 def test_decomposable_mask_at_the_boundary_prime():
@@ -362,6 +425,7 @@ def test_decomposable_mask_at_the_boundary_prime():
         rows.append([rng.choice((0, p - 1, rng.randrange(p))) for _ in pairs])
     u = np.array(rows, dtype=np.int64)
     elems = [ExtElement(p, 2, dict(zip(pairs, row))) for row in rows]
-    want = [is_decomposable(e) for e in elems]
+    want = [reference_is_decomposable(e) for e in elems]
+    assert [is_decomposable(e) for e in elems] == want
     assert decomposable_mask(u, n, p).tolist() == want
     assert want[::2] == [True] * 30 and not any(want[1::2])
