@@ -20,7 +20,8 @@ from resgrass.cli import main
 
 from cases import braid_rows
 
-# r1 inputs besides the fixtures; the last four have no dependent triple
+# r1 inputs besides the fixtures; n1 to noflats have no dependent triple, and
+# one40 and two40 have one triple and two disjoint triples among 40 hyperplanes
 INPUTS = {
     "A4": "matrix\n" + "\n".join(" ".join(map(str, row)) for row in braid_rows(4)) + "\n",
     "A5": "matrix\n" + "\n".join(" ".join(map(str, row)) for row in braid_rows(5)) + "\n",
@@ -28,7 +29,11 @@ INPUTS = {
     "n2": "matrix\n1 0\n0 1\n",
     "generic4": "matrix\n1 0 0 1\n0 1 0 1\n0 0 1 1\n",  # generic over every field
     "noflats": "flats n=4\n",
+    "one40": "flats n=40\n5,21,38\n",
+    "two40": "flats n=40\n0,19,39\n7,12,30\n",
 }
+# the primes r1 runs at on each input, by default 31991, 3 and 2
+R1_PRIMES = {"one40": (31991, 3), "two40": (31991, 3)}
 
 
 def _calls():
@@ -36,7 +41,7 @@ def _calls():
     calls = []
     for src in ("A3", "Hessian", *INPUTS):
         where = ("--input", f"@{src}") if src in INPUTS else ("--fixture", src)
-        for p in (31991, 3, 2):
+        for p in R1_PRIMES.get(src, (31991, 3, 2)):
             for fmt in ((), ("--json",)):
                 calls.append((f"r1-{src}-p{p}{'-json' * bool(fmt)}",
                               ["r1", *where, "--p", str(p), *fmt]))
@@ -147,6 +152,14 @@ DIGESTS = {
     "r1-noflats-p3-json": "ee817861a6c220c63cee0c1400758ea2efe8411a9113c7b3ac65a70c1630dd25",
     "r1-noflats-p2": "bfab51bf1bb84782daf0d517a95bb26de54b28494aec7ad1fdbc0a746a7f9bd9",
     "r1-noflats-p2-json": "13b82db50ea6fde8ef42d6d687ce7e30b43eb54032a544c4013b03cbb8b34f83",
+    "r1-one40-p31991": "31b062fe3ab87dd4cae290ea8ac35a56f2114293f29b2606a3b13213b880dde7",
+    "r1-one40-p31991-json": "80fb45605d4b7f21b40669831f636b7b24c861b5730c85d1927b05058126c8fc",
+    "r1-one40-p3": "31b062fe3ab87dd4cae290ea8ac35a56f2114293f29b2606a3b13213b880dde7",
+    "r1-one40-p3-json": "68c7ec48d2d37e3e8fbb8673aaee68931d56505df2c2ad87ed036da3c1958aee",
+    "r1-two40-p31991": "03e529e9f584e58b83228a7de9a2205c08bf6af68bd8ceb2d15a6d7f72e71383",
+    "r1-two40-p31991-json": "26787e5d2320778a28dbde04633a58408906e9918ff4c704af2390e2c7bd8952",
+    "r1-two40-p3": "03e529e9f584e58b83228a7de9a2205c08bf6af68bd8ceb2d15a6d7f72e71383",
+    "r1-two40-p3-json": "eea8d350a3280bf56b339c8e0a3175422b837d1e9b3e6d5be9a96dba1e0f12b6",
     "oracle-A3-q5": "d4e9313942b67dd23cb097a752446bba5f6ac92053ec5ce882c38b1464e27bf8",
     "oracle-A3-q5-json": "465884e2d2f1a6a970eeedaaec8fbbb0941ec7066a1c5fed685c178d3c80dbc9",
     "oracle-A3-q7": "4463332f0ef098e6d9e8b58084346e0e70d67d6428dc3a50db3809871893d271",
