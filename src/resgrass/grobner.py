@@ -98,15 +98,13 @@ class GrevlexOrder:
 class PolyRing:
     """F_p[x_0 .. x_{nvars-1}] under grevlex."""
 
-    def __init__(self, nvars: int, p: int = DEFAULT_MODULUS, *, names=None):
+    def __init__(self, nvars: int, p: int = DEFAULT_MODULUS):
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.nvars = nvars
         self.p = p
         self.ord = GrevlexOrder(nvars)
-        self.names = tuple(names) if names else tuple(f"x{i}" for i in range(nvars))
-        if len(self.names) != nvars:
-            raise ValueError("wrong number of variable names")
+        self.names = tuple(f"x{i}" for i in range(nvars))
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -131,10 +129,9 @@ class PluckerRing(PolyRing):
         if n < 2:
             raise ValueError("need at least two hyperplanes")
         pairs = tuple(combinations(range(n), 2))
-        names = tuple(f"w_{i}_{j}" for i, j in pairs)
-        super().__init__(len(pairs), p, names=names)
-        self.n = n
-        self.pairs = pairs
+        super().__init__(len(pairs), p)
+        self.names = tuple(f"w_{i}_{j}" for i, j in pairs)
+        self.n, self.pairs = n, pairs
 
 
 class Poly:
@@ -254,13 +251,22 @@ def _plucker_terms(n: int):
     ).reshape(6, len(quads))
 
 
+def _touched(nonzero, n: int):
+    """The indices idx of the lex pairs of range(n) marked by nonzero, and the pairs inside idx."""
+    a, b = np.triu_indices(n, 1)
+    hit = np.bincount(np.concatenate([a[nonzero], b[nonzero]]), minlength=n) > 0
+    return np.flatnonzero(hit), hit[a] & hit[b]
+
+
 def plucker_ideal(ring: PolyRing, forms=None):
-    """The three-term quadrics cutting out G(2, n), one per 4-subset of indices.
+    """The three-term quadrics cutting out G(2, n), one per 4-subset of the indices touched.
 
     Column ab of forms, an nvars x C(n, 2) matrix with pairs in lex order,
     holds the linear form standing for the Plucker coordinate w_ab; by
-    default forms is the identity, the variables of a PluckerRing.  The
-    quadric of a < b < c < d is w_ab w_cd - w_ac w_bd + w_ad w_bc, each
+    default forms is the identity, the variables of a PluckerRing.  A
+    relation with an index outside those of the nonzero columns has a zero
+    factor in each product, so only those indices count (_touched), in order.
+    The quadric of a < b < c < d is w_ab w_cd - w_ac w_bd + w_ad w_bc, each
     product the outer product of two sparse columns, formed for blocks of
     4-subsets that keep temporaries under _BLOCK.  A quadric that vanishes,
     or that is a nonzero multiple of an earlier one, is left out, so the
@@ -272,8 +278,8 @@ def plucker_ideal(ring: PolyRing, forms=None):
     n = (1 + isqrt(1 + 8 * npairs)) // 2
     if forms.shape != (nv, n * (n - 1) // 2):
         raise ValueError(f"forms must be {nv} x C(n, 2), got {forms.shape[0]} x {npairs}")
-    if not nv:  # every quadric vanishes; spares the C(n, 4) pair indices of _plucker_terms
-        return []
+    idx, inside = _touched(forms.any(axis=0), n)
+    forms, n, npairs = forms[:, inside], len(idx), int(inside.sum())
     # column c is val[c, k] * y_var[c, k] summed over k, padded with zeros
     col, row = np.nonzero(forms.T)
     size = (forms != 0).sum(axis=0)
@@ -608,9 +614,7 @@ class _F4Engine:
         found = [(first[:0],) * 4 + (coef[:0],)]
         while len(todo):
             rows = _unkeys(todo)
-            # with no lead yet, as in degree 2, nothing is searched
-            e = (_first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
-                 if len(leads.digits) else np.full(len(todo), -1))
+            e = _first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
             hit = e >= 0
             seg, tdig, tcoef = self._shifted(e[hit], leads.digits[e[hit]] - rows[hit])
             tkeys = _keys(tdig)
@@ -730,7 +734,7 @@ class GroebnerBasis:
     """Reduced Groebner basis: monic generators sorted by ascending lead.
 
     stats holds the engine's counters from buchberger (_F4Engine.stats); it
-    is empty only for a basis built by hand.
+    is empty only for a basis built by hand, which leading_ideal refuses.
     """
 
     __slots__ = ("ring", "gens", "stats")

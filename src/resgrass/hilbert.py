@@ -7,11 +7,12 @@ generators, down to pure powers g, whose numerator is prod (1 - t^deg g).
 No step tests generators in pairs: in I : x a quotient g/x divides no other
 generator, or g would divide one, so only a generator without x can fall,
 to a quotient g/x with x^1 in g; a quotient that is one variable y drops the
-generators with y by a mask test.  A reduced basis's leads are minimal, so
-leading_ideal minimalizes only a basis no engine made.  Monomials are the
-engine's grevlex keys with their support masks, under its cap of 127 on
-exponents and total degree.  The Hilbert polynomial is read off h in powers
-of (1 - t), exactly, in the basis P_i(d) = C(d+i, i).
+generators with y by a mask test.  The generators are the leads of a basis
+the engine made, minimal since the basis is reduced; leading_ideal refuses a
+basis built by hand.  Monomials are the engine's grevlex keys with their
+support masks, under its cap of 127 on exponents and total degree.  The
+Hilbert polynomial is read off h in powers of (1 - t), exactly, in the basis
+P_i(d) = C(d+i, i).
 """
 
 from __future__ import annotations
@@ -22,28 +23,16 @@ from math import comb
 
 import numpy as np
 
-from .grobner import _CAP, GrevlexOrder, _digits
-
-
-def _minimalize(ord_, gens):
-    """The (key, support mask) pairs of gens that no other one divides, ascending."""
-    gens = sorted(set(gens))  # a divisor comes first
-    return [g for i, g in enumerate(gens)
-            if not any(not h[1] & ~g[1] and ord_.divides(h[0], g[0]) for h in gens[:i])]
+from .grobner import _CAP, _digits
 
 
 class MonomialIdeal:
-    """A monomial ideal, held as the grevlex keys of its minimal generators."""
+    """A monomial ideal, held as the grevlex keys of its minimal generators, taken as given."""
 
-    def __init__(self, nvars: int, gens):
-        ord_ = GrevlexOrder(nvars)
-        self._hold(ord_, [ord_.pack(e) for e in gens], False)
-
-    def _hold(self, ord_, keys, minimal: bool):
+    def __init__(self, ord_, keys):
         self.nvars, self._ord = ord_.nvars, ord_
         masks = np.packbits(_digits(keys, ord_.nvars) != _CAP, axis=1, bitorder="little")
-        gens = [(k, int.from_bytes(m, "little")) for k, m in zip(keys, masks)]
-        self._gens = gens if minimal else _minimalize(ord_, gens)
+        self._gens = [(k, int.from_bytes(m, "little")) for k, m in zip(keys, masks)]
 
     @property
     def gens(self):
@@ -62,10 +51,10 @@ class MonomialIdeal:
 
 
 def leading_ideal(gb) -> MonomialIdeal:
-    """Monomial ideal of lead terms; those of a basis the engine made (gb.stats set) are minimal."""
-    mi = MonomialIdeal.__new__(MonomialIdeal)
-    mi._hold(gb.ring.ord, [g.lead_key() for g in gb], bool(gb.stats))
-    return mi
+    """Monomial ideal of the leads of a basis buchberger made; one built by hand raises ValueError."""
+    if not gb.stats:  # its leads need not be minimal, and the pure-power base case needs them so
+        raise ValueError("leading_ideal takes a basis that buchberger made")
+    return MonomialIdeal(gb.ring.ord, [g.lead_key() for g in gb])
 
 
 def _numer(gens, ord_, memo: dict, count: dict):

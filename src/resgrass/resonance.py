@@ -30,7 +30,7 @@ from .field import (
     kernel_dtype,
     mod,
 )
-from .grobner import PluckerRing, PolyRing, _plucker_terms, buchberger, plucker_ideal
+from .grobner import PluckerRing, PolyRing, _plucker_terms, _touched, buchberger, plucker_ideal
 from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 
 
@@ -76,20 +76,19 @@ class ResonanceReport:
 def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     """Hilbert polynomial of G(2, n) intersected with P(I_2), in coordinates on I_2.
 
-    Row r of the reduced basis of I_2 gives the variable y_r, named after the
-    pair coordinate of its pivot, which it equals on I_2.  Every pair
-    coordinate w_ab is the linear form sum_r y_r * rows[r][ab], and the
-    Plucker quadrics pulled back along those forms generate the ideal in
-    dim I_2 variables: plucker_ideal reads the forms off the rows and gives
-    each quadric once up to a scalar.  The OS points are counted off the
-    circuits I_2 was built from, its dependent triples.  With none, I_2 = 0
-    and the engine runs on zero variables: the HP is 0.
+    Row r of the reduced basis of I_2 gives the variable y_r, which equals
+    the pair coordinate of its pivot on I_2.  Every pair coordinate w_ab is
+    the linear form sum_r y_r * rows[r][ab], and the Plucker quadrics pulled
+    back along those forms generate the ideal in dim I_2 variables:
+    plucker_ideal reads the forms off the rows and gives each quadric of the
+    indices they touch once up to a scalar.  The OS points are counted off
+    the circuits I_2 was built from, its dependent triples.  With none,
+    I_2 = 0, plucker_ideal forms no quadric and the HP is 0.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
-    pivot_pairs = (i2.subsets[c] for c in i2.pivots)
-    ring = PolyRing(i2.dim(), p, names=[f"w_{a}_{b}" for a, b in pivot_pairs])
+    ring = PolyRing(i2.dim(), p)
     gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
     t2 = time.perf_counter()
     count: dict = {}
@@ -191,13 +190,15 @@ def _decomposable_planes(sub: Subspace):
     A survivor u is x ^ y.  With (i, j) its lex-first pair with w_ij != 0,
     column j and row i of its antisymmetric matrix, over w_ij, are the
     reduced echelon basis of span(x, y), and their wedge is u / w_ij; a
-    survivor where it is not raises ValueError.
+    survivor where it is not raises ValueError.  The search runs on the
+    pairs inside the indices that I_2 touches, and u is zero off them.
     """
     n, q, m = sub.n, sub.p, sub.dim()
     if not m:
         return []
+    idx, inside = _touched(sub.rows.any(axis=0), n)
     wide = kernel_dtype(2 * (q - 1) ** 2)
-    rows, terms = sub.rows.astype(wide), _plucker_terms(n)
+    rows, terms = sub.rows[:, inside].astype(wide), _plucker_terms(len(idx))
     reads = (rows != 0)[:, terms].any(axis=1)  # reads[r, t]: row r is nonzero on relation t
     last = np.where(reads.any(axis=0), m - 1 - reads[::-1].argmax(axis=0), -1)
     live = rows[:0].astype(kernel_dtype(q))
@@ -211,7 +212,8 @@ def _decomposable_planes(sub: Subspace):
             w = mod(base[s] + c.astype(wide)[:, None] * rows[j], q)
             kept.append(w[_relations_hold(w, stage, q)])
         live = np.concatenate(kept).astype(live.dtype)
-    u, pairs, h = live.astype(np.int64), np.triu_indices(n, 1), np.arange(len(live))
+    u = np.zeros((len(live), len(inside)), np.int64)
+    u[:, inside], pairs, h = live, np.triu_indices(n, 1), np.arange(len(live))
     mats = np.zeros((len(u), n, n), dtype=np.int64)
     mats[:, pairs[0], pairs[1]], mats[:, pairs[1], pairs[0]] = u, -u
     lead = (u != 0).argmax(axis=1)

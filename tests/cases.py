@@ -449,6 +449,12 @@ def from_exp_terms(ring, terms: dict):
     return Poly(ring, {ring.ord.pack(e): c for e, c in terms.items()})
 
 
+def monomial_ideal(nvars: int, exps):
+    """The monomial ideal of exponent tuples exps: leading_ideal of buchberger over the monomials."""
+    ring = PolyRing(nvars, DEFAULT_MODULUS)
+    return leading_ideal(buchberger([from_exp_terms(ring, {e: 1}) for e in exps], ring=ring))
+
+
 def evaluate(f, vals) -> int:
     """f at the point vals, mod p."""
     p = f.ring.p

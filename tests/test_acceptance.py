@@ -17,13 +17,7 @@ from resgrass.cli import main
 from resgrass.exterior import ExtElement, boundary, wedge
 from resgrass.field import rref
 from resgrass.grobner import PluckerRing, PolyRing, buchberger, plucker_ideal
-from resgrass.hilbert import (
-    MonomialIdeal,
-    format_hp,
-    hilbert_numerator,
-    hilbert_polynomial,
-    leading_ideal,
-)
+from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
 from resgrass.oracle import AomotoComplex, check_prop21
 from resgrass.resonance import decomposables_in_I2_bruteforce, is_decomposable, os_points
 
@@ -32,6 +26,7 @@ from cases import (
     factor_decomposable,
     from_exp_terms,
     hilbert_function_values,
+    monomial_ideal,
     pair_coords,
     permute_vars,
     rand_poly,
@@ -227,7 +222,7 @@ def test_criterion_8_gb_soundness(acceptance_log):
             exps = tuple(rng.randrange(3) for _ in range(nvars))
             if any(exps):
                 gens.append(exps)
-        mi = MonomialIdeal(nvars, gens)
+        mi = monomial_ideal(nvars, gens)
         values = hilbert_function_values(hilbert_numerator(mi), nvars, 6)
         for d in range(7):
             count = sum(

@@ -177,8 +177,6 @@ def test_plucker_ring_validation():
         PluckerRing(1, P)
     with pytest.raises(ValueError):
         PolyRing(3, 15)
-    with pytest.raises(ValueError):
-        PolyRing(3, 7, names=("a", "b"))
 
 
 # ---------------------------------------------------------------- normal form

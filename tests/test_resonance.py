@@ -129,18 +129,42 @@ def test_r1_hilbert_generic_no_flats():
                               hilbert_hits=0)
 
 
-def test_r1_hilbert_without_a_dependent_triple_is_quadratic_in_n(monkeypatch):
-    # over zero variables plucker_ideal has no quadric to form, so it must
-    # not build the C(n, 4) pair indices of _plucker_terms: 8.2 million
-    # 4-subsets at n = 120, seconds and a gigabyte, against milliseconds
-    def refuse(n):
-        raise AssertionError(f"_plucker_terms({n}) built on input with no dependent triple")
+def refuse_plucker_terms_above(monkeypatch, module, most: int):
+    """Make module._plucker_terms raise for more indices than most, and build them otherwise."""
+    real = module._plucker_terms
 
-    monkeypatch.setattr(grobner, "_plucker_terms", refuse)
+    def terms(n):
+        if n > most:
+            raise AssertionError(f"_plucker_terms({n}) built for more than the {most} indices touched")
+        return real(n)
+
+    monkeypatch.setattr(module, "_plucker_terms", terms)
+
+
+def test_r1_hilbert_without_a_dependent_triple_is_quadratic_in_n(monkeypatch):
+    # over zero variables plucker_ideal touches no index, so it must not
+    # build the C(n, 4) pair indices of _plucker_terms(n): 8.2 million
+    # 4-subsets at n = 120, seconds and a gigabyte, against milliseconds
+    refuse_plucker_terms_above(monkeypatch, grobner, 0)
     t0 = time.perf_counter()
     rep = r1_hilbert(Arrangement(120, (), None, "flats n=120"))
     assert time.perf_counter() - t0 < 2.0
     assert rep.hilbert == "0" and rep.n_span_forms == comb(120, 2)
+
+
+@pytest.mark.parametrize(
+    "flats, hp",
+    [(((0, 1, 2),), "1*P_0"), (((0, 57, 119), (3, 64, 100)), "2*P_0")],
+    ids=["one-triple", "two-disjoint-triples"],
+)
+def test_r1_hilbert_on_a_sparse_support_scales_with_the_support(flats, hp, monkeypatch):
+    # the quadrics come from the 4-subsets of the indices I_2 touches only;
+    # the C(120, 4) 4-subsets of all indices took seconds and a gigabyte
+    refuse_plucker_terms_above(monkeypatch, grobner, 3 * len(flats))
+    t0 = time.perf_counter()
+    rep = r1_hilbert(Arrangement(120, flats, None, "sparse"))
+    assert time.perf_counter() - t0 < 2.0
+    assert rep.hilbert == hp and rep.n_os_points == len(flats)
 
 
 def test_r1_hilbert_disjoint_triples():
@@ -279,14 +303,20 @@ def test_budget_resolution():
     "arr, q",
     [(fixture("A3"), 2), (fixture("A3"), 5), (fixture("A3"), 7), (braid(4), 2), (braid(4), 3),
      (PENCIL, 2), (PENCIL, 3), (BOOLEAN, 2), (BOOLEAN, 3)]
-    + [(relabelled_a4(seed), 3) for seed in (11, 12, 13)],
+    + [(relabelled_a4(seed), 3) for seed in (11, 12, 13)]
+    + [(Arrangement(n, flats, None, "spread"), q) for n, flats, q in (
+        (9, ((0, 4, 8),), 3), (10, ((1, 5, 9), (0, 3, 7)), 2), (11, ((0, 5, 10), (2, 5, 7)), 3),
+        (12, ((0, 4, 11), (0, 6, 9), (4, 6, 10)), 2))],
     ids=["A3/F_2", "A3/F_5", "A3/F_7", "A4/F_2", "A4/F_3", "pencil/F_2", "pencil/F_3",
-         "boolean/F_2", "boolean/F_3", "A4-11/F_3", "A4-12/F_3", "A4-13/F_3"],
+         "boolean/F_2", "boolean/F_3", "A4-11/F_3", "A4-12/F_3", "A4-13/F_3",
+         "spread-one/F_3", "spread-two-disjoint/F_2", "spread-two-meeting/F_3",
+         "spread-three-meeting/F_2"],
 )
 def test_planes_equal_the_factored_elements(arr, q):
     # the search reads each plane off its antisymmetric matrix; the reference
     # factors each decomposable of an exhaustive scan and reduces the two
-    # factors; the search prunes in an order that depends on the labelling
+    # factors; the search prunes in an order that depends on the labelling.
+    # On spread indices it keeps to those I_2 touches, and u is zero off them
     assert decomposables_in_I2_bruteforce(arr, q) == reference_decomposable_planes(arr, q)
 
 
@@ -311,6 +341,18 @@ def test_decomposable_search_tests_few_candidates(arr, q, tested, exhaustive, mo
     assert sum(sizes) == tested
     m = os_ideal_part(arr, 2, q).dim()
     assert (q**m - 1) // (q - 1) == exhaustive
+
+
+def test_decomposable_search_on_a_sparse_support_scales_with_the_support(monkeypatch):
+    # two disjoint triples among 80 hyperplanes: 6 indices touched, against
+    # the C(80, 4) 4-subsets of all indices, over a second and 300 MB
+    refuse_plucker_terms_above(monkeypatch, resonance, 6)
+    arr = Arrangement(80, ((2, 41, 79), (10, 33, 60)), None, "sparse")
+    t0 = time.perf_counter()
+    planes = decomposables_in_I2_bruteforce(arr, 3)
+    assert time.perf_counter() - t0 < 2.0
+    supports = [{i for row in pl.basis for i, c in enumerate(row) if c} for pl in planes]
+    assert supports == [{10, 33, 60}, {2, 41, 79}]
 
 
 def test_decomposable_search_refuses_a_rank_other_than_2(monkeypatch):
