@@ -451,7 +451,7 @@ def from_exp_terms(ring, terms: dict):
 
 def monomial_ideal(nvars: int, exps):
     """The monomial ideal of exponent tuples exps: leading_ideal of buchberger over the monomials."""
-    ring = PolyRing(nvars, DEFAULT_MODULUS)
+    ring = PolyRing(nvars)
     return leading_ideal(buchberger([from_exp_terms(ring, {e: 1}) for e in exps], ring=ring))
 
 
