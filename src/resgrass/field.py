@@ -1,19 +1,23 @@
-"""Prime moduli and small dense linear algebra over F_p.
+"""Prime moduli and linear algebra over F_p, dense and on sparse entries.
 
-There is one elimination path: every rank and row reduction in the package
-goes through the numpy kernels rref_mod and batch_rank, for moduli up to
-MAX_KERNEL_MODULUS, or, where the rows lead in distinct columns, through
-the leveled solve solve_levels (leveled_rref, the F4 reducer table).  The
-first and last work in int64; batch_rank and matmul_mod work in the
-narrowest integer type that holds every value they form, int8 for the F_3
-scans and int32 at p = 31991, and take remainders through mod, which is
-many times faster than numpy's %.  batch_rank eliminates a stack of
-matrices with the batch axis innermost, so every step runs along the
-whole batch rather than along one matrix's rows.  rref, rank and
-kernel_basis take plain lists of rows of any integers and reduce them mod
-p before they reach a kernel.  Everything in this package is exact:
-matmul_mod computes in float32 or float64 only where every sum stays below
-2^24 or 2^53.
+Dense rank and row reduction goes through the numpy kernels rref_mod (the
+oracle's ranks, rref, rank and kernel_basis) and batch_rank, for moduli up
+to MAX_KERNEL_MODULUS, or, where the rows lead in distinct columns, through
+the leveled solve solve_levels (leveled_rref).  The F4 engine's Macaulay
+rows stay sparse: sparse_rref holds them as entries (row, column, value),
+puts them through a table of normal forms (through_table) and eliminates
+them in rounds of pivots, which leveled, the leveled solve on entries,
+reduces among themselves; rows whose entries would take no less room than
+a dense block finish in rounds on one.  rref_mod and solve_levels work in
+int64; batch_rank and matmul_mod work in the narrowest integer type that
+holds every value they form, int8 for the F_3 scans and int32 at p =
+31991, and take remainders through mod, which is many times faster than
+numpy's % on large arrays.  batch_rank eliminates a stack of matrices with
+the batch axis innermost, so every step runs along the whole batch rather
+than along one matrix's rows.  rref, rank and kernel_basis take plain lists
+of rows of any integers and reduce them mod p before they reach a kernel.
+Everything in this package is exact: matmul_mod computes in float32 or
+float64 only where every sum stays below 2^24 or 2^53.
 """
 
 from __future__ import annotations
@@ -209,6 +213,191 @@ def leveled_rref(mat, p: int):
     sel = row[col] < grp
     solve_levels(a, grp[sel], row[col[sel]], p - a[grp[sel], col[sel]], p)
     return a[::-1], lead[::-1].tolist()
+
+
+def _runs(x):
+    """The first index and the length of each run of equal values in a 1-D array."""
+    heads = np.flatnonzero(np.concatenate(([len(x) > 0], x[1:] != x[:-1])))
+    return heads, np.concatenate((heads[1:], [len(x)])) - heads
+
+
+def _products(g, c, v, table, ncol: int, p: int):
+    """through_table's products, unsummed, one slice of rows at a time.
+
+    Each product comes as its row * ncol + column and its value.  A slice
+    ends at a row's end and holds about _BLOCK // 8 products.
+    """
+    start, size, tcol, tcoef = table
+    k = size[c]
+    ends = np.cumsum(k)
+    heads = _runs(g)[0]
+    cuts = heads[_runs((ends - k)[heads] // (_BLOCK // 8))[0]]
+    for a, b in zip(cuts.tolist(), [*cuts[1:].tolist(), len(g)]):
+        n = k[a:b]
+        e = np.repeat(np.arange(a, b), n)
+        at = np.arange(len(e)) + np.repeat(start[c[a:b]] - ends[a:b] + ends[a] - k[a] + n, n)
+        yield g[e] * ncol + tcol[at], v[e] * tcoef[at] % p
+
+
+def _joined(parts):
+    """Entry triples of disjoint rows as one, each row's entries still together."""
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def through_table(g, c, v, table, ncol: int, p: int):
+    """Sparse rows with each column k replaced by row k of a table, as entries (row, column, value).
+
+    The rows are entries g, c, v, each row's together.  Row k of the table
+    is col/coef[start[k] : start[k] + size[k]] for table = (start, size,
+    col, coef), in columns [0, ncol).  Products are summed per row and
+    column mod p and zeros dropped, so each row's entries come by column
+    and a row left with none drops out.
+    """
+    out = [(g[:0], c[:0], v[:0])]
+    for key, val in _products(g, c, v, table, ncol, p):
+        order = np.argsort(key)
+        key, val = key[order], val[order]
+        first = _runs(key)[0]
+        key, val = key[first], np.add.reduceat(val, first) % p
+        out.append((*np.divmod(key[val != 0], ncol), val[val != 0]))
+    return _joined(out)
+
+
+def pivot_table(g, c, v, ncol: int, p: int):
+    """through_table's map for rows led by a 1 in distinct columns.
+
+    Column k goes to minus the tail of the row leading at k, or to itself.
+    """
+    heads, count = _runs(g)
+    mine = np.repeat(c[heads], count)  # each entry's lead
+    keep = np.ones(ncol, bool)
+    keep[c[heads]] = False
+    keep, tail = np.flatnonzero(keep), c != mine
+    src = np.concatenate([keep, mine[tail]])
+    order = np.argsort(src, kind="stable")
+    size = np.bincount(src, minlength=ncol)
+    col = np.concatenate([keep, c[tail]])[order]
+    val = np.concatenate([np.ones(len(keep), np.int64), p - v[tail]])[order]
+    return np.cumsum(size) - size, size, col, val
+
+
+def leveled(g, c, v, ncol: int, p: int):
+    """Sparse rows led by a 1 in distinct columns, reduced among themselves.
+
+    solve_levels on entries: a row reads the rows leading at the columns
+    of its tail, and its level is one more than the highest level it reads.
+    Each level goes through the rows below it, which are final, in one
+    through_table.
+    """
+    heads, count = _runs(g)
+    rows = g[heads]
+    r = np.repeat(np.arange(len(heads)), count)
+    owner = np.full(ncol, -1)
+    owner[c[heads]] = np.arange(len(heads))
+    reads = np.flatnonzero((owner[c] >= 0) & (owner[c] != r))
+    # a row reads only past its lead, so taking the columns read from the
+    # last, a row's level is final before any row reads it
+    reads = reads[np.argsort(-c[reads], kind="stable")]
+    depth = [0] * len(heads)
+    for i, j in zip(r[reads].tolist(), owner[c[reads]].tolist()):
+        depth[i] = max(depth[i], depth[j] + 1)
+    depth = np.array(depth, np.int64)
+    for lv in range(1, depth.max(initial=0) + 1):
+        low, cur = depth[r] < lv, depth[r] == lv
+        table = pivot_table(r[low], c[low], v[low], ncol, p)
+        final = through_table(r[cur], c[cur], v[cur], table, ncol, p)
+        r, c, v = _joined([(r[~cur], c[~cur], v[~cur]), final])
+    return rows[r], c, v
+
+
+def _dense_rref(a, p: int):
+    """rref_mod of a 2-D array of residues by rounds of pivots, in place, without a per-column loop.
+
+    Each round takes, for every column some row leads at, the row leading
+    there with the fewest nonzeros; leveled_rref reduces those among
+    themselves, and matmul_mod clears their columns from the earlier
+    pivots and from every other row, in slices of _BLOCK bytes, which
+    also move the rows left nonzero up over those left zero, the round's
+    own rows among them.
+    """
+    red, pivots = a[:0], []
+    step = max(1, _BLOCK // (8 * max(1, a.shape[1])))
+    while a.any():
+        nz = a != 0
+        count, lead = nz.sum(axis=1), nz.argmax(axis=1)
+        order = np.lexsort((count, lead))
+        order = order[count[order] > 0]
+        piv, cols = leveled_rref(a[order[_runs(lead[order])[0]]], p)
+        red = np.concatenate([mod(red - matmul_mod(red[:, cols], piv, p), p), piv])
+        pivots += cols
+        n = 0
+        for s in range(0, len(a), step):
+            part = mod(a[s : s + step] - matmul_mod(a[s : s + step, cols], piv, p), p)
+            part = part[part.any(axis=1)]
+            a[n : n + len(part)] = part
+            n += len(part)
+        a = a[:n]
+    order = np.argsort(pivots)
+    return red[order], np.array(pivots, np.int64)[order]
+
+
+def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
+    """Reduced row echelon form over F_p of sparse rows put through a table.
+
+    The rows are entries g, c, v in [0, nrows) x table's columns, g
+    ascending, and table is through_table's, into [0, ncol).  Each round
+    puts the rows through the table.  Then every column that a row not
+    yet a pivot leads at takes the row leading there with the fewest
+    entries as a new pivot, scaled to lead 1, and leveled reduces the new
+    pivots among themselves.  Their pivot_table is the next round's table,
+    which every other row, the earlier pivots included, goes through, so
+    the pivots stay reduced.  Once a round's products would take no less
+    room than its rows as a dense block, three int64 per entry against one
+    per cell, the rows go into one and finish in _dense_rref.  Returns the
+    reduced rows as entries, row k the one with the k-th pivot column
+    ascending, the pivot columns, and the rank of rows 0..nin-1.
+    """
+    kept = 0
+    if 0 < nin < nrows:
+        a = np.searchsorted(g, nin)
+        kept = len(sparse_rref(g[:a], c[:a], v[:a], table, nin, ncol, p)[3])
+    done = np.zeros(nrows, bool)  # the pivot rows
+    new = (g[:0], c[:0], v[:0])  # the last round's pivots, which its table leaves out
+    while True:
+        live = np.concatenate([new[0], g])
+        live = live[_runs(live)[0]]
+        if 3 * table[1][c].sum() >= len(live) * ncol:
+            slot = np.zeros(nrows, np.int64)
+            slot[live] = np.arange(len(live))
+            a = np.zeros((len(live), ncol), np.int64)
+            a[slot[new[0]], new[1]] = new[2]
+            for key, val in _products(slot[g], c, v, table, ncol, p):
+                np.add.at(a.reshape(-1), key, val)
+            a %= p
+            red, pivots = _dense_rref(a, p)
+            g, c = np.nonzero(red)
+            return g, c, red[g, c], pivots, kept if nin < nrows else len(pivots)
+        g, c, v = _joined([new, through_table(g, c, v, table, ncol, p)])
+        heads, count = _runs(g)
+        rows, lead = g[heads], c[heads]
+        free = np.flatnonzero(~done[rows])
+        if not len(free):
+            break
+        order = free[np.lexsort((count[free], lead[free]))]
+        pick = order[_runs(lead[order])[0]]
+        done[rows[pick]] = True
+        scale = np.zeros(len(rows), np.int64)
+        scale[pick] = [pow(x, -1, p) for x in v[heads[pick]].tolist()]
+        scale = np.repeat(scale, count)
+        acc = scale > 0
+        new = leveled(g[acc], c[acc], v[acc] * scale[acc] % p, ncol, p)
+        table = pivot_table(*new, ncol, p)
+        g, c, v = g[~acc], c[~acc], v[~acc]
+    # number the rows by pivot column
+    rank = np.zeros(nrows, np.int64)
+    rank[rows] = np.argsort(np.argsort(lead))
+    order = np.argsort(rank[g], kind="stable")
+    return rank[g][order], c[order], v[order], np.sort(lead), kept if nin < nrows else len(lead)
 
 
 def inv_mod(x, p: int):

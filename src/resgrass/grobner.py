@@ -30,8 +30,8 @@ from math import isqrt
 
 import numpy as np
 
-from .field import _BLOCK, DEFAULT_MODULUS, _add_rows, check_kernel_modulus, is_prime
-from .field import inv_mod, rref_mod, solve_levels
+from .field import _BLOCK, DEFAULT_MODULUS, _runs, check_kernel_modulus, is_prime
+from .field import inv_mod, leveled, pivot_table, sparse_rref, through_table
 
 _W = 8
 _CAP = 127
@@ -500,7 +500,7 @@ class _PairSet:
             self.pruned_lcm += sum(range(a, b)) - ncop - len(first)
             lcms = uniq.view(np.uint8).reshape(-1, n + 4)[:, 4:]
             i, t, d = i[first], t[first], d[first]
-            for deg in np.unique(d).tolist():
+            for deg in np.flatnonzero(np.bincount(d)).tolist():
                 at = d == deg
                 self.queued.setdefault(deg, []).append((lcms[at], i[at], t[at]))
 
@@ -510,25 +510,19 @@ class _PairSet:
         return [np.concatenate(c) for c in zip(*self.queued.pop(d, [none]))]
 
 
-def _clear(mat, cols, rows, p: int):
-    """mat -= mat[:, cols] @ rows mod p in place: zero cols, for echelon rows pivoting there."""
-    r, k = np.nonzero(mat[:, cols])
-    coef = p - mat[r, np.array(cols, np.int64)[k]]
-    _add_rows(mat, r, k, coef, rows, p)
-
-
 class _F4Engine:
     """Buchberger for homogeneous input, one Macaulay matrix per degree (F4).
 
     The rows of degree d, lowest first, are its input generators and every
     S-pair whose lcm has degree d.  Symbolic preprocessing gives each
     monomial they reach that a lead divides one reducer, and the reducers
-    make a table of normal forms over the other columns (the pivot and
-    non-pivot split of Faugere-Lachartre).  Rows mapped through the table
-    go through rref_mod; the nonzero ones are the new elements, and since
-    they are in reduced echelon form over non-pivot columns, the basis is
-    reduced as it grows.  Monomials are digit rows, as in the pair set,
-    which holds the leads; packed ints are left to the input and output.
+    make a sparse table of normal forms over the other columns (the pivot
+    and non-pivot split of Faugere-Lachartre).  field.sparse_rref puts the
+    rows through the table as entries and reduces them in rounds of
+    pivots; the nonzero rows are the new elements, and since they are in
+    reduced echelon form over non-pivot columns, the basis is reduced as it
+    grows.  Monomials are digit rows, as in the pair set, which holds the
+    leads; packed ints are left to the input and output.
     """
 
     def __init__(self, ring, polys):
@@ -564,9 +558,9 @@ class _F4Engine:
             grp = np.concatenate([grp, nin + seg // 2])
             digits = np.concatenate([digits, sdig])
             coef = np.concatenate([coef, np.where(seg % 2, p - scoef, scoef)])
-            cols, nreached, forms = self._table(grp, digits, coef)
+            cols, nreached, rows = self._table(grp, digits, coef)
             t1 = time.perf_counter()
-            leads = self._reduce(d, nin + len(i), nin, cols, nreached, forms)
+            leads = self._reduce(d, nin + len(i), nin, cols, nreached, rows)
             t2 = time.perf_counter()
             self.pairs.add_elements(leads)
             t3 = time.perf_counter()
@@ -602,99 +596,61 @@ class _F4Engine:
         The rows are entries (row, digits, coefficient), rows ascending.
         Each monomial reached is tested against the held leads, and the
         first that divides it gives its reducer.  Returns the non-pivot
-        columns, descending, as digit rows; the count of monomials reached; and
-        forms, which maps rows lo to hi to their normal forms as a matrix
-        over those columns.
+        columns, descending, as digit rows; the count of monomials reached;
+        and the rows as entries with their table, through_table's arguments,
+        whose output is the rows' normal forms over those columns.
         """
         p, leads = self.p, self.pairs
         first, inverse = np.unique(_keys(digits), return_inverse=True)
         reached = todo = first
-        # per pass: the monomials with a reducer, those without, and the
-        # entries of the reducers' rows with the monomial each belongs to
-        found = [(first[:0],) * 4 + (coef[:0],)]
+        # per pass: the monomials with a reducer, and the entries of the
+        # reducers' rows with the monomial each belongs to
+        found = [(first[:0],) * 3 + (coef[:0],)]
         while len(todo):
             rows = _unkeys(todo)
             e = _first_subset(leads.bits, ~_threshold_bits(rows, leads.top))
             hit = e >= 0
             seg, tdig, tcoef = self._shifted(e[hit], leads.digits[e[hit]] - rows[hit])
             tkeys = _keys(tdig)
-            found.append((todo[hit], todo[~hit], todo[hit][seg], tkeys, tcoef))
-            # the tails' monomials not reached yet, merged into reached, which stays sorted
-            todo = np.unique(tkeys)
+            found.append((todo[hit], todo[hit][seg], tkeys, tcoef))
+            # the tails' monomials not reached yet, merged into reached, which
+            # stays sorted; a plain np.unique would import numpy.ma
+            todo = np.sort(tkeys)
+            todo = todo[_runs(todo)[0]]
             at = np.searchsorted(reached, todo)
             fresh = reached[np.minimum(at, len(reached) - 1)] != todo
             todo = todo[fresh]
             reached = np.insert(reached, at[fresh], todo)
-        piv, rest, owner, tkeys, tcoef = (np.concatenate(a) for a in zip(*found))
-        # pivot monomials ascending, then the other columns descending
-        piv, rest = np.sort(piv), np.sort(rest)[::-1]
-        npiv, ncol = len(piv), len(rest)
-        col = np.empty(len(reached), np.int64)
-        col[np.searchsorted(reached, np.concatenate([piv, rest]))] = np.arange(len(reached))
+        piv, owner, tkeys, tcoef = (np.concatenate(a) for a in zip(*found))
+        # column k is the k-th largest monomial reached.  The row of a pivot
+        # monomial is its reducer shifted there, which leads with a 1 at it.
+        n = len(reached)
+        col = lambda keys: n - 1 - np.searchsorted(reached, keys)
+        lead, keep = col(piv), np.ones(n, bool)
+        keep[lead] = False
+        g, c = np.concatenate([lead, col(owner)]), np.concatenate([lead, col(tkeys)])
+        order = np.argsort(g * n + c)
+        v = np.concatenate([np.ones(len(lead), np.int64), tcoef])[order]
+        start, size, tcol, tcoef = pivot_table(*leveled(g[order], c[order], v, n, p), n, p)
+        at = np.cumsum(keep) - 1  # each column's index among the non-pivot ones
+        rows = grp, col(first)[inverse], coef, (start, size, at[tcol], tcoef)
+        return _unkeys(np.ascontiguousarray(reached[::-1][keep])), n, rows
 
-        def entries(g, idx, c, nrows):
-            # a matrix of the non-pivot entries, and the others as arrays
-            out = np.zeros((nrows, ncol), np.int64)
-            at = idx >= npiv
-            np.add.at(out.reshape(-1), g[at] * ncol + idx[at] - npiv, c[at])
-            out %= p
-            return out, g[~at], idx[~at], c[~at]
+    def _reduce(self, d: int, nrows: int, nin: int, cols, nreached: int, rows):
+        """Reduce degree d's rows, the first nin inputs; add the new elements and return leads.
 
-        # the normal form of a pivot monomial m is minus that of its
-        # reducer's tail, which holds only smaller monomials, so each row
-        # reads only rows before it
-        g = col[np.searchsorted(reached, owner)]
-        order = np.argsort(g, kind="stable")
-        idx = col[np.searchsorted(reached, tkeys)]
-        table, tg, ti, tc = entries(g[order], idx[order], p - tcoef[order], npiv)
-        solve_levels(table, tg, ti, tc, p)
-        idx = col[np.searchsorted(reached, first)][inverse]
-
-        def forms(lo, hi):
-            a, b = np.searchsorted(grp, [lo, hi])
-            mat, g, i, c = entries(grp[a:b] - lo, idx[a:b], coef[a:b], hi - lo)
-            _add_rows(mat, g, i, c, table, p)
-            return mat
-
-        return _unkeys(np.ascontiguousarray(rest)), len(reached), forms
-
-    def _reduce(self, d: int, nrows: int, nin: int, cols, nreached: int, forms):
-        """Reduce degree d's rows, the first nin inputs; add the new elements and return leads."""
-        p = self.p
-        ncol = len(cols)
-        # the rows go in slices of at most _BLOCK bytes, inputs first: each is
-        # cleared on the pivots found so far, and its own are cleared above.
-        # Reduced rows stay in slice order, row k pivoting at pivots[k], in a
-        # buffer that doubles when full; they are sorted once at the end.
-        step = max(1, _BLOCK // (8 * max(1, ncol)))
-        red, pivots = np.zeros((0, ncol), np.int64), []
-        kept = 0  # the rank of the inputs alone
-        bounds = [*range(0, nin, step), *range(nin, nrows, step), nrows]
-        for lo, hi in zip(bounds, bounds[1:]):
-            mat = forms(lo, hi)
-            nred = len(pivots)
-            _clear(mat, pivots, red[:nred], p)
-            new, found = rref_mod(mat, p)
-            del mat  # so that no slice is held while the next is mapped
-            _clear(red[:nred], found, new, p)
-            if nred + len(found) > len(red):
-                red = np.concatenate([red, np.zeros((max(len(red), len(found)), ncol), np.int64)])
-            red[nred : nred + len(found)] = new
-            pivots += found
-            if hi == nin:
-                kept = len(pivots)
-        order = np.argsort(pivots)
-        red, pivots = red[order], np.array(pivots, np.int64)[order]
+        rows is _table's, and sparse_rref reduces their normal forms over
+        cols, with the rank of the inputs alone.
+        """
+        g, c, v, pivots, kept = sparse_rref(*rows, nrows, len(cols), self.p, nin)
         # an S-pair reduces to zero unless it adds to the rank of the inputs
-        npairs = nrows - nin
+        npairs, new = nrows - nin, len(pivots)
         self.reductions += npairs
-        self.zero_reductions += npairs - (len(red) - kept)
-        self.degrees[d] = dict(rows=nrows, zero_rows=nrows - len(red),
-                               monomials=nreached, nonpivot=ncol, new=len(red))
-        r, c = np.nonzero(red)
-        tail = c != pivots[r]
-        r, c = r[tail], c[tail]
-        self._add_tails(cols[c], red[r, c], np.bincount(r, minlength=len(red)))
+        self.zero_reductions += npairs - (new - kept)
+        self.degrees[d] = dict(rows=nrows, zero_rows=nrows - new,
+                               monomials=nreached, nonpivot=len(cols), new=new)
+        tail = c != pivots[g]
+        self._add_tails(cols[c[tail]], v[tail], np.bincount(g[tail], minlength=new))
         return cols[pivots]
 
     def stats(self) -> dict:
@@ -726,8 +682,9 @@ def normal_form(f: Poly, gens) -> Poly:
                                  for g, m in zip(gens, leads)], ring.nvars)
     engine._add_tails(digits, coef, np.bincount(grp, minlength=len(gens)))
     engine.pairs.hold(_digits(leads, ring.nvars))
-    cols, _, forms = engine._table(*_sparse([f.terms], ring.nvars))
-    return Poly(ring, dict(zip(_ints(cols), forms(0, 1)[0].tolist())))
+    cols, _, rows = engine._table(*_sparse([f.terms], ring.nvars))
+    _, c, v = through_table(*rows, len(cols), ring.p)
+    return Poly(ring, dict(zip(_ints(cols[c]), v.tolist())))
 
 
 class GroebnerBasis:

@@ -72,10 +72,11 @@ class AomotoComplex:
     I_1..I_{up_to+1} (ideal_slice) and gives the rank.  Combinatorial
     arrangements know their dependencies only up to size 3, so up_to >= 2
     requires a realization.  wedges[k] is grade k's reduced wedge map, so
-    that d_k at a point is one product (differentials).
+    that d_k at a point is one product (differentials).  found takes the
+    (circuits, rank) of that pass when the caller has them already.
     """
 
-    def __init__(self, arr: Arrangement, p: int = DEFAULT_MODULUS, up_to: int = 1):
+    def __init__(self, arr: Arrangement, p: int = DEFAULT_MODULUS, up_to: int = 1, found=None):
         if up_to < 0:
             raise InputError(f"cohomology grade {up_to} is negative")
         check_kernel_modulus(p)
@@ -84,7 +85,7 @@ class AomotoComplex:
                 "cohomology above grade 1 needs I_3 and deeper, which require "
                 "a realization matrix; this arrangement is flats-only"
             )
-        circs, ell = circuits(arr, up_to + 2, p)
+        circs, ell = found or circuits(arr, up_to + 2, p)
         if up_to >= 2 and up_to > ell:
             raise InputError(f"cohomology grade {up_to} exceeds the arrangement rank {ell}")
         self.arr, self.p, self.up_to = arr, p, up_to
@@ -258,13 +259,16 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     of the planes found by the decomposable search.  Agreement plus the
     symmetric difference goes into the report.  Both routes share one Aomoto
     complex and its I_2.  Both budgets, the second on the hyperplane's
-    (q^(n-1) - 1)/(q - 1) points, are checked before either scan, and the
-    boundary check of I_2 runs before either scan too.
+    (q^(n-1) - 1)/(q - 1) points, are checked before the complex is built,
+    and the boundary check of I_2 runs before either scan.  dim I_2 comes
+    from the size-3 circuits alone: ideal_slice gives I_2 one row per
+    distinct {a, b} of a circuit a < b < c.
     """
     check_kernel_modulus(q, "enumeration field size")
-    cx = AomotoComplex(arr, q)
-    check_budget(q, cx.parts[2].dim(), budget, DECOMPOSABLE_SEARCH)
+    found = circuits(arr, 3, q)
+    check_budget(q, len({C[:2] for C in found[0]}), budget, DECOMPOSABLE_SEARCH)
     check_budget(q, arr.n - 1, budget, POINT_ENUMERATION)
+    cx = AomotoComplex(arr, q, found=found)
     resonant = set(_resonant_points(cx))
     planes = _decomposable_planes(cx.parts[2])
     # the q + 1 points of a plane are distinct, so only a point on two planes repeats

@@ -1,9 +1,13 @@
 """Small arrangements and moduli shared by the test modules."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from heapq import heapify, heappop, heappush
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
@@ -406,6 +410,14 @@ def first_of_each_multiple(polys):
             seen.add(key)
             out.append(f)
     return out
+
+
+def run_python(code: str):
+    """code run in a fresh interpreter on this checkout's resgrass: its CompletedProcess, text mode."""
+    import resgrass
+
+    env = {**os.environ, "PYTHONPATH": str(Path(resgrass.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
 
 
 def random_simple_realization(rng, p):

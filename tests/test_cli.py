@@ -11,7 +11,7 @@ import pytest
 from resgrass import cli
 from resgrass.cli import main
 
-from cases import MALFORMED_JSON, NON_STRING_NAMES
+from cases import MALFORMED_JSON, NON_STRING_NAMES, run_python
 
 PENCIL = "flats n=3\n0,1,2\n"
 BOOLEAN = "matrix\n1 0 0\n0 1 0\n0 0 1\n"
@@ -347,6 +347,15 @@ def test_wide_entries_act_as_their_residues(capsys, tmp_path, p):
         assert all(c[0] == 0 for c in calls)
         outs.append(calls)
     assert outs[0] == outs[1]
+
+
+def test_r1_does_not_import_numpy_ma():
+    # a plain np.unique imports numpy.ma, several ms and about 1 MB per process
+    out = run_python(
+        "import sys\nfrom resgrass import cli\n"
+        "cli.main(['r1', '--fixture', 'A3'])\nprint('numpy.ma' in sys.modules)\n"
+    )
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_budget_errors_exit_3(capsys):

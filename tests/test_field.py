@@ -21,6 +21,7 @@ from resgrass.field import (
     rank,
     rref,
     rref_mod,
+    sparse_rref,
 )
 from resgrass.grobner import PolyRing
 
@@ -320,6 +321,78 @@ def test_leveled_rref_matches_rref_mod(p, monkeypatch):
     for empty in (np.zeros((0, 5), dtype=np.int64), np.zeros((0, 0), dtype=np.int64)):
         red, pivots = leveled_rref(empty, p)
         assert red.shape == empty.shape and pivots == []
+
+
+def sparse_matrix(rng, p: int, kind: str):
+    """A seeded list of rows of one kind, and its column count, for sparse_rref."""
+    ncols = rng.randrange(1, 12)
+    entry = lambda: rng.choice((1, p - 1, rng.randrange(1, p)))
+    nrows = rng.randrange(1, 14)
+    if kind == "empty":
+        return [], ncols
+    if kind == "sparse":
+        rows = [[0] * ncols for _ in range(nrows)]
+        for row in rows:
+            for c in rng.sample(range(ncols), min(ncols, rng.randrange(1, 4))):
+                row[c] = entry()
+        return rows, ncols
+    if kind == "dense":
+        return [[entry() for _ in range(ncols)] for _ in range(nrows)], ncols
+    if kind == "rank deficient":
+        r = rng.randrange(1, 4)
+        left = [[rng.choice((0, entry())) for _ in range(r)] for _ in range(nrows)]
+        right = [[rng.choice((0, entry())) for _ in range(ncols)] for _ in range(r)]
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*right)] for row in left], ncols
+    rows, ncols = sparse_matrix(rng, p, rng.choice(("sparse", "dense")))
+    if kind == "duplicates":
+        return [rows[rng.randrange(len(rows))] for _ in range(2 * len(rows))], ncols
+    return [row if rng.random() < 0.5 else [0] * ncols for row in rows], ncols  # zero rows
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_MODULUS])
+def test_sparse_rref_matches_the_reference(p, monkeypatch):
+    """sparse_rref against cases.reference_rref: the rows, the pivots and the inputs-first rank.
+
+    The rows go through a seeded table, so that the rref is of their
+    product with it: the identity, or a random sparse table into anything
+    from no columns to one more than the rows have.  Both the rounds on
+    entries and the dense finish must run.
+    """
+    finishes = []
+    real = field._dense_rref
+    monkeypatch.setattr(field, "_dense_rref", lambda a, q: finishes.append(a.shape) or real(a, q))
+    rng = random.Random(p)
+    kinds = ("sparse", "dense", "rank deficient", "duplicates", "zero rows", "empty")
+    rounds_only = 0
+    for trial in range(240):
+        rows, n = sparse_matrix(rng, p, kinds[trial % len(kinds)])
+        ncol = n if trial % 3 == 0 else rng.randrange(n + 2)
+        tab = [[0] * ncol for _ in range(n)]
+        for k, trow in enumerate(tab):
+            if trial % 3 == 0:
+                trow[k] = 1
+            else:
+                for c in rng.sample(range(ncol), rng.randrange(0, min(ncol, 3) + 1)):
+                    trow[c] = rng.randrange(1, p)
+        mat = [[sum(x * t[c] for x, t in zip(row, tab)) % p for c in range(ncol)] for row in rows]
+        flat = np.array(tab, dtype=np.int64).reshape(n, ncol)
+        tk, tc = np.nonzero(flat)
+        size = np.bincount(tk, minlength=n)
+        table = (np.cumsum(size) - size, size, tc, flat[tk, tc])
+        dense = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        g, c = np.nonzero(dense)
+        nin = rng.randrange(len(rows) + 1)
+        before = len(finishes)
+        rg, rc, rv, pivots, kept = sparse_rref(g, c, dense[g, c], table, len(rows), ncol, p, nin)
+        rounds_only += len(finishes) == before
+        want, want_pivots = reference_rref(mat, ncol, p)
+        got = np.zeros((len(pivots), ncol), dtype=np.int64)
+        got[rg, rc] = rv
+        assert (got.tolist(), pivots.tolist()) == (want, want_pivots)
+        # by row, then column, and no zero entry: _add_tails reads them in this order
+        assert np.all(np.diff(rg * ncol + rc) > 0) and np.all(rv > 0)
+        assert kept == len(reference_rref(mat[:nin], ncol, p)[1])
+    assert finishes and rounds_only, (len(finishes), rounds_only)
 
 
 # 2^12 - 1 and (3^8 - 1)/2 points take several batches, with carries across them

@@ -30,7 +30,9 @@ from cases import (
     PENCIL,
     braid,
     braid_rows,
+    random_simple_realization,
     reference_differentials,
+    run_python,
 )
 
 P = 31991
@@ -275,6 +277,47 @@ def test_check_prop21_refuses_a_budget_before_either_scan(capsys, monkeypatch):
         "error: resonant point enumeration needs 2801 candidates, over the budget of 2000"
         " (pass a larger budget to override)\n"
     )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_check_prop21_counts_i2_from_the_triples_before_building_the_complex(q, monkeypatch):
+    # one row of I_2 per distinct {a, b} of a dependent triple a < b < c
+    arrs = [fixture("A3"), fixture("Hessian"), braid(4), PENCIL, BOOLEAN]
+    rng = random.Random(q)
+    arrs += [random_simple_realization(rng, q) for _ in range(20)]
+    dims = {AomotoComplex(arr, q).parts[2].dim() for arr in arrs}
+    assert len(dims) > 2  # the sample is not all of one size
+    real = oracle.AomotoComplex
+    for arr in arrs:
+        want = real(arr, q).parts[2].dim()
+        monkeypatch.setattr(oracle, "AomotoComplex", None)  # any call raises TypeError
+        with pytest.raises(BudgetError, match="decomposable search") as exc:
+            check_prop21(arr, q, budget=(q**want - 1) // (q - 1) - 1)
+        assert exc.value.candidates == (q**want - 1) // (q - 1)
+        monkeypatch.setattr(oracle, "AomotoComplex", real)
+
+
+def test_oracle_refuses_a_wide_support_without_building_the_complex(tmp_path):
+    # the point budget needs only n, so 80 hyperplanes with two triples are
+    # refused before the C(80, 3) wedge tables of I_1 and I_2 are built
+    path = tmp_path / "two80.txt"
+    path.write_text("flats n=80\n0,1,2\n3,4,5\n")
+    # VmHWM is this process's own peak: ru_maxrss would also count the
+    # pytest process it was forked from
+    code = (
+        "import time\n"
+        "from resgrass import cli\n"
+        "t = time.perf_counter()\n"
+        f"code = cli.main(['oracle', '--input', {str(path)!r}, '--q', '3'])\n"
+        "peak = [x for x in open('/proc/self/status') if x.startswith('VmHWM:')]\n"
+        "print(code, time.perf_counter() - t, peak[0].split()[1] if peak else 0)\n"
+    )
+    out = run_python(code)
+    assert "resonant point enumeration needs" in out.stderr
+    exit_code, seconds, maxrss_kb = out.stdout.split()
+    assert int(exit_code) == 3
+    assert float(seconds) <= 0.05
+    assert int(maxrss_kb) <= 40 * 1024
 
 
 def test_point_budget_counts_the_sum_zero_hyperplane(capsys):
