@@ -189,18 +189,28 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
     return ideal_slice(arr.n, k, p, circuits(arr, min(k + 1, arr.n), p)[0])
 
 
-def ideal_slice(n: int, k: int, p: int, circs) -> Subspace:
-    """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out.
+def leading_sets(n: int, k: int, circs) -> dict:
+    """The leading k-sets of I_k's rows, each with the first of circs, of size <= k + 1, that reaches it.
 
-    Each leading k-set T keeps the first circuit C that reaches it, and its
-    row is the facet sum of os_ideal_part.
+    A circuit C reaches every k-set of n hyperplanes that holds C less its
+    largest element, so there are dim I_k of them.
     """
-    sub = Subspace(n, k, p, None, None, [C for C in circs if len(C) <= k + 1])
-    leads = {}  # leading k-set -> the circuit of its row
-    for C in sub.circuits:
+    leads = {}
+    for C in circs:
         rest = [i for i in range(n) if i not in C[:-1]]
         for J in combinations(rest, k - len(C) + 1):
             leads.setdefault(tuple(sorted(J + C[:-1])), C)
+    return leads
+
+
+def ideal_slice(n: int, k: int, p: int, circs) -> Subspace:
+    """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out.
+
+    Each leading k-set T keeps the first circuit C that reaches it
+    (leading_sets), and its row is the facet sum of os_ideal_part.
+    """
+    sub = Subspace(n, k, p, None, None, [C for C in circs if len(C) <= k + 1])
+    leads = leading_sets(n, k, sub.circuits)
     mat = np.zeros((len(leads), len(sub.subsets)), dtype=np.int64)
     for r, (T, C) in enumerate(leads.items()):
         if C[-1] in T:

@@ -2,22 +2,23 @@
 
 Dense rank and row reduction goes through the numpy kernels rref_mod (the
 oracle's ranks, rref, rank and kernel_basis) and batch_rank, for moduli up
-to MAX_KERNEL_MODULUS, or, where the rows lead in distinct columns, through
-the leveled solve solve_levels (leveled_rref).  The F4 engine's Macaulay
-rows stay sparse: sparse_rref holds them as entries (row, column, value),
-puts them through a table of normal forms (through_table) and eliminates
-them in rounds of pivots, which leveled, the leveled solve on entries,
-reduces among themselves; rows whose entries would take no less room than
-a dense block finish in rounds on one.  rref_mod and solve_levels work in
-int64; batch_rank and matmul_mod work in the narrowest integer type that
-holds every value they form, int8 for the F_3 scans and int32 at p =
-31991, and take remainders through mod, which is many times faster than
-numpy's % on large arrays.  batch_rank eliminates a stack of matrices with
-the batch axis innermost, so every step runs along the whole batch rather
-than along one matrix's rows.  rref, rank and kernel_basis take plain lists
-of rows of any integers and reduce them mod p before they reach a kernel.
-Everything in this package is exact: matmul_mod computes in float32 or
-float64 only where every sum stays below 2^24 or 2^53.
+to MAX_KERNEL_MODULUS.  Rows held as entries (row, column, value) go
+through a table of normal forms in through_table; rows led by a 1 in
+distinct columns are reduced among themselves by leveled, the leveled
+solve on entries, which leveled_rref applies to a dense array.  The F4
+engine's Macaulay rows stay entries: sparse_rref eliminates them in rounds
+of pivots, which leveled reduces, and rows whose entries would take no
+less room than a dense array finish through rref_mod in slices of _BLOCK
+bytes.  rref_mod works in int64; batch_rank and matmul_mod work in the
+narrowest integer type that holds every value they form, int8 for the F_3
+scans and int32 at p = 31991, and take remainders through mod, which is
+many times faster than numpy's % on large arrays.  batch_rank eliminates a
+stack of matrices with the batch axis innermost, so every step runs along
+the whole batch rather than along one matrix's rows.  rref, rank and
+kernel_basis take plain lists of rows of any integers and reduce them mod
+p before they reach a kernel.  Everything in this package is exact:
+matmul_mod computes in float32 or float64 only where every sum stays below
+2^24 or 2^53.
 """
 
 from __future__ import annotations
@@ -161,60 +162,6 @@ def rref_mod(mat, p: int):
     return a[:r], pivots
 
 
-def _add_rows(out, grp, idx, coef, src, p: int):
-    """out[grp[e]] += coef[e] * src[idx[e]] mod p for every entry e, grp ascending.
-
-    Products are reduced mod p before they are summed, so nothing leaves
-    int64 for p < 2^31; entries go in blocks that keep temporaries under _BLOCK.
-    """
-    step = max(1, _BLOCK // (8 * max(1, src.shape[1])))
-    for s in range(0, len(grp), step):
-        g = grp[s : s + step]
-        starts = np.flatnonzero(np.diff(g, prepend=-1))
-        part = src[idx[s : s + step]] * coef[s : s + step, None] % p
-        at = g[starts]
-        out[at] = (out[at] + np.add.reduceat(part, starts)) % p
-
-
-def solve_levels(out, grp, idx, coef, p: int):
-    """out[r] += coef[e] * out[idx[e]] mod p over the entries e of row r = grp[e], in place.
-
-    grp ascends and idx[e] < grp[e]: a row's level is one more than the
-    highest level it reads, and each level is one _add_rows on final rows.
-    """
-    depth = [0] * len(out)
-    for r, j in zip(grp.tolist(), idx.tolist()):
-        depth[r] = max(depth[r], depth[j] + 1)
-    level = np.array(depth, np.int64)
-    for lv in range(1, max(depth, default=0) + 1):
-        sel = level[grp] == lv
-        _add_rows(out, grp[sel], idx[sel], coef[sel], out, p)
-
-
-def leveled_rref(mat, p: int):
-    """rref_mod of a 2-D integer array whose rows lead in distinct columns, with no pivot search.
-
-    Sorted by leading column, last first, and scaled to a leading 1, each
-    row holds only the leads of rows before it, and solve_levels clears them.
-    """
-    m = np.asarray(mat, dtype=np.int64)
-    if not len(m):
-        return m, []
-    lead = (m % p != 0).argmax(axis=1)
-    row = np.full(m.shape[1], len(m))  # the row leading at each column
-    row[lead] = np.arange(len(m))
-    order = row[row < len(m)][::-1]
-    a, lead = m[order] % p, lead[order]
-    a *= inv_mod(a[np.arange(len(a)), lead], p)[:, None]
-    a %= p
-    # entry (r, c) reads the row leading at c, which comes before r
-    row[lead] = np.arange(len(a))
-    grp, col = np.nonzero(a)
-    sel = row[col] < grp
-    solve_levels(a, grp[sel], row[col[sel]], p - a[grp[sel], col[sel]], p)
-    return a[::-1], lead[::-1].tolist()
-
-
 def _runs(x):
     """The first index and the length of each run of equal values in a 1-D array."""
     heads = np.flatnonzero(np.concatenate(([len(x) > 0], x[1:] != x[:-1])))
@@ -284,10 +231,9 @@ def pivot_table(g, c, v, ncol: int, p: int):
 def leveled(g, c, v, ncol: int, p: int):
     """Sparse rows led by a 1 in distinct columns, reduced among themselves.
 
-    solve_levels on entries: a row reads the rows leading at the columns
-    of its tail, and its level is one more than the highest level it reads.
-    Each level goes through the rows below it, which are final, in one
-    through_table.
+    A row reads the rows leading at the columns of its tail, and its level
+    is one more than the highest level it reads.  Each level goes through
+    the rows it reads, which are final, in one through_table.
     """
     heads, count = _runs(g)
     rows = g[heads]
@@ -298,47 +244,70 @@ def leveled(g, c, v, ncol: int, p: int):
     # a row reads only past its lead, so taking the columns read from the
     # last, a row's level is final before any row reads it
     reads = reads[np.argsort(-c[reads], kind="stable")]
+    reader, read = r[reads], owner[c[reads]]
     depth = [0] * len(heads)
-    for i, j in zip(r[reads].tolist(), owner[c[reads]].tolist()):
+    for i, j in zip(reader.tolist(), read.tolist()):
         depth[i] = max(depth[i], depth[j] + 1)
     depth = np.array(depth, np.int64)
     for lv in range(1, depth.max(initial=0) + 1):
-        low, cur = depth[r] < lv, depth[r] == lv
+        # the rows read at this level, which are below it and final
+        low = np.zeros(len(heads), bool)
+        low[read[depth[reader] == lv]] = True
+        low, cur = low[r], depth[r] == lv
         table = pivot_table(r[low], c[low], v[low], ncol, p)
         final = through_table(r[cur], c[cur], v[cur], table, ncol, p)
         r, c, v = _joined([(r[~cur], c[~cur], v[~cur]), final])
     return rows[r], c, v
 
 
-def _dense_rref(a, p: int):
-    """rref_mod of a 2-D array of residues by rounds of pivots, in place, without a per-column loop.
+def leveled_rref(mat, p: int):
+    """rref_mod of a 2-D integer array whose rows lead in distinct columns, with no pivot search.
 
-    Each round takes, for every column some row leads at, the row leading
-    there with the fewest nonzeros; leveled_rref reduces those among
-    themselves, and matmul_mod clears their columns from the earlier
-    pivots and from every other row, in slices of _BLOCK bytes, which
-    also move the rows left nonzero up over those left zero, the round's
-    own rows among them.
+    The rows, scaled to a leading 1, go through leveled as entries.
     """
-    red, pivots = a[:0], []
-    step = max(1, _BLOCK // (8 * max(1, a.shape[1])))
-    while a.any():
-        nz = a != 0
-        count, lead = nz.sum(axis=1), nz.argmax(axis=1)
-        order = np.lexsort((count, lead))
-        order = order[count[order] > 0]
-        piv, cols = leveled_rref(a[order[_runs(lead[order])[0]]], p)
-        red = np.concatenate([mod(red - matmul_mod(red[:, cols], piv, p), p), piv])
-        pivots += cols
-        n = 0
-        for s in range(0, len(a), step):
-            part = mod(a[s : s + step] - matmul_mod(a[s : s + step, cols], piv, p), p)
-            part = part[part.any(axis=1)]
-            a[n : n + len(part)] = part
-            n += len(part)
-        a = a[:n]
-    order = np.argsort(pivots)
-    return red[order], np.array(pivots, np.int64)[order]
+    a = np.asarray(mat, dtype=np.int64) % p
+    g, c = np.nonzero(a)
+    heads, count = _runs(g)
+    rows, lead = g[heads], c[heads]
+    v = a[g, c] * np.repeat(inv_mod(a[rows, lead], p), count) % p
+    g, c, v = leveled(g, c, v, a.shape[1], p)
+    order = np.argsort(lead)
+    at = np.zeros(len(a), np.int64)  # each row's place by leading column
+    at[rows[order]] = np.arange(len(rows))
+    a[:] = 0
+    a[at[g], c] = v
+    return a[: len(rows)], lead[order].tolist()
+
+
+def _dense_finish(g, c, v, table, pivots, ncol: int, p: int):
+    """The rref of reduced rows and of sparse rows put through a table, as one dense array.
+
+    pivots = (g, c, v) are rows led by a 1 in distinct columns and reduced
+    among themselves, which the table leaves out; the other rows are
+    entries g, c, v in table's columns.  Those go in slices of at most
+    _BLOCK bytes: each is cleared on the pivots found so far by matmul_mod,
+    its nonzero rows go through rref_mod, and the earlier pivots are
+    cleared on its own.  Returns the reduced rows, by pivot column, and the
+    pivot columns.
+    """
+    heads, count = _runs(pivots[0])
+    red = np.zeros((len(heads), ncol), np.int64)
+    red[np.repeat(np.arange(len(heads)), count), pivots[1]] = pivots[2]
+    found = pivots[1][heads]
+    heads = _runs(g)[0]
+    step = max(1, _BLOCK // (8 * max(1, ncol)))
+    for lo, hi in zip(heads[::step].tolist(), [*heads[step::step].tolist(), len(g)]):
+        local = np.cumsum(np.diff(g[lo:hi], prepend=g[lo]) != 0)
+        part = np.zeros((local[-1] + 1, ncol), np.int64)
+        for key, val in _products(local, c[lo:hi], v[lo:hi], table, ncol, p):
+            np.add.at(part.reshape(-1), key, val)
+        part = mod(part, p)
+        part = mod(part - matmul_mod(part[:, found], red, p), p)
+        new, cols = rref_mod(part[part.any(axis=1)], p)
+        red = np.concatenate([mod(red - matmul_mod(red[:, cols], new, p), p), new])
+        found = np.concatenate([found, np.array(cols, np.int64)])
+    order = np.argsort(found)
+    return red[order], found[order]
 
 
 def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
@@ -352,8 +321,8 @@ def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
     pivots among themselves.  Their pivot_table is the next round's table,
     which every other row, the earlier pivots included, goes through, so
     the pivots stay reduced.  Once a round's products would take no less
-    room than its rows as a dense block, three int64 per entry against one
-    per cell, the rows go into one and finish in _dense_rref.  Returns the
+    room than its rows as a dense array, three int64 per entry against one
+    per cell, the rows finish in _dense_finish.  Returns the
     reduced rows as entries, row k the one with the k-th pivot column
     ascending, the pivot columns, and the rank of rows 0..nin-1.
     """
@@ -367,14 +336,7 @@ def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
         live = np.concatenate([new[0], g])
         live = live[_runs(live)[0]]
         if 3 * table[1][c].sum() >= len(live) * ncol:
-            slot = np.zeros(nrows, np.int64)
-            slot[live] = np.arange(len(live))
-            a = np.zeros((len(live), ncol), np.int64)
-            a[slot[new[0]], new[1]] = new[2]
-            for key, val in _products(slot[g], c, v, table, ncol, p):
-                np.add.at(a.reshape(-1), key, val)
-            a %= p
-            red, pivots = _dense_rref(a, p)
+            red, pivots = _dense_finish(g, c, v, table, new, ncol, p)
             g, c = np.nonzero(red)
             return g, c, red[g, c], pivots, kept if nin < nrows else len(pivots)
         g, c, v = _joined([new, through_table(g, c, v, table, ncol, p)])
@@ -387,7 +349,7 @@ def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
         pick = order[_runs(lead[order])[0]]
         done[rows[pick]] = True
         scale = np.zeros(len(rows), np.int64)
-        scale[pick] = [pow(x, -1, p) for x in v[heads[pick]].tolist()]
+        scale[pick] = inv_mod(v[heads[pick]], p)
         scale = np.repeat(scale, count)
         acc = scale > 0
         new = leveled(g[acc], c[acc], v[acc] * scale[acc] % p, ncol, p)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrangement import Arrangement, circuits
 from .errors import InputError, check_budget
-from .exterior import ExtElement, Subspace, ideal_slice
+from .exterior import ExtElement, Subspace, ideal_slice, leading_sets
 from .field import BATCH_ROWS, DEFAULT_MODULUS, batch_rank, check_kernel_modulus
 from .field import matmul_mod, projective_points, rref_mod
 from .resonance import DECOMPOSABLE_SEARCH, _decomposable_planes
@@ -260,13 +260,12 @@ def check_prop21(arr: Arrangement, q: int, budget: int | None = None) -> Prop21R
     symmetric difference goes into the report.  Both routes share one Aomoto
     complex and its I_2.  Both budgets, the second on the hyperplane's
     (q^(n-1) - 1)/(q - 1) points, are checked before the complex is built,
-    and the boundary check of I_2 runs before either scan.  dim I_2 comes
-    from the size-3 circuits alone: ideal_slice gives I_2 one row per
-    distinct {a, b} of a circuit a < b < c.
+    and the boundary check of I_2 runs before either scan.  dim I_2 is the
+    count of its leading sets, which the size-3 circuits give.
     """
     check_kernel_modulus(q, "enumeration field size")
     found = circuits(arr, 3, q)
-    check_budget(q, len({C[:2] for C in found[0]}), budget, DECOMPOSABLE_SEARCH)
+    check_budget(q, len(leading_sets(arr.n, 2, found[0])), budget, DECOMPOSABLE_SEARCH)
     check_budget(q, arr.n - 1, budget, POINT_ENUMERATION)
     cx = AomotoComplex(arr, q, found=found)
     resonant = set(_resonant_points(cx))

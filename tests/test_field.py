@@ -293,13 +293,13 @@ def test_leveled_rref_matches_rref_mod(p, monkeypatch):
     bidiagonal matrix, each row reading the next, makes one level per row.
     """
     levels = []
-    real = field._add_rows
+    real = field.through_table
 
-    def counting(out, grp, *args):
-        levels.append(len(grp))
-        return real(out, grp, *args)
+    def counting(g, *args):
+        levels.append(len(g))
+        return real(g, *args)
 
-    monkeypatch.setattr(field, "_add_rows", counting)
+    monkeypatch.setattr(field, "through_table", counting)
     rng = random.Random(p)
     for rows, cols in ((1, 1), (4, 4), (5, 9), (8, 8), (12, 20)):
         for _ in range(10):
@@ -356,15 +356,18 @@ def test_sparse_rref_matches_the_reference(p, monkeypatch):
     The rows go through a seeded table, so that the rref is of their
     product with it: the identity, or a random sparse table into anything
     from no columns to one more than the rows have.  Both the rounds on
-    entries and the dense finish must run.
+    entries and the dense finish must run, and every other matrix takes
+    64-byte blocks, so that the finish goes in several slices.
     """
-    finishes = []
-    real = field._dense_rref
-    monkeypatch.setattr(field, "_dense_rref", lambda a, q: finishes.append(a.shape) or real(a, q))
+    slices = []
+    real = field.rref_mod
+    monkeypatch.setattr(field, "rref_mod", lambda a, q: slices.append(len(a)) or real(a, q))
+    block = field._BLOCK
     rng = random.Random(p)
     kinds = ("sparse", "dense", "rank deficient", "duplicates", "zero rows", "empty")
-    rounds_only = 0
+    rounds_only = sliced = 0
     for trial in range(240):
+        monkeypatch.setattr(field, "_BLOCK", 64 if trial % 2 else block)
         rows, n = sparse_matrix(rng, p, kinds[trial % len(kinds)])
         ncol = n if trial % 3 == 0 else rng.randrange(n + 2)
         tab = [[0] * ncol for _ in range(n)]
@@ -382,9 +385,10 @@ def test_sparse_rref_matches_the_reference(p, monkeypatch):
         dense = np.array(rows, dtype=np.int64).reshape(len(rows), n)
         g, c = np.nonzero(dense)
         nin = rng.randrange(len(rows) + 1)
-        before = len(finishes)
+        slices.clear()
         rg, rc, rv, pivots, kept = sparse_rref(g, c, dense[g, c], table, len(rows), ncol, p, nin)
-        rounds_only += len(finishes) == before
+        rounds_only += not slices
+        sliced += len(slices) > 1
         want, want_pivots = reference_rref(mat, ncol, p)
         got = np.zeros((len(pivots), ncol), dtype=np.int64)
         got[rg, rc] = rv
@@ -392,7 +396,7 @@ def test_sparse_rref_matches_the_reference(p, monkeypatch):
         # by row, then column, and no zero entry: _add_tails reads them in this order
         assert np.all(np.diff(rg * ncol + rc) > 0) and np.all(rv > 0)
         assert kept == len(reference_rref(mat[:nin], ncol, p)[1])
-    assert finishes and rounds_only, (len(finishes), rounds_only)
+    assert sliced and rounds_only, (sliced, rounds_only)
 
 
 # 2^12 - 1 and (3^8 - 1)/2 points take several batches, with carries across them
