@@ -1,13 +1,15 @@
 """Command-line front end for the resonance pipeline and its oracles.
 
 Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
-a grevlex Groebner basis), check-point (Aomoto profile and resonance verdict
-for one point), oracle (exhaustive small-field cross-check, capped by
---budget), fixtures (list built-ins), bench (per-stage r1 timings with the
-Groebner engine's counters and times per degree and the Hilbert recursion's
-calls and memo hits, on the fixtures and braid A4
-and A5, or on one --fixture, the A3 oracle over F_5 and F_7, and
-an Aomoto complex to grade 3 with one profile on braid A4; --json adds the
+a grevlex Groebner basis; --stats adds the engine's counters, the census of
+components named from the flats and the HP's decode into sub-Grassmannians),
+check-point (Aomoto profile and resonance verdict for one point), oracle
+(exhaustive small-field cross-check, capped by --budget), fixtures (list
+built-ins), bench (per-stage r1 timings with the Groebner engine's counters
+and times per degree, the degree it stopped after, if it did, and the
+Hilbert recursion's calls and memo hits, on the fixtures and braid A4 and
+A5, or on one --fixture, the A3 oracle over F_5 and F_7, and an Aomoto
+complex to grade 3 with one profile on braid A4; --json adds the
 python and numpy versions, the core count, the git revision of the
 package's checkout, whether bytecode writing is off and whether the package
 holds cached bytecode; no external baseline is run).  Exit codes: 0 success,
@@ -70,7 +72,7 @@ def cmd_r1(args) -> int:
     arr = _load(args, args.p)
     rep = r1_hilbert(arr, p=args.p)
     if args.json:
-        print(rep.to_json())
+        print(rep.to_json(stats=args.stats))
         return 0
     print(f"arrangement: {arr.describe()}")
     print(f"hilbert: {rep.hilbert}")
@@ -78,6 +80,8 @@ def cmd_r1(args) -> int:
     print(f"span forms: {rep.n_span_forms}")
     t = rep.timings_ms
     print("timings ms: " + "  ".join(f"{s}={t[s]:.3f}" for s in STAGES))
+    if args.stats:
+        print("stats: " + json.dumps(json.loads(rep.to_json(stats=True))["stats"]))
     return 0
 
 
@@ -180,7 +184,7 @@ def cmd_bench(args) -> int:
                                  ms(lambda e: e["degrees"][d][k]) if k.endswith("_s") else v
                                  for k, v in c.items()} for d, c in engine["degrees"].items()}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
-                            stages=stages, engine=engine))
+                            stopped_at=engine.get("stopped_at"), stages=stages, engine=engine))
     oracle = []
     for arr, q in ((fixture("A3"), 5), (fixture("A3"), 7), (a4, 3)):
         reps, ms = _timed(lambda: check_prop21(arr, q), args.repeat)
@@ -210,7 +214,9 @@ def cmd_bench(args) -> int:
                           "environment": env}))
         return 0
     for res in results:
-        print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']})")
+        stop = res["stopped_at"]
+        stop = f"  stopped after degree {stop}" if stop else "  ran to the end"
+        print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']}){stop}")
         eng = res["engine"]
         for s in STAGES:
             st = res["stages"][s]
@@ -242,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r1 = sub.add_parser("r1", parents=[src], help="Hilbert polynomial of R^1")
     r1.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="field modulus (prime)")
+    r1.add_argument("--stats", action="store_true",
+                    help="add the engine's counters, the component census and the HP's decode")
     r1.set_defaults(func=cmd_r1)
 
     cp = sub.add_parser("check-point", parents=[src], help="resonance verdict for a point")

@@ -279,6 +279,15 @@ def leveled_rref(mat, p: int):
     return a[: len(rows)], lead[order].tolist()
 
 
+def _dense(g, c, v, table, ncol: int, p: int):
+    """Sparse rows put through a table as one dense array, their rows numbered from 0 in order."""
+    local = np.cumsum(np.diff(g, prepend=g[0]) != 0)
+    part = np.zeros((local[-1] + 1, ncol), np.int64)
+    for key, val in _products(local, c, v, table, ncol, p):
+        np.add.at(part.reshape(-1), key, val)
+    return mod(part, p)
+
+
 def _dense_finish(g, c, v, table, pivots, ncol: int, p: int):
     """The rref of reduced rows and of sparse rows put through a table, as one dense array.
 
@@ -287,21 +296,21 @@ def _dense_finish(g, c, v, table, pivots, ncol: int, p: int):
     entries g, c, v in table's columns.  Those go in slices of at most
     _BLOCK bytes: each is cleared on the pivots found so far by matmul_mod,
     its nonzero rows go through rref_mod, and the earlier pivots are
-    cleared on its own.  Returns the reduced rows, by pivot column, and the
-    pivot columns.
+    cleared on its own.  Rows that fit one slice with no pivots yet go
+    through rref_mod alone.  Returns the reduced rows, by pivot column, and
+    the pivot columns.
     """
-    heads, count = _runs(pivots[0])
-    red = np.zeros((len(heads), ncol), np.int64)
-    red[np.repeat(np.arange(len(heads)), count), pivots[1]] = pivots[2]
-    found = pivots[1][heads]
     heads = _runs(g)[0]
     step = max(1, _BLOCK // (8 * max(1, ncol)))
+    if 0 < len(heads) <= step and not len(pivots[0]):
+        red, cols = rref_mod(_dense(g, c, v, table, ncol, p), p)
+        return red, np.array(cols, np.int64)
+    starts, count = _runs(pivots[0])
+    red = np.zeros((len(starts), ncol), np.int64)
+    red[np.repeat(np.arange(len(starts)), count), pivots[1]] = pivots[2]
+    found = pivots[1][starts]
     for lo, hi in zip(heads[::step].tolist(), [*heads[step::step].tolist(), len(g)]):
-        local = np.cumsum(np.diff(g[lo:hi], prepend=g[lo]) != 0)
-        part = np.zeros((local[-1] + 1, ncol), np.int64)
-        for key, val in _products(local, c[lo:hi], v[lo:hi], table, ncol, p):
-            np.add.at(part.reshape(-1), key, val)
-        part = mod(part, p)
+        part = _dense(g[lo:hi], c[lo:hi], v[lo:hi], table, ncol, p)
         part = mod(part - matmul_mod(part[:, found], red, p), p)
         new, cols = rref_mod(part[part.any(axis=1)], p)
         red = np.concatenate([mod(red - matmul_mod(red[:, cols], new, p), p), new])

@@ -540,10 +540,13 @@ class _F4Engine:
         # new elements, and the seconds of the symbolic, elimination and pair steps
         self.degrees: dict = {}
         self.reductions = self.zero_reductions = 0  # S-pairs
+        self.stopped_at = None  # the degree after which a stop hook ended the run
 
-    def run(self):
+    def run(self, stop=None):
         # a new lead of degree d is reduced by every older lead, so its pairs
-        # have lcm degree above d: no pair joins a degree once it is taken
+        # have lcm degree above d: no pair joins a degree once it is taken.
+        # stop, given the digit rows of every lead after a degree, ends the
+        # run there when it returns True, before that degree's pairs are formed
         n, p = self.ord.nvars, self.p
         while (d := min([*self.inputs, *self.pairs.queued], default=_CAP + 1)) <= _CAP:
             t0 = time.perf_counter()
@@ -562,10 +565,14 @@ class _F4Engine:
             t1 = time.perf_counter()
             leads = self._reduce(d, nin + len(i), nin, cols, nreached, rows)
             t2 = time.perf_counter()
-            self.pairs.add_elements(leads)
+            done = stop is not None and stop(np.concatenate([self.pairs.digits, leads]))
+            (self.pairs.hold if done else self.pairs.add_elements)(leads)
             t3 = time.perf_counter()
             self.degrees[d].update(symbolic_s=t1 - t0, elim_s=t2 - t1, pairs_s=t3 - t2)
-        if self.pairs.queued:
+            if done:
+                self.stopped_at = d
+                break
+        if self.pairs.queued and self.stopped_at is None:
             # its S-polynomial has monomials the packing cannot hold
             raise OverflowError(f"S-pair degree over the cap {_CAP}")
         tails, coefs, at = _ints(self.tail_digits), self.tail_coefs.tolist(), self.offsets.tolist()
@@ -656,10 +663,11 @@ class _F4Engine:
     def stats(self) -> dict:
         """The counters of the run: per degree, of the S-pairs, and of the pair set."""
         pairs = self.pairs
-        return dict(degrees=self.degrees, reductions=self.reductions,
-                    zero_reductions=self.zero_reductions, created=pairs.created,
-                    pruned_lcm=pairs.pruned_lcm, pruned_coprime=pairs.pruned_coprime,
-                    pair_s=sum(c["pairs_s"] for c in self.degrees.values()))
+        out = dict(degrees=self.degrees, reductions=self.reductions,
+                   zero_reductions=self.zero_reductions, created=pairs.created,
+                   pruned_lcm=pairs.pruned_lcm, pruned_coprime=pairs.pruned_coprime,
+                   pair_s=sum(c["pairs_s"] for c in self.degrees.values()))
+        return out if self.stopped_at is None else dict(out, stopped_at=self.stopped_at)
 
 
 def normal_form(f: Poly, gens) -> Poly:
@@ -717,12 +725,14 @@ class GroebnerBasis:
         return f"GroebnerBasis({len(self.gens)} generators over {self.ring!r})"
 
 
-def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
+def buchberger(gens, ring: PolyRing | None = None, stop=None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
     Deterministic: equal input ideals over the same ring produce identical
     output, and reduced bases are unique, so any correct engine must agree.
-    Inhomogeneous generators raise ValueError.
+    Inhomogeneous generators raise ValueError.  A stop hook (_F4Engine.run)
+    may end the run after a degree D: the basis is then only the part up to
+    D, reduced, and its stats carry stopped_at = D.
     """
     polys = [g for g in gens if g is not None and not g.is_zero()]
     if ring is None:
@@ -734,4 +744,4 @@ def buchberger(gens, ring: PolyRing | None = None) -> GroebnerBasis:
     if not all(g.is_homogeneous() for g in polys):
         raise ValueError("buchberger takes homogeneous generators only")
     engine = _F4Engine(ring, polys)
-    return GroebnerBasis(ring, engine.run(), engine.stats())
+    return GroebnerBasis(ring, engine.run(stop), engine.stats())

@@ -27,11 +27,16 @@ from .grobner import _CAP, _digits
 
 
 class MonomialIdeal:
-    """A monomial ideal, held as the grevlex keys of its minimal generators, taken as given."""
+    """A monomial ideal, held as the grevlex keys of its minimal generators, taken as given.
 
-    def __init__(self, ord_, keys):
+    digits, the keys' digit rows, may come along when the caller has them.
+    """
+
+    def __init__(self, ord_, keys, digits=None):
         self.nvars, self._ord = ord_.nvars, ord_
-        masks = np.packbits(_digits(keys, ord_.nvars) != _CAP, axis=1, bitorder="little")
+        digits = _digits(keys, ord_.nvars) if digits is None else digits
+        masks = np.packbits(digits != _CAP, axis=1, bitorder="little")
+        masks = masks.view(f"V{masks.shape[1]}").ravel().tolist()
         self._gens = [(k, int.from_bytes(m, "little")) for k, m in zip(keys, masks)]
 
     @property

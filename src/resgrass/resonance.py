@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .arrangement import Arrangement, dependent_sets
+from .components import CensusStop, census, decode_hp
 from .errors import check_budget
 from .exterior import ExtElement, Subspace, boundary, os_ideal_part
 from .field import (
@@ -64,13 +65,17 @@ class ResonanceReport:
     n_span_forms: int
     timings_ms: dict
     # the Groebner engine's counters (GroebnerBasis.stats) and the Hilbert
-    # recursion's calls and memo hits (hilbert_calls, hilbert_hits); not in to_json
+    # recursion's calls and memo hits (hilbert_calls, hilbert_hits), the
+    # component census (Census.summary) and the HP's decode (decode_hp);
+    # to_json shows them under stats only when asked
     engine: dict = field(default_factory=dict)
+    census: dict = field(default_factory=dict)
+    decode: dict | None = None
 
-    def to_json(self) -> str:
+    def to_json(self, stats: bool = False) -> str:
         obj = asdict(self)
-        del obj["engine"]
-        return json.dumps(obj)
+        extra = {k: obj.pop(k) for k in ("engine", "census", "decode")}
+        return json.dumps(dict(obj, stats=extra) if stats else obj)
 
 
 def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
@@ -83,16 +88,23 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     plucker_ideal reads the forms off the rows and gives each quadric of the
     indices they touch once up to a scalar.  The OS points are counted off
     the circuits I_2 was built from, its dependent triples.  With none,
-    I_2 = 0, plucker_ideal forms no quadric and the HP is 0.
+    I_2 = 0, plucker_ideal forms no quadric and the HP is 0.  The engine
+    stops once the leads' HP equals the one the census of components
+    explains (CensusStop), whose numerator then serves, as it does when the
+    last one it computed belongs to the final leads.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
     ring = PolyRing(i2.dim(), p)
-    gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring)
+    found = census(arr.flats, arr.n, i2)
+    stop = CensusStop(ring, found.explained)
+    gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring, stop=stop)
     t2 = time.perf_counter()
-    count: dict = {}
-    hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb), count), ring.nvars)
+    lead = leading_ideal(gb)
+    if stop.leads != len(lead):
+        stop.numer = hilbert_numerator(lead, stop.count)
+    hp = hilbert_polynomial(stop.numer, ring.nvars)
     t3 = time.perf_counter()
     ms = lambda a, b: round((b - a) * 1000.0, 3)
     return ResonanceReport(
@@ -108,7 +120,9 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
             "hilbert": ms(t2, t3),
             "total": ms(t0, t3),
         },
-        engine=dict(gb.stats, hilbert_calls=count["calls"], hilbert_hits=count["hits"]),
+        engine=dict(gb.stats, hilbert_calls=stop.count["calls"], hilbert_hits=stop.count["hits"]),
+        census=dict(found.summary(), checks=stop.checks),
+        decode=decode_hp(hp),
     )
 
 

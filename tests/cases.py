@@ -91,6 +91,31 @@ def ceva3():
     return Arrangement(9, from_matrix(list(zip(*normals)), p=7).flats, None, "Ceva(3)")
 
 
+def ceva(m: int, p: int):
+    """Ceva(m) realized over F_p, p = 1 mod m: the 3m lines of (x^m - y^m)(y^m - z^m)(x^m - z^m).
+
+    Lines i, m + j and 2m + k are x - w^i y, y - w^j z and x - w^k z for
+    w a primitive m-th root of 1 mod p.  Its flats are the m^2 triple points
+    {i, m + j, 2m + (i + j mod m)}, where x = w^i y = w^(i+j) z, and the
+    three m-fold points of the families when m >= 3 (Ceva(2) is the braid
+    arrangement A3); the flats read off the
+    realization must be exactly those, or ValueError.
+    """
+    if (p - 1) % m:
+        raise ValueError(f"F_{p} has no primitive {m}-th root of 1")
+    primes = [q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q))]
+    w = next(w for w in (pow(g, (p - 1) // m, p) for g in range(2, p))
+             if all(pow(w, m // q, p) != 1 for q in primes))
+    roots = [pow(w, i, p) for i in range(m)]
+    normals = [(1, -r, 0) for r in roots] + [(0, 1, -r) for r in roots] + [(1, 0, -r) for r in roots]
+    flats = {tuple(range(f * m, f * m + m)) for f in range(3) if m >= 3}
+    flats |= {(i, m + j, 2 * m + (i + j) % m) for i in range(m) for j in range(m)}
+    arr = from_matrix(list(zip(*normals)), name=f"Ceva({m})", p=p)
+    if set(arr.flats) != flats:
+        raise ValueError(f"the flats of Ceva({m}) over F_{p} are not the m^2 + 3 expected")
+    return arr
+
+
 def direct_sum(a, b):
     """a (+) b: b's hyperplanes follow a's, in complementary coordinates.
 

@@ -58,6 +58,29 @@ def test_r1_json_keys(capsys, tmp_path):
     }
 
 
+def test_r1_stats(capsys):
+    # --stats adds the engine's counters, the census and the HP's decode
+    code, out, _ = run(capsys, "r1", "--fixture", "A3", "--json", "--stats")
+    assert code == 0
+    obj = json.loads(out)
+    code, plain, _ = run(capsys, "r1", "--fixture", "A3", "--json")
+    assert set(obj) - set(json.loads(plain)) == {"stats"}
+    stats = obj["stats"]
+    assert set(stats) == {"engine", "census", "decode"}
+    assert stats["engine"]["stopped_at"] == 3 and stats["engine"]["created"] == 10
+    assert stats["census"] == {"candidates": {"local": 4, "net": 1},
+                               "components": {"local": {"2": 4}, "net": {"2": 1}},
+                               "explained": "5*P_0", "checks": 1}
+    assert stats["decode"] == {"2": 5}
+    # an HP that does not decode shows null, and the text form prints one stats line
+    code, out, _ = run(capsys, "r1", "--fixture", "Hessian", "--p", "3", "--stats")
+    assert code == 0
+    line = [ln for ln in out.splitlines() if ln.startswith("stats: ")]
+    assert len(line) == 1
+    stats = json.loads(line[0][len("stats: "):])
+    assert stats["decode"] is None and "stopped_at" not in stats["engine"]
+
+
 def test_r1_has_no_order_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["r1", "--fixture", "A3", "--order", "lex"])
@@ -217,10 +240,13 @@ def test_bench_reports_engine_counters(capsys):
     assert code == 0
     (res,) = json.loads(out)["results"]
     eng = res["engine"]
+    # the run stops after degree 3, once the components named from the flats
+    # account for the HP, so degree 3's leads form no pair
+    assert (res["stopped_at"], eng["stopped_at"]) == (3, 3)
     assert {k: eng[k] for k in ("created", "pruned_lcm", "pruned_coprime")} == dict(
-        created=15, pruned_lcm=7, pruned_coprime=0
+        created=10, pruned_lcm=4, pruned_coprime=0
     )
-    assert (eng["reductions"], eng["zero_reductions"]) == (8, 7)
+    assert (eng["reductions"], eng["zero_reductions"]) == (6, 5)
     # the Hilbert recursion's calls and memo hits
     assert (eng["hilbert_calls"], eng["hilbert_hits"]) == (9, 1)
     assert sum(c["new"] for c in eng["degrees"].values()) == 6

@@ -9,9 +9,16 @@
   HPs add.
 - Ceva(3): 12 local components and four (3,3)-nets, 16*P_0 in every
   characteristic checked but 3.
+- Ceva(5): 25 triple points, three local components of dimension 4 from
+  the 5-fold points, whose G(2, 4) give 3*(2*P_4 - P_3), and the rest of
+  76*P_0 from nets, pinned realized and as flats.
+
+Where the components named from the flats (local ones and (3,2)-nets)
+account for the HP, r1 stops its engine early; the HP must not change.
 """
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -20,7 +27,7 @@ from resgrass.arrangement import Arrangement, fixture
 from resgrass.oracle import check_prop21
 from resgrass.resonance import r1_hilbert
 
-from cases import braid, ceva3, direct_sum, graphic
+from cases import braid, ceva, ceva3, direct_sum, graphic
 
 
 def seeded_graphs():
@@ -44,13 +51,19 @@ def cliques(edges, size: int) -> int:
 
 @pytest.mark.parametrize("p", [2, 3, 5, 31991])
 def test_graphic_arrangements(p):
-    seen = set()
+    seen, stopped = set(), 0
     for v, edges in seeded_graphs():
         k3, k4 = cliques(edges, 3), cliques(edges, 4)
         want = f"{k3 + k4}*P_0" if k3 + k4 else "0"
-        assert r1_hilbert(graphic(v, edges, p), p).hilbert == want, (v, edges)
+        rep = r1_hilbert(graphic(v, edges, p), p)
+        assert rep.hilbert == want, (v, edges)
+        # the triangles and K_4s are the census, which certifies the HP; a
+        # lone triangle gives one variable and no quadric, so no engine run
+        assert ("stopped_at" in rep.engine) == bool(rep.engine["degrees"]), (v, edges)
+        stopped += "stopped_at" in rep.engine
         seen.add("triangle-free" if not k3 else "K_4" if k4 else "triangles only")
     assert seen == {"triangle-free", "K_4", "triangles only"}
+    assert stopped >= 8
 
 
 def test_graphic_k4_is_braid_a3():
@@ -97,7 +110,8 @@ def test_direct_sum_of_flats_and_of_matrices():
         tuple(i + 6 for i in f) for f in a3.flats
     )
     for arr in (realized, combinatorial):
-        assert r1_hilbert(arr).hilbert == "10*P_0"
+        rep = r1_hilbert(arr)
+        assert rep.hilbert == "10*P_0" and rep.engine["stopped_at"] == 3
 
 
 @pytest.mark.parametrize(
@@ -106,5 +120,36 @@ def test_direct_sum_of_flats_and_of_matrices():
     ids=["A4+A3", "A3+Hessian"],
 )
 def test_direct_sums_add_their_hilbert_polynomials(a, b, hilbert):
-    # A4 = 15*P_0, A3 = 5*P_0 and the Hessian = 54*P_0 + 10*P_2
-    assert r1_hilbert(direct_sum(a, b)).hilbert == hilbert
+    # A4 = 15*P_0, A3 = 5*P_0 and the Hessian = 54*P_0 + 10*P_2; the census
+    # misses the Hessian's (4,3)-net, so only A4+A3 stops early
+    rep = r1_hilbert(direct_sum(a, b))
+    assert rep.hilbert == hilbert
+    assert rep.engine.get("stopped_at") == (3 if b.name == "A3" else None)
+
+
+def test_ceva_flats():
+    # m^2 triple points and three m-fold points; Ceva(2) is the braid arrangement A3
+    assert ceva(3, 7).flats == ceva3().flats
+    assert len(ceva(2, 3).flats) == 4 and r1_hilbert(ceva(2, 3), 3).hilbert == "5*P_0"
+    arr = ceva(5, 31)
+    assert (arr.n, sorted(map(len, arr.flats))) == (15, [3] * 25 + [5] * 3)
+    assert ceva(5, 31991).flats == arr.flats
+    with pytest.raises(ValueError, match="root"):
+        ceva(5, 37)
+
+
+@pytest.mark.parametrize("realized", [True, False], ids=["realized-p31", "flats-p31991"])
+def test_ceva5_hilbert_polynomial(realized):
+    # about 2.7 s on a shared 2-core x86_64 host; the cap is three times that
+    arr = ceva(5, 31)
+    arr, p = (arr, 31) if realized else (Arrangement(arr.n, arr.flats, None, "Ceva(5)"), 31991)
+    t0 = time.perf_counter()
+    rep = r1_hilbert(arr, p)
+    assert time.perf_counter() - t0 < 8.0
+    assert rep.hilbert == "76*P_0 + -3*P_3 + 6*P_4"
+    # the census names the 25 + 3 local components, no (3,2)-net, and falls
+    # short of the 76 points, so the engine runs to the end
+    assert rep.census["components"] == {"local": {"2": 25, "4": 3}, "net": {}}
+    assert rep.census["explained"] == "25*P_0 + -3*P_3 + 6*P_4"
+    assert "stopped_at" not in rep.engine
+    assert rep.decode == {2: 76, 4: 3}

@@ -220,6 +220,8 @@ def test_r1_braid_ladder(ell, hilbert, cap_s):
     wall = time.perf_counter() - t0
     assert rep.hilbert == hilbert
     assert wall < cap_s
+    # those components are the census, so the engine stops after degree 3
+    assert rep.engine["stopped_at"] == 3
 
 
 def test_report_json_keys():
