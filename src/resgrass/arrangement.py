@@ -97,12 +97,7 @@ def _dependent_subsets(cols, size: int, p: int):
 
 
 def rank2_flats_from_realization(matrix, p: int = DEFAULT_MODULUS) -> tuple[Flat, ...]:
-    """Collinearity flats of the columns of an integer matrix, over F_p.
-
-    Once the columns are simple, the flat through hyperplanes i and j is
-    {i, j} together with every k making {i, j, k} dependent, so each flat
-    is the union of the dependent triples on one of its pairs.
-    """
+    """Rank-2 flats over F_p of an integer matrix's columns: flats_of their dependent triples."""
     rows = [tuple(r) for r in matrix]
     if not rows:
         raise InputError("empty realization matrix")
@@ -111,8 +106,18 @@ def rank2_flats_from_realization(matrix, p: int = DEFAULT_MODULUS) -> tuple[Flat
         raise InputError("ragged realization matrix")
     cols = [tuple(r[j] for r in rows) for j in range(width)]
     check_simple(cols, p)
+    return flats_of(_dependent_subsets(cols, 3, p))
+
+
+def flats_of(triples) -> tuple[Flat, ...]:
+    """The rank-2 flats of a simple matroid from its dependent triples, sorted.
+
+    The flat through hyperplanes i and j is {i, j} together with every k
+    making {i, j, k} dependent, so each flat is the union of the dependent
+    triples on one of its pairs.
+    """
     through = {}  # pair -> the hyperplanes of its flat
-    for triple in _dependent_subsets(cols, 3, p):
+    for triple in triples:
         for pair in combinations(triple, 2):
             through.setdefault(pair, set()).update(triple)
     return tuple(sorted({tuple(sorted(flat)) for flat in through.values()}))

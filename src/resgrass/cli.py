@@ -2,7 +2,8 @@
 
 Subcommands: r1 (Hilbert polynomial of the first resonance variety, from
 a grevlex Groebner basis; --stats adds the engine's counters, the census of
-components named from the flats and the HP's decode into sub-Grassmannians),
+components named from the flats and the HP's decode into sub-Grassmannians,
+and an HP that does not decode draws a warning on stderr),
 check-point (Aomoto profile and resonance verdict for one point), oracle
 (exhaustive small-field cross-check, capped by --budget), fixtures (list
 built-ins), bench (per-stage r1 timings with the Groebner engine's counters
@@ -22,7 +23,6 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import sys
 import time
 from functools import lru_cache
@@ -71,6 +71,9 @@ def _parse_coords(text: str, n: int) -> list[int]:
 def cmd_r1(args) -> int:
     arr = _load(args, args.p)
     rep = r1_hilbert(arr, p=args.p)
+    if rep.decode is None:
+        print("warning: the HP does not decode into sub-Grassmannians G(2, k), so it is not R^1's",
+              file=sys.stderr)
     if args.json:
         print(rep.to_json(stats=args.stats))
         return 0
@@ -146,6 +149,8 @@ def cmd_fixtures(args) -> int:
 
 
 def _spread(values):
+    import statistics  # imported here: it pulls in fractions and decimal, about 4 ms a process
+
     return {"min": min(values), "median": statistics.median(values)}
 
 

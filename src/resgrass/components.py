@@ -11,26 +11,33 @@ G(2, n) meet P(I_2).  Two kinds are named from the flats alone:
   A_1, A_2, A_3, and e(A_1) - e(A_3), e(A_2) - e(A_3) span the component,
   e(A) the sum of e_H over H in A (Falk-Yuzvinsky, Compositio 143, 2007).
 
-A candidate is kept when the wedge of every two of its basis vectors lies
-in I_2, by one batched reduction of all the wedges against I_2's rows, and
-kept components must meet pairwise in dimension at most 1, so their
-Grassmannians are disjoint.  Their union lies in R^1's scheme, so its
-Hilbert polynomial, the sum of HP(G(2, dim V)), bounds R^1's from below;
-the lead ideal of a partial basis bounds it from above (Traverso, J.
-Symbolic Comput. 22, 1996), and CensusStop ends the engine when the two
-meet.
+The flats are read off I_2's own dependent triples, so they are flats over
+the field I_2 lives in, and three facts hold without a test.  A local
+component lies in R^1: the wedge of e_xj - e_x0 and e_xk - e_x0 is the
+boundary of the dependent triple {x0, xj, xk}.  So does a net's: with
+a_i, b_i, c_i the hyperplanes of A_1, A_2, A_3 on its i-th flat, its wedge
+is the sum of the four boundaries of those triples, over Z.  And the
+components meet pairwise only at 0: two flats share at most one
+hyperplane; a nonzero vector of a net's plane has two whole classes in
+its support, which no flat holds, since a flat holds one hyperplane of
+each class (a net's flat) or hyperplanes of one class only; and six
+hyperplanes determine their net.  So their Grassmannians are disjoint in
+R^1's scheme, and the sum of their HPs, HP(G(2, dim V)), bounds R^1's
+from below; the lead ideal of a partial basis bounds it from above
+(Traverso, J. Symbolic Comput. 22, 1996), and CensusStop ends the engine
+when the two meet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 
 import numpy as np
 
-from .field import _runs, mod
+from .arrangement import flats_of
+from .field import _runs
 from .grobner import _CAP, _ints
 from .hilbert import HilbertPoly, MonomialIdeal, format_hp, hilbert_numerator, hilbert_polynomial
 
@@ -99,101 +106,39 @@ def _nets(inc):
     return h[(np.diff(np.sort(h, axis=1), axis=1) != 0).all(axis=1)]
 
 
-# the twelve terms x ^ y of a net's wedge: places of x and y among its six
-# hyperplanes, and signs
-_NET_X = np.array([0, 0, 1, 1, 0, 0, 1, 1, 2, 2, 3, 3])
-_NET_Y = np.array([2, 3, 2, 3, 4, 5, 4, 5, 4, 5, 4, 5])
-_NET_SIGN = np.repeat([1, -1, 1], 4)
-
-
-@lru_cache(maxsize=None)
-def _local_pairs(top: int):
-    """The basis pairs (j, k), 1 <= j < k < top, of local components on up to top hyperplanes."""
-    j, k = np.triu_indices(top, 1)
-    return j[j > 0], k[j > 0]
-
-
 @dataclass(frozen=True)
 class Census:
-    """Kept components (kind index into KINDS, dimension) and the candidates tried per kind."""
+    """Named components (kind index into KINDS, dimension) and the HP they explain."""
 
     kinds: np.ndarray
     dims: np.ndarray
-    tried: tuple
     explained: HilbertPoly
 
     def summary(self) -> dict:
-        """Candidates and components by kind, components by dimension too, and the HP explained."""
+        """Components by kind and dimension, and the HP explained."""
         return dict(
-            candidates=dict(zip(KINDS, self.tried)),
             components={k: {str(d): int(c) for d, c in enumerate(np.bincount(self.dims[self.kinds == i]))
                             if c} for i, k in enumerate(KINDS)},
             explained=format_hp(self.explained))
 
 
-def _disjoint(supp, kinds):
-    """Which components meet no earlier one in dimension 2 or more, by their supports alone.
+def census(i2) -> Census:
+    """The local and (3,2)-net components of R^1 named from the flats of I_2's dependent triples.
 
-    Vectors of a component supported on t of its hyperplanes span at most
-    t - 1 dimensions for a local one, and for a net 2 when t = 6, all of
-    its support, and 1 otherwise.  A pair where neither bound is below 2
-    could share a 2-plane, and the later of the two is dropped: fewer
-    components still bound R^1 from below.
+    i2 is os_ideal_part(arr, 2, p), whose circuits are those triples.
     """
-    at = supp.astype(np.int64)
-    t = at @ at.T
-    big = np.where(kinds[:, None] == 0, t > 2, t == 6)
-    r = np.arange(len(t))
-    return ~(big & big.T & (r[:, None] < r)).any(axis=0)
-
-
-def census(flats, n: int, i2) -> Census:
-    """The local and (3,2)-net components of R^1 that the flats name and I_2 holds.
-
-    i2 is os_ideal_part(arr, 2, p), whose rows give the reduction.  Each
-    candidate's wedges are written as entries in pair coordinates: a local
-    flat x0 < x1 < ... gives d e_{x0 xj xk}, the wedge of its basis vectors
-    j < k; a net gives (A_1 - A_3) ^ (A_2 - A_3), which is A_1 ^ A_2 -
-    A_1 ^ A_3 + A_2 ^ A_3 over the hyperplanes of the classes.
-    """
-    p, m = i2.p, len(flats)
-    sizes = np.array([len(f) for f in flats], np.int64)
-    cols = np.array([h for f in flats for h in f], np.int64)  # each flat's hyperplanes, ascending
-    inc = np.zeros((m, n), bool)
-    inc[np.arange(m).repeat(sizes), cols] = True
-    nets = _nets(inc)
-    j, k = _local_pairs(int(sizes.max(initial=3)))
-    flat, jk = np.nonzero(k < sizes[:, None])
-    at = (np.cumsum(sizes) - sizes)[flat]
-    x0, xj, xk = cols[at], cols[at + j[jk]], cols[at + k[jk]]
-    x, y = nets[:, _NET_X], nets[:, _NET_Y]
-    # every wedge as a dense row over the pairs, reduced against I_2 at once
-    nloc, nnet = len(flat), len(nets)
-    row = np.concatenate([np.arange(3 * nloc) % max(nloc, 1), nloc + np.arange(nnet).repeat(12)])
-    low = np.concatenate([xj, x0, x0, np.minimum(x, y).ravel()])
-    high = np.concatenate([xk, xk, xj, np.maximum(x, y).ravel()])
-    val = np.concatenate([np.repeat([1, -1, 1], nloc), np.where(x < y, _NET_SIGN, -_NET_SIGN).ravel()])
-    # a wedge has at most twelve terms, each +-1, so its pivot part times
-    # I_2's rows sums at most twelve residues per entry, far inside int64
-    w = np.zeros((nloc + nnet, n * (n - 1) // 2), np.int64)
-    w[row, low * (2 * n - low - 1) // 2 + high - low - 1] = val
-    bad = mod(w[:, i2.pivots] @ i2.rows - w, p).any(axis=1)
-    # a candidate is kept when none of its wedges is left over
-    keep = np.concatenate([np.bincount(flat[bad[:nloc]], minlength=m) == 0, ~bad[nloc:]])
-    supp = np.zeros((m + nnet, n), bool)
-    supp[:m] = inc
-    supp[m + np.arange(nnet).repeat(6), nets.ravel()] = True
-    kinds = np.repeat([0, 1], [m, nnet])[keep]
-    dims = np.concatenate([sizes - 1, np.full(nnet, 2)])[keep]
-    keep = _disjoint(supp[keep], kinds)
-    kinds, dims = kinds[keep], dims[keep]
+    flats = flats_of(i2.circuits)
+    m, sizes = len(flats), np.array([len(f) for f in flats], np.int64)
+    inc = np.zeros((m, i2.n), bool)
+    inc[np.arange(m).repeat(sizes), np.array([h for f in flats for h in f], np.int64)] = True
+    nnet = len(_nets(inc))
+    kinds = np.repeat([0, 1], [m, nnet])
+    dims = np.concatenate([sizes - 1, np.full(nnet, 2)])
     total = []
     for d, c in enumerate(np.bincount(dims).tolist()):
         g = grassmannian_hp(d).coeffs if c else ()
         total = [a + c * b for a, b in zip_longest(total, g, fillvalue=0)]
-    while total and not total[-1]:
-        total.pop()
-    return Census(kinds, dims, (m, nnet), HilbertPoly(tuple(total)))
+    return Census(kinds, dims, HilbertPoly(tuple(total)))
 
 
 def _ruled_out(supp, explained: HilbertPoly) -> bool:

@@ -97,7 +97,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     i2 = os_ideal_part(arr, 2, p)
     t1 = time.perf_counter()
     ring = PolyRing(i2.dim(), p)
-    found = census(arr.flats, arr.n, i2)
+    found = census(i2)
     stop = CensusStop(ring, found.explained)
     gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring, stop=stop)
     t2 = time.perf_counter()

@@ -68,8 +68,7 @@ def test_r1_stats(capsys):
     stats = obj["stats"]
     assert set(stats) == {"engine", "census", "decode"}
     assert stats["engine"]["stopped_at"] == 3 and stats["engine"]["created"] == 10
-    assert stats["census"] == {"candidates": {"local": 4, "net": 1},
-                               "components": {"local": {"2": 4}, "net": {"2": 1}},
+    assert stats["census"] == {"components": {"local": {"2": 4}, "net": {"2": 1}},
                                "explained": "5*P_0", "checks": 1}
     assert stats["decode"] == {"2": 5}
     # an HP that does not decode shows null, and the text form prints one stats line
@@ -79,6 +78,19 @@ def test_r1_stats(capsys):
     assert len(line) == 1
     stats = json.loads(line[0][len("stats: "):])
     assert stats["decode"] is None and "stopped_at" not in stats["engine"]
+
+
+def test_r1_warns_when_the_hp_does_not_decode(capsys, tmp_path):
+    # the non-Fano flats over F_2 give 6*P_0 + 1*P_1, no sum of HP(G(2, k));
+    # stdout and the exit code stay as they were, and A3 draws no warning
+    path = tmp_path / "nonfano.txt"
+    path.write_text("flats n=7\n0,1,2\n0,3,4\n0,5,6\n1,3,5\n1,4,6\n2,3,6\n")
+    for fmt in ((), ("--json",)):
+        code, out, err = run(capsys, "r1", "--input", str(path), "--p", "2", *fmt)
+        assert code == 0 and "6*P_0 + 1*P_1" in out and "warning" not in out
+        assert err.count("\n") == 1 and err.startswith("warning: the HP does not decode")
+    code, out, err = run(capsys, "r1", "--fixture", "A3", "--p", "2")
+    assert code == 0 and err == ""
 
 
 def test_r1_has_no_order_option(capsys):
@@ -380,6 +392,16 @@ def test_r1_does_not_import_numpy_ma():
     out = run_python(
         "import sys\nfrom resgrass import cli\n"
         "cli.main(['r1', '--fixture', 'A3'])\nprint('numpy.ma' in sys.modules)\n"
+    )
+    assert out.stdout.splitlines()[-1] == "False"
+
+
+def test_r1_does_not_import_statistics():
+    # statistics pulls in fractions and decimal, about 4 ms per process;
+    # only bench's _spread needs it
+    out = run_python(
+        "import sys\nfrom resgrass import cli\n"
+        "cli.main(['r1', '--fixture', 'A3'])\nprint('statistics' in sys.modules)\n"
     )
     assert out.stdout.splitlines()[-1] == "False"
 

@@ -45,6 +45,11 @@ def _calls():
             for fmt in ((), ("--json",)):
                 calls.append((f"r1-{src}-p{p}{'-json' * bool(fmt)}",
                               ["r1", *where, "--p", str(p), *fmt]))
+    # --stats pins the census and engine counters; A3 is read at 31991, so p = 3 crosses primes
+    for src, p in (("A3", 31991), ("A3", 3), ("A5", 31991), ("Hessian", 31991), ("Hessian", 3)):
+        where = ("--input", f"@{src}") if src in INPUTS else ("--fixture", src)
+        argv = ["r1", *where, "--p", str(p), "--json", "--stats"]
+        calls.append((f"r1-{src}-p{p}-json-stats", argv))
     for src, q in (("A3", 5), ("A3", 7), ("A4", 3)):
         where = ("--input", f"@{src}") if src in INPUTS else ("--fixture", src)
         for fmt in ((), ("--json",)):
@@ -63,8 +68,10 @@ CALLS = _calls()
 
 
 def strip_timings(text: str) -> str:
-    """text with every timing value replaced by '#', in r1's text and JSON forms."""
+    """text with every timing value replaced by '#', in r1's text and JSON forms and its stats."""
     text = re.sub(r"^timings ms: .*$", lambda m: re.sub(r"\d+\.\d+", "#", m.group()),
+                  text, flags=re.M)
+    text = re.sub(r'"stats": .*$', lambda m: re.sub(r'("\w+_s": )[^,}]+', r"\1#", m.group()),
                   text, flags=re.M)
     return re.sub(r'"timings_ms": \{[^}]*\}', lambda m: re.sub(r"\d+\.\d+", "#", m.group()),
                   text)
@@ -112,8 +119,8 @@ DIGESTS = {
     "r1-A3-p2-json": "3bfeb77978e36b7121107b126728734752bfa484237ce630560c0f9efb0fec74",
     "r1-Hessian-p31991": "451cf8383a5cfd2f39e1663dc29803b8ad471117223df4a29912172a6ecb701a",
     "r1-Hessian-p31991-json": "1a34a9fb1d7750246a7c5d4ef146646c9bb81a2b741e5944646db0b71a71af9b",
-    "r1-Hessian-p3": "52d18f56ca27f1d0138e41793fdc5d08ef5b5855800f8a46337a20608a0b3346",
-    "r1-Hessian-p3-json": "85087754231162eab79bc782ce4f5d993fd3db15a72af49bacc8c53bee2c4410",
+    "r1-Hessian-p3": "9c5e7d37d539bc0699a34d227e0e3949c9a25ec5f90b61ed709bb137f114098e",
+    "r1-Hessian-p3-json": "3848f265fe2e82bce13e42cf5911bf5e0a4f6224e64269742d918bf9d84fdcfb",
     "r1-Hessian-p2": "451cf8383a5cfd2f39e1663dc29803b8ad471117223df4a29912172a6ecb701a",
     "r1-Hessian-p2-json": "fe6b7f5a48c9febb99b9985a56cc36dcd1498509f565a54dbd430671e97751af",
     "r1-A4-p31991": "adf43d0a959f5d5a94dd47b2e4933609835aca19029566c581df21b5cae34c97",
@@ -160,6 +167,11 @@ DIGESTS = {
     "r1-two40-p31991-json": "26787e5d2320778a28dbde04633a58408906e9918ff4c704af2390e2c7bd8952",
     "r1-two40-p3": "03e529e9f584e58b83228a7de9a2205c08bf6af68bd8ceb2d15a6d7f72e71383",
     "r1-two40-p3-json": "eea8d350a3280bf56b339c8e0a3175422b837d1e9b3e6d5be9a96dba1e0f12b6",
+    "r1-A3-p31991-json-stats": "fe522866666ecfdd9e6645310c1e969233c3c9fc3c53920c00a66d3461ca4ae0",
+    "r1-A3-p3-json-stats": "c6427b561a608bdf76bbd018d0dc85fc06167f5a61d8d91605faf30069173d0f",
+    "r1-A5-p31991-json-stats": "e3a9923ff1ea0d0d1a8f03a55c9990e4aa40f6d663321fb31fa267f57331e809",
+    "r1-Hessian-p31991-json-stats": "c4b296c2002157886ad35610945544621ebc17f3ef971f368c794ae1e833fa5f",
+    "r1-Hessian-p3-json-stats": "c84483e435d8f33cbb2a54646a5065116c4a45cf5b2b380f67ff103344feb04e",
     "oracle-A3-q5": "d4e9313942b67dd23cb097a752446bba5f6ac92053ec5ce882c38b1464e27bf8",
     "oracle-A3-q5-json": "465884e2d2f1a6a970eeedaaec8fbbb0941ec7066a1c5fed685c178d3c80dbc9",
     "oracle-A3-q7": "4463332f0ef098e6d9e8b58084346e0e70d67d6428dc3a50db3809871893d271",
@@ -197,4 +209,9 @@ def test_timings_are_stripped_and_nothing_else():
     assert strip_timings(text) == "hilbert: 5*P_0\ntimings ms: span=#  groebner=#  total=#\n"
     line = '{"hilbert": "5*P_0", "n": 6, "timings_ms": {"span": 0.5, "total": 1.25}}'
     want = '{"hilbert": "5*P_0", "n": 6, "timings_ms": {"span": #, "total": #}}'
+    assert strip_timings(line) == want
+    line = ('{"n_os_points": 4, "stats": {"engine": {"pair_s": 1.5e-05, "created": 10, "degrees": '
+            '{"2": {"rows": 15, "elim_s": 0.25}}}, "census": {"checks": 1}, "decode": {"2": 5}}}')
+    want = ('{"n_os_points": 4, "stats": {"engine": {"pair_s": #, "created": 10, "degrees": '
+            '{"2": {"rows": 15, "elim_s": #}}}, "census": {"checks": 1}, "decode": {"2": 5}}}')
     assert strip_timings(line) == want

@@ -7,21 +7,25 @@ must be the one without the hook, counters and all.
 """
 
 import random
+import time
+from itertools import combinations
 from math import comb
 
 import numpy as np
 import pytest
 
 from resgrass import resonance
-from resgrass.arrangement import Arrangement, fixture
-from resgrass.components import Census, _disjoint, _ruled_out, census, decode_hp, grassmannian_hp
+from resgrass.arrangement import Arrangement, check_simple, fixture, flats_of, from_matrix
+from resgrass.components import Census, _nets, _ruled_out, census, decode_hp, grassmannian_hp
+from resgrass.errors import InputError
 from resgrass.exterior import os_ideal_part
+from resgrass.field import batch_rank, mod
 from resgrass.grobner import _CAP, _digits, buchberger
 from resgrass.hilbert import HilbertPoly, format_hp, hilbert_numerator, hilbert_polynomial
 from resgrass.hilbert import leading_ideal
 from resgrass.resonance import r1_hilbert
 
-from cases import braid, ceva3, graphic, monomial_ideal, r1_ideal, random_simple_realization
+from cases import braid, ceva, ceva3, graphic, monomial_ideal, r1_ideal, random_simple_realization
 from test_known_answers import cliques, seeded_graphs
 
 FANO = Arrangement(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
@@ -66,7 +70,7 @@ def test_decode_peels_sub_grassmannians():
 
 
 def counts(arr, p=31991):
-    s = census(arr.flats, arr.n, os_ideal_part(arr, 2, p)).summary()
+    s = census(os_ideal_part(arr, 2, p)).summary()
     return s["components"], s["explained"]
 
 
@@ -103,24 +107,125 @@ def test_graphic_census_counts_triangles_and_k4s():
         assert comps == {"local": {"2": k3} if k3 else {}, "net": {"2": k4} if k4 else {}}
 
 
-def test_candidates_whose_wedges_leave_i2_are_dropped():
+def test_census_names_only_the_flats_of_i2s_triples():
     # I_2 of three of A3's four triple points: the fourth flat's local
-    # component and the net through all four are not in it
+    # component and the net through all four are not named
     a3 = fixture("A3")
-    part = os_ideal_part(Arrangement(6, a3.flats[1:], None, "three"), 2, 31991)
-    found = census(a3.flats, 6, part)
-    assert found.summary()["candidates"] == {"local": 4, "net": 1}
-    assert found.summary()["components"] == {"local": {"2": 3}, "net": {}}
+    three = Arrangement(6, a3.flats[1:], None, "three")
+    assert counts(three) == ({"local": {"2": 3}, "net": {}}, "3*P_0")
+    # columns independent over the rationals, but 0, 1 and 2 dependent over
+    # F_3: read at 31991 the realization has no flat, run at 3 it has one
+    arr = from_matrix([[1, 0, 1, 0], [0, 1, 1, 0], [0, 0, 3, 1]], name="F3-triple")
+    assert arr.flats == () and flats_of(os_ideal_part(arr, 2, 3).circuits) == ((0, 1, 2),)
+    assert counts(arr) == ({"local": {}, "net": {}}, "0")
+    assert counts(arr, 3) == ({"local": {"2": 1}, "net": {}}, "1*P_0")
 
 
-def test_components_that_may_share_a_plane_are_not_both_kept():
-    # two nets on the same six hyperplanes could share their plane, and a
-    # local flat meets a net in at most three hyperplanes, so only the
-    # second net goes
-    supp = np.zeros((4, 8), bool)
-    supp[0, :3] = supp[1, 2:5] = True
-    supp[2, :6] = supp[3, :6] = True
-    assert _disjoint(supp, np.array([0, 0, 1, 1])).tolist() == [True, True, True, False]
+def named_components(i2):
+    """(kind, dimension, basis rows mod p) of the components the flats of I_2's triples name."""
+    n, p, out = i2.n, i2.p, []
+    flats = flats_of(i2.circuits)
+    for f in flats:
+        basis = np.zeros((len(f) - 1, n), np.int64)
+        basis[np.arange(len(f) - 1), f[1:]] = 1
+        basis[:, f[0]] = p - 1
+        out.append((0, len(f) - 1, basis))
+    inc = np.zeros((len(flats), n), bool)
+    for r, f in enumerate(flats):
+        inc[r, list(f)] = True
+    for h in _nets(inc).tolist():
+        basis = np.zeros((2, n), np.int64)
+        basis[0, h[:2]] = basis[1, h[2:4]] = 1
+        basis[:, h[4:]] = p - 1
+        out.append((1, 2, basis))
+    return out
+
+
+def wedges_outside(i2, comps) -> int:
+    """How many wedges of two basis vectors of a component leave I_2, by one batched reduction."""
+    a, b = np.triu_indices(i2.n, 1)
+    rows = [u[a] * v[b] - u[b] * v[a] for _, _, basis in comps for u, v in combinations(basis, 2)]
+    w = mod(np.array(rows, np.int64).reshape(-1, len(a)), i2.p)
+    return int(mod(w[:, i2.pivots] @ i2.rows - w, i2.p).any(axis=1).sum())
+
+
+def shared_planes(comps, p: int) -> int:
+    """How many pairs of components meet in dimension >= 2, by the rank of their stacked bases."""
+    if len(comps) < 2:
+        return 0
+    top = max(d for _, d, _ in comps)
+    pad = np.zeros((len(comps), top, comps[0][2].shape[1]), np.int64)
+    for r, (_, d, basis) in enumerate(comps):
+        pad[r, :d] = basis
+    dims = np.array([d for _, d, _ in comps])
+    i, j = np.triu_indices(len(comps), 1)
+    ranks = batch_rank(np.concatenate([pad[i], pad[j]], axis=1), p)
+    return int((ranks <= dims[i] + dims[j] - 2).sum())
+
+
+def read_at_31991_simple_at(rng, p):
+    """A seeded realization read at 31991 whose columns are simple over F_p too."""
+    while True:
+        arr = random_simple_realization(rng, 31991)
+        try:
+            check_simple(arr.columns(), p)
+            return arr
+        except InputError:
+            continue
+
+
+def census_inputs():
+    """(arrangement, prime) pairs: fixtures, families and seeded inputs, some read at 31991."""
+    rng = random.Random(33)
+    ceva5 = ceva(5, 31)
+    inputs = [(fixture("A3"), p) for p in (2, 3, 5, 7, 31991)]
+    inputs += [(braid(ell), 31991) for ell in (4, 5, 6)]
+    inputs += [(fixture("Hessian"), p) for p in (2, 3, 5, 31991)]
+    inputs += [(arr, p) for arr in (ceva3(), FANO, NON_FANO) for p in (2, 3, 31991)]
+    inputs += [(ceva5, 31), (Arrangement(15, ceva5.flats, None, "Ceva(5)"), 31991)]
+    for p in (2, 3, 5, 7, 31991):
+        inputs += [(random_simple_realization(rng, p), p) for _ in range(4)]
+    inputs += [(read_at_31991_simple_at(rng, p), p) for p in (2, 3) for _ in range(8)]
+    for seed in range(10):
+        r, flats = random.Random(seed), []
+        n = r.randint(6, 9)
+        for _ in range(r.randint(2, 8)):
+            f = tuple(sorted(r.sample(range(n), r.choice((3, 3, 4)))))
+            if all(len(set(f) & set(g)) <= 1 for g in flats):
+                flats.append(f)
+        inputs.append((Arrangement(n, tuple(sorted(flats)), None, f"flats{seed}"), 31991))
+    return inputs
+
+
+def test_named_components_lie_in_i2_and_share_no_plane():
+    # the checks the census leaves to the theorems: every wedge of a named
+    # component lies in I_2, and no two components share a 2-plane
+    t0, named, moved = time.perf_counter(), 0, 0
+    for arr, p in census_inputs():
+        i2 = os_ideal_part(arr, 2, p)
+        found, comps = census(i2), named_components(i2)
+        assert sorted(zip(found.kinds.tolist(), found.dims.tolist())) == sorted(
+            (k, d) for k, d, _ in comps), (arr.name, p)
+        assert wedges_outside(i2, comps) == 0, (arr.name, p)
+        assert shared_planes(comps, p) == 0, (arr.name, p)
+        named += len(comps)
+        moved += arr.matrix is not None and flats_of(i2.circuits) != arr.flats
+    # some realizations read at 31991 have other flats at the run's prime
+    assert named > 500 and moved >= 2, (named, moved)
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_realizations_read_at_another_prime_keep_the_hp():
+    # the census names the flats over the run's prime, so such runs may
+    # stop; each keeps the HP of the run without the hook
+    rng, stopped = random.Random(34), 0
+    for p in (2, 3):
+        for _ in range(12):
+            arr = read_at_31991_simple_at(rng, p)
+            rep = r1_hilbert(arr, p)
+            assert rep.hilbert == reference_run(arr, p)[0], (arr.matrix, p)
+            stopped += "stopped_at" in rep.engine
+    assert stopped >= 8, stopped
 
 
 def test_ruled_out_never_refuses_the_leads_own_hp():
@@ -164,7 +269,7 @@ def without_one(real):
         found = real(*args)
         coeffs = list(found.explained.coeffs)
         coeffs[2 * (int(found.dims[0]) - 2)] -= 1
-        return Census(found.kinds[1:], found.dims[1:], found.tried, HilbertPoly(tuple(coeffs)))
+        return Census(found.kinds[1:], found.dims[1:], HilbertPoly(tuple(coeffs)))
     return short
 
 
