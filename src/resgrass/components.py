@@ -149,9 +149,11 @@ def _ruled_out(supp, explained: HilbertPoly) -> bool:
     of d + 1 variables shows that dim S/in passes d.  Open sets of d
     variables are then the top-dimensional components of V(in), each adding
     at least 1 to its degree, so more of them than explained's top
-    coefficient rule it out too; they are counted for d <= 3 only, by the
-    graph of pairs that no lead fills.  The open set of d + 1 grows
-    greedily, by the variable in the fewest leads, so False says "maybe".
+    coefficient rule it out too.  Open sets of 1, 2 and 3 variables are
+    counted exactly, up to d, by the graph of pairs that no lead fills, so
+    for d <= 2 the test for an open set of d + 1 is exact too.  Above that
+    the open set of d + 1 grows greedily, by the variable in the fewest
+    leads, so False says "maybe".
     """
     d = len(explained.coeffs)
     # integer matrix products count faster than sums over an axis, and
@@ -161,39 +163,41 @@ def _ruled_out(supp, explained: HilbertPoly) -> bool:
     open_ = (size == 1) @ f == 0  # no pure power
     keep = f @ ~open_ == 0  # a lead on a closed variable fits in no open set
     f, size = f[keep][:, open_], size[keep]
-    order = np.argsort(np.ones(len(f), np.int64) @ f, kind="stable")
-    left, free = size.copy(), np.ones(f.shape[1], bool)
-    for _ in range(d + 1):
-        free &= (left == 1) @ f == 0
-        if not free.any():
-            break
-        v = order[free[order].argmax()]
-        free[v] = False
-        left -= f[:, v]
-    else:
-        return True
-    if d == 1:
-        return f.shape[1] > explained.coeffs[-1]
-    if d not in (2, 3):
-        return False
-    # the graph of open pairs, and its cliques of d vertices less the supports of d variables
     n = f.shape[1]
-    pair = 1 - np.eye(n, dtype=np.int64)
-    i, j = np.nonzero(f[size == 2])[1].reshape(-1, 2).T
-    pair[i, j] = pair[j, i] = 0
-    if d == 2:
-        count = pair.sum() // 2
-    else:
+    opens = [n]  # opens[k - 1]: the open sets of k variables
+    if 1 <= d <= 3:
+        # the graph of open pairs, and its triangles less the supports of 3 variables
+        pair = 1 - np.eye(n, dtype=np.int64)
+        i, j = np.nonzero(f[size == 2])[1].reshape(-1, 2).T
+        pair[i, j] = pair[j, i] = 0
+        opens.append(pair.sum() // 2)
+    if 2 <= d <= 3:
         i, j, k = np.nonzero(f[size == 3])[1].reshape(-1, 3).T
         code = np.sort((i * n + j) * n + k)  # leads may share a support
         i, jk = np.divmod(code[_runs(code)[0]], n * n)
         j, k = np.divmod(jk, n)
-        count = ((pair @ pair) * pair).sum() // 6 - (pair[i, j] * pair[i, k] * pair[j, k]).sum()
-    return bool(count > explained.coeffs[-1])
+        opens.append(((pair @ pair) * pair).sum() // 6
+                     - (pair[i, j] * pair[i, k] * pair[j, k]).sum())
+    if d < len(opens):
+        if opens[d]:
+            return True
+    else:
+        order = np.argsort(np.ones(len(f), np.int64) @ f, kind="stable")
+        left, free = size.copy(), np.ones(n, bool)
+        for _ in range(d + 1):
+            free &= (left == 1) @ f == 0
+            if not free.any():
+                break
+            v = order[free[order].argmax()]
+            free[v] = False
+            left -= f[:, v]
+        else:
+            return True
+    return 1 <= d <= 3 and bool(opens[d - 1] > explained.coeffs[-1])
 
 
 class CensusStop:
-    """buchberger's stop hook: stop once the leads' HP equals the HP the census explains.
+    """The engine's stop hook: stop once the leads' HP equals the HP the census explains.
 
     It is called with the digit rows of all the leads after each degree.
     The leads' HP bounds R^1's from above and the census's from below, so

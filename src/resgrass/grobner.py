@@ -16,9 +16,10 @@ out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  Each
 degree's new leads go to the pair set in one batch, and one pass blocked
 under _BLOCK prunes their S-pairs by the Gebauer-Moeller lcm-divisor and
 coprime criteria, as integer numpy masks without BLAS.  Inside the engine a
-monomial is a uint8 row of the complement digits of its key, and packed ints
-appear only in its input and output.  normal_form reads its remainders off
-the same reducer table the engine builds per degree.
+monomial is a uint8 row of the complement digits of its key, and its inputs
+are entries by degree, as plucker_entries makes them.  Packed ints appear
+only in the Poly adapters plucker_ideal, buchberger and normal_form, which
+reads its remainders off the same reducer table the engine builds per degree.
 """
 
 from __future__ import annotations
@@ -259,9 +260,14 @@ def _touched(nonzero, n: int):
 
 
 def plucker_ideal(ring: PolyRing, forms=None):
+    """The three-term quadrics cutting out G(2, n), as Polys of ring: plucker_entries' rows."""
+    return _polys(ring, *plucker_entries(ring.nvars, ring.p, forms))
+
+
+def plucker_entries(nv: int, p: int, forms=None):
     """The three-term quadrics cutting out G(2, n), one per 4-subset of the indices touched.
 
-    Column ab of forms, an nvars x C(n, 2) matrix with pairs in lex order,
+    Column ab of forms, an nv x C(n, 2) matrix with pairs in lex order,
     holds the linear form standing for the Plucker coordinate w_ab; by
     default forms is the identity, the variables of a PluckerRing.  A
     relation with an index outside those of the nonzero columns has a zero
@@ -270,9 +276,9 @@ def plucker_ideal(ring: PolyRing, forms=None):
     product the outer product of two sparse columns, formed for blocks of
     4-subsets that keep temporaries under _BLOCK.  A quadric that vanishes,
     or that is a nonzero multiple of an earlier one, is left out, so the
-    first of each proportional set comes back, in 4-subset order.
+    first of each proportional set comes back, in 4-subset order, as the
+    engine's entries (row, digit row, coefficient), monomials ascending.
     """
-    p, nv = ring.p, ring.nvars
     forms = np.eye(nv, dtype=np.int64) if forms is None else np.asarray(forms, np.int64) % p
     npairs = forms.shape[1]
     n = (1 + isqrt(1 + 8 * npairs)) // 2
@@ -310,24 +316,19 @@ def plucker_ideal(ring: PolyRing, forms=None):
     key, coef = np.concatenate(keys), np.concatenate(coefs)
     quad, mono = np.divmod(key, nv**2)
     new = np.diff(quad, prepend=-1) != 0
-    bounds = [*np.flatnonzero(new).tolist(), len(key)]
-    # scaled to 1 at its first monomial, a quadric and its multiples agree
-    scaled = coef * inv_mod(coef[new], p)[np.cumsum(new) - 1] % p
-    sig = np.stack([mono, scaled], axis=1).tobytes()
-    seen, keep = set(), []
-    for a, b in zip(bounds, bounds[1:]):
-        keep.append((h := sig[16 * a : 16 * b]) not in seen)
-        seen.add(h)
-    # only the terms of the quadrics kept become Python ints
-    keep, lengths = np.array(keep, bool), np.diff(bounds)
-    at = np.repeat(keep, lengths)
-    monos, cs = mono[at].tolist(), coef[at].tolist()
-    packed = {m: ring.ord.pack_combo(divmod(m, nv)) for m in set(monos)}
-    out, b = [], 0
-    for k in lengths[keep].tolist():
-        out.append(Poly(ring, dict(zip(map(packed.__getitem__, monos[b : b + k]), cs[b : b + k]))))
-        b += k
-    return out
+    row, start = np.cumsum(new) - 1, np.flatnonzero(new)
+    # scaled to 1 at its first monomial, a quadric and its multiples agree:
+    # as rows of (monomial, scaled coefficient) padded with -1, they are
+    # equal, and np.unique gives the first of each
+    slot = np.arange(len(key)) - start[row]
+    sig = np.full((len(start), 2 * (slot.max(initial=0) + 1)), -1, np.int64)
+    sig[row, 2 * slot], sig[row, 2 * slot + 1] = mono, coef * inv_mod(coef[new], p)[row] % p
+    keep = np.zeros(len(start), bool)
+    keep[np.unique(sig.view(f"V{8 * sig.shape[1]}").ravel(), return_index=True)[1]] = True
+    at = keep[row]
+    low, high = np.divmod(mono[at], nv)
+    eye = np.eye(nv, dtype=np.uint8)
+    return (np.cumsum(keep) - 1)[row[at]], _CAP - eye[low] - eye[high], coef[at]
 
 
 def _digits(keys, n: int):
@@ -358,6 +359,13 @@ def _sparse(terms, n: int):
     grp = np.repeat(np.arange(len(terms)), [len(t) for t in terms])
     coef = np.array([c for t in terms for c in t.values()], np.int64)
     return grp, _digits([k for t in terms for k in t], n), coef
+
+
+def _polys(ring, grp, digits, coef):
+    """The Polys of ring of entries (row, digits, coefficient), one per row, rows ascending."""
+    at = np.searchsorted(grp, np.arange(grp.max(initial=-1) + 2)).tolist()
+    keys, cs = _ints(digits), coef.tolist()
+    return [Poly(ring, dict(zip(keys[a:b], cs[a:b]))) for a, b in zip(at, at[1:])]
 
 
 def _threshold_bits(digits, top):
@@ -522,22 +530,20 @@ class _F4Engine:
     pivots; the nonzero rows are the new elements, and since they are in
     reduced echelon form over non-pivot columns, the basis is reduced as it
     grows.  Monomials are digit rows, as in the pair set, which holds the
-    leads; packed ints are left to the input and output.
+    leads.  The inputs are entries (row, digits, coefficient) by degree,
+    rows ascending from 0, and the basis stays as the leads and the tails.
     """
 
-    def __init__(self, ring, polys):
+    def __init__(self, ring, inputs: dict):
         check_kernel_modulus(ring.p)
-        self.ring = ring
         self.ord, self.p = ring.ord, ring.p
-        self.inputs: dict = {}
-        for g in polys:
-            self.inputs.setdefault(g.degree(), []).append(g.terms)
+        self.inputs = inputs  # taken a degree at a time
         self.pairs = _PairSet(self.ord)
         # the tail past the lead of monic element e: entries offsets[e] to offsets[e + 1]
         self.tail_digits = np.zeros((0, self.ord.nvars), np.uint8)
         self.tail_coefs, self.offsets = np.zeros(0, np.int64), np.zeros(1, np.int64)
         # per degree: rows, zero rows, monomials reached, non-pivot columns,
-        # new elements, and the seconds of the symbolic, elimination and pair steps
+        # new elements, and the seconds of the symbolic, elimination, stop and pair steps
         self.degrees: dict = {}
         self.reductions = self.zero_reductions = 0  # S-pairs
         self.stopped_at = None  # the degree after which a stop hook ended the run
@@ -548,11 +554,11 @@ class _F4Engine:
         # stop, given the digit rows of every lead after a degree, ends the
         # run there when it returns True, before that degree's pairs are formed
         n, p = self.ord.nvars, self.p
+        none = (np.zeros(0, np.int64), np.zeros((0, n), np.uint8), np.zeros(0, np.int64))
         while (d := min([*self.inputs, *self.pairs.queued], default=_CAP + 1)) <= _CAP:
             t0 = time.perf_counter()
-            inputs = self.inputs.pop(d, [])
-            grp, digits, coef = _sparse(inputs, n)
-            nin = len(inputs)
+            grp, digits, coef = self.inputs.pop(d, none)
+            nin = int(grp.max(initial=-1)) + 1
             lcm, i, j = self.pairs.take(d)
             # the leads cancel, so the S-polynomial is tail i less tail j,
             # each times lcm over its lead
@@ -566,19 +572,17 @@ class _F4Engine:
             leads = self._reduce(d, nin + len(i), nin, cols, nreached, rows)
             t2 = time.perf_counter()
             done = stop is not None and stop(np.concatenate([self.pairs.digits, leads]))
-            (self.pairs.hold if done else self.pairs.add_elements)(leads)
             t3 = time.perf_counter()
-            self.degrees[d].update(symbolic_s=t1 - t0, elim_s=t2 - t1, pairs_s=t3 - t2)
+            (self.pairs.hold if done else self.pairs.add_elements)(leads)
+            t4 = time.perf_counter()
+            self.degrees[d].update(symbolic_s=t1 - t0, elim_s=t2 - t1, stop_s=t3 - t2,
+                                   pairs_s=t4 - t3)
             if done:
                 self.stopped_at = d
                 break
         if self.pairs.queued and self.stopped_at is None:
             # its S-polynomial has monomials the packing cannot hold
             raise OverflowError(f"S-pair degree over the cap {_CAP}")
-        tails, coefs, at = _ints(self.tail_digits), self.tail_coefs.tolist(), self.offsets.tolist()
-        basis = [Poly(self.ring, {m: 1, **dict(zip(tails[a:b], coefs[a:b]))})
-                 for m, a, b in zip(_ints(self.pairs.digits), at, at[1:])]
-        return sorted(basis, key=Poly.lead_key)
 
     def _add_tails(self, digits, coef, lens):
         """Append the tails of new elements: their entries, in order, and each one's count."""
@@ -684,7 +688,7 @@ def normal_form(f: Poly, gens) -> Poly:
     gens = [g.monic() for g in gens if g.terms]
     if any(g.ring is not ring for g in gens):
         raise ValueError("generators live in different rings")
-    engine = _F4Engine(ring, ())
+    engine = _F4Engine(ring, {})
     leads = [g.lead_key() for g in gens]
     grp, digits, coef = _sparse([{k: c for k, c in g.terms.items() if k != m}
                                  for g, m in zip(gens, leads)], ring.nvars)
@@ -743,5 +747,14 @@ def buchberger(gens, ring: PolyRing | None = None, stop=None) -> GroebnerBasis:
         raise ValueError("generators live in different rings")
     if not all(g.is_homogeneous() for g in polys):
         raise ValueError("buchberger takes homogeneous generators only")
-    engine = _F4Engine(ring, polys)
-    return GroebnerBasis(ring, engine.run(stop), engine.stats())
+    inputs: dict = {}
+    for g in polys:
+        inputs.setdefault(g.degree(), []).append(g.terms)
+    engine = _F4Engine(ring, {d: _sparse(t, ring.nvars) for d, t in inputs.items()})
+    engine.run(stop)
+    # element e is its lead, with coefficient 1, then its tail
+    start, lens = engine.offsets[:-1], np.diff(engine.offsets)
+    basis = _polys(ring, np.repeat(np.arange(len(lens)), lens + 1),
+                   np.insert(engine.tail_digits, start, engine.pairs.digits, axis=0),
+                   np.insert(engine.tail_coefs, start, 1))
+    return GroebnerBasis(ring, sorted(basis, key=Poly.lead_key), engine.stats())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,8 +31,9 @@ from .field import (
     kernel_dtype,
     mod,
 )
-from .grobner import PluckerRing, PolyRing, _plucker_terms, _touched, buchberger, plucker_ideal
-from .hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
+from .grobner import PluckerRing, PolyRing, _F4Engine, _ints, _plucker_terms, _touched
+from .grobner import plucker_entries
+from .hilbert import MonomialIdeal, format_hp, hilbert_numerator, hilbert_polynomial
 
 
 def os_points(arr: Arrangement, p: int = DEFAULT_MODULUS) -> list[ExtElement]:
@@ -73,7 +74,7 @@ class ResonanceReport:
     decode: dict | None = None
 
     def to_json(self, stats: bool = False) -> str:
-        obj = asdict(self)
+        obj = dict(vars(self))  # shallow: dataclasses.asdict would deep-copy the engine's record
         extra = {k: obj.pop(k) for k in ("engine", "census", "decode")}
         return json.dumps(dict(obj, stats=extra) if stats else obj)
 
@@ -85,13 +86,14 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     the pair coordinate of its pivot on I_2.  Every pair coordinate w_ab is
     the linear form sum_r y_r * rows[r][ab], and the Plucker quadrics pulled
     back along those forms generate the ideal in dim I_2 variables:
-    plucker_ideal reads the forms off the rows and gives each quadric of the
-    indices they touch once up to a scalar.  The OS points are counted off
-    the circuits I_2 was built from, its dependent triples.  With none,
-    I_2 = 0, plucker_ideal forms no quadric and the HP is 0.  The engine
-    stops once the leads' HP equals the one the census of components
-    explains (CensusStop), whose numerator then serves, as it does when the
-    last one it computed belongs to the final leads.
+    plucker_entries reads the forms off the rows and gives each quadric of
+    the indices they touch once up to a scalar, as the engine's entries.
+    The OS points are counted off the circuits I_2 was built from, its
+    dependent triples.  With none, I_2 = 0, no quadric is formed, the engine
+    runs no degree and the HP is 0.  The engine stops once the leads' HP
+    equals the one the census of components explains (CensusStop), whose
+    numerator then serves, as it does when the last one it computed belongs
+    to the final leads, read off the engine as digit rows; no Poly is formed.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
@@ -99,11 +101,13 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     ring = PolyRing(i2.dim(), p)
     found = census(i2)
     stop = CensusStop(ring, found.explained)
-    gb = buchberger(plucker_ideal(ring, i2.rows), ring=ring, stop=stop)
+    quads = plucker_entries(ring.nvars, p, i2.rows)
+    engine = _F4Engine(ring, {2: quads} if len(quads[0]) else {})
+    engine.run(stop)
     t2 = time.perf_counter()
-    lead = leading_ideal(gb)
-    if stop.leads != len(lead):
-        stop.numer = hilbert_numerator(lead, stop.count)
+    leads = engine.pairs.digits
+    if stop.leads != len(leads):
+        stop.numer = hilbert_numerator(MonomialIdeal(ring.ord, _ints(leads), leads), stop.count)
     hp = hilbert_polynomial(stop.numer, ring.nvars)
     t3 = time.perf_counter()
     ms = lambda a, b: round((b - a) * 1000.0, 3)
@@ -120,7 +124,8 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
             "hilbert": ms(t2, t3),
             "total": ms(t0, t3),
         },
-        engine=dict(gb.stats, hilbert_calls=stop.count["calls"], hilbert_hits=stop.count["hits"]),
+        engine=dict(engine.stats(), hilbert_calls=stop.count["calls"],
+                    hilbert_hits=stop.count["hits"]),
         census=dict(found.summary(), checks=stop.checks),
         decode=decode_hp(hp),
     )

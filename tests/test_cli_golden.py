@@ -167,11 +167,11 @@ DIGESTS = {
     "r1-two40-p31991-json": "26787e5d2320778a28dbde04633a58408906e9918ff4c704af2390e2c7bd8952",
     "r1-two40-p3": "03e529e9f584e58b83228a7de9a2205c08bf6af68bd8ceb2d15a6d7f72e71383",
     "r1-two40-p3-json": "eea8d350a3280bf56b339c8e0a3175422b837d1e9b3e6d5be9a96dba1e0f12b6",
-    "r1-A3-p31991-json-stats": "fe522866666ecfdd9e6645310c1e969233c3c9fc3c53920c00a66d3461ca4ae0",
-    "r1-A3-p3-json-stats": "c6427b561a608bdf76bbd018d0dc85fc06167f5a61d8d91605faf30069173d0f",
-    "r1-A5-p31991-json-stats": "e3a9923ff1ea0d0d1a8f03a55c9990e4aa40f6d663321fb31fa267f57331e809",
-    "r1-Hessian-p31991-json-stats": "c4b296c2002157886ad35610945544621ebc17f3ef971f368c794ae1e833fa5f",
-    "r1-Hessian-p3-json-stats": "c84483e435d8f33cbb2a54646a5065116c4a45cf5b2b380f67ff103344feb04e",
+    "r1-A3-p31991-json-stats": "2ec22a93d60d7f53b5a7b15606a95c50efe6c32d3a6f45e387577c452281f856",
+    "r1-A3-p3-json-stats": "35f55d4e1befce437a0b8f9c435fea966182cc36cd361d91c5611a8284dff30f",
+    "r1-A5-p31991-json-stats": "a2a0a11af8eaaca7847a0ed7af0a2f4a2f302ae690ef765e6e28ba1e5a9c7bcc",
+    "r1-Hessian-p31991-json-stats": "a06fd5fa8424c0580bbc8cd7ce240cd54409e10f0d93db8d6fd42d044e68c348",
+    "r1-Hessian-p3-json-stats": "b9309930711a022e58fbca41f2e5cf40a971e6de5b730a68962d941ad9f47d41",
     "oracle-A3-q5": "d4e9313942b67dd23cb097a752446bba5f6ac92053ec5ce882c38b1464e27bf8",
     "oracle-A3-q5-json": "465884e2d2f1a6a970eeedaaec8fbbb0941ec7066a1c5fed685c178d3c80dbc9",
     "oracle-A3-q7": "4463332f0ef098e6d9e8b58084346e0e70d67d6428dc3a50db3809871893d271",

@@ -20,9 +20,9 @@ from resgrass.components import Census, _nets, _ruled_out, census, decode_hp, gr
 from resgrass.errors import InputError
 from resgrass.exterior import os_ideal_part
 from resgrass.field import batch_rank, mod
-from resgrass.grobner import _CAP, _digits, buchberger
+from resgrass.grobner import _CAP, _digits, _ints, buchberger
 from resgrass.hilbert import HilbertPoly, format_hp, hilbert_numerator, hilbert_polynomial
-from resgrass.hilbert import leading_ideal
+from resgrass.hilbert import MonomialIdeal, leading_ideal
 from resgrass.resonance import r1_hilbert
 
 from cases import braid, ceva, ceva3, graphic, monomial_ideal, r1_ideal, random_simple_realization
@@ -247,6 +247,32 @@ def test_ruled_out_never_refuses_the_leads_own_hp():
         assert not _ruled_out(_digits(keys, nvars) != _CAP, hp), (nvars, sorted(exps))
         seen.add(hp.degree() + 1)
     assert {1, 2, 3, 4} <= seen
+
+
+@pytest.mark.parametrize("p, checks", [(2, 0), (3, 1)])
+def test_ruled_out_is_exact_on_the_fano_plane(p, checks):
+    # the census explains 14*P_0 (7 local components and 7 nets), so d = 1,
+    # and an open pair of variables exists exactly when the leads' HP has
+    # degree >= 1.  Over F_2 the HP after every degree is 7*P_0 + 1*P_2, and
+    # over F_3 it is 10*P_0 + 1*P_1 after degree 3: all ruled out, so only
+    # F_3's last degree, whose HP is the census's, needs a numerator
+    ring, gens = r1_ideal(FANO, p)
+    explained = census(os_ideal_part(FANO, 2, p)).explained
+    assert format_hp(explained) == "14*P_0"
+    seen = []
+    buchberger(gens, ring=ring, stop=lambda leads: seen.append(leads) or False)
+    numerators = 0  # the ones the stop hook computes: up to the degree whose HP is explained
+    for leads in seen:
+        hp = hilbert_polynomial(hilbert_numerator(MonomialIdeal(ring.ord, _ints(leads), leads)),
+                                ring.nvars)
+        ruled = _ruled_out(leads != _CAP, explained)
+        assert ruled == (hp.degree() >= 1), (p, len(leads), format_hp(hp))
+        if not ruled:
+            numerators += 1
+            if hp == explained:
+                break
+    assert numerators == checks
+    assert r1_hilbert(FANO, p).census["checks"] == checks
 
 
 def reference_run(arr, p):

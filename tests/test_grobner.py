@@ -6,6 +6,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
+from resgrass import resonance
 from resgrass.arrangement import fixture
 from resgrass.errors import InputError
 from resgrass.exterior import os_ideal_part
@@ -21,9 +22,11 @@ from resgrass.grobner import (
     _PairSet,
     _digits,
     _first_subset,
+    _sparse,
     _threshold_bits,
     buchberger,
     normal_form,
+    plucker_entries,
     plucker_ideal,
 )
 
@@ -58,6 +61,11 @@ P = 31991
 def rand_mono(rng, ord_, maxdeg=4):
     deg = rng.randrange(maxdeg + 1)
     return ord_.pack_combo([rng.randrange(ord_.nvars) for _ in range(deg)])
+
+
+def quadric_engine(ring, gens):
+    """The engine buchberger runs on gens, all of degree 2, before its run."""
+    return _F4Engine(ring, {2: _sparse([g.terms for g in gens], ring.nvars)})
 
 
 # ---------------------------------------------------------------- orders
@@ -124,6 +132,51 @@ def test_exponent_caps():
 
 
 # ---------------------------------------------------------------- plucker ideal
+
+
+class Fed(Exception):
+    """Raised by a stand-in engine once it holds the inputs r1_hilbert fed it."""
+
+
+def fed_to_engine(arr, p, monkeypatch):
+    """The inputs r1_hilbert hands its engine on arr at p, and its ring."""
+    def engine(ring, inputs):
+        raise Fed(ring, inputs)
+
+    monkeypatch.setattr(resonance, "_F4Engine", engine)
+    with pytest.raises(Fed) as got:
+        resonance.r1_hilbert(arr, p)
+    return got.value.args
+
+
+def same_entries(a, b):
+    return all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, P])
+def test_r1_feeds_the_engine_the_plucker_ideal_as_entries(p, monkeypatch):
+    # the engine's entries of the quadrics equal those of plucker_ideal's
+    # Polys packed again, row by row and term by term, on the whole of
+    # G(2, n) and on r1's pullbacks to I_2
+    for n in range(4, 9):
+        ring = PluckerRing(n, p)
+        assert same_entries(plucker_entries(ring.nvars, p),
+                            _sparse([g.terms for g in plucker_ideal(ring)], ring.nvars)), n
+    rng = random.Random(p)
+    arrs = [fixture("A3"), braid(4), braid(5), braid(6), fixture("Hessian"), PENCIL, BOOLEAN]
+    arrs += [random_simple_realization(rng, p) for _ in range(6)]
+    quadrics = 0
+    for arr in arrs:
+        ring, inputs = fed_to_engine(arr, p, monkeypatch)
+        i2 = os_ideal_part(arr, 2, p)
+        assert ring.nvars == i2.dim()
+        want = plucker_ideal(ring, i2.rows)
+        # no quadric, no input degree: I_2 = 0 runs no engine degree
+        assert list(inputs) == ([2] if want else []), arr.name
+        if want:
+            assert same_entries(inputs[2], _sparse([g.terms for g in want], ring.nvars)), arr.name
+        quadrics += len(want)
+    assert quadrics > 1000
 
 
 def test_plucker_ideal_n4():
@@ -706,7 +759,7 @@ HESSIAN_DEGREES = {
 )
 def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     ring, gens = r1_ideal(braid(ell), P)
-    eng = _F4Engine(ring, gens)
+    eng = quadric_engine(ring, gens)
     rec = eng.pairs = RecordingPairs(eng.pairs)
     eng.run()
     # the reference adds the leads one at a time, and a take of degree d
@@ -800,7 +853,7 @@ def test_pair_pass_memory_stays_within_blocks(name):
     # (one unblocked lcm array would take 0.7 MB on A5, 1.9 MB on the Hessian)
     arr = braid(5) if name == "A5" else fixture("Hessian")
     ring, gens = r1_ideal(arr, P)
-    eng = _F4Engine(ring, gens)
+    eng = quadric_engine(ring, gens)
     eng.run()
     digits = eng.pairs.digits
     leads = digits[digits.sum(axis=1) == _CAP * ring.nvars - 2]
@@ -822,7 +875,7 @@ def test_pair_pass_memory_stays_within_blocks(name):
 def test_hessian_engine_counters():
     # the pair stream is too long to replay through ReferencePairSet here
     ring, gens = r1_ideal(fixture("Hessian"), P)
-    eng = _F4Engine(ring, gens)
+    eng = quadric_engine(ring, gens)
     eng.run()
     got = dict(counters(eng.pairs), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
     assert got == dict(created=87153, pruned_lcm=79488, pruned_coprime=196, reductions=7469,

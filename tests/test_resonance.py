@@ -12,7 +12,7 @@ from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import BudgetError
 from resgrass.exterior import ExtElement, boundary, os_ideal_part, wedge
 from resgrass.field import MAX_KERNEL_MODULUS
-from resgrass.grobner import PluckerRing, normal_form, plucker_ideal
+from resgrass.grobner import Poly, PluckerRing, normal_form, plucker_ideal
 from resgrass.resonance import (
     decomposables_in_I2_bruteforce,
     is_decomposable,
@@ -127,6 +127,17 @@ def test_r1_hilbert_generic_no_flats():
     assert rep.engine == dict(degrees={}, reductions=0, zero_reductions=0, created=0,
                               pruned_lcm=0, pruned_coprime=0, pair_s=0, hilbert_calls=1,
                               hilbert_hits=0)
+
+
+def test_r1_hilbert_forms_no_poly(monkeypatch):
+    # the quadrics go to the engine as entries and the leads come back as
+    # digit rows, so the whole of r1 runs without one Poly
+    def refuse(self, ring, terms):
+        raise AssertionError("r1_hilbert formed a Poly")
+
+    monkeypatch.setattr(Poly, "__init__", refuse)
+    rep = r1_hilbert(braid(5))
+    assert rep.hilbert == "35*P_0" and rep.engine["stopped_at"] == 3
 
 
 def refuse_plucker_terms_above(monkeypatch, module, most: int):
