@@ -189,7 +189,8 @@ def cmd_bench(args) -> int:
                                  ms(lambda e: e["degrees"][d][k]) if k.endswith("_s") else v
                                  for k, v in c.items()} for d, c in engine["degrees"].items()}
         results.append(dict(fixture=arr.name, hilbert=runs[0].hilbert, runs=args.repeat,
-                            stopped_at=engine.get("stopped_at"), stages=stages, engine=engine))
+                            stopped_at=engine.get("stopped_at"),
+                            certificate=runs[0].census["certificate"], stages=stages, engine=engine))
     oracle = []
     for arr, q in ((fixture("A3"), 5), (fixture("A3"), 7), (a4, 3)):
         reps, ms = _timed(lambda: check_prop21(arr, q), args.repeat)
@@ -220,7 +221,8 @@ def cmd_bench(args) -> int:
         return 0
     for res in results:
         stop = res["stopped_at"]
-        stop = f"  stopped after degree {stop}" if stop else "  ran to the end"
+        stop = (f"  stopped after degree {stop}, certified by {res['certificate']}" if stop
+                else "  ran to the end")
         print(f"{res['fixture']}: {res['hilbert']} (runs={res['runs']}){stop}")
         eng = res["engine"]
         for s in STAGES:

@@ -25,7 +25,11 @@ hyperplanes determine their net.  So their Grassmannians are disjoint in
 R^1's scheme, and the sum of their HPs, HP(G(2, dim V)), bounds R^1's
 from below; the lead ideal of a partial basis bounds it from above
 (Traverso, J. Symbolic Comput. 22, 1996), and CensusStop ends the engine
-when the two meet.
+when the two meet.  Where every component is a G(2, 2), a point, as on
+the braids, the census's HP is a constant c, and the hook compares it
+with a count of the leads' standard pairs along the open axes, stopped
+once it passes c (hilbert.constant_hp; Sturmfels-Trung-Vogel, Math. Ann.
+302, 1995); other HPs go through the Hilbert series.
 """
 
 from __future__ import annotations
@@ -39,7 +43,14 @@ import numpy as np
 from .arrangement import flats_of
 from .field import _runs
 from .grobner import _CAP, _ints
-from .hilbert import HilbertPoly, MonomialIdeal, format_hp, hilbert_numerator, hilbert_polynomial
+from .hilbert import (
+    HilbertPoly,
+    MonomialIdeal,
+    constant_hp,
+    format_hp,
+    hilbert_numerator,
+    hilbert_polynomial,
+)
 
 KINDS = ("local", "net")
 
@@ -201,18 +212,35 @@ class CensusStop:
 
     It is called with the digit rows of all the leads after each degree.
     The leads' HP bounds R^1's from above and the census's from below, so
-    equality certifies it.  The numerator is computed only when the leads
-    are new and _ruled_out cannot rule them out, and the last one is kept,
-    with the lead count it belongs to, for r1 to reuse.
+    equality certifies it, and certificate says how it was found.  When the
+    census's HP is a constant c, constant_hp counts along the open axes up
+    to c ("axes").  Otherwise the numerator is computed when the leads are
+    new and _ruled_out cannot rule them out ("series"), and the last one is
+    kept, with the lead count it belongs to, for r1 to reuse.  checks counts
+    the lead sets whose HP was computed.
     """
 
     def __init__(self, ring, explained: HilbertPoly):
         self.ord, self.nvars, self.explained = ring.ord, ring.nvars, explained
-        self.leads, self.numer, self.count, self.checks = -1, None, {}, 0
+        self.constant = sum(explained.coeffs) if explained.degree() <= 0 else None
+        self.leads, self.numer, self.checks, self.certificate = -1, None, 0, None
+        self.count = dict(calls=0, hits=0)
 
     def __call__(self, digits) -> bool:
-        if len(digits) == self.leads or _ruled_out(digits != _CAP, self.explained):
+        if len(digits) == self.leads:
             return False
-        self.leads, self.checks = len(digits), self.checks + 1
-        self.numer = hilbert_numerator(MonomialIdeal(self.ord, _ints(digits), digits), self.count)
-        return hilbert_polynomial(self.numer, self.nvars) == self.explained
+        if self.constant is not None:
+            c = constant_hp(digits, self.constant)
+            if c is None:
+                return False
+            self.leads, self.checks = len(digits), self.checks + 1
+            done = c == self.constant
+        else:
+            if _ruled_out(digits != _CAP, self.explained):
+                return False
+            self.leads, self.checks = len(digits), self.checks + 1
+            self.numer = hilbert_numerator(MonomialIdeal(self.ord, _ints(digits), digits), self.count)
+            done = hilbert_polynomial(self.numer, self.nvars) == self.explained
+        if done:
+            self.certificate = "series" if self.constant is None else "axes"
+        return done

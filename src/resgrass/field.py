@@ -168,6 +168,11 @@ def _runs(x):
     return heads, np.concatenate((heads[1:], [len(x)])) - heads
 
 
+def _spans(start, lens):
+    """The indices start[k] .. start[k] + lens[k] - 1, for every k in turn."""
+    return np.arange(lens.sum()) + np.repeat(start - np.cumsum(lens) + lens, lens)
+
+
 def _products(g, c, v, table, ncol: int, p: int):
     """through_table's products, unsummed, one slice of rows at a time.
 
@@ -371,18 +376,45 @@ def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
     return rank[g][order], c[order], v[order], np.sort(lead), kept if nin < nrows else len(lead)
 
 
-def inv_mod(x, p: int):
-    """Elementwise inverse of an array of nonzero residues, as x^(p-2); F_3 takes one reduction."""
-    base = mod(x, p)
+# distinct residues past which squaring them all beats Python's pow on each
+_POW_EACH = 32
+
+
+def _power(base, e: int, p: int):
+    """base^e mod p elementwise, by square-and-multiply; e = 0 gives ones."""
     out = None
-    e = p - 2
     while e:
         if e & 1:
             out = base if out is None else mod(out * base, p)
         e >>= 1
         if e:
             base = mod(base * base, p)
-    return np.ones_like(x) if out is None else out
+    return np.ones_like(base) if out is None else out
+
+
+def inv_mod(x, p: int):
+    """Elementwise inverse of an array of nonzero residues, as x^(p-2), in x's type and shape.
+
+    Up to p = 7 that is square-and-multiply on the whole array: at most
+    three products, and F_3 takes one reduction.  Past that it would take
+    about 2 log2(p) products, so the distinct residues, found by a stable
+    sort, are raised once each, by Python's pow while they are few, and
+    the powers gathered.  Zeros, which batch_rank passes, give 0 past F_2.
+    """
+    base = mod(x, p)
+    if p <= 7:
+        return _power(base, p - 2, p)
+    flat = base.ravel()
+    order = np.argsort(flat, kind="stable")
+    heads, lens = _runs(flat[order])
+    vals = flat[order[heads]]
+    if len(vals) <= _POW_EACH:
+        powers = np.array([pow(v, p - 2, p) for v in vals.tolist()], base.dtype)
+    else:
+        powers = _power(vals.astype(np.int64), p - 2, p).astype(base.dtype)  # (p - 1)^2 fits
+    out = np.empty_like(flat)
+    out[order] = np.repeat(powers, lens)
+    return out.reshape(base.shape)
 
 
 def batch_rank(mats, p: int):

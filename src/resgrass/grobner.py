@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .field import _BLOCK, DEFAULT_MODULUS, _runs, check_kernel_modulus, is_prime
+from .field import _BLOCK, DEFAULT_MODULUS, _runs, _spans, check_kernel_modulus, is_prime
 from .field import inv_mod, leveled, pivot_table, sparse_rref, through_table
 
 _W = 8
@@ -598,7 +598,7 @@ class _F4Engine:
         start = self.offsets[elems]
         lens = self.offsets[elems + 1] - start
         seg = np.repeat(np.arange(len(elems)), lens)
-        at = np.arange(len(seg)) + np.repeat(start - np.cumsum(lens) + lens, lens)
+        at = _spans(start, lens)
         return seg, self.tail_digits[at] - shift[seg], self.tail_coefs[at]
 
     def _table(self, grp, digits, coef):

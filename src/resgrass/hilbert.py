@@ -13,6 +13,12 @@ basis built by hand.  Monomials are the engine's grevlex keys with their
 support masks, under its cap of 127 on exponents and total degree.  The
 Hilbert polynomial is read off h in powers of (1 - t), exactly, in the basis
 P_i(d) = C(d+i, i).
+
+Where the zero set of the leads has dimension <= 1, as on the braids' R^1,
+the HP is a constant, and constant_hp counts it with no series: along each
+open axis, a variable with no pure power among the leads, it adds the
+colength of the leads with that variable set to 1 (the standard pairs of
+dimension 1, Sturmfels-Trung-Vogel, Math. Ann. 302, 1995).
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from math import comb
 
 import numpy as np
 
+from .field import _spans
 from .grobner import _CAP, _digits
 
 
@@ -123,6 +130,74 @@ def hilbert_numerator(mi: MonomialIdeal, stats: dict | None = None):
     count = {} if stats is None else stats
     count.update(calls=0, hits=0)
     return _numer(mi._gens, mi._ord, {}, count)
+
+
+def constant_hp(digits, bound: int | None = None):
+    """c with HP(S/in) = c*P_0, in the leads' digit rows, or None when the HP is not constant.
+
+    V(in) is the union of the coordinate subspaces on the sets of variables
+    that hold no lead's support.  None: a pair {v, w} holds none, an open
+    pair, so V(in) has dimension >= 2.  Otherwise V(in) is the open axes,
+    the variables v with no pure power among the leads, and c sums over
+    them the colength of J_v = (in : x_v^inf), x_v set to 1, in the other
+    variables: the standard pairs of in of dimension 1 (Sturmfels, Trung
+    and Vogel, Math. Ann. 302, 1995).  J_v holds x_w when some lead is
+    x_v^a x_w; the rest, W_v, are searched breadth first, each monomial
+    grown from its quotient by its last variable and tested against the
+    leads on W_v and v alone.  The count stops once it passes bound, so a
+    value above bound says only that c is too.
+    """
+    exps, supp = _CAP - digits, digits != _CAP
+    n, size = digits.shape[1], supp.sum(axis=1)
+    if not size.all():  # a unit lead: S/in = 0
+        return 0
+    lead, var = np.nonzero(supp)  # row by row, ascending variables
+    one, two = size[lead] == 1, size[lead] == 2
+    pure, (i, j) = var[one], var[two].reshape(-1, 2).T
+    closed = np.eye(n, dtype=bool)
+    closed[pure] = closed[:, pure] = closed[i, j] = closed[j, i] = True
+    if not closed.all():
+        return None
+    gone = np.zeros((n, n), bool)  # gone[v, w]: x_w is in J_v
+    gone[:, pure[exps[lead[one], pure] == 1]] = True
+    ei, ej = exps[lead[two], var[two]].reshape(-1, 2).T
+    gone[i[ej == 1], j[ej == 1]] = gone[j[ei == 1], i[ei == 1]] = True
+    open_ = np.ones(n, bool)
+    open_[pure] = False
+    axes = np.flatnonzero(open_)
+    count = len(axes)  # each axis's 1; only those with W_v go on
+    w_of = ~gone[axes]
+    w_of[np.arange(len(axes)), axes] = False
+    grow = w_of.any(axis=1)
+    axes, w_of = axes[grow], w_of[grow]
+    # the leads on W_v and v: each support variable in W_v or v
+    order = np.argsort(var, kind="stable")
+    start = np.searchsorted(var[order], np.arange(n + 1))
+    ax, w = np.nonzero(w_of)
+    lens = start[w + 1] - start[w]
+    key = np.repeat(ax, lens) * len(digits) + lead[order][_spans(start[w], lens)]
+    key, hits = np.unique(key, return_counts=True)
+    ax, near = np.divmod(key, len(digits))
+    fits = hits + supp[near, axes[ax]] == size[near]
+    ax, near = ax[fits], near[fits]
+    first = np.searchsorted(ax, np.arange(len(axes) + 1))
+    # the standard monomials of J_v, x_v held at _CAP so that every lead's
+    # power of x_v divides it, with the axis each belongs to and its last variable
+    mono = np.zeros((len(axes), n), np.uint8)
+    mono[np.arange(len(axes)), axes] = _CAP
+    owner, last = np.arange(len(axes)), np.full(len(axes), -1)
+    while len(mono) and (bound is None or count <= bound):
+        r, w = np.nonzero(w_of[owner] & (np.arange(n) >= last[:, None]))
+        mono, owner, last = mono[r], owner[r], w
+        mono[np.arange(len(r)), w] += 1
+        lens = first[owner + 1] - first[owner]
+        who = np.repeat(np.arange(len(r)), lens)
+        hit = (exps[near[_spans(first[owner], lens)]] <= mono[who]).all(axis=1)
+        keep = np.ones(len(r), bool)
+        keep[who[hit]] = False
+        mono, owner, last = mono[keep], owner[keep], last[keep]
+        count += len(mono)
+    return count
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ class ResonanceReport:
     timings_ms: dict
     # the Groebner engine's counters (GroebnerBasis.stats) and the Hilbert
     # recursion's calls and memo hits (hilbert_calls, hilbert_hits), the
-    # component census (Census.summary) and the HP's decode (decode_hp);
-    # to_json shows them under stats only when asked
+    # component census (Census.summary, with the stop hook's checks and
+    # certificate) and the HP's decode (decode_hp); to_json shows them
+    # under stats only when asked
     engine: dict = field(default_factory=dict)
     census: dict = field(default_factory=dict)
     decode: dict | None = None
@@ -93,9 +94,12 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     The OS points are counted off the circuits I_2 was built from, its
     dependent triples.  With none, I_2 = 0, no quadric is formed, the engine
     runs no degree and the HP is 0.  The engine stops once the leads' HP
-    equals the one the census of components explains (CensusStop), whose
-    numerator then serves, as it does when the last one it computed belongs
-    to the final leads, read off the engine as digit rows; no Poly is formed.
+    equals the one the census of components explains (CensusStop): by the
+    count along the open axes when that HP is a constant, by the Hilbert
+    series otherwise.  A stopped run reports the census's HP, since the
+    equality certifies it; a run to the end takes its HP from the numerator
+    of the final leads, read off the engine as digit rows, or from the
+    hook's last numerator when it belongs to them.  No Poly is formed.
     """
     t0 = time.perf_counter()
     i2 = os_ideal_part(arr, 2, p)
@@ -108,9 +112,12 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
     engine.run(stop)
     t2 = time.perf_counter()
     leads = engine.pairs.digits
-    if stop.leads != len(leads):
-        stop.numer = hilbert_numerator(MonomialIdeal(ring.ord, _ints(leads), leads), stop.count)
-    hp = hilbert_polynomial(stop.numer, ring.nvars)
+    if stop.certificate:
+        hp = found.explained
+    else:
+        if stop.numer is None or stop.leads != len(leads):
+            stop.numer = hilbert_numerator(MonomialIdeal(ring.ord, _ints(leads), leads), stop.count)
+        hp = hilbert_polynomial(stop.numer, ring.nvars)
     t3 = time.perf_counter()
     ms = lambda a, b: round((b - a) * 1000.0, 3)
     return ResonanceReport(
@@ -128,7 +135,7 @@ def r1_hilbert(arr: Arrangement, p: int = DEFAULT_MODULUS) -> ResonanceReport:
         },
         engine=dict(engine.stats(), hilbert_calls=stop.count["calls"],
                     hilbert_hits=stop.count["hits"]),
-        census=dict(found.summary(), checks=stop.checks),
+        census=dict(found.summary(), checks=stop.checks, certificate=stop.certificate),
         decode=decode_hp(hp),
     )
 

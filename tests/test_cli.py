@@ -69,7 +69,7 @@ def test_r1_stats(capsys):
     assert set(stats) == {"engine", "census", "decode"}
     assert stats["engine"]["stopped_at"] == 3 and stats["engine"]["created"] == 10
     assert stats["census"] == {"components": {"local": {"2": 4}, "net": {"2": 1}},
-                               "explained": "5*P_0", "checks": 1}
+                               "explained": "5*P_0", "checks": 1, "certificate": "axes"}
     assert stats["decode"] == {"2": 5}
     # an HP that does not decode shows null, and the text form prints one stats line
     code, out, _ = run(capsys, "r1", "--fixture", "Hessian", "--p", "3", "--stats")
@@ -78,6 +78,7 @@ def test_r1_stats(capsys):
     assert len(line) == 1
     stats = json.loads(line[0][len("stats: "):])
     assert stats["decode"] is None and "stopped_at" not in stats["engine"]
+    assert stats["census"]["certificate"] is None
 
 
 def test_r1_warns_when_the_hp_does_not_decode(capsys, tmp_path):
@@ -216,8 +217,9 @@ def test_bench_braid(capsys):
     assert code == 0
     assert "oracle A3/F_5: agree=yes" in out and "oracle A3/F_7: agree=yes" in out
     assert "check-point A4 --k 3: h=[0, 0, 0, 0] (runs=1)" in out
+    assert "A3: 5*P_0 (runs=1)  stopped after degree 3, certified by axes" in out
     (hil,) = [line for line in out.splitlines() if line.startswith("  hilbert ")]
-    assert hil.endswith("  calls=9 hits=1")
+    assert hil.endswith("  calls=0 hits=0")
 
 
 def test_bench_git_rev_is_null_outside_a_checkout(capsys, monkeypatch):
@@ -254,13 +256,14 @@ def test_bench_reports_engine_counters(capsys):
     eng = res["engine"]
     # the run stops after degree 3, once the components named from the flats
     # account for the HP, so degree 3's leads form no pair
-    assert (res["stopped_at"], eng["stopped_at"]) == (3, 3)
+    assert (res["stopped_at"], eng["stopped_at"], res["certificate"]) == (3, 3, "axes")
     assert {k: eng[k] for k in ("created", "pruned_lcm", "pruned_coprime")} == dict(
         created=10, pruned_lcm=4, pruned_coprime=0
     )
     assert (eng["reductions"], eng["zero_reductions"]) == (6, 5)
-    # the Hilbert recursion's calls and memo hits
-    assert (eng["hilbert_calls"], eng["hilbert_hits"]) == (9, 1)
+    # the Hilbert recursion's calls and memo hits: none, as the count along
+    # the open axes certifies the HP
+    assert (eng["hilbert_calls"], eng["hilbert_hits"]) == (0, 0)
     assert sum(c["new"] for c in eng["degrees"].values()) == 6
     assert 0 < eng["pair_ms"]["min"] <= eng["pair_ms"]["median"]
     # each degree's symbolic, elimination and pair-pass times, min <= median

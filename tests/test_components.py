@@ -16,13 +16,21 @@ import pytest
 
 from resgrass import resonance
 from resgrass.arrangement import Arrangement, check_simple, fixture, flats_of, from_matrix
-from resgrass.components import Census, _nets, _ruled_out, census, decode_hp, grassmannian_hp
+from resgrass.components import (
+    Census,
+    CensusStop,
+    _nets,
+    _ruled_out,
+    census,
+    decode_hp,
+    grassmannian_hp,
+)
 from resgrass.errors import InputError
 from resgrass.exterior import os_ideal_part
 from resgrass.field import batch_rank, mod
-from resgrass.grobner import _CAP, _digits, _ints, buchberger
+from resgrass.grobner import _CAP, PolyRing, _digits, _ints, buchberger
 from resgrass.hilbert import HilbertPoly, format_hp, hilbert_numerator, hilbert_polynomial
-from resgrass.hilbert import MonomialIdeal, leading_ideal
+from resgrass.hilbert import MonomialIdeal, constant_hp, leading_ideal
 from resgrass.resonance import r1_hilbert
 
 from cases import braid, ceva, ceva3, graphic, monomial_ideal, r1_ideal, random_simple_realization
@@ -323,14 +331,51 @@ def test_a_short_census_leaves_the_run_as_it_was(arr, p, monkeypatch):
 )
 def test_a_full_census_stops_the_run_and_keeps_the_hp(arr, p, hilbert, stopped_at):
     rep = r1_hilbert(arr, p)
-    hp, stats, count = reference_run(arr, p)
+    hp, stats, _ = reference_run(arr, p)
     assert rep.hilbert == hp == hilbert
     assert rep.engine["stopped_at"] == stopped_at
     assert max(rep.engine["degrees"]) == stopped_at < max(stats["degrees"])
-    # the stopped run forms fewer pairs, and its numerator is the full run's
+    # the stopped run forms fewer pairs, and the count along the open axes
+    # certifies its HP with no numerator
     assert rep.engine["created"] < stats["created"]
-    assert (rep.engine["hilbert_calls"], rep.engine["hilbert_hits"]) == (count["calls"], count["hits"])
+    assert (rep.engine["hilbert_calls"], rep.engine["hilbert_hits"]) == (0, 0)
+    assert rep.census["certificate"] == "axes"
     assert rep.census["checks"] >= 1 and rep.decode == {2: int(hilbert.split("*")[0])}
+
+
+def test_the_axis_count_is_the_numerators_hp(monkeypatch):
+    # on every lead set the stop hook is handed, constant_hp gives the
+    # numerator's HP when it is constant and None otherwise; a stopped run's
+    # last lead set is its final one, whose HP it reports as the census's
+    rng = random.Random(36)
+    inputs = [(braid(ell), p) for ell in (3, 4, 5, 6) for p in (31991, 3, 2)]
+    inputs += [(FANO, 3), (NON_FANO, 31991)]
+    inputs += [(graphic(v, edges, p), p) for v, edges in seeded_graphs() for p in (2, 31991)]
+    inputs += [(random_simple_realization(rng, p), p) for p in (2, 3, 5, 7, 31991) for _ in range(4)]
+    seen = []
+
+    class Seen(CensusStop):
+        def __call__(self, digits):
+            seen.append(digits)
+            return super().__call__(digits)
+
+    monkeypatch.setattr(resonance, "CensusStop", Seen)
+    stopped = constant = 0
+    for arr, p in inputs:
+        seen.clear()
+        rep = r1_hilbert(arr, p)
+        for leads in seen:
+            n = leads.shape[1]
+            numer = hilbert_numerator(MonomialIdeal(PolyRing(n, p).ord, _ints(leads), leads))
+            hp = hilbert_polynomial(numer, n)
+            want = None if hp.degree() >= 1 else sum(hp.coeffs)
+            assert constant_hp(leads) == want, (arr.name, p, len(leads), format_hp(hp))
+            constant += want is not None
+        if "stopped_at" in rep.engine:
+            stopped += 1
+            assert rep.hilbert == format_hp(hp), (arr.name, p)
+            assert rep.census["certificate"] == ("axes" if hp.degree() <= 0 else "series")
+    assert (stopped, constant) == (42, 41)  # one realization stops on the series
 
 
 def test_buchberger_without_a_hook_never_stops():

@@ -63,6 +63,35 @@ def test_inverse_property():
         assert (x * inv_mod(x, p) % p == 1).all()
 
 
+def square_and_multiply(x, p):
+    """x^(p-2) mod p elementwise, by repeated squaring in int64."""
+    base, out, e = x.astype(np.int64) % p, np.ones(x.shape, np.int64), p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base, e = base * base % p, e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p, dtype", [
+    (p, t) for t in (np.int8, np.int32, np.int64) for p in (2, 3, 5, 7, 11, 31991, BOUNDARY_PRIME)
+    if p - 1 <= np.iinfo(t).max  # int8 holds no residue past 127
+])
+def test_inverse_matches_square_and_multiply(p, dtype):
+    # past p = 7 inv_mod raises each distinct residue once, by pow when
+    # they are few and by squaring when they are many; zeros, which
+    # batch_rank passes, stay 0 there, and type and shape are kept
+    rng = np.random.default_rng(p)
+    few = rng.choice([0, 1, p - 1, rng.integers(1, p)], size=(3, 40))
+    many = rng.integers(0, p, size=(4, 25))
+    many[:, :3] = 0
+    for x in (few, many, many[:0], np.array(p - 1)):
+        x = x.astype(dtype)
+        got = inv_mod(x, p)
+        assert got.dtype == dtype and got.shape == x.shape
+        assert (got == square_and_multiply(x, p)).all()
+
+
 def test_kernel_of_single_row():
     # x + y + z = 0 over F_7
     ker = kernel_basis([[1, 1, 1]], 3, 7)

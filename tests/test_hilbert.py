@@ -1,21 +1,25 @@
 import random
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
+import numpy as np
 import pytest
 
 import resgrass.hilbert as hilbert
 from resgrass.arrangement import fixture
-from resgrass.grobner import GroebnerBasis, PluckerRing, PolyRing, buchberger
+from resgrass.grobner import _CAP, GroebnerBasis, PluckerRing, PolyRing, _ints, buchberger
 from resgrass.grobner import plucker_ideal
 from resgrass.hilbert import (
     HilbertPoly,
     MonomialIdeal,
+    constant_hp,
     format_hp,
     hilbert_numerator,
     hilbert_polynomial,
     leading_ideal,
 )
 
+import resgrass.resonance as resonance
+from resgrass.components import CensusStop
 from resgrass.resonance import r1_hilbert
 
 from cases import (
@@ -165,6 +169,57 @@ def test_random_ideals_against_counting_oracle(monkeypatch):
     assert seen == {"variable", "variable-drops", "lowered", "lowered-drops", "power"}
 
 
+def lead_digits(mi):
+    """The digit rows of a monomial ideal's minimal generators, as the engine hands them on."""
+    exps = np.array(mi.gens, np.int64).reshape(-1, mi.nvars)
+    return (_CAP - exps).astype(np.uint8)
+
+
+def test_constant_hp_on_a_pure_power_off_its_axis():
+    # (x_1^2) in k[x_0, x_1]: a double point on the axis of x_0, so W_0 keeps x_1
+    assert constant_hp(lead_digits(monomial_ideal(2, [(0, 2)]))) == 2
+    assert constant_hp(lead_digits(monomial_ideal(2, [(5, 0)]))) == 5
+    assert constant_hp(lead_digits(monomial_ideal(3, [(0, 0, 0)]))) == 0  # the unit ideal
+    assert constant_hp(lead_digits(monomial_ideal(1, []))) == 1
+    # no lead on {x_1, x_2}: a plane, so no constant
+    assert constant_hp(lead_digits(monomial_ideal(3, [(1, 0, 0)]))) is None
+
+
+def test_constant_hp_against_the_numerator():
+    # seeded ideals that close every pair of variables (dimension <= 1),
+    # with pure powers x^k, k >= 2, degree-1 leads and mixed extras, and
+    # some that leave a pair open; bound stops the count past it
+    rng = random.Random(36)
+    kinds = {"pure power": 0, "degree 1": 0, "open pair": 0, "past bound": 0}
+    for _ in range(400):
+        nvars = rng.randrange(1, 7)
+        gens = []
+        for v, w in combinations(range(nvars), 2):
+            if rng.random() < 0.9:
+                exps = [0] * nvars
+                shape = rng.random()
+                exps[v if shape < 0.2 else w] = rng.randrange(1, 5)
+                if shape >= 0.4:
+                    exps[v] = rng.randrange(0, 4)
+                gens.append(tuple(exps))
+        for _ in range(rng.randrange(0, 5)):
+            gens.append(tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars)))
+        mi = monomial_ideal(nvars, [g for g in gens if any(g)])
+        leads = lead_digits(mi)
+        hp = hilbert_polynomial(hilbert_numerator(mi), nvars)
+        want = None if hp.degree() >= 1 else sum(hp.coeffs)
+        assert constant_hp(leads) == want, (nvars, mi.gens)
+        kinds["open pair"] += want is None
+        kinds["pure power"] += any(sum(map(bool, g)) == 1 and max(g) >= 2 for g in mi.gens)
+        kinds["degree 1"] += any(sum(g) == 1 for g in mi.gens)
+        if want:
+            bound = rng.randrange(want + 1)
+            got = constant_hp(leads, bound)
+            assert got == want if bound == want else bound < got <= want, (mi.gens, bound)
+            kinds["past bound"] += bound < want
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_monomial_ideals_share_the_packing_cap():
     for gens in ([(128, 0, 0)], [(-1, 0, 0)], [(100, 28, 0)], [(1, 0, 0), (0, 64, 64)]):
         with pytest.raises(OverflowError):
@@ -203,11 +258,25 @@ def test_leading_ideal_refuses_a_basis_built_by_hand():
      ("Hessian", 31991, 159, 36), ("Hessian", 3, 169, 35)],
     ids=["A3", "A4", "A5", "Hessian", "Hessian-p3"],
 )
-def test_recursion_counters_are_pinned(name, p, calls, hits):
-    # the pivot rule and the memo key fix these; the report keeps them off its JSON
+def test_recursion_counters_are_pinned(name, p, calls, hits, monkeypatch):
+    # the pivot rule and the memo key fix these, on the engine's final leads:
+    # the stop hook's last.  A run the count along the open axes stops forms
+    # no numerator; the report keeps the counters off its JSON
     arr = braid(int(name[1])) if name in ("A4", "A5") else fixture(name)
+    seen = []
+
+    class Seen(CensusStop):
+        def __call__(self, digits):
+            seen.append(digits)
+            return super().__call__(digits)
+
+    monkeypatch.setattr(resonance, "CensusStop", Seen)
     rep = r1_hilbert(arr, p)
-    assert (rep.engine["hilbert_calls"], rep.engine["hilbert_hits"]) == (calls, hits)
+    count, leads = {}, seen[-1]
+    hilbert_numerator(MonomialIdeal(PolyRing(leads.shape[1], p).ord, _ints(leads), leads), count)
+    assert (count["calls"], count["hits"]) == (calls, hits)
+    stopped = "stopped_at" in rep.engine
+    assert (rep.engine["hilbert_calls"], rep.engine["hilbert_hits"]) == ((0, 0) if stopped else (calls, hits))
     assert "hilbert_calls" not in rep.to_json()
 
 
