@@ -376,42 +376,31 @@ def sparse_rref(g, c, v, table, nrows: int, ncol: int, p: int, nin: int = 0):
     return rank[g][order], c[order], v[order], np.sort(lead), kept if nin < nrows else len(lead)
 
 
-# distinct residues past which squaring them all beats Python's pow on each
-_POW_EACH = 32
-
-
-def _power(base, e: int, p: int):
-    """base^e mod p elementwise, by square-and-multiply; e = 0 gives ones."""
-    out = None
-    while e:
-        if e & 1:
-            out = base if out is None else mod(out * base, p)
-        e >>= 1
-        if e:
-            base = mod(base * base, p)
-    return np.ones_like(base) if out is None else out
-
-
 def inv_mod(x, p: int):
     """Elementwise inverse of an array of nonzero residues, as x^(p-2), in x's type and shape.
 
     Up to p = 7 that is square-and-multiply on the whole array: at most
     three products, and F_3 takes one reduction.  Past that it would take
     about 2 log2(p) products, so the distinct residues, found by a stable
-    sort, are raised once each, by Python's pow while they are few, and
-    the powers gathered.  Zeros, which batch_rank passes, give 0 past F_2.
+    sort, are raised once each by Python's pow and the powers gathered.
+    The arrays r1 and the oracle invert hold at most three distinct
+    residues.  Zeros, which batch_rank passes, give 0 past F_2.
     """
     base = mod(x, p)
     if p <= 7:
-        return _power(base, p - 2, p)
+        out = None
+        e = p - 2
+        while e:
+            if e & 1:
+                out = base if out is None else mod(out * base, p)
+            e >>= 1
+            if e:
+                base = mod(base * base, p)
+        return np.ones_like(base) if out is None else out
     flat = base.ravel()
     order = np.argsort(flat, kind="stable")
     heads, lens = _runs(flat[order])
-    vals = flat[order[heads]]
-    if len(vals) <= _POW_EACH:
-        powers = np.array([pow(v, p - 2, p) for v in vals.tolist()], base.dtype)
-    else:
-        powers = _power(vals.astype(np.int64), p - 2, p).astype(base.dtype)  # (p - 1)^2 fits
+    powers = np.array([pow(v, p - 2, p) for v in flat[order[heads]].tolist()], base.dtype)
     out = np.empty_like(flat)
     out[order] = np.repeat(powers, lens)
     return out.reshape(base.shape)

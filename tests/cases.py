@@ -11,7 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
+import resgrass.resonance as resonance
 from resgrass.arrangement import Arrangement, dependent_sets, from_matrix
+from resgrass.components import CensusStop
 from resgrass.errors import InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 from resgrass.grobner import (
@@ -25,7 +27,7 @@ from resgrass.grobner import (
 )
 from resgrass.field import DEFAULT_MODULUS, kernel_dtype, matmul_mod, mod, projective_points
 from resgrass.hilbert import format_hp, hilbert_numerator, hilbert_polynomial, leading_ideal
-from resgrass.resonance import Plane, _plucker_terms, os_points, span_forms
+from resgrass.resonance import Plane, _plucker_terms, os_points, r1_hilbert, span_forms
 
 # the largest prime the int64 kernels take, and the first prime they refuse
 BOUNDARY_PRIME = 2**31 - 1
@@ -394,6 +396,19 @@ def reference_r1_hilbert(arr, p):
     gb = buchberger(plucker_ideal(ring) + forms, ring=ring)
     hp = hilbert_polynomial(hilbert_numerator(leading_ideal(gb)), ring.nvars)
     return format_hp(hp), len(pts), len(forms)
+
+
+def r1_seen_by_stop(arr, p, monkeypatch):
+    """r1_hilbert's report on arr over F_p and the digit rows of every lead set its stop hook was handed."""
+    seen = []
+
+    class Seen(CensusStop):
+        def __call__(self, digits):
+            seen.append(digits)
+            return super().__call__(digits)
+
+    monkeypatch.setattr(resonance, "CensusStop", Seen)
+    return r1_hilbert(arr, p), seen
 
 
 def r1_ideal(arr, p):

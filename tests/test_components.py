@@ -18,7 +18,6 @@ from resgrass import resonance
 from resgrass.arrangement import Arrangement, check_simple, fixture, flats_of, from_matrix
 from resgrass.components import (
     Census,
-    CensusStop,
     _nets,
     _ruled_out,
     census,
@@ -33,7 +32,16 @@ from resgrass.hilbert import HilbertPoly, format_hp, hilbert_numerator, hilbert_
 from resgrass.hilbert import MonomialIdeal, constant_hp, leading_ideal
 from resgrass.resonance import r1_hilbert
 
-from cases import braid, ceva, ceva3, graphic, monomial_ideal, r1_ideal, random_simple_realization
+from cases import (
+    braid,
+    ceva,
+    ceva3,
+    graphic,
+    monomial_ideal,
+    r1_ideal,
+    r1_seen_by_stop,
+    random_simple_realization,
+)
 from test_known_answers import cliques, seeded_graphs
 
 FANO = Arrangement(7, ((0, 1, 2), (0, 3, 4), (0, 5, 6), (1, 3, 5), (1, 4, 6), (2, 3, 6), (2, 4, 5)),
@@ -259,11 +267,14 @@ def test_ruled_out_never_refuses_the_leads_own_hp():
 
 @pytest.mark.parametrize("p, checks", [(2, 0), (3, 1)])
 def test_ruled_out_is_exact_on_the_fano_plane(p, checks):
-    # the census explains 14*P_0 (7 local components and 7 nets), so d = 1,
-    # and an open pair of variables exists exactly when the leads' HP has
-    # degree >= 1.  Over F_2 the HP after every degree is 7*P_0 + 1*P_2, and
-    # over F_3 it is 10*P_0 + 1*P_1 after degree 3: all ruled out, so only
-    # F_3's last degree, whose HP is the census's, needs a numerator
+    # _ruled_out on its own: the census explains 14*P_0 (7 local components
+    # and 7 nets), so d = 1, and an open pair of variables exists exactly
+    # when the leads' HP has degree >= 1.  Over F_2 the HP after every
+    # degree is 7*P_0 + 1*P_2, and over F_3 it is 10*P_0 + 1*P_1 after
+    # degree 3.  The stop hook no longer calls _ruled_out on a constant
+    # census HP: it counts along the open axes, and constant_hp finds an
+    # open pair on the same lead sets, so its checks are F_3's last degree,
+    # whose HP is the census's
     ring, gens = r1_ideal(FANO, p)
     explained = census(os_ideal_part(FANO, 2, p)).explained
     assert format_hp(explained) == "14*P_0"
@@ -275,6 +286,7 @@ def test_ruled_out_is_exact_on_the_fano_plane(p, checks):
                                 ring.nvars)
         ruled = _ruled_out(leads != _CAP, explained)
         assert ruled == (hp.degree() >= 1), (p, len(leads), format_hp(hp))
+        assert (constant_hp(leads) is None) == ruled, (p, len(leads), format_hp(hp))
         if not ruled:
             numerators += 1
             if hp == explained:
@@ -352,18 +364,9 @@ def test_the_axis_count_is_the_numerators_hp(monkeypatch):
     inputs += [(FANO, 3), (NON_FANO, 31991)]
     inputs += [(graphic(v, edges, p), p) for v, edges in seeded_graphs() for p in (2, 31991)]
     inputs += [(random_simple_realization(rng, p), p) for p in (2, 3, 5, 7, 31991) for _ in range(4)]
-    seen = []
-
-    class Seen(CensusStop):
-        def __call__(self, digits):
-            seen.append(digits)
-            return super().__call__(digits)
-
-    monkeypatch.setattr(resonance, "CensusStop", Seen)
     stopped = constant = 0
     for arr, p in inputs:
-        seen.clear()
-        rep = r1_hilbert(arr, p)
+        rep, seen = r1_seen_by_stop(arr, p, monkeypatch)
         for leads in seen:
             n = leads.shape[1]
             numer = hilbert_numerator(MonomialIdeal(PolyRing(n, p).ord, _ints(leads), leads))

@@ -78,9 +78,9 @@ def square_and_multiply(x, p):
     if p - 1 <= np.iinfo(t).max  # int8 holds no residue past 127
 ])
 def test_inverse_matches_square_and_multiply(p, dtype):
-    # past p = 7 inv_mod raises each distinct residue once, by pow when
-    # they are few and by squaring when they are many; zeros, which
-    # batch_rank passes, stay 0 there, and type and shape are kept
+    # past p = 7 inv_mod raises each distinct residue once, by pow, from
+    # three residues to one per entry; zeros, which batch_rank passes,
+    # stay 0 there, and type and shape are kept
     rng = np.random.default_rng(p)
     few = rng.choice([0, 1, p - 1, rng.integers(1, p)], size=(3, 40))
     many = rng.integers(0, p, size=(4, 25))

@@ -18,10 +18,6 @@ from resgrass.hilbert import (
     leading_ideal,
 )
 
-import resgrass.resonance as resonance
-from resgrass.components import CensusStop
-from resgrass.resonance import r1_hilbert
-
 from cases import (
     braid,
     from_exp_terms,
@@ -29,6 +25,7 @@ from cases import (
     monomial_ideal,
     permute_vars,
     r1_ideal,
+    r1_seen_by_stop,
 )
 
 
@@ -263,15 +260,7 @@ def test_recursion_counters_are_pinned(name, p, calls, hits, monkeypatch):
     # the stop hook's last.  A run the count along the open axes stops forms
     # no numerator; the report keeps the counters off its JSON
     arr = braid(int(name[1])) if name in ("A4", "A5") else fixture(name)
-    seen = []
-
-    class Seen(CensusStop):
-        def __call__(self, digits):
-            seen.append(digits)
-            return super().__call__(digits)
-
-    monkeypatch.setattr(resonance, "CensusStop", Seen)
-    rep = r1_hilbert(arr, p)
+    rep, seen = r1_seen_by_stop(arr, p, monkeypatch)
     count, leads = {}, seen[-1]
     hilbert_numerator(MonomialIdeal(PolyRing(leads.shape[1], p).ord, _ints(leads), leads), count)
     assert (count["calls"], count["hits"]) == (calls, hits)
