@@ -259,16 +259,18 @@ def circuits(arr: Arrangement, max_size: int, p: int = DEFAULT_MODULUS):
     skip batch_rank.  A realization must be simple over F_p; a flats-only
     arrangement has its dependent triples as circuits, and rank None.  The
     triples of the flats are the size-3 circuits of a realization read over
-    F_p too, so only another prime ranks them again.
+    F_p too, so only another prime ranks them again.  The rank is computed
+    only when sizes above 3 are asked for, and is None otherwise: the
+    triples are the same either way.
     """
     if arr.matrix is None:
         return dependent_sets(arr, max_size, p), None
     cols = arr.columns()
     check_simple(cols, p)
-    ell = rank(arr.matrix, arr.n, p)
+    ell = rank(arr.matrix, arr.n, p) if max_size > 3 else None
     found, below = [], set()  # below: the dependent sets one size smaller
-    for size in range(3, min(max_size, ell + 1) + 1):
-        if size > ell:
+    for size in range(3, (max_size if ell is None else min(max_size, ell + 1)) + 1):
+        if ell is not None and size > ell:
             dep = list(combinations(range(arr.n), size))
         elif size == 3 and arr.p == p:
             dep = _flat_triples(arr.flats)

@@ -168,9 +168,9 @@ def _ruled_out(supp, explained: HilbertPoly) -> bool:
     """
     d = len(explained.coeffs)
     # integer matrix products count faster than sums over an axis, and
-    # take no BLAS buffer
-    f = supp.astype(np.int64)
-    size = f @ np.ones(f.shape[1], np.int64)
+    # take no BLAS buffer; no count passes the number of leads
+    f = supp.astype(np.int32)
+    size = f @ np.ones(f.shape[1], np.int32)
     open_ = (size == 1) @ f == 0  # no pure power
     keep = f @ ~open_ == 0  # a lead on a closed variable fits in no open set
     f, size = f[keep][:, open_], size[keep]
@@ -193,7 +193,7 @@ def _ruled_out(supp, explained: HilbertPoly) -> bool:
         if opens[d]:
             return True
     else:
-        order = np.argsort(np.ones(len(f), np.int64) @ f, kind="stable")
+        order = np.argsort(np.ones(len(f), np.int32) @ f, kind="stable")
         left, free = size.copy(), np.ones(n, bool)
         for _ in range(d + 1):
             free &= (left == 1) @ f == 0

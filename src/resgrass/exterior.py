@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .arrangement import Arrangement, circuits
-from .field import DEFAULT_MODULUS, check_kernel_modulus, leveled_rref
+from .field import DEFAULT_MODULUS, _runs, check_kernel_modulus, leveled_rref
 
 
 def _merge_signed(a: tuple, b: tuple):
@@ -174,7 +174,8 @@ def os_ideal_part(arr: Arrangement, k: int, p: int = DEFAULT_MODULUS) -> Subspac
     broken circuit gives C(n, k) - b_k rows with distinct leading coordinates:
     a basis of I_k by the no-broken-circuit theorem (Bjorner 1982; Orlik-Terao,
     Arrangements of Hyperplanes, 3.5, with the order reversed), which
-    leveled_rref brings to reduced echelon form with no pivot search.  Up to
+    leveled_rref brings to reduced echelon form with no pivot search; for
+    k = 2 they are in that form as written off the flats (ideal_slice).  Up to
     sign, the row is read off facets: it is e_T when max C lies in T, and
     otherwise, with V = T u {max C}, the sum of (-1)^j e_{V - v_j} over the
     j-th elements v_j of V that lie in C; the echelon form does not see the
@@ -206,10 +207,27 @@ def leading_sets(n: int, k: int, circs) -> dict:
 def ideal_slice(n: int, k: int, p: int, circs) -> Subspace:
     """os_ideal_part from given circuits of n hyperplanes; those above size k + 1 are left out.
 
-    Each leading k-set T keeps the first circuit C that reaches it
-    (leading_sets), and its row is the facet sum of os_ideal_part.
+    For k = 2 the rows are written down from the rank-2 flats: a flat X
+    with largest hyperplane m has the row boundary(a, b, m) = e_ab - e_am +
+    e_bm for each pair a < b of X less m.  Those pairs are the a < b of the
+    dependent triples (a, b, c), and the largest such c is m.  A row leads
+    at the broken circuit e_ab, and e_am and e_bm lie in X alone and lead
+    no row, so the rows, by leading pair, are in reduced echelon form
+    already.  For k >= 3 each leading k-set T keeps the first circuit C
+    that reaches it (leading_sets), and its row is the facet sum of
+    os_ideal_part, which leveled_rref reduces.
     """
     sub = Subspace(n, k, p, None, None, [C for C in circs if len(C) <= k + 1])
+    if k == 2:
+        key = np.array(sorted((a * n + b) * n + c for a, b, c in sub.circuits), np.int64)
+        heads, count = _runs(key // n)
+        a, b, m = key[heads] // (n * n), key[heads] // n % n, key[heads + count - 1] % n
+        col = lambda i, j: i * (2 * n - i - 3) // 2 + j - 1  # the lex index of pair i < j
+        sub.rows = np.zeros((len(heads), len(sub.subsets)), np.int64)
+        for i, j, c in ((a, b, 1), (a, m, p - 1), (b, m, 1)):
+            sub.rows[np.arange(len(heads)), col(i, j)] = c
+        sub.pivots = col(a, b).tolist()
+        return sub
     leads = leading_sets(n, k, sub.circuits)
     mat = np.zeros((len(leads), len(sub.subsets)), dtype=np.int64)
     for r, (T, C) in enumerate(leads.items()):

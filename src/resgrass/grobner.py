@@ -13,13 +13,12 @@ homogeneous, and their Hilbert polynomial does not depend on the order.
 The engine takes homogeneous generators only.  As in Faugere's F4, it
 reduces each degree's inputs and S-pairs as one matrix, and the basis comes
 out reduced; it is exact for moduli up to field.MAX_KERNEL_MODULUS.  Each
-degree's new leads go to the pair set in one batch, and one pass blocked
-under _BLOCK prunes their S-pairs by the Gebauer-Moeller lcm-divisor and
-coprime criteria, as integer numpy masks without BLAS.  Inside the engine a
-monomial is a uint8 row of the complement digits of its key, and its inputs
-are entries by degree, as plucker_entries makes them.  Packed ints appear
-only in the Poly adapters plucker_ideal, buchberger and normal_form, which
-reads its remainders off the same reducer table the engine builds per degree.
+degree's new leads go to the pair set (pairs._PairSet) in one batch.
+Inside the engine a monomial is a uint8 row of the complement digits of its
+key, and its inputs are entries by degree, as plucker_entries makes them.
+Packed ints appear only in the Poly adapters plucker_ideal, buchberger and
+normal_form, which reads its remainders off the same reducer table the
+engine builds per degree.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ import numpy as np
 
 from .field import _BLOCK, DEFAULT_MODULUS, _runs, _spans, check_kernel_modulus, is_prime
 from .field import inv_mod, leveled, pivot_table, sparse_rref, through_table
+from .pairs import _CAP, _PairSet, _first_subset, _threshold_bits
 
 _W = 8
-_CAP = 127
 
 
 class GrevlexOrder:
@@ -366,156 +365,6 @@ def _polys(ring, grp, digits, coef):
     at = np.searchsorted(grp, np.arange(grp.max(initial=-1) + 2)).tolist()
     keys, cs = _ints(digits), coef.tolist()
     return [Poly(ring, dict(zip(keys[a:b], cs[a:b]))) for a, b in zip(at, at[1:])]
-
-
-def _threshold_bits(digits, top):
-    """Rows of bits [e_v > k], for k below top_v, the largest exponent of x_v among the leads.
-
-    A lead j divides a monomial m exactly when bits_j & ~bits_m == 0, and
-    the bits of an lcm are the or of its factors' bits.  The bits go in as
-    many uint64 words per row as they take.
-    """
-    nrows, n = digits.shape
-    var = np.repeat(np.arange(n), top)
-    k = np.arange(len(var)) - np.repeat(np.cumsum(top) - top, top)
-    out = np.zeros((nrows, 8 * (-(-len(var) // 64) or 1)), np.uint8)
-    step = max(1, _BLOCK // max(1, len(var)))
-    for s in range(0, nrows, step):
-        bits = _CAP - digits[s : s + step, var] > k
-        packed = np.packbits(bits, axis=1)
-        out[s : s + step, : packed.shape[1]] = packed
-    return out.view(np.uint64)
-
-
-def _first_subset(bits, lacks):
-    """Index of the first row of bits sharing no bit with each row of lacks, or -1.
-
-    For threshold bits, that is the first lead dividing each monomial whose
-    bits are ~lacks.  Rows of lacks go in blocks under _BLOCK.
-    """
-    out = np.full(len(lacks), -1)
-    step = max(1, _BLOCK // max(1, bits.nbytes))
-    for s in range(0, len(lacks) if len(bits) else 0, step):
-        hit = ((bits & lacks[s : s + step, None]) == 0).all(axis=2)
-        first = hit.argmax(axis=1)
-        out[s : s + step] = np.where(hit[np.arange(len(first)), first], first, -1)
-    return out
-
-
-def _strictly_divided(ld, bits, bt):
-    """For each lead i of bits, whether the lcm with lead t of another strictly divides lcm(i, t).
-
-    ld holds the lcm degrees with lead t, bits the threshold bits of the
-    leads and bt those of t.  Leads below the largest degree are searched
-    lowest first, so the first divisor found has the least degree.
-    """
-    out = np.zeros(len(ld), bool)
-    cand = np.flatnonzero(ld > ld.min())
-    low = np.flatnonzero(ld < ld.max())
-    low = low[np.argsort(ld[low], kind="stable")]
-    j = _first_subset(bits[low], ~(bits[cand] | bt))
-    out[cand] = (j >= 0) & (ld[low][j] < ld[cand])
-    return out
-
-
-class _PairSet:
-    """S-pairs kept by lcm degree, taken a degree at a time and pruned a degree's leads at a time.
-
-    The engine hands over each degree's new leads in one add_elements call.
-    Monomials are rows of the complement digits of their grevlex keys, so an
-    lcm is an elementwise minimum.  The Gebauer-Moeller criteria on the new
-    pairs are array masks, taken in blocks of leads that keep every
-    temporary under _BLOCK; the divisor test runs on packed threshold bits
-    in integer numpy ops, without BLAS.  One np.unique groups survivors by
-    lead and lcm, and a degree's queue is arrays of lcm digits, i and j
-    cut from its rows.  The leads' bits serve the engine's reducer search
-    too.  A queued pair is never retired: the engine reduces a whole degree
-    at once, where a pair that would reduce to zero costs one more zero
-    row.  The counters say how many candidate pairs were created and how
-    many each criterion pruned.
-    """
-
-    def __init__(self, ord_):
-        self.ord = ord_
-        self.queued: dict = {}  # lcm degree -> [(lcm digits, i, j)], by lead j, then lcm
-        self.created = self.pruned_lcm = self.pruned_coprime = 0
-        self.digits = np.zeros((0, ord_.nvars), np.uint8)  # one row per lead
-        self.hold(self.digits)
-
-    def hold(self, leads):
-        """Append leads' digit rows, queueing no pair; top and bits follow them."""
-        self.digits = np.concatenate([self.digits, leads])
-        self.top = _CAP - self.digits.min(axis=0, initial=_CAP).astype(np.int64)
-        self.bits = _threshold_bits(self.digits, self.top)
-
-    def add_elements(self, leads):
-        """Hold leads, as digit rows, and queue the pairs of each with every earlier one.
-
-        The earlier leads of the batch count too, so the result is that of
-        adding the leads one at a time, in order.
-        """
-        if not len(leads):
-            return
-        n = self.ord.nvars
-        t0, t1 = len(self.digits), len(self.digits) + len(leads)
-        self.hold(leads)
-        digits, bits = self.digits, self.bits
-        degs = _CAP * n - digits.sum(axis=1, dtype=np.int32)
-        step = max(1, _BLOCK // (t1 * max(n, bits[0].nbytes)))
-        for a in range(t0, t1, step):
-            b = min(a + step, t1)
-            ldeg = np.minimum(digits[a:b, None], digits[None, :b]).sum(axis=2, dtype=np.int32)
-            np.subtract(_CAP * n, ldeg, out=ldeg)
-            # lcm-divisor criterion: drop (i, t) when lcm(j, t) strictly
-            # divides lcm(i, t) for some j < t.  It does when the bits lead j
-            # has beyond those of lead t lie in lcm(i, t) and are fewer than
-            # those of i; above, the lcm degree less that of t, counts them.
-            # A j with above = 0 divides lead t and drops every pair with
-            # above > 0.  The j with above = 1 have one bit each: one mask of
-            # them drops every pair with above > 1 whose lcm holds one.
-            above = ldeg - degs[a:b, None]
-            pair = np.arange(b) < np.arange(a, b)[:, None]  # i < t
-            one = np.where((pair & (above == 1))[..., None], bits[:b], np.uint64(0))
-            mask = np.bitwise_or.reduce(one, axis=1) & ~bits[a:b]
-            dead = ~pair | (above > 1) & (bits[:b] & mask[:, None]).any(axis=2)
-            dead |= (pair & (above == 0)).any(axis=1, keepdims=True) & (above > 0)
-            # a j those rules dropped drops no pair they did not, so only the
-            # survivors with above > 1 are left to test against each other
-            multi = ~dead & (above > 1)
-            lows = np.where(multi, above, 2 * _CAP).min(axis=1)
-            highs = np.where(multi, above, -1).max(axis=1)
-            for r in np.flatnonzero(lows < highs).tolist():
-                m = np.flatnonzero(multi[r])
-                dead[r, m] = _strictly_divided(above[r, m], bits[m], bits[a + r])
-            # one pair per lead and distinct lcm, with the smallest i; none
-            # when some pair with that lcm has coprime leads, since its
-            # S-poly reduces to zero.  A survivor's bytes are its lead t
-            # (big-endian), then its lcm digits, so the groups sort by t, then
-            # lcm; survivors come by t, then i, so a group's first index has
-            # its smallest i.
-            r, i = np.nonzero(~dead)
-            t, d = r + a, ldeg[r, i]
-            rows = np.concatenate([t.astype(">u4").view(np.uint8).reshape(-1, 4),
-                                   np.minimum(digits[t], digits[i])], axis=1)
-            uniq, first, group = np.unique(rows.view(f"V{n + 4}").ravel(), return_index=True,
-                                           return_inverse=True)
-            cop = np.bincount(group[d == degs[i] + degs[t]], minlength=len(uniq)) > 0
-            uniq, first = uniq[~cop], first[~cop]
-            # every candidate pair is pruned once or queued once
-            ncop = int(cop[group].sum())
-            self.created += sum(range(a, b))
-            self.pruned_coprime += ncop
-            self.pruned_lcm += sum(range(a, b)) - ncop - len(first)
-            lcms = uniq.view(np.uint8).reshape(-1, n + 4)[:, 4:]
-            i, t, d = i[first], t[first], d[first]
-            for deg in np.flatnonzero(np.bincount(d)).tolist():
-                at = d == deg
-                self.queued.setdefault(deg, []).append((lcms[at], i[at], t[at]))
-
-    def take(self, d: int):
-        """Remove and return the queued lcm digits, i and j of lcm degree d, by lead j, then lcm."""
-        none = (self.digits[:0], np.zeros(0, np.int64), np.zeros(0, np.int64))
-        return [np.concatenate(c) for c in zip(*self.queued.pop(d, [none]))]
 
 
 class _F4Engine:

@@ -258,7 +258,7 @@ def test_bench_reports_engine_counters(capsys):
     # account for the HP, so degree 3's leads form no pair
     assert (res["stopped_at"], eng["stopped_at"], res["certificate"]) == (3, 3, "axes")
     assert {k: eng[k] for k in ("created", "pruned_lcm", "pruned_coprime")} == dict(
-        created=10, pruned_lcm=4, pruned_coprime=0
+        created=10, pruned_lcm=2, pruned_coprime=2
     )
     assert (eng["reductions"], eng["zero_reductions"]) == (6, 5)
     # the Hilbert recursion's calls and memo hits: none, as the count along

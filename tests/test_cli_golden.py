@@ -167,11 +167,11 @@ DIGESTS = {
     "r1-two40-p31991-json": "26787e5d2320778a28dbde04633a58408906e9918ff4c704af2390e2c7bd8952",
     "r1-two40-p3": "03e529e9f584e58b83228a7de9a2205c08bf6af68bd8ceb2d15a6d7f72e71383",
     "r1-two40-p3-json": "eea8d350a3280bf56b339c8e0a3175422b837d1e9b3e6d5be9a96dba1e0f12b6",
-    "r1-A3-p31991-json-stats": "c9efd48244e038ff92fc0201a33eed5b1e5507f84b0893ef37fe1cb7ad70a6d1",
-    "r1-A3-p3-json-stats": "389c33faa1812e4efcfd0c511911ac2e9da57524837737513a413e93381fafba",
-    "r1-A5-p31991-json-stats": "5ce47eb106c9592482a7c138e00db21c59c67b5f7fdffa34492f829d4cfc8150",
-    "r1-Hessian-p31991-json-stats": "44aa3ec1618a4a9b613b24fe0b3054f66e0c6b446b75db9cca3f49b5fa6dbc51",
-    "r1-Hessian-p3-json-stats": "283e04b05e07cee0ef4fc7fdaf7dc9c07f04c81030cd62d08e98128ab39e9d76",
+    "r1-A3-p31991-json-stats": "3f790e644004064257547ea2f0f33234d7b2124928dd42d4b61992fc7dc65dfc",
+    "r1-A3-p3-json-stats": "2f3cdfc10c43fa4d0ac02d5d1566eee439e57a310bf3dfcbf8a607a0ea2b4e02",
+    "r1-A5-p31991-json-stats": "7c9d21d6fd827e282a864383c9f89f54f8e0e3bf872bf765987d331c328a8d46",
+    "r1-Hessian-p31991-json-stats": "061a421e81cee4830eb17631978ddf208e55d78a82edd42d5976b56992e18d7b",
+    "r1-Hessian-p3-json-stats": "98412ad0f324f0745e4ffd06d551a307c4f29cb883e0e0a5c459d742c62109ec",
     "oracle-A3-q5": "d4e9313942b67dd23cb097a752446bba5f6ac92053ec5ce882c38b1464e27bf8",
     "oracle-A3-q5-json": "465884e2d2f1a6a970eeedaaec8fbbb0941ec7066a1c5fed685c178d3c80dbc9",
     "oracle-A3-q7": "4463332f0ef098e6d9e8b58084346e0e70d67d6428dc3a50db3809871893d271",

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from resgrass.arrangement import fixture, from_matrix
+from resgrass.arrangement import Arrangement, fixture, from_matrix
 from resgrass.errors import DuplicateHyperplaneError, InputError
 from resgrass.exterior import ExtElement, Subspace, boundary, os_ideal_part, wedge
 
@@ -14,6 +14,7 @@ from cases import (
     BOUNDARY_PRIME,
     PENCIL,
     braid,
+    ceva3,
     reduce_rows,
     reference_os_ideal_part,
     relabelled_a4,
@@ -171,6 +172,13 @@ def test_combinatorial_higher_grade_errors():
 def test_broken_circuit_slices_equal_the_spanning_set_construction(p):
     cases = [(braid(3), 4), (relabelled_a4(), 4), (braid(5), 3)]
     cases += [(arr, 2) for arr in (PENCIL, BOOLEAN, fixture("Hessian"))]
+    # grade 2 is written off the flats of the triples at p: flats only, a
+    # realization whose column 3 lies on the line of 0 and 1 mod 7 alone,
+    # read at 7 and at 31991, a pencil of 5 and flats with no triple
+    mat = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 7]]
+    cases += [(arr, 2) for arr in (ceva3(), from_matrix(mat, p=7), from_matrix(mat, p=P),
+                                   Arrangement(5, ((0, 1, 2, 3, 4),), None, "pencil of 5"),
+                                   Arrangement(4, (), None, "no triple"))]
     for arr, top in cases:
         for k in range(top + 1):
             got, want = os_ideal_part(arr, k, p), reference_os_ideal_part(arr, k, p)

@@ -19,16 +19,14 @@ from resgrass.grobner import (
     PluckerRing,
     PolyRing,
     _F4Engine,
-    _PairSet,
     _digits,
-    _first_subset,
     _sparse,
-    _threshold_bits,
     buchberger,
     normal_form,
     plucker_entries,
     plucker_ideal,
 )
+from resgrass.pairs import _PairSet, _first_subset, _threshold_bits
 
 from cases import (
     BOOLEAN,
@@ -39,13 +37,16 @@ from cases import (
     _DivisorIndex,
     basis_digest,
     braid,
+    ceva,
     evaluate,
     first_of_each_multiple,
     from_exp_terms,
+    graphic,
     lcm,
     numerator_digest,
     pair_var,
     r1_ideal,
+    r1_seen_by_stop,
     rand_poly,
     random_simple_realization,
     reference_buchberger,
@@ -54,6 +55,8 @@ from cases import (
     reference_plucker_ideal,
     spoly,
 )
+from test_components import FANO
+from test_known_answers import seeded_graphs
 
 P = 31991
 
@@ -611,19 +614,22 @@ class RecordingPairs:
 
 
 def lead_stream(rng, ord_, length, powers=False):
-    """Replay events: random leads, with repeats, leads coprime to an earlier
-    one and divisors of an earlier one, takes in between, and enough takes
-    at the end to empty the queue.  With powers, some leads are powers x_v^e
-    with e from 2 to 5."""
+    """Replay events: an antichain of random leads, as the engine hands over,
+    with leads coprime to an earlier one and leads that trade one variable
+    of an earlier one for another, takes in between, and enough takes at
+    the end to empty the queue.  With powers, some leads are powers x_v^e
+    with e from 2 to 5.  A draw that divides or is divided by an earlier
+    lead is drawn again, up to 20 draws a lead."""
     combos, events = [], []
     n = ord_.nvars
-    for _ in range(length):
+    for _ in range(20 * length):
+        if len(combos) == length:
+            break
         kind = rng.randrange(6 if powers else 5)
         prev = rng.choice(combos) if combos else None
         if kind == 0 and prev:
-            combo = prev
-        elif kind == 1 and prev and len(prev) > 1:
-            combo = rng.sample(prev, rng.randrange(1, len(prev)))
+            combo = list(prev)
+            combo[rng.randrange(len(combo))] = rng.randrange(n)
         elif kind == 2 and prev and len(set(prev)) < n:
             free = [v for v in range(n) if v not in prev]
             combo = rng.choices(free, k=rng.randint(1, 3))
@@ -631,15 +637,24 @@ def lead_stream(rng, ord_, length, powers=False):
             combo = [rng.randrange(n)] * rng.randint(2, 5)
         else:
             combo = rng.choices(range(n), k=rng.randint(1, 4))
+        key = ord_.pack_combo(combo)
+        if any(ord_.divides(k, key) or ord_.divides(key, k) for k in events if k is not None):
+            continue
         combos.append(combo)
-        events.append(ord_.pack_combo(combo))
+        events.append(key)
         events.extend([None] * rng.choice((0, 0, 1, 2)))
     return events + [None] * (length * length)
 
 
+def pruned(pairs):
+    """created and the pairs pruned by either criterion: the split differs
+    from the reference's, which forms the pairs of coprime leads too."""
+    return pairs.created, pairs.pruned_lcm + pairs.pruned_coprime
+
+
 def test_pair_set_matches_reference_on_random_lead_streams():
     rng = random.Random(12)
-    total = dict.fromkeys(COUNTERS, 0)
+    total, split = dict.fromkeys(COUNTERS, 0), dict.fromkeys(COUNTERS, 0)
     multi = 0
     for nvars in (4, 7, 8, 9, 16, 17, 35):
         for _ in range(6):
@@ -648,12 +663,16 @@ def test_pair_set_matches_reference_on_random_lead_streams():
             fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
             takes = replay(fast, singletons(events))
             assert takes == replay(ref, events)
-            assert counters(fast) == counters(ref)
+            assert pruned(fast) == pruned(ref)
             for k in COUNTERS:
                 total[k] += counters(ref)[k]
+                split[k] += counters(fast)[k]
             multi += sum(len(t) > 1 for t in takes)
     # every criterion fired somewhere, and some takes hold several pairs
     assert all(total.values()), total
+    # the pair set prunes the pairs of coprime leads unformed, so its split
+    # is its own
+    assert split == dict(created=11722, pruned_lcm=2201, pruned_coprime=6365)
     assert multi
 
 
@@ -661,7 +680,7 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
     # each run of equal-degree leads goes in as one batch, as the engine
     # hands over a degree's leads; the reference adds them one at a time
     rng = random.Random(13)
-    total = dict.fromkeys(COUNTERS, 0)
+    total, split = dict.fromkeys(COUNTERS, 0), dict.fromkeys(COUNTERS, 0)
     words = set()
     multi = 0
     for nvars in (4, 7, 9, 17, 35):
@@ -673,12 +692,14 @@ def test_batched_pair_set_matches_reference_on_random_lead_streams():
                 fast, ref = _PairSet(ord_), ReferencePairSet(ord_)
                 takes = replay(fast, batched(events, ord_))
                 assert takes == replay(ref, events)
-                assert counters(fast) == counters(ref)
+                assert pruned(fast) == pruned(ref)
                 for k in COUNTERS:
                     total[k] += counters(ref)[k]
+                    split[k] += counters(fast)[k]
                 multi += sum(len(t) > 1 for t in takes)
                 words.add(fast.bits.shape[1])
     assert all(total.values()), total
+    assert split == dict(created=43678, pruned_lcm=8065, pruned_coprime=26580)
     assert multi
     # some streams need more than one 64-bit word of threshold bits
     assert max(words) > 1, words
@@ -706,6 +727,26 @@ def test_queue_order_does_not_depend_on_the_batches():
             assert seen[0] == seen[1]
             assert not pairs.queued
     assert longest > 1
+
+
+def test_the_engine_hands_the_pair_set_an_antichain(monkeypatch):
+    # add_elements prunes exactly only when no lead divides another: each
+    # new lead is a non-pivot column of its degree, so the leads after every
+    # degree, as the stop hook is handed them, are an antichain
+    inputs = [(braid(ell), P) for ell in range(3, 8)] + [(ceva(5, 31), 31), (FANO, 2)]
+    inputs += [(fixture("Hessian"), p) for p in (P, 3)]
+    inputs += [(graphic(v, edges, p), p) for v, edges in seeded_graphs() for p in (2, P)]
+    sets = 0
+    for arr, p in inputs:
+        _, seen = r1_seen_by_stop(arr, p, monkeypatch)
+        for leads in seen:
+            for s in range(0, len(leads), 64):
+                # lead s + r divides lead j: no digit of j above its own
+                divides = (leads[s : s + 64, None] >= leads[None]).all(axis=2)
+                divides[np.arange(len(divides)), s + np.arange(len(divides))] = False
+                assert not divides.any(), (arr.name, p, len(leads))
+            sets += 1
+    assert sets > len(inputs)
 
 
 def test_threshold_bits_decide_divisibility():
@@ -751,10 +792,10 @@ HESSIAN_DEGREES = {
 @pytest.mark.parametrize(
     "ell, expected",
     [
-        (4, dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=787,
-                 pruned_coprime=0)),
-        (5, dict(reductions=2387, zero_reductions=2366, created=19110, pruned_lcm=16723,
-                 pruned_coprime=0)),
+        (4, dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=136,
+                 pruned_coprime=651)),
+        (5, dict(reductions=2387, zero_reductions=2366, created=19110, pruned_lcm=1363,
+                 pruned_coprime=15360)),
     ],
 )
 def test_pair_set_matches_reference_on_braid_leads(ell, expected):
@@ -780,8 +821,8 @@ def test_pair_set_matches_reference_on_braid_leads(ell, expected):
     assert len(rec.events) - len(takes) == len(eng.degrees)
     assert len(takes) == len(eng.degrees)
     assert sum(map(len, takes)) == eng.reductions == expected["reductions"]
-    assert counters(rec.inner) == counters(ref)
-    got = dict(counters(ref), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
+    assert pruned(rec.inner) == pruned(ref)
+    got = dict(counters(rec.inner), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
     assert got == expected
     # every candidate pair is pruned once or reduced once
     assert ref.created == sum(expected[k] for k in COUNTERS[1:]) + eng.reductions
@@ -837,8 +878,8 @@ def test_basis_keeps_the_engine_counters():
     stats = dict(gb.stats)
     assert stats.pop("pair_s") > 0
     degrees = stats.pop("degrees")
-    assert stats == dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=787,
-                         pruned_coprime=0)
+    assert stats == dict(reductions=248, zero_reductions=242, created=1035, pruned_lcm=136,
+                         pruned_coprime=651)
     assert {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in degrees.items()} == BRAID_DEGREES[4]
     # all-zero input runs the engine over nothing: every counter is 0
     assert buchberger([ring.zero()], ring=ring).stats == dict(
@@ -878,7 +919,7 @@ def test_hessian_engine_counters():
     eng = quadric_engine(ring, gens)
     eng.run()
     got = dict(counters(eng.pairs), reductions=eng.reductions, zero_reductions=eng.zero_reductions)
-    assert got == dict(created=87153, pruned_lcm=79488, pruned_coprime=196, reductions=7469,
+    assert got == dict(created=87153, pruned_lcm=8990, pruned_coprime=70694, reductions=7469,
                        zero_reductions=7317)
     assert got["created"] == sum(got[k] for k in COUNTERS[1:]) + eng.reductions
     got = {d: tuple(c[k] for k in DEGREE_COUNTERS) for d, c in eng.degrees.items()}
@@ -897,9 +938,9 @@ HESSIAN_DEGREES_P3 = {
 @pytest.mark.parametrize(
     "name, p, expected, degrees",
     [
-        ("A6", P, dict(created=189420, pruned_lcm=175644, pruned_coprime=0, reductions=13776,
+        ("A6", P, dict(created=189420, pruned_lcm=7995, pruned_coprime=167649, reductions=13776,
                        zero_reductions=13720), BRAID_DEGREES[6]),
-        ("Hessian", 3, dict(created=88831, pruned_lcm=81072, pruned_coprime=201, reductions=7558,
+        ("Hessian", 3, dict(created=88831, pruned_lcm=9478, pruned_coprime=71795, reductions=7558,
                             zero_reductions=7399), HESSIAN_DEGREES_P3),
     ],
     ids=["A6", "Hessian-p3"],
